@@ -48,7 +48,7 @@ _SCHEMA = {
     "physics": {"mu", "lambda", "alpha", "pressure", "gamma_gas"},
     "analyze": {"input", "s_values", "hybrid_pairs"},
     "linear": {"pairs", "xi_values", "samples", "efolds"},
-    "simulate": {"dt", "t_final", "amplitude", "store_every", "rotation_correction"},
+    "simulate": {"dt", "t_final", "amplitude", "rotation_correction"},
     "iterate": {"dt", "t_final", "amplitude", "iterations", "init"},
     "constraints": {"eps", "refine_levels", "dt", "t_final", "u_amplitude"},
     "scaling": {"s_values", "amplitude"},
@@ -213,8 +213,7 @@ class Runner:
         config = RunConfig(params, float(sec.get("dt", 0.02)),
                            float(sec.get("t_final", 20.0)),
                            rotation_correction=sec.get("rotation_correction",
-                                                       "true") == "true",
-                           store_every=int(sec.get("store_every", 1)))
+                                                       "true") == "true")
         result = direct_solve(prim0, config)
         write_csv(self.artifacts[0],
                   ["t", "inst_rho", "inst_u", "inst_E", "diss_rho", "diss_u",

@@ -35,7 +35,6 @@ class RunConfig:
     rotation_correction: bool = True
     picard_iterations: int = 6
     init_mollified: bool = True
-    store_every: int = 1
     divergence_factor: float = 10.0
 
     def __post_init__(self):
@@ -160,7 +159,7 @@ class ReformStepper:
     def check_cfl(self, state: ReformState):
         umax = float(np.max(np.abs(state.velocity().to_physical())))
         number = self.config.dt * umax * self.grid.xi_max
-        if number > self.config.cfl_limit:
+        if not (number <= self.config.cfl_limit):
             raise StabilityError(
                 f"CFL number {number:.3g} exceeds limit {self.config.cfl_limit}")
 
@@ -238,9 +237,12 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig,
     if traj is not None:
         traj.record(t, state.rho, u, state.E)
     for k in range(config.n_steps):
-        if k % cfl_check_every == 0:
-            stepper.check_cfl(state)
-        state = stepper.step(state)
+        try:
+            if k % cfl_check_every == 0:
+                stepper.check_cfl(state)
+            state = stepper.step(state)
+        except StabilityError as exc:
+            raise StabilityError(f"step {k + 1}: {exc}") from exc
         t = (k + 1) * config.dt
         u = state.velocity()
         norms.record(t, state.rho, u, state.E)
@@ -310,17 +312,12 @@ class LinearStepper:
         d_dot = (1.0 + a) * fractional_power(state.rho, 1.0)
         om_dot = a * fractional_power(transpose_gap(state.E), 1.0)
         E_dot = jacobian(u_cur)
-        if u_frozen is not None:
-            u_phys = u_frozen.to_physical()
-            rho_dot = rho_dot - convect(u_frozen, state.rho, u_phys)
-            d_dot = d_dot - convect(u_frozen, state.d, u_phys)
-            om_dot = om_dot - convect(u_frozen, state.omega, u_phys)
-            E_dot = E_dot - convect(u_frozen, state.E, u_phys)
         if src is not None:
-            rho_dot = rho_dot + src.mass
-            d_dot = d_dot + src.compressible
-            om_dot = om_dot + src.rotational
-            E_dot = E_dot + src.stretch
+            u_phys = src.velocity
+            rho_dot = rho_dot - convect(u_frozen, state.rho, u_phys) + src.mass
+            d_dot = d_dot - convect(u_frozen, state.d, u_phys) + src.compressible
+            om_dot = om_dot - convect(u_frozen, state.omega, u_phys) + src.rotational
+            E_dot = E_dot - convect(u_frozen, state.E, u_phys) + src.stretch
         return ReformState(rho_dot, d_dot, om_dot, E_dot)
 
     def _damp(self, state: ReformState) -> ReformState:

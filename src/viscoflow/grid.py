@@ -134,10 +134,10 @@ class SpectralField:
         return cls(grid, coeff)
 
     def to_physical(self) -> np.ndarray:
-        """Inverse transform; returns the real samples."""
+        """Inverse transform; returns the real samples (a new real array, so
+        the complex transform buffer is freed at once)."""
         axes = tuple(range(self.coeff.ndim - self.grid.dim, self.coeff.ndim))
-        vals = np.fft.ifftn(self.coeff, axes=axes) * self.grid.n_points
-        return vals.real
+        return np.fft.ifftn(self.coeff, axes=axes).real * self.grid.n_points
 
     @staticmethod
     def _comp_shape(grid: Grid, rank: str):
@@ -233,9 +233,20 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
         raise InputError(f"rank pattern {f.rank}*{g.rank} needs a dedicated contraction")
     if f.rank != "scalar":
         f, g = g, f
-    vals = f.to_physical() * g.to_physical()
-    out = SpectralField.from_physical(f.grid, vals)
-    return out.dealias()
+    return dealias_physical(f.grid, f.to_physical() * g.to_physical())
+
+
+def dealias_physical(grid: Grid, values: np.ndarray) -> SpectralField:
+    """Forward transform of physical products with the 2/3 mask applied.
+
+    ``values`` may carry any leading component shape.  Products that share a
+    destination are summed first and cost one transform: by linearity that
+    equals dealiasing each product on its own.
+    """
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    coeff = np.fft.fftn(values, axes=axes)
+    coeff *= grid.dealias_mask / grid.n_points
+    return SpectralField(grid, coeff)
 
 
 def fine_grid_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -15,6 +15,17 @@ constraint manifold they differ, and that gap is itself a diagnostic.
 
 The elastic coupling a = alpha / P'(1) is kept general (a = 1 recovers the
 usual normalization); the linear-system module always works at a = 1.
+
+Every right-hand side evaluates its state in physical space once
+(``PhysicalBundle``: rho, grad rho, u, grad u, A u, E and grad E, one
+batched inverse transform per family).  Products that share a destination
+are summed there and cost one dealiased forward transform; by linearity
+that equals dealiasing each product alone.  Scalar transforms per call:
+
+    call                 2-D   3-D
+    reformulated_rhs      36    86
+    primitive_rhs         30    68
+    assemble_sources      47   106
 """
 
 from __future__ import annotations
@@ -24,12 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, StabilityError
-from .grid import Grid, SpectralField, dealiased_product
-from .operators import (Viscosity, convect, divergence, double_divergence,
+from .grid import Grid, SpectralField, dealias_physical, dealiased_product
+from .operators import (Viscosity, curl_matrix, divergence, double_divergence,
                         fractional_power, gradient, helmholtz_reconstruct,
                         helmholtz_split, jacobian, lame_operator, laplacian,
-                        matrix_product, symmetric_scalar, transpose_gap,
-                        _deriv_mult)
+                        symmetric_scalar, transpose_gap, _deriv_mult)
 
 RHO_SUP_LIMIT = 0.5  # composition terms need the density perturbation below this
 
@@ -110,12 +120,6 @@ class PrimitiveState:
     def copy(self):
         return PrimitiveState(self.rho.copy(), self.u.copy(), self.E.copy())
 
-    def check_density(self, limit: float = 1.0):
-        sup = float(np.max(np.abs(self.rho.to_physical())))
-        if sup >= limit:
-            raise StabilityError(f"density perturbation sup {sup:.3g} >= {limit}")
-        return sup
-
 
 @dataclass
 class HelmholtzState:
@@ -146,6 +150,7 @@ class SourceTerms:
     potential: SpectralField         # symmetric-scalar equation
     compressible_alt: SpectralField  # d equation, potential-coupled form
     stretch: SpectralField           # grad(u) E, the full deformation source
+    velocity: np.ndarray             # physical samples of the frozen velocity
 
 
 def split_state(prim: PrimitiveState) -> HelmholtzState:
@@ -190,82 +195,103 @@ def elastic_energy(F: SpectralField, alpha: float = 1.0) -> float:
 
 
 # ----------------------------------------------------------------------
-# shared nonlinear blocks
+# one physical evaluation per state
 # ----------------------------------------------------------------------
 
-def _composition_weight(rho: SpectralField) -> np.ndarray:
-    vals = rho.to_physical()
-    sup = float(np.max(np.abs(vals)))
-    if sup > RHO_SUP_LIMIT:
-        raise StabilityError(
-            f"density perturbation sup {sup:.3g} > {RHO_SUP_LIMIT}; left the small-data regime")
-    return vals
+@dataclass
+class PhysicalBundle:
+    """Physical samples of one state, each family inverse-transformed once.
+
+    Index conventions follow the operator layer: grad_u[i, j] = d_j u_i (the
+    Jacobian) and grad_E[l, i, j] = d_l E_{ij}.  Building the bundle raises
+    ``StabilityError`` naming the field when a sample is not finite, and when
+    the density perturbation leaves the small-data regime.
+    """
+    grid: Grid
+    rho: np.ndarray
+    grad_rho: np.ndarray
+    u: np.ndarray
+    grad_u: np.ndarray
+    lame: np.ndarray
+    E: np.ndarray
+    grad_E: np.ndarray
+
+    @classmethod
+    def of(cls, prim: PrimitiveState, visc: Viscosity) -> "PhysicalBundle":
+        families = {"rho": prim.rho, "grad_rho": gradient(prim.rho),
+                    "u": prim.u, "grad_u": jacobian(prim.u),
+                    "lame": lame_operator(prim.u, visc),
+                    "E": prim.E, "grad_E": gradient(prim.E)}
+        samples = {}
+        for name, f in families.items():
+            samples[name] = f.to_physical()
+            if not np.isfinite(samples[name]).all():
+                raise StabilityError(f"non-finite samples in field {name}")
+        sup = float(np.max(np.abs(samples["rho"])))
+        if not (sup <= RHO_SUP_LIMIT):  # NaN-safe: comparisons with NaN are False
+            raise StabilityError(
+                f"density perturbation sup {sup:.3g} > {RHO_SUP_LIMIT}; left the small-data regime")
+        return cls(prim.rho.grid, **samples)
+
+    def transport(self, grad_f: np.ndarray) -> np.ndarray:
+        """Samples of u . grad f, given grad_f[l] = d_l f for f of any rank."""
+        return sum(self.u[l] * grad_f[l] for l in range(self.grid.dim))
+
+    def stretch(self) -> np.ndarray:
+        """Samples of (grad u) E."""
+        return np.einsum("ik...,kj...->ij...", self.grad_u, self.E)
 
 
-def _deformation_drag(E: SpectralField, E_phys, dE_phys) -> SpectralField:
-    """Vector E_{jk} d_j E_{ik}, dealiased."""
-    vals = np.einsum("jk...,jik...->i...", E_phys, dE_phys)
-    return SpectralField.from_physical(E.grid, vals).dealias()
+def _pairs(dim: int):
+    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
-def _grad_components(E: SpectralField) -> np.ndarray:
-    """Physical samples of d_l E_{ij}, indexed [l, i, j]."""
-    g = E.grid
-    dE = np.empty((g.dim, g.dim, g.dim) + (g.n,) * g.dim, dtype=np.complex128)
-    for l in range(g.dim):
-        dE[l] = E.coeff * _deriv_mult(g, l)
-    axes = tuple(range(3, 3 + g.dim))
-    return np.fft.ifftn(dE, axes=axes).real * g.n_points
+def _antisymmetric(grid: Grid, upper: np.ndarray) -> SpectralField:
+    """Antisymmetric matrix from its i < j coefficients, in ``_pairs`` order."""
+    out = np.zeros((grid.dim, grid.dim) + upper.shape[1:], dtype=np.complex128)
+    for p, (i, j) in enumerate(_pairs(grid.dim)):
+        out[i, j] = upper[p]
+        out[j, i] = -upper[p]
+    return SpectralField(grid, out)
 
 
-def rotation_correction(E: SpectralField) -> SpectralField:
+def rotation_correction(ph: PhysicalBundle) -> SpectralField:
     """Antisymmetric quadratic correction in the rotational equation.
 
     S_{ij} = |grad|^{-1} d_k (B_{ijk} - B_{jik}) with
-    B_{ijk} = E_{lk} d_l E_{ij} - E_{lj} d_l E_{ik}.
+    B_{ijk} = E_{lk} d_l E_{ij} - E_{lj} d_l E_{ik}.  The difference
+    B_{ijk} - B_{jik} is formed in physical space for i < j only and
+    S_{ji} = -S_{ij}, so the result is antisymmetric exactly.
     """
-    g = E.grid
-    E_phys = E.to_physical()
-    dE = _grad_components(E)
-    B = (np.einsum("lk...,lij...->ijk...", E_phys, dE)
-         - np.einsum("lj...,lik...->ijk...", E_phys, dE))
-    axes = tuple(range(3, 3 + g.dim))
-    Bh = np.fft.fftn(B, axes=axes) / g.n_points
-    Bh *= g.dealias_mask
-    out = np.zeros((g.dim, g.dim) + (g.n,) * g.dim, dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            acc = sum((Bh[i, j, k] - Bh[j, i, k]) * _deriv_mult(g, k)
-                      for k in range(g.dim))
-            out[i, j] = acc * g.inv_xi
-    return SpectralField(g, out)
+    g = ph.grid
+    E, dE = ph.E, ph.grad_E
+    C = np.stack([np.einsum("lk...,l...->k...", E, dE[:, i, j] - dE[:, j, i])
+                  - np.einsum("l...,lk...->k...", E[:, j], dE[:, i])
+                  + np.einsum("l...,lk...->k...", E[:, i], dE[:, j])
+                  for i, j in _pairs(g.dim)])
+    Ch = dealias_physical(g, C).coeff
+    upper = sum(Ch[:, k] * _deriv_mult(g, k) for k in range(g.dim)) * g.inv_xi
+    return _antisymmetric(g, upper)
 
 
-def quad_reduce(M: SpectralField) -> SpectralField:
-    """|grad|^{-2} d_i d_j M_{ij}, the scalar reduction used by the
-    symmetric-part bookkeeping."""
-    g = M.grid
-    acc = np.zeros(M.coeff.shape[2:], dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            acc += M.coeff[i, j] * _deriv_mult(g, i) * _deriv_mult(g, j)
-    return SpectralField(g, acc * g.inv_xi ** 2)
-
-
-def _common_vector(prim: PrimitiveState, params: ModelParams,
-                   u_phys, rho_phys, E_phys, dE_phys) -> SpectralField:
+def _common_vector(ph: PhysicalBundle, params: ModelParams) -> SpectralField:
     """u.grad u + K(rho) grad rho + (rho/(1+rho)) A u - a E_{jk} d_j E_{ik}."""
-    g = prim.rho.grid
-    a = params.coupling
-    out = convect(prim.u, prim.u, u_phys)
-    kvals = params.pressure.deviation(rho_phys)
-    grad_rho = gradient(prim.rho).to_physical()
-    out = out + SpectralField.from_physical(g, kvals * grad_rho).dealias()
-    w = rho_phys / (1.0 + rho_phys)
-    au = lame_operator(prim.u, params.visc).to_physical()
-    out = out + SpectralField.from_physical(g, w * au).dealias()
-    out = out - a * _deformation_drag(prim.E, E_phys, dE_phys)
-    return out
+    vals = (ph.transport(ph.grad_u.swapaxes(0, 1))
+            + params.pressure.deviation(ph.rho) * ph.grad_rho
+            + ph.rho / (1.0 + ph.rho) * ph.lame
+            - params.coupling * np.einsum("jk...,jik...->i...", ph.E, ph.grad_E))
+    return dealias_physical(ph.grid, vals)
+
+
+def _mass_flux(ph: PhysicalBundle) -> SpectralField:
+    """rho div u + u.grad rho."""
+    return dealias_physical(ph.grid, ph.rho * np.trace(ph.grad_u)
+                            + ph.transport(ph.grad_rho))
+
+
+def _deformation_flux(ph: PhysicalBundle) -> SpectralField:
+    """(grad u) E - u.grad E."""
+    return dealias_physical(ph.grid, ph.stretch() - ph.transport(ph.grad_E))
 
 
 # ----------------------------------------------------------------------
@@ -274,30 +300,12 @@ def _common_vector(prim: PrimitiveState, params: ModelParams,
 
 def primitive_rhs(prim: PrimitiveState, params: ModelParams) -> PrimitiveState:
     """Direct evolution of (rho, u, E); all products dealiased."""
-    g = prim.rho.grid
     a = params.coupling
-    rho_phys = _composition_weight(prim.rho)
-    u_phys = prim.u.to_physical()
-    E_phys = prim.E.to_physical()
-    dE = _grad_components(prim.E)
-
-    div_u = divergence(prim.u)
-    rho_dot = (-convect(prim.u, prim.rho, u_phys) - div_u
-               - dealiased_product(prim.rho, div_u))
-
-    au = lame_operator(prim.u, params.visc)
-    w = rho_phys / (1.0 + rho_phys)
-    drag = _deformation_drag(prim.E, E_phys, dE)
-    kvals = params.pressure.deviation(rho_phys)
-    grad_rho = gradient(prim.rho)
-    u_dot = (-convect(prim.u, prim.u, u_phys) + au - grad_rho
-             + a * divergence(prim.E) + a * drag
-             - SpectralField.from_physical(g, w * au.to_physical()).dealias()
-             - SpectralField.from_physical(g, kvals * grad_rho.to_physical()).dealias())
-
-    jac = jacobian(prim.u)
-    E_dot = -convect(prim.u, prim.E, u_phys) + jac + matrix_product(jac, prim.E)
-
+    ph = PhysicalBundle.of(prim, params.visc)
+    rho_dot = -divergence(prim.u) - _mass_flux(ph)
+    u_dot = (lame_operator(prim.u, params.visc) - gradient(prim.rho)
+             + a * divergence(prim.E) - _common_vector(ph, params))
+    E_dot = jacobian(prim.u) + _deformation_flux(ph)
     return PrimitiveState(rho_dot.project_mean_zero(),
                           u_dot.project_mean_zero(),
                           E_dot.project_mean_zero())
@@ -348,19 +356,14 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
     g = state.rho.grid
     a = params.coupling
     u = state.velocity()
-    prim = PrimitiveState(state.rho, u, state.E)
-    rho_phys = _composition_weight(state.rho)
-    u_phys = u.to_physical()
-    E_phys = state.E.to_physical()
-    dE = _grad_components(state.E)
+    ph = PhysicalBundle.of(PrimitiveState(state.rho, u, state.E), params.visc)
 
-    div_u = divergence(u)
-    rho_dot = (-fractional_power(state.d, 1.0)
-               - dealiased_product(state.rho, div_u)
-               - convect(u, state.rho, u_phys))
+    rho_dot = -fractional_power(state.d, 1.0) - _mass_flux(ph)
 
-    G = _common_vector(prim, params, u_phys, rho_phys, E_phys, dE)
-    rho_E = _scalar_matrix(state.rho, state.E)
+    G = _common_vector(ph, params)
+    # rho E is its own dealiased product: folding its divergence into G by
+    # the product rule is exact only on band-limited data
+    rho_E = dealias_physical(g, ph.rho * ph.E)
     d_dot = ((1.0 + a) * fractional_power(state.rho, 1.0)
              + params.nu * laplacian(state.d)
              - _inv_div(G + a * divergence(rho_E)))
@@ -370,18 +373,12 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
               + a * fractional_power(skew, 1.0)
               - _inv_curl(G))
     if include_rotation_correction:
-        om_dot = om_dot + a * rotation_correction(state.E)
+        om_dot = om_dot + a * rotation_correction(ph)
 
-    jac = jacobian(u)
-    E_dot = -convect(u, state.E, u_phys) + jac + matrix_product(jac, state.E)
+    E_dot = jacobian(u) + _deformation_flux(ph)
 
     return ReformState(rho_dot.project_mean_zero(), d_dot.project_mean_zero(),
                        om_dot.project_mean_zero(), E_dot.project_mean_zero())
-
-
-def _scalar_matrix(s: SpectralField, M: SpectralField) -> SpectralField:
-    vals = s.to_physical() * M.to_physical()
-    return SpectralField.from_physical(M.grid, vals).dealias()
 
 
 def _inv_div(v: SpectralField) -> SpectralField:
@@ -391,7 +388,6 @@ def _inv_div(v: SpectralField) -> SpectralField:
 
 def _inv_curl(v: SpectralField) -> SpectralField:
     """|grad|^{-1} curl of a vector (antisymmetric matrix)."""
-    from .operators import curl_matrix
     return SpectralField(v.grid, curl_matrix(v).coeff * v.grid.inv_xi)
 
 
@@ -408,35 +404,32 @@ def assemble_sources(prim: PrimitiveState, params: ModelParams) -> SourceTerms:
     """
     g = prim.rho.grid
     a = params.coupling
-    rho_phys = _composition_weight(prim.rho)
-    u_phys = prim.u.to_physical()
-    E_phys = prim.E.to_physical()
-    dE = _grad_components(prim.E)
+    ph = PhysicalBundle.of(prim, params.visc)
     d, om = helmholtz_split(prim.u)
-
-    mass = -dealiased_product(prim.rho, divergence(prim.u))
-
-    G = _common_vector(prim, params, u_phys, rho_phys, E_phys, dE)
-    rho_E = _scalar_matrix(prim.rho, prim.E)
-    div_rho_E = divergence(rho_E)
-    compressible = convect(prim.u, d, u_phys) - _inv_div(G + a * div_rho_E)
-    compressible_alt = convect(prim.u, d, u_phys) - _inv_div(G - div_rho_E)
-
-    rotational = convect(prim.u, om, u_phys) - _inv_curl(G)
-
-    stretch = matrix_product(jacobian(prim.u), prim.E)
-    skew_src = transpose_gap(stretch)
-
     pot = symmetric_scalar(prim.E)
-    sym_stretch = SpectralField(g, stretch.coeff + np.swapaxes(stretch.coeff, 0, 1))
-    conv_E = convect(prim.u, prim.E, u_phys)
-    sym_conv = SpectralField(g, conv_E.coeff + np.swapaxes(conv_E.coeff, 0, 1))
-    potential = (convect(prim.u, pot, u_phys)
-                 - quad_reduce(sym_conv) + quad_reduce(sym_stretch))
 
-    fields = [mass, compressible, rotational, skew_src, potential, compressible_alt, stretch]
-    fields = [f.project_mean_zero() for f in fields]
-    return SourceTerms(*fields)
+    # u.grad of d, of Omega_{ij} for i < j and of the potential, batched
+    scalars = np.stack([d.coeff] + [om.coeff[i, j] for i, j in _pairs(g.dim)]
+                       + [pot.coeff])
+    grads = gradient(SpectralField(g, scalars)).to_physical()
+    moved = dealias_physical(g, ph.transport(grads)).coeff
+    conv_d = SpectralField(g, moved[0])
+
+    G = _common_vector(ph, params)
+    div_rho_E = divergence(dealias_physical(g, ph.rho * ph.E))
+    stretch_vals = ph.stretch()
+    stretch = dealias_physical(g, stretch_vals)
+    # symmetric_scalar keeps only the symmetric part of its argument
+    flux = dealias_physical(g, stretch_vals - ph.transport(ph.grad_E))
+
+    fields = [-dealias_physical(g, ph.rho * np.trace(ph.grad_u)),
+              conv_d - _inv_div(G + a * div_rho_E),
+              _antisymmetric(g, moved[1:-1]) - _inv_curl(G),
+              transpose_gap(stretch),
+              SpectralField(g, moved[-1]) + symmetric_scalar(flux),
+              conv_d - _inv_div(G - div_rho_E),
+              stretch]
+    return SourceTerms(*(f.project_mean_zero() for f in fields), velocity=ph.u)
 
 
 def compatibility_residual(prim: PrimitiveState, params: ModelParams,
@@ -464,7 +457,7 @@ def compatibility_residual(prim: PrimitiveState, params: ModelParams,
 def deformation_identity_gap(prim: PrimitiveState) -> SpectralField:
     """Residual of the double-divergence identity
     T(E) - lam(rho) + |grad|^{-1} div div(rho E); zero on admissible data."""
-    rho_E = _scalar_matrix(prim.rho, prim.E)
+    rho_E = dealiased_product(prim.rho, prim.E)
     return (double_divergence(prim.E) - fractional_power(prim.rho, 1.0)
             + double_divergence(rho_E))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, dealias_physical
 
 
 def _deriv_mult(grid: Grid, axis: int):
@@ -33,7 +33,8 @@ def derivative(f: SpectralField, axis: int) -> SpectralField:
 
 
 def gradient(f: SpectralField) -> SpectralField:
-    """Scalar -> vector of partial derivatives."""
+    """Partial derivatives stacked on a new leading axis: scalar -> vector,
+    and for any rank out[l] = d_l f."""
     g = f.grid
     out = np.empty((g.dim,) + f.coeff.shape, dtype=np.complex128)
     for ax in range(g.dim):
@@ -240,7 +241,7 @@ def convect(u: SpectralField, f: SpectralField,
     for j in range(g.dim):
         dj = SpectralField(g, f.coeff * _deriv_mult(g, j)).to_physical()
         acc = u_phys[j] * dj if acc is None else acc + u_phys[j] * dj
-    return SpectralField.from_physical(g, acc).dealias()
+    return dealias_physical(g, acc)
 
 
 def matrix_product(A: SpectralField, B: SpectralField) -> SpectralField:
@@ -248,10 +249,4 @@ def matrix_product(A: SpectralField, B: SpectralField) -> SpectralField:
     g = A.grid
     a = A.to_physical()
     b = B.to_physical()
-    vals = np.einsum("ik...,kj...->ij...", a, b)
-    return SpectralField.from_physical(g, vals).dealias()
-
-
-def pointwise(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Wrap physical-space values (e.g. compositions) as a dealiased field."""
-    return SpectralField.from_physical(grid, values).dealias()
+    return dealias_physical(g, np.einsum("ik...,kj...->ij...", a, b))

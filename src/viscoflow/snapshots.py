@@ -69,5 +69,7 @@ def load_field(path) -> SpectralField:
         flat = coeff.reshape(ncomp, -1)
         for c in range(ncomp):
             pairs = np.frombuffer(fh.read(flat.shape[1] * 16), dtype="<f8")
-            flat[c] = pairs[0::2] + 1j * pairs[1::2]
+            # separate assignments keep the sign of a -0.0 real part
+            flat[c].real = pairs[0::2]
+            flat[c].imag = pairs[1::2]
     return SpectralField(grid, coeff)

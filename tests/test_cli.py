@@ -41,6 +41,14 @@ class TestSnapshots:
         save_field(path, f)
         assert np.array_equal(load_field(path).coeff, f.coeff)
 
+    def test_roundtrip_keeps_signed_zeros(self, tmp_path, grid2d):
+        f = random_field(grid2d, "vector", np.random.default_rng(7))
+        re = f.coeff.real
+        assert np.any(np.signbit(re[re == 0.0]))  # the data has -0.0 real parts
+        path = tmp_path / "f.vfs"
+        save_field(path, f)
+        assert load_field(path).coeff.tobytes() == f.coeff.tobytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.vfs"
         path.write_bytes(b"NOTAFILE" + b"\x00" * 64)
@@ -58,6 +66,12 @@ class TestCli:
         cfg = _write_config(tmp_path / "c.ini", "[grid]\nbogus = 1\n")
         assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "input error" in capsys.readouterr().err
+
+    def test_store_every_is_rejected(self, tmp_path, capsys):
+        # the key was once accepted and ignored; no run may silently drop it
+        cfg = _write_config(tmp_path / "c.ini", "[simulate]\nstore_every = 5\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "store_every" in capsys.readouterr().err
 
     def test_missing_config(self, tmp_path):
         assert main(["scaling", "--config", str(tmp_path / "none.ini")]) == 1

@@ -174,6 +174,22 @@ class TestDirectRun:
         with pytest.raises(StabilityError):
             direct_solve(prim, cfg)
 
+    @pytest.mark.parametrize("field", ["rho", "E"])
+    def test_non_finite_state_names_step_and_field(self, grid2d, rng, field):
+        # nan > limit is False: a blown-up state must still stop the run
+        prim = _small_state(grid2d, 1e-3, rng)
+        getattr(prim, field).coeff[(Ellipsis,) + (1,) * grid2d.dim] = np.nan
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.2)
+        with pytest.raises(StabilityError, match=rf"step 1: .*field {field}$"):
+            direct_solve(prim, cfg)
+
+    def test_cfl_guard_rejects_nan_velocity(self, grid2d, rng):
+        state = ReformState.from_primitive(_small_state(grid2d, 1e-3, rng))
+        state.d.coeff[1, 1] = np.nan
+        stepper = ReformStepper(grid2d, RunConfig(_params(), dt=0.02, t_final=0.2))
+        with pytest.raises(StabilityError, match="CFL"):
+            stepper.check_cfl(state)
+
 
 class TestMollify:
     def test_full_range_recovers_field(self, grid2d, rng):
