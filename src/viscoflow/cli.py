@@ -8,7 +8,9 @@ Modes: analyze, linear, simulate, iterate, constraints, scaling.  Every run
 writes a manifest first (config echo, parameters, planned artifacts), runs
 the requested study, then rewrites the manifest with artifact checksums.
 Identical config and seed give byte-identical CSV output.  Exit codes:
-0 success, 1 input error, 2 invariant violation in strict mode.
+0 success, 1 input or configuration error, 2 invariant violation in strict
+mode, 3 run stopped (the state left the valid regime, or a diagnostic could
+not be measured).  Every non-zero exit prints one line on stderr.
 
 The environment variable VISCOFLOW_THREADS caps process fan-out for sweeps
 (the spectral kernels themselves are single-threaded) and is recorded in
@@ -31,7 +33,8 @@ from . import __version__
 from .constraints import (check_trajectory, generate_admissible, shear_map,
                           transport_simulate, ComposedMap, FlowMap)
 from .dyadic import DyadicFamily, besov_norm, hybrid_norm
-from .errors import InputError, InvariantViolation
+from .errors import (ConfigurationError, DiagnosticError, InputError,
+                     InvariantViolation, StabilityError)
 from .evolve import (RunConfig, direct_solve, picard_solve,
                      uniform_bound_monitor)
 from .grid import Grid, SpectralField, random_field, scale_dyadic
@@ -88,14 +91,18 @@ class Runner:
 
     # -- config helpers -------------------------------------------------
 
+    def section(self, name: str):
+        """The named config section; an absent one reads as all defaults."""
+        return self.cfg[name] if self.cfg.has_section(name) else {}
+
     def grid(self) -> Grid:
-        g = self.cfg["grid"] if self.cfg.has_section("grid") else {}
+        g = self.section("grid")
         return Grid(int(g.get("dim", 2)), int(g.get("n", 64)),
                     float(g.get("length", 8.0)),
                     float(g.get("dealias", 2.0 / 3.0)))
 
     def params(self, dim: int) -> ModelParams:
-        p = self.cfg["physics"] if self.cfg.has_section("physics") else {}
+        p = self.section("physics")
         law_name = p.get("pressure", "quadratic")
         if law_name == "quadratic":
             law = PressureLaw.quadratic()
@@ -151,7 +158,9 @@ class Runner:
             self.emit(name)
 
     def mode_analyze(self):
-        sec = self.cfg["analyze"]
+        sec = self.section("analyze")
+        if "input" not in sec:
+            raise InputError("analyze needs a snapshot path: [analyze] input = <path>")
         field = load_field(sec["input"])
         fam = DyadicFamily(field.grid)
         s_values = [float(s) for s in sec.get("s_values", "0,1").split(",")]
@@ -168,7 +177,7 @@ class Runner:
                   "frequency-block norms of one field snapshot")
 
     def mode_linear(self):
-        sec = self.cfg["linear"] if self.cfg.has_section("linear") else {}
+        sec = self.section("linear")
         pair_names = sec.get("pairs", ",".join(PAIRS)).split(",")
         xi_values = [float(v) for v in sec.get("xi_values", "1,2,4,8").split(",")]
         grid = self.grid()
@@ -205,7 +214,7 @@ class Runner:
         return data.state
 
     def mode_simulate(self):
-        sec = self.cfg["simulate"]
+        sec = self.section("simulate")
         grid = self.grid()
         params = self.params(grid.dim)
         amp = float(sec.get("amplitude", 1e-2))
@@ -244,7 +253,7 @@ class Runner:
             raise InvariantViolation("instantaneous norm exceeded 10x data norm")
 
     def mode_iterate(self):
-        sec = self.cfg["iterate"]
+        sec = self.section("iterate")
         grid = self.grid()
         params = self.params(grid.dim)
         amp = float(sec.get("amplitude", 1e-2))
@@ -270,7 +279,7 @@ class Runner:
             raise InvariantViolation("iteration failed to contract below 0.9")
 
     def mode_constraints(self):
-        sec = self.cfg["constraints"] if self.cfg.has_section("constraints") else {}
+        sec = self.section("constraints")
         eps = float(sec.get("eps", 0.05))
         levels = [int(v) for v in sec.get("refine_levels", "16,32,64").split(",")]
         rows = []
@@ -302,7 +311,7 @@ class Runner:
                   "constraint residuals along a transport trajectory")
 
     def mode_scaling(self):
-        sec = self.cfg["scaling"] if self.cfg.has_section("scaling") else {}
+        sec = self.section("scaling")
         grid = self.grid()
         fam = DyadicFamily(grid)
         s_values = [float(v) for v in
@@ -399,9 +408,15 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    except (StabilityError, DiagnosticError) as exc:
+        print(f"run stopped: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

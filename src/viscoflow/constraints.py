@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, dealiased_product
 from .model import PrimitiveState
 from .operators import _deriv_mult, convect, divergence, jacobian, matrix_product
 
@@ -233,7 +233,12 @@ def generate_admissible(flow, u0: SpectralField | None = None,
     y = flow.inverse(x)
     F_phys = flow.deformation_at(y)
     det = _det(F_phys, grid.dim)
+    if not np.all(det > 0.0):  # NaN-safe: comparisons with NaN are False
+        raise InputError("flow map is degenerate on this grid: "
+                         f"min det F = {np.min(det):.3g}")
     rho_phys = 1.0 / det
+    if not np.all(np.isfinite(rho_phys)):
+        raise InputError("flow map is degenerate on this grid: 1/det F is not finite")
     F = SpectralField.from_physical(grid, F_phys)
     rho_hat = SpectralField.from_physical(grid, rho_phys)
     det_defect = float(np.max(np.abs(det * rho_phys - 1.0)))
@@ -259,15 +264,10 @@ def generate_admissible(flow, u0: SpectralField | None = None,
 def transport_rhs(rho_hat: SpectralField, F: SpectralField, u: SpectralField):
     """Continuity and deformation transport with a prescribed velocity."""
     u_phys = u.to_physical()
-    rho_dot = -divergence(_vector_scale(rho_hat, u))
+    rho_dot = -divergence(dealiased_product(rho_hat, u))
     jac = jacobian(u)
     F_dot = -convect(u, F, u_phys) + matrix_product(jac, F)
     return rho_dot, F_dot
-
-
-def _vector_scale(s: SpectralField, v: SpectralField) -> SpectralField:
-    vals = s.to_physical() * v.to_physical()
-    return SpectralField.from_physical(v.grid, vals).dealias()
 
 
 def transport_simulate(rho_hat: SpectralField, F: SpectralField, u_of_t,

@@ -139,9 +139,12 @@ class BesovIndex:
         return "homogeneous" if self.t is None else "hybrid"
 
 
-def _weighted_block_sum(fam: DyadicFamily, f: SpectralField, index: BesovIndex) -> float:
+def weighted_block_sum(fam: DyadicFamily, profile: np.ndarray,
+                       index: BesovIndex) -> float:
+    """sum_q 2^(q e(q)) profile[q] over the active range, e the index's
+    per-block exponent; ``profile`` is ``fam.block_l2_profile(f)``, so one
+    profile serves every index a field is measured in."""
     total = 0.0
-    profile = fam.block_l2_profile(f)
     for i, q in enumerate(fam.q_range):
         total += 2.0 ** (q * index.weight_exponent(q)) * profile[i]
     return total
@@ -150,7 +153,7 @@ def _weighted_block_sum(fam: DyadicFamily, f: SpectralField, index: BesovIndex) 
 def besov_norm(f: SpectralField, s: float, fam: DyadicFamily | None = None) -> float:
     """Homogeneous Besov norm: sum_q 2^(sq) ||block_q f||_L2 (mean-zero f)."""
     fam = fam or DyadicFamily(f.grid)
-    return _weighted_block_sum(fam, f, BesovIndex(s))
+    return weighted_block_sum(fam, fam.block_l2_profile(f), BesovIndex(s))
 
 
 def hybrid_norm(f: SpectralField, s: float, t: float,
@@ -161,7 +164,7 @@ def hybrid_norm(f: SpectralField, s: float, t: float,
     the same summation loop in the same order.
     """
     fam = fam or DyadicFamily(f.grid)
-    return _weighted_block_sum(fam, f, BesovIndex(s, t))
+    return weighted_block_sum(fam, fam.block_l2_profile(f), BesovIndex(s, t))
 
 
 # ----------------------------------------------------------------------

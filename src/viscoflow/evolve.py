@@ -2,11 +2,18 @@
 system, and the frozen-coefficient iteration that solves a linear system per
 sweep and contracts to the same solution for small data.
 
-The viscous diagonal (nu on d, mu on Omega) is integrated exactly per mode;
-zero-order couplings, transport, and all quadratic terms advance with an
-explicit second-order two-stage rule.  The skew couplings are non-stiff
-(first-order symbols against second-order viscous ones), so no linear
-solves are needed anywhere.
+Both modes share one stepper, one run loop and one norm ledger.  The stepper
+is the integrating-factor Heun rule (IFRK2, Cox & Matthews, J. Comput. Phys.
+176:430, 2002): the viscous diagonal (nu on d, mu on Omega) is integrated
+exactly per mode, and a non-stiff right-hand side, a callable
+``(state, node) -> ReformState``, advances with the explicit second-order
+two-stage rule.  The direct mode's callable is the full reformulated system;
+an iteration sweep's holds the linear couplings plus the sources frozen at
+the previous sweep.  The skew couplings are non-stiff (first-order symbols
+against second-order viscous ones), so no linear solves are needed anywhere.
+The run loop samples the state at t = 0 and after every step into a
+``NormSeries``; the consecutive-difference norms of the iteration are a
+``NormSeries`` over the differences.
 """
 
 from __future__ import annotations
@@ -16,13 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicFamily, besov_norm, hybrid_norm
+from .dyadic import (BesovIndex, DyadicFamily, besov_norm, hybrid_norm,
+                     weighted_block_sum)
 from .errors import InputError, StabilityError
 from .grid import Grid, SpectralField
 from .model import (ModelParams, PrimitiveState, ReformState,
                     assemble_sources, reformulated_rhs)
 from .operators import (convect, fractional_power, jacobian, laplacian,
                         transpose_gap)
+
+CFL_LIMIT = 0.5
+CFL_CHECK_EVERY = 10      # steps between CFL checks, the first at step 0
+DIVERGENCE_FACTOR = 10.0  # a sweep norm past this times the data norm aborts
 
 
 @dataclass
@@ -31,11 +43,9 @@ class RunConfig:
     params: ModelParams
     dt: float
     t_final: float
-    cfl_limit: float = 0.5
     rotation_correction: bool = True
     picard_iterations: int = 6
     init_mollified: bool = True
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_final <= 0.0:
@@ -72,16 +82,12 @@ class NormSeries:
     def record(self, t: float, rho: SpectralField, u: SpectralField,
                E: SpectralField):
         s = self.s
-        inst = {
-            "rho": hybrid_norm(rho, s - 1.0, s, self.fam),
-            "u": besov_norm(u, s - 1.0, self.fam),
-            "E": hybrid_norm(E, s - 1.0, s, self.fam),
-        }
-        diss = {
-            "rho": hybrid_norm(rho, s + 1.0, s, self.fam),
-            "u": besov_norm(u, s + 1.0, self.fam),
-            "E": hybrid_norm(E, s + 1.0, s, self.fam),
-        }
+        inst, diss = {}, {}
+        for key, f in (("rho", rho), ("u", u), ("E", E)):
+            high = None if key == "u" else s    # homogeneous u, hybrid rho and E
+            profile = self.fam.block_l2_profile(f)
+            inst[key] = weighted_block_sum(self.fam, profile, BesovIndex(s - 1.0, high))
+            diss[key] = weighted_block_sum(self.fam, profile, BesovIndex(s + 1.0, high))
         if self.times:
             dt = t - self.times[-1]
             if dt < 0:
@@ -130,25 +136,24 @@ def initial_bnorm(prim: PrimitiveState, fam: DyadicFamily) -> float:
 
 
 # ----------------------------------------------------------------------
-# direct mode
+# the stepper and the run loop
 # ----------------------------------------------------------------------
 
-class ReformStepper:
-    """Integrating-factor Heun step for the split nonlinear system."""
+class IFStepper:
+    """Integrating-factor Heun step (IFRK2) around a non-stiff right-hand side.
 
-    def __init__(self, grid: Grid, config: RunConfig):
+    ``nonstiff(state, node)`` is evaluated at the step's two stage nodes,
+    ``node`` and ``node + 1``; the viscous factors exp(-nu|xi|^2 dt) on d and
+    exp(-mu|xi|^2 dt) on Omega are applied exactly.
+    """
+
+    def __init__(self, grid: Grid, config: RunConfig, nonstiff):
         self.grid = grid
-        self.config = config
+        self.dt = config.dt
+        self.nonstiff = nonstiff
         p = config.params
         self.exp_d = np.exp(-p.nu * grid.xi_sq * config.dt)
         self.exp_om = np.exp(-p.mu * grid.xi_sq * config.dt)
-
-    def _nonstiff(self, state: ReformState) -> ReformState:
-        p = self.config.params
-        rhs = reformulated_rhs(state, p, self.config.rotation_correction)
-        rhs.d = rhs.d - p.nu * laplacian(state.d)
-        rhs.omega = rhs.omega - p.mu * laplacian(state.omega)
-        return rhs
 
     def _damp(self, state: ReformState) -> ReformState:
         return ReformState(state.rho,
@@ -156,18 +161,17 @@ class ReformStepper:
                            SpectralField(self.grid, state.omega.coeff * self.exp_om),
                            state.E)
 
-    def check_cfl(self, state: ReformState):
-        umax = float(np.max(np.abs(state.velocity().to_physical())))
-        number = self.config.dt * umax * self.grid.xi_max
-        if not (number <= self.config.cfl_limit):
-            raise StabilityError(
-                f"CFL number {number:.3g} exceeds limit {self.config.cfl_limit}")
+    def check_cfl(self, u: SpectralField):
+        umax = float(np.max(np.abs(u.to_physical())))
+        number = self.dt * umax * self.grid.xi_max
+        if not (number <= CFL_LIMIT):
+            raise StabilityError(f"CFL number {number:.3g} exceeds limit {CFL_LIMIT}")
 
-    def step(self, state: ReformState) -> ReformState:
-        dt = self.config.dt
-        k1 = self._nonstiff(state)
+    def step(self, state: ReformState, node: int) -> ReformState:
+        dt = self.dt
+        k1 = self.nonstiff(state, node)
         pred = self._damp(_axpy(state, dt, k1))
-        k2 = self._nonstiff(pred)
+        k2 = self.nonstiff(pred, node + 1)
         new = _axpy(self._damp(_axpy(state, 0.5 * dt, k1)), 0.5 * dt, k2)
         return _hygiene(new)
 
@@ -182,6 +186,38 @@ def _hygiene(state: ReformState) -> ReformState:
                                             np.swapaxes(state.omega.coeff, 0, 1)))
     return ReformState(state.rho.project_mean_zero(), state.d.project_mean_zero(),
                        om.project_mean_zero(), state.E.project_mean_zero())
+
+
+def direct_rhs(config: RunConfig):
+    """Non-stiff part of the split nonlinear system: the reformulated
+    right-hand side less the viscous diagonal the stepper integrates."""
+    p = config.params
+
+    def nonstiff(state: ReformState, node: int) -> ReformState:
+        rhs = reformulated_rhs(state, p, config.rotation_correction)
+        rhs.d = rhs.d - p.nu * laplacian(state.d)
+        rhs.omega = rhs.omega - p.mu * laplacian(state.omega)
+        return rhs
+    return nonstiff
+
+
+def _march(stepper: IFStepper, state: ReformState, n_steps: int,
+           recorders) -> ReformState:
+    """The run loop of both modes: hand the state to every
+    ``record(t, rho, u, E)`` at t = 0 and after each step, and check the CFL
+    number every CFL_CHECK_EVERY steps.  A StabilityError names the step."""
+    for k in range(n_steps + 1):
+        u = state.velocity()
+        for record in recorders:
+            record(k * stepper.dt, state.rho, u, state.E)
+        if k == n_steps:
+            return state
+        try:
+            if k % CFL_CHECK_EVERY == 0:
+                stepper.check_cfl(u)
+            state = stepper.step(state, k)
+        except StabilityError as exc:
+            raise StabilityError(f"step {k + 1}: {exc}") from exc
 
 
 @dataclass
@@ -204,11 +240,14 @@ class Trajectory:
                               SpectralField(grid, self.E[idx]))
 
 
+# ----------------------------------------------------------------------
+# direct mode
+# ----------------------------------------------------------------------
+
 @dataclass
 class DirectResult:
     norms: NormSeries
     final: ReformState
-    trajectory: Trajectory | None
     steps: int
     initial_norm: float
 
@@ -219,36 +258,16 @@ class DirectResult:
 
 
 def direct_solve(prim0: PrimitiveState, config: RunConfig,
-                 fam: DyadicFamily | None = None,
-                 keep_trajectory: bool = False,
-                 cfl_check_every: int = 10) -> DirectResult:
+                 fam: DyadicFamily | None = None) -> DirectResult:
     """Advance the split nonlinear system from primitive initial data."""
     grid = prim0.rho.grid
     fam = fam or DyadicFamily(grid)
-    stepper = ReformStepper(grid, config)
-    state = ReformState.from_primitive(prim0)
     norms = NormSeries(fam)
-    traj = Trajectory() if keep_trajectory else None
     init = initial_bnorm(prim0, fam)
-
-    t = 0.0
-    u = state.velocity()
-    norms.record(t, state.rho, u, state.E)
-    if traj is not None:
-        traj.record(t, state.rho, u, state.E)
-    for k in range(config.n_steps):
-        try:
-            if k % cfl_check_every == 0:
-                stepper.check_cfl(state)
-            state = stepper.step(state)
-        except StabilityError as exc:
-            raise StabilityError(f"step {k + 1}: {exc}") from exc
-        t = (k + 1) * config.dt
-        u = state.velocity()
-        norms.record(t, state.rho, u, state.E)
-        if traj is not None:
-            traj.record(t, state.rho, u, state.E)
-    return DirectResult(norms, state, traj, config.n_steps, init)
+    final = _march(IFStepper(grid, config, direct_rhs(config)),
+                   ReformState.from_primitive(prim0), config.n_steps,
+                   (norms.record,))
+    return DirectResult(norms, final, config.n_steps, init)
 
 
 # ----------------------------------------------------------------------
@@ -265,54 +284,36 @@ def mollify(f: SpectralField, count: int, fam: DyadicFamily) -> SpectralField:
     return SpectralField(f.grid, f.coeff * total)
 
 
-class _FrozenSources:
-    """Sources and convecting velocity sampled from a stored trajectory."""
+class _SweepRHS:
+    """Non-stiff part of one iteration sweep.
 
-    def __init__(self, traj: Trajectory | None, grid: Grid, params: ModelParams):
-        self.traj = traj
-        self.grid = grid
+    The couplings act on the current sweep's unknowns; the convecting
+    velocity and every quadratic source are frozen at the previous sweep's
+    trajectory (none on the first sweep), sampled at the stage nodes.
+    """
+
+    def __init__(self, params: ModelParams, grid: Grid, prev: Trajectory | None):
         self.params = params
+        self.grid = grid
+        self.prev = prev
         self._cache: dict[int, tuple] = {}
 
-    def at(self, idx: int):
-        if self.traj is None:
-            return None, None
+    def _frozen(self, idx: int):
         if idx not in self._cache:
-            prim = self.traj.state_at(self.grid, idx)
-            src = assemble_sources(prim, self.params)
-            self._cache[idx] = (prim.u, src)
+            prim = self.prev.state_at(self.grid, idx)
+            self._cache[idx] = (prim.u, assemble_sources(prim, self.params))
             for old in [k for k in self._cache if k < idx - 1]:
                 del self._cache[old]
         return self._cache[idx]
 
-
-class LinearStepper:
-    """Same integrating-factor Heun rule for one iteration sweep.
-
-    The couplings act on the current sweep's unknowns; the convecting
-    velocity and every quadratic source are frozen at the previous sweep,
-    sampled at the stage nodes.
-    """
-
-    def __init__(self, grid: Grid, config: RunConfig, frozen: _FrozenSources):
-        self.grid = grid
-        self.config = config
-        self.frozen = frozen
-        p = config.params
-        self.exp_d = np.exp(-p.nu * grid.xi_sq * config.dt)
-        self.exp_om = np.exp(-p.mu * grid.xi_sq * config.dt)
-
-    def _nonstiff(self, state: ReformState, node: int) -> ReformState:
-        p = self.config.params
-        a = p.coupling
-        u_frozen, src = self.frozen.at(node)
-        u_cur = state.velocity()
-
+    def __call__(self, state: ReformState, node: int) -> ReformState:
+        a = self.params.coupling
         rho_dot = -fractional_power(state.d, 1.0)
         d_dot = (1.0 + a) * fractional_power(state.rho, 1.0)
         om_dot = a * fractional_power(transpose_gap(state.E), 1.0)
-        E_dot = jacobian(u_cur)
-        if src is not None:
+        E_dot = jacobian(state.velocity())
+        if self.prev is not None:
+            u_frozen, src = self._frozen(node)
             u_phys = src.velocity
             rho_dot = rho_dot - convect(u_frozen, state.rho, u_phys) + src.mass
             d_dot = d_dot - convect(u_frozen, state.d, u_phys) + src.compressible
@@ -320,46 +321,16 @@ class LinearStepper:
             E_dot = E_dot - convect(u_frozen, state.E, u_phys) + src.stretch
         return ReformState(rho_dot, d_dot, om_dot, E_dot)
 
-    def _damp(self, state: ReformState) -> ReformState:
-        return ReformState(state.rho,
-                           SpectralField(self.grid, state.d.coeff * self.exp_d),
-                           SpectralField(self.grid, state.omega.coeff * self.exp_om),
-                           state.E)
-
-    def step(self, state: ReformState, node: int) -> ReformState:
-        dt = self.config.dt
-        k1 = self._nonstiff(state, node)
-        pred = self._damp(_axpy(state, dt, k1))
-        k2 = self._nonstiff(pred, node + 1)
-        new = _axpy(self._damp(_axpy(state, 0.5 * dt, k1)), 0.5 * dt, k2)
-        return _hygiene(new)
-
 
 def _difference_bnorm(a: Trajectory, b: Trajectory, grid: Grid,
                       fam: DyadicFamily) -> float:
     """Global-bound norm of the trajectory difference (same time nodes)."""
-    s = grid.dim / 2.0
-    sup = {"rho": 0.0, "u": 0.0, "E": 0.0}
-    acc = {"rho": 0.0, "u": 0.0, "E": 0.0}
-    prev = None
+    norms = NormSeries(fam)
     for i, t in enumerate(a.times):
-        drho = SpectralField(grid, a.rho[i] - b.rho[i])
-        du = SpectralField(grid, a.u[i] - b.u[i])
-        dE = SpectralField(grid, a.E[i] - b.E[i])
-        inst = {"rho": hybrid_norm(drho, s - 1.0, s, fam),
-                "u": besov_norm(du, s - 1.0, fam),
-                "E": hybrid_norm(dE, s - 1.0, s, fam)}
-        diss = {"rho": hybrid_norm(drho, s + 1.0, s, fam),
-                "u": besov_norm(du, s + 1.0, fam),
-                "E": hybrid_norm(dE, s + 1.0, s, fam)}
-        for k in sup:
-            sup[k] = max(sup[k], inst[k])
-        if prev is not None:
-            t0, diss0 = prev
-            for k in acc:
-                acc[k] += 0.5 * (t - t0) * (diss0[k] + diss[k])
-        prev = (t, diss)
-    return sum(sup.values()) + sum(acc.values())
+        norms.record(t, SpectralField(grid, a.rho[i] - b.rho[i]),
+                     SpectralField(grid, a.u[i] - b.u[i]),
+                     SpectralField(grid, a.E[i] - b.E[i]))
+    return norms.bnorm()
 
 
 @dataclass
@@ -368,9 +339,7 @@ class PicardResult:
     differences: list            # consecutive-difference global norms U_n
     ratios: list                 # U_{n+1} / U_n
     final_states: list           # final-time PrimitiveState per sweep
-    trajectories: tuple          # (last, previous) Trajectory
     initial_norm: float
-    flagged: bool
 
     @property
     def measured_gains(self):
@@ -385,28 +354,25 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
     Sweep 0 is the zero trajectory; sweep n+1 solves the linear system with
     velocity and sources frozen at sweep n and data mollified to |q| <= n
     (or full data when ``init_mollified`` is off).  Divergence beyond
-    ``divergence_factor`` times the data norm aborts: the smallness
-    hypothesis is violated.
+    DIVERGENCE_FACTOR times the data norm aborts: the smallness hypothesis
+    is violated.  A StabilityError names the sweep.
     """
     grid = prim0.rho.grid
     fam = fam or DyadicFamily(grid)
     init_norm = initial_bnorm(prim0, fam)
+    limit = DIVERGENCE_FACTOR * max(init_norm, 1e-300)
     n_nodes = config.n_steps + 1
 
-    zero = Trajectory()
+    prev = Trajectory()
     zr = SpectralField.zeros(grid, "scalar")
     zu = SpectralField.zeros(grid, "vector")
     zE = SpectralField.zeros(grid, "matrix")
     for k in range(n_nodes):
-        zero.record(k * config.dt, zr, zu, zE)
+        prev.record(k * config.dt, zr, zu, zE)
 
-    prev = zero
     results: list[NormSeries] = []
     diffs: list[float] = []
     finals: list[PrimitiveState] = []
-    flagged = False
-    before_prev = None
-
     for sweep in range(1, config.picard_iterations + 1):
         if config.init_mollified:
             data = PrimitiveState(mollify(prim0.rho, sweep, fam),
@@ -414,35 +380,26 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
                                   mollify(prim0.E, sweep, fam))
         else:
             data = prim0.copy()
-        frozen = _FrozenSources(None if sweep == 1 else prev, grid, config.params)
-        stepper = LinearStepper(grid, config, frozen)
-        state = ReformState.from_primitive(data)
+        rhs = _SweepRHS(config.params, grid, None if sweep == 1 else prev)
         norms = NormSeries(fam)
         traj = Trajectory()
-        t = 0.0
-        u = state.velocity()
-        norms.record(t, state.rho, u, state.E)
-        traj.record(t, state.rho, u, state.E)
-        for k in range(config.n_steps):
-            state = stepper.step(state, k)
-            t = (k + 1) * config.dt
-            u = state.velocity()
-            norms.record(t, state.rho, u, state.E)
-            traj.record(t, state.rho, u, state.E)
-        if norms.bnorm() > config.divergence_factor * max(init_norm, 1e-300):
-            raise StabilityError(
-                f"iterate {sweep} norm {norms.bnorm():.3g} exceeds "
-                f"{config.divergence_factor} x data norm; small-data hypothesis violated")
+        try:
+            _march(IFStepper(grid, config, rhs), ReformState.from_primitive(data),
+                   config.n_steps, (norms.record, traj.record))
+            if not (norms.bnorm() <= limit):  # NaN-safe
+                raise StabilityError(
+                    f"iterate norm {norms.bnorm():.3g} exceeds {DIVERGENCE_FACTOR} "
+                    "x data norm; small-data hypothesis violated")
+        except StabilityError as exc:
+            raise StabilityError(f"sweep {sweep}: {exc}") from exc
         results.append(norms)
         diffs.append(_difference_bnorm(traj, prev, grid, fam))
         finals.append(traj.state_at(grid, n_nodes - 1))
-        before_prev = prev
         prev = traj
 
     ratios = [diffs[i + 1] / diffs[i] if diffs[i] > 0 else 0.0
               for i in range(len(diffs) - 1)]
-    return PicardResult(results, diffs, ratios, finals, (prev, before_prev),
-                        init_norm, flagged)
+    return PicardResult(results, diffs, ratios, finals, init_norm)
 
 
 def uniform_bound_monitor(result: PicardResult, gamma_data: float) -> dict:
@@ -455,7 +412,7 @@ def uniform_bound_monitor(result: PicardResult, gamma_data: float) -> dict:
     """
     gains = result.measured_gains
     med = float(np.median(gains[:-1])) if len(gains) > 1 else gains[0]
-    flagged = result.flagged or (len(gains) > 1 and gains[-1] > 1.5 * med)
+    flagged = len(gains) > 1 and gains[-1] > 1.5 * med
     gain = max(gains)
     c_measured = gain / 4.0
     return {

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from viscoflow import load_field, random_field, save_field
+from viscoflow import cli
 from viscoflow.cli import main
-from viscoflow.errors import InputError
+from viscoflow.errors import InputError, StabilityError
 from viscoflow.snapshots import MAGIC
 
 
@@ -181,3 +182,61 @@ class TestCli:
                      "--sweep", "grid.length=1.0,8.0"]) == 0
         assert (out / "grid_length=1.0" / "scaling.csv").exists()
         assert (out / "grid_length=8.0" / "scaling.csv").exists()
+
+
+class TestCliErrorBoundary:
+    """Every failure ends in one stderr line and a documented exit code."""
+
+    def _run(self, tmp_path, capsys, mode, body):
+        cfg = _write_config(tmp_path / "c.ini", body)
+        code = main([mode, "--config", cfg, "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    def test_stability_error_exits_3(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "simulate",
+                              "[grid]\nn = 32\nlength = 8\n"
+                              "\n[simulate]\ndt = 50\nt_final = 50\n")
+        assert code == 3
+        assert err == ["run stopped: step 1: CFL number 3.17 exceeds limit 0.5"]
+
+    def test_configuration_error_exits_1(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "simulate", "[physics]\nmu = -1\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+
+    def test_diagnostic_error_exits_3(self, tmp_path, capsys):
+        # |xi| = 8 on the L = 8, n = 64 grid leaves no samples for the rate fit
+        code, err = self._run(tmp_path, capsys, "linear",
+                              "[grid]\nn = 64\nlength = 8\n"
+                              "\n[linear]\npairs = rho_d\nxi_values = 8\n")
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("run stopped:")
+
+    def test_degenerate_flow_map_exits_1(self, tmp_path, capsys):
+        # the small-data shears at k = round(L) = 8 sit at Nyquist on n = 16
+        code, err = self._run(tmp_path, capsys, "simulate",
+                              "[grid]\nn = 16\nlength = 8\n")
+        assert code == 1
+        assert len(err) == 1 and "degenerate" in err[0]
+
+    @pytest.mark.parametrize("mode,solver,dt,t_final", [
+        ("simulate", "direct_solve", 0.02, 20.0),
+        ("iterate", "picard_solve", 0.005, 2.0),
+    ])
+    def test_missing_mode_section_reads_defaults(self, tmp_path, capsys, monkeypatch,
+                                                 mode, solver, dt, t_final):
+        seen = []
+
+        def stop(prim0, config):
+            seen.append(config)
+            raise StabilityError("stopped before the first step")
+
+        monkeypatch.setattr(cli, solver, stop)
+        code, _ = self._run(tmp_path, capsys, mode, "[grid]\nn = 16\nlength = 1\n")
+        assert code == 3
+        assert (seen[0].dt, seen[0].t_final) == (dt, t_final)
+
+    def test_analyze_without_section_is_input_error(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "analyze", "[grid]\nn = 16\n")
+        assert code == 1
+        assert len(err) == 1 and "input" in err[0]

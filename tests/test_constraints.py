@@ -96,6 +96,17 @@ class TestFlowMaps:
 
 
 class TestAdmissibleData:
+    def test_nyquist_shear_is_degenerate(self):
+        # k = 8 on n = 16, L = 8 sits at Nyquist: the sampled shear has a
+        # vanishing gradient, the amplitude scaling blows up and det F hits 0
+        grid = Grid(2, 16, length=8.0)
+        m1 = shear_map(grid, (8, 0), (0.0, 1.0), 1.0)
+        m2 = shear_map(grid, (0, 8), (1.0, 0.0), 1.0)
+        for m in (m1, m2):
+            m.eps = 0.01 / max(m.grad_sup(), 1e-300)
+        with pytest.raises(InputError, match="degenerate"):
+            generate_admissible(ComposedMap([m1, m2]))
+
     def test_zero_amplitude_is_equilibrium(self, grid2d):
         flow = _two_mode_map(grid2d, 0.0)
         data = generate_admissible(flow)

@@ -10,7 +10,7 @@ from viscoflow import (ComposedMap, DyadicFamily, Grid, ModelParams,
                        picard_solve, random_field, shear_map,
                        uniform_bound_monitor)
 from viscoflow.errors import InputError, StabilityError
-from viscoflow.evolve import NormSeries, ReformStepper
+from viscoflow.evolve import IFStepper, NormSeries, direct_rhs
 from viscoflow.grid import cosine_mode
 from viscoflow.linear import evolve_pair_exact
 from viscoflow.model import ReformState
@@ -77,6 +77,22 @@ class TestNormSeries:
         expected = c0 * (1.0 - np.exp(-rate * T)) / rate
         assert ns.acc["rho"][-1] == pytest.approx(expected, rel=5e-3)
 
+    def test_one_block_profile_per_field(self, grid2d, rng, monkeypatch):
+        # both weightings of a sample read one profile per field
+        fam = DyadicFamily(grid2d)
+        calls = []
+        profile = DyadicFamily.block_l2_profile
+
+        def counted(self, f):
+            calls.append(f.rank)
+            return profile(self, f)
+
+        monkeypatch.setattr(DyadicFamily, "block_l2_profile", counted)
+        NormSeries(fam).record(0.0, random_field(grid2d, "scalar", rng),
+                               random_field(grid2d, "vector", rng),
+                               random_field(grid2d, "matrix", rng))
+        assert calls == ["scalar", "vector", "matrix"]
+
     def test_monotone_times_required(self, grid2d):
         fam = DyadicFamily(grid2d)
         ns = NormSeries(fam)
@@ -91,12 +107,12 @@ class TestNormSeries:
 class TestStepper:
     def test_zero_state_fixed_point(self, grid2d):
         cfg = RunConfig(_params(), dt=0.05, t_final=0.5)
-        stepper = ReformStepper(grid2d, cfg)
+        stepper = IFStepper(grid2d, cfg, direct_rhs(cfg))
         z = ReformState(SpectralField.zeros(grid2d, "scalar"),
                         SpectralField.zeros(grid2d, "scalar"),
                         SpectralField.zeros(grid2d, "matrix"),
                         SpectralField.zeros(grid2d, "matrix"))
-        out = stepper.step(z)
+        out = stepper.step(z, 0)
         assert out.rho.l2() == out.d.l2() == out.omega.l2() == out.E.l2() == 0.0
 
     def test_linear_regime_local_order(self, grid2d):
@@ -109,11 +125,11 @@ class TestStepper:
         errs = []
         for dt in (0.1, 0.05):
             cfg = RunConfig(_params(), dt=dt, t_final=1.0)
-            stepper = ReformStepper(grid2d, cfg)
+            stepper = IFStepper(grid2d, cfg, direct_rhs(cfg))
             state = ReformState(rho.copy(), d.copy(),
                                 SpectralField.zeros(grid2d, "matrix"),
                                 SpectralField.zeros(grid2d, "matrix"))
-            out = stepper.step(state)
+            out = stepper.step(state, 0)
             ex_rho, ex_d = evolve_pair_exact(rho, d, "rho_d",
                                              SplitViscosity(3.0, 1.0), dt)
             err = np.sqrt((out.rho - ex_rho).l2() ** 2 + (out.d - ex_d).l2() ** 2)
@@ -152,7 +168,7 @@ class TestStepper:
                               SpectralField.zeros(grid2d, "matrix"))
         cfg = RunConfig(_params(), dt=0.1, t_final=0.5)
         with pytest.raises(StabilityError):
-            direct_solve(prim, cfg, cfl_check_every=1)
+            direct_solve(prim, cfg)
 
 
 class TestDirectRun:
@@ -186,9 +202,10 @@ class TestDirectRun:
     def test_cfl_guard_rejects_nan_velocity(self, grid2d, rng):
         state = ReformState.from_primitive(_small_state(grid2d, 1e-3, rng))
         state.d.coeff[1, 1] = np.nan
-        stepper = ReformStepper(grid2d, RunConfig(_params(), dt=0.02, t_final=0.2))
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.2)
+        stepper = IFStepper(grid2d, cfg, direct_rhs(cfg))
         with pytest.raises(StabilityError, match="CFL"):
-            stepper.check_cfl(state)
+            stepper.check_cfl(state.velocity())
 
 
 class TestMollify:
@@ -279,4 +296,13 @@ class TestPicard:
                                            amplitude=0.5))
         cfg = RunConfig(_params(), dt=0.01, t_final=0.5, picard_iterations=5)
         with pytest.raises(StabilityError):
+            picard_solve(prim, cfg)
+
+    def test_non_finite_data_names_the_sweep(self, rng):
+        # nan > limit is False: a NaN sweep must not pass the divergence check
+        grid = Grid(2, 32, length=8.0)
+        prim = _small_state(grid, 1e-3, rng)
+        prim.rho.coeff[1, 1] = np.nan
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=3)
+        with pytest.raises(StabilityError, match=r"^sweep 1: "):
             picard_solve(prim, cfg)
