@@ -2,7 +2,7 @@
 
 Usage:
     viscoflow <mode> --config <path> [--strict] [--out <dir>]
-                     [--sweep <key>=<v1,v2,...>]
+                     [--sweep <section.key>=<v1,v2,...>]
 
 Modes: analyze, linear, simulate, iterate, constraints, scaling.  Every run
 writes a manifest first (config echo, parameters, planned artifacts), runs
@@ -11,6 +11,13 @@ Identical config and seed give byte-identical CSV output.  Exit codes:
 0 success, 1 input or configuration error, 2 invariant violation in strict
 mode, 3 run stopped (the state left the valid regime, or a diagnostic could
 not be measured).  Every non-zero exit prints one line on stderr.
+
+Config keys: ``_SCHEMA`` holds each (section, key) with its parser and
+default, and ``read_config`` is the one reader: it rejects unknown sections
+and keys, parses every given value, fills in the defaults and names the
+section, key and text of any value it cannot parse.  Domain checks stay with
+the objects that own them (``Grid``, ``Viscosity``, ``RunConfig``).  A sweep
+reads every job's config before the first job starts.
 
 The environment variable VISCOFLOW_THREADS caps process fan-out for sweeps
 (the spectral kernels themselves are single-threaded) and is recorded in
@@ -25,19 +32,21 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .constraints import (check_trajectory, generate_admissible, shear_map,
-                          transport_simulate, ComposedMap, FlowMap)
+from .constraints import (check_trajectory, curl_residual, div_residual,
+                          generate_admissible, shear_map, transport_simulate,
+                          ComposedMap, FlowMap)
 from .dyadic import DyadicFamily, besov_norm, hybrid_norm
 from .errors import (ConfigurationError, DiagnosticError, InputError,
                      InvariantViolation, StabilityError)
 from .evolve import (RunConfig, direct_solve, picard_solve,
                      uniform_bound_monitor)
-from .grid import Grid, SpectralField, random_field, scale_dyadic
+from .grid import Grid, SpectralField, cosine_mode, random_field, scale_dyadic
 from .linear import EnergyConstants, run_pair_decay, PAIRS
 from .model import ModelParams, PressureLaw, PrimitiveState
 from .operators import Viscosity
@@ -45,17 +54,111 @@ from .snapshots import load_field, save_field
 
 MODES = ("analyze", "linear", "simulate", "iterate", "constraints", "scaling")
 
+
+# -- config parsers: text -> value, ValueError on bad text ---------------
+
+def _list(parse):
+    """Comma-separated values, each read by ``parse``."""
+    return lambda text: tuple(parse(v.strip()) for v in text.split(","))
+
+
+def _choice(*names: str):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {' | '.join(names)}")
+        return text
+    return parse
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"expected a boolean: {' | '.join(states)}")
+    return states[text.lower()]
+
+
+def _hybrid_pairs(text: str) -> tuple[tuple[float, float], ...]:
+    """``s,t;s,t`` index pairs; an empty value is no pairs."""
+    pairs = tuple(_list(float)(chunk) for chunk in text.split(";")) if text else ()
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError("expected s,t pairs separated by ';'")
+    return pairs
+
+
+# section -> key -> (parser, default); the default is the parsed value
 _SCHEMA = {
-    "run": {"seed", "out"},
-    "grid": {"dim", "n", "length", "dealias"},
-    "physics": {"mu", "lambda", "alpha", "pressure", "gamma_gas"},
-    "analyze": {"input", "s_values", "hybrid_pairs"},
-    "linear": {"pairs", "xi_values", "samples", "efolds"},
-    "simulate": {"dt", "t_final", "amplitude", "rotation_correction"},
-    "iterate": {"dt", "t_final", "amplitude", "iterations", "init"},
-    "constraints": {"eps", "refine_levels", "dt", "t_final", "u_amplitude"},
-    "scaling": {"s_values", "amplitude"},
+    "run": {"seed": (int, 1234), "out": (str, "viscoflow-out")},
+    "grid": {"dim": (int, 2), "n": (int, 64), "length": (float, 8.0),
+             "dealias": (float, 2.0 / 3.0)},   # Grid compares with 2.0 / 3.0
+    "physics": {"mu": (float, 1.0), "lambda": (float, 1.0), "alpha": (float, 1.0),
+                "pressure": (_choice("quadratic", "power"), "quadratic"),
+                "gamma_gas": (float, 1.4)},
+    "analyze": {"input": (str, None), "s_values": (_list(float), (0.0, 1.0)),
+                "hybrid_pairs": (_hybrid_pairs, ())},
+    "linear": {"pairs": (_list(_choice(*PAIRS)), PAIRS),
+               "xi_values": (_list(float), (1.0, 2.0, 4.0, 8.0)),
+               "samples": (int, 600), "efolds": (float, 96.0)},
+    "simulate": {"dt": (float, 0.02), "t_final": (float, 20.0),
+                 "amplitude": (float, 1e-2), "rotation_correction": (_boolean, True)},
+    "iterate": {"dt": (float, 0.005), "t_final": (float, 2.0),
+                "amplitude": (float, 1e-2), "iterations": (int, 6),
+                "init": (_choice("mollified", "full"), "mollified")},
+    "constraints": {"eps": (float, 0.05), "refine_levels": (_list(int), (16, 32, 64)),
+                    "dt": (float, 0.02), "t_final": (float, 1.0),
+                    "u_amplitude": (float, 0.05)},
+    "scaling": {"s_values": (_list(float), (-1.0, 0.0, 1.0)), "amplitude": (float, 1.0)},
 }
+
+
+def read_config(raw: dict[str, dict[str, str]]) -> dict[str, dict]:
+    """Every section of ``_SCHEMA``, each key parsed from ``raw`` or defaulted.
+
+    ``raw`` maps section to key to text, as the config file holds them.
+    """
+    for section, given in raw.items():
+        if section not in _SCHEMA:
+            raise InputError(f"[{section}]: unknown config section")
+        for key in given:
+            if key not in _SCHEMA[section]:
+                raise InputError(f"[{section}] {key}: unknown key")
+    conf = {}
+    for section, table in _SCHEMA.items():
+        given = raw.get(section, {})
+        conf[section] = values = {}
+        for key, (parse, default) in table.items():
+            if key not in given:
+                values[key] = default
+                continue
+            try:
+                values[key] = parse(given[key])
+            except ValueError as exc:
+                raise InputError(f"[{section}] {key} = {given[key]!r}: {exc}") from None
+    if "gamma_gas" in raw.get("physics", {}) and conf["physics"]["pressure"] != "power":
+        raise InputError("[physics] gamma_gas: read only with pressure = power")
+    return conf
+
+
+def _load_config(path: str) -> dict[str, dict[str, str]]:
+    """The raw sections and keys of an INI file."""
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str
+    try:
+        with open(path) as fh:
+            cfg.read_file(fh)
+        return {s: dict(cfg[s]) for s in cfg.sections()}
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path}: {exc.strerror}") from None
+    except configparser.Error as exc:
+        raise InputError(f"config file {path}: {' '.join(str(exc).split())}") from None
+
+
+@contextmanager
+def _in_section(section: str):
+    """Name the config section behind a domain check that fails inside."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"[{section}] {exc}") from None
 
 
 def _fmt(x) -> str:
@@ -79,39 +182,28 @@ def _sha256(path: Path) -> str:
 
 
 class Runner:
-    def __init__(self, mode: str, cfg: configparser.ConfigParser,
-                 out_dir: Path, strict: bool):
+    """One run of a mode; the constructor reads, and so checks, the config."""
+
+    def __init__(self, mode: str, raw: dict[str, dict[str, str]],
+                 out_dir: Path | str | None, strict: bool):
         self.mode = mode
-        self.cfg = cfg
-        self.out = out_dir
+        self.raw = raw
+        self.conf = read_config(raw)
+        self.out = Path(out_dir or self.conf["run"]["out"])
         self.strict = strict
         self.artifacts: list[Path] = []
-        self.seed = cfg.getint("run", "seed", fallback=1234)
+        self.seed = self.conf["run"]["seed"]
         self.rng = np.random.default_rng(self.seed)
 
-    # -- config helpers -------------------------------------------------
-
-    def section(self, name: str):
-        """The named config section; an absent one reads as all defaults."""
-        return self.cfg[name] if self.cfg.has_section(name) else {}
-
     def grid(self) -> Grid:
-        g = self.section("grid")
-        return Grid(int(g.get("dim", 2)), int(g.get("n", 64)),
-                    float(g.get("length", 8.0)),
-                    float(g.get("dealias", 2.0 / 3.0)))
+        g = self.conf["grid"]
+        return Grid(g["dim"], g["n"], g["length"], g["dealias"])
 
     def params(self, dim: int) -> ModelParams:
-        p = self.section("physics")
-        law_name = p.get("pressure", "quadratic")
-        if law_name == "quadratic":
-            law = PressureLaw.quadratic()
-        elif law_name == "power":
-            law = PressureLaw.power(float(p.get("gamma_gas", 1.4)))
-        else:
-            raise InputError(f"unknown pressure law {law_name!r}")
-        visc = Viscosity(float(p.get("mu", 1.0)), float(p.get("lambda", 1.0)), dim)
-        return ModelParams(visc, float(p.get("alpha", 1.0)), law)
+        p = self.conf["physics"]
+        law = (PressureLaw.power(p["gamma_gas"]) if p["pressure"] == "power"
+               else PressureLaw.quadratic())
+        return ModelParams(Viscosity(p["mu"], p["lambda"], dim), p["alpha"], law)
 
     def emit(self, name: str) -> Path:
         path = self.out / name
@@ -125,7 +217,7 @@ class Runner:
             "mode": self.mode,
             "seed": self.seed,
             "threads_cap": os.environ.get("VISCOFLOW_THREADS"),
-            "config": {s: dict(self.cfg[s]) for s in self.cfg.sections()},
+            "config": self.raw,
             "artifacts": [
                 {"name": p.name, "sha256": _sha256(p) if final and p.exists() else None}
                 for p in self.artifacts
@@ -158,39 +250,34 @@ class Runner:
             self.emit(name)
 
     def mode_analyze(self):
-        sec = self.section("analyze")
-        if "input" not in sec:
+        an = self.conf["analyze"]
+        if an["input"] is None:
             raise InputError("analyze needs a snapshot path: [analyze] input = <path>")
-        field = load_field(sec["input"])
+        field = load_field(an["input"])
         fam = DyadicFamily(field.grid)
-        s_values = [float(s) for s in sec.get("s_values", "0,1").split(",")]
-        pairs = sec.get("hybrid_pairs", "")
         rows = []
-        for s in s_values:
+        for s in an["s_values"]:
             rows.append(("homogeneous", s, "", besov_norm(field.project_mean_zero(), s, fam)))
-        if pairs:
-            for chunk in pairs.split(";"):
-                s, t = (float(v) for v in chunk.split(","))
-                rows.append(("hybrid", s, t,
-                             hybrid_norm(field.project_mean_zero(), s, t, fam)))
+        for s, t in an["hybrid_pairs"]:
+            rows.append(("hybrid", s, t,
+                         hybrid_norm(field.project_mean_zero(), s, t, fam)))
         write_csv(self.artifacts[0], ["kind", "s", "t", "norm"], rows,
                   "frequency-block norms of one field snapshot")
 
     def mode_linear(self):
-        sec = self.section("linear")
-        pair_names = sec.get("pairs", ",".join(PAIRS)).split(",")
-        xi_values = [float(v) for v in sec.get("xi_values", "1,2,4,8").split(",")]
+        lin = self.conf["linear"]
         grid = self.grid()
         params = self.params(grid.dim)
         consts = EnergyConstants.from_viscosity(params.visc)
         rows = []
-        for pair in pair_names:
-            for xi in xi_values:
+        for pair in lin["pairs"]:
+            for xi in lin["xi_values"]:
                 k = int(round(xi * grid.length))
                 kvec = (k,) + (0,) * (grid.dim - 1)
-                res = run_pair_decay(grid, pair.strip(), kvec, params.visc, consts,
-                                     n_samples=int(sec.get("samples", 600)),
-                                     horizon_efolds=float(sec.get("efolds", 96.0)))
+                with _in_section("linear"):
+                    res = run_pair_decay(grid, pair, kvec, params.visc, consts,
+                                         n_samples=lin["samples"],
+                                         horizon_efolds=lin["efolds"])
                 rows.append((res["pair"], res["xi"], res["fitted"], res["oracle"],
                              res["rel_error"]))
                 if self.strict and res["rel_error"] > 0.02:
@@ -214,21 +301,18 @@ class Runner:
         return data.state
 
     def mode_simulate(self):
-        sec = self.section("simulate")
+        sim = self.conf["simulate"]
         grid = self.grid()
         params = self.params(grid.dim)
-        amp = float(sec.get("amplitude", 1e-2))
-        prim0 = self._small_data(grid, amp)
-        config = RunConfig(params, float(sec.get("dt", 0.02)),
-                           float(sec.get("t_final", 20.0)),
-                           rotation_correction=sec.get("rotation_correction",
-                                                       "true") == "true")
+        prim0 = self._small_data(grid, sim["amplitude"])
+        with _in_section("simulate"):
+            config = RunConfig(params, sim["dt"], sim["t_final"],
+                               rotation_correction=sim["rotation_correction"])
         result = direct_solve(prim0, config)
         write_csv(self.artifacts[0],
                   ["t", "inst_rho", "inst_u", "inst_E", "diss_rho", "diss_u",
                    "diss_E", "acc_rho", "acc_u", "acc_E"],
                   result.norms.rows(), "instantaneous and accumulated norms")
-        from .constraints import curl_residual, div_residual
         final = result.final
         rho_hat = final.rho.copy()
         rho_hat.coeff[(0,) * grid.dim] += 1.0
@@ -253,15 +337,14 @@ class Runner:
             raise InvariantViolation("instantaneous norm exceeded 10x data norm")
 
     def mode_iterate(self):
-        sec = self.section("iterate")
+        it = self.conf["iterate"]
         grid = self.grid()
         params = self.params(grid.dim)
-        amp = float(sec.get("amplitude", 1e-2))
-        prim0 = self._small_data(grid, amp)
-        config = RunConfig(params, float(sec.get("dt", 0.005)),
-                           float(sec.get("t_final", 2.0)),
-                           picard_iterations=int(sec.get("iterations", 6)),
-                           init_mollified=sec.get("init", "mollified") == "mollified")
+        prim0 = self._small_data(grid, it["amplitude"])
+        with _in_section("iterate"):
+            config = RunConfig(params, it["dt"], it["t_final"],
+                               picard_iterations=it["iterations"],
+                               init_mollified=it["init"] == "mollified")
         result = picard_solve(prim0, config)
         rows = []
         for i, u_n in enumerate(result.differences):
@@ -270,7 +353,7 @@ class Runner:
         write_csv(self.artifacts[0], ["sweep", "difference_norm", "ratio",
                                       "iterate_norm"], rows,
                   "consecutive-difference contraction report")
-        monitor = uniform_bound_monitor(result, amp)
+        monitor = uniform_bound_monitor(result, it["amplitude"])
         monitor["contraction_ratios"] = result.ratios
         with open(self.artifacts[1], "w") as fh:
             json.dump(monitor, fh, indent=2, sort_keys=True)
@@ -279,31 +362,27 @@ class Runner:
             raise InvariantViolation("iteration failed to contract below 0.9")
 
     def mode_constraints(self):
-        sec = self.section("constraints")
-        eps = float(sec.get("eps", 0.05))
-        levels = [int(v) for v in sec.get("refine_levels", "16,32,64").split(",")]
+        con = self.conf["constraints"]
+        grid = self.grid()
         rows = []
-        for n in levels:
-            grid = Grid(self.grid().dim, n, self.grid().length)
-            flow = FlowMap(grid, _default_modes(grid), eps)
+        for n in con["refine_levels"]:
+            level = Grid(grid.dim, n, grid.length)
+            flow = FlowMap(level, _default_modes(level), con["eps"])
             data = generate_admissible(flow)
-            from .constraints import curl_residual, div_residual
             rows.append((n, div_residual(data.rho_hat, data.F),
                          curl_residual(data.F), data.det_defect))
         write_csv(self.artifacts[0], ["n", "div_residual", "curl_residual",
                                       "det_defect"], rows,
                   "flow-map data residuals under grid refinement")
 
-        grid = self.grid()
-        flow = FlowMap(grid, _default_modes(grid), eps)
+        flow = FlowMap(grid, _default_modes(grid), con["eps"])
         data = generate_admissible(flow)
-        u_amp = float(sec.get("u_amplitude", 0.05))
         k = max(1, int(round(grid.length)))
-        u = _solenoidal_velocity(grid, k, u_amp)
-        times, snaps = transport_simulate(data.rho_hat, data.F, lambda t: u,
-                                          float(sec.get("dt", 0.02)),
-                                          float(sec.get("t_final", 1.0)),
-                                          sample_every=5)
+        u = _solenoidal_velocity(grid, k, con["u_amplitude"])
+        with _in_section("constraints"):
+            times, snaps = transport_simulate(data.rho_hat, data.F, lambda t: u,
+                                              con["dt"], con["t_final"],
+                                              sample_every=5)
         rep = check_trajectory(times, snaps, strict=self.strict)
         write_csv(self.artifacts[1],
                   ["t", "div_residual", "curl_residual", "gauge_integral"],
@@ -311,17 +390,15 @@ class Runner:
                   "constraint residuals along a transport trajectory")
 
     def mode_scaling(self):
-        sec = self.section("scaling")
+        sc = self.conf["scaling"]
         grid = self.grid()
         fam = DyadicFamily(grid)
-        s_values = [float(v) for v in
-                    sec.get("s_values", "-1,0,1").split(",")]
         quarter = (grid.n // 2 - 1) // 2 / grid.length
         f = random_field(grid, "scalar", self.rng, band=(1.0 / grid.length, quarter),
-                         amplitude=float(sec.get("amplitude", 1.0)))
+                         amplitude=sc["amplitude"])
         g = scale_dyadic(f)
         rows = []
-        for s in s_values:
+        for s in sc["s_values"]:
             base = besov_norm(f, s, fam)
             scaled = besov_norm(g, s, fam)
             rows.append((s, base, scaled, scaled / base, 2.0 ** s,
@@ -343,7 +420,6 @@ def _default_modes(grid: Grid):
 
 
 def _solenoidal_velocity(grid: Grid, k: int, amplitude: float) -> SpectralField:
-    from .grid import cosine_mode
     u = cosine_mode(grid, (k, 0) + (0,) * (grid.dim - 2), amplitude,
                     rank="vector", component=(1,))
     v = cosine_mode(grid, (0, k) + (0,) * (grid.dim - 2), amplitude,
@@ -351,22 +427,16 @@ def _solenoidal_velocity(grid: Grid, k: int, amplitude: float) -> SpectralField:
     return u + v
 
 
-def validate_config(cfg: configparser.ConfigParser):
-    for section in cfg.sections():
-        if section not in _SCHEMA:
-            raise InputError(f"unknown config section [{section}]")
-        for key in cfg[section]:
-            if key not in _SCHEMA[section]:
-                raise InputError(f"unknown key {key!r} in section [{section}]")
-
-
-def _run_job(job) -> int:
-    """One sweep worker: rebuild the config and run in its own directory."""
-    mode, cfg_dict, out_dir, strict = job
-    sub = configparser.ConfigParser()
-    sub.optionxform = str
-    sub.read_dict(cfg_dict)
-    return Runner(mode, sub, Path(out_dir), strict).run()
+def _sweep_configs(spec: str, raw: dict[str, dict[str, str]]):
+    """One (config, directory name) per value of ``section.key=v1,v2,...``."""
+    key, eq, values = spec.partition("=")
+    section, dot, name = key.partition(".")
+    if not (eq and dot and section and name and values):
+        raise InputError(f"--sweep {spec!r}: expected section.key=v1,v2,...")
+    for v in values.split(","):
+        sub = {s: dict(keys) for s, keys in raw.items()}
+        sub.setdefault(section, {})[name] = v
+        yield sub, f"{key.replace('.', '_')}={v}"
 
 
 def main(argv=None) -> int:
@@ -380,31 +450,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        cfg = configparser.ConfigParser()
-        cfg.optionxform = str
-        if not Path(args.config).exists():
-            raise InputError(f"config file not found: {args.config}")
-        cfg.read(args.config)
-        validate_config(cfg)
-        out_base = Path(args.out or cfg.get("run", "out", fallback="viscoflow-out"))
-
-        if args.sweep:
-            key, _, values = args.sweep.partition("=")
-            jobs = []
-            for v in values.split(","):
-                sub = {s: dict(cfg[s]) for s in cfg.sections()}
-                section, _, name = key.partition(".")
-                sub.setdefault(section, {})[name] = v
-                jobs.append((args.mode, sub,
-                             str(out_base / f"{key.replace('.', '_')}={v}"),
-                             args.strict))
-            cap = max(1, int(os.environ.get("VISCOFLOW_THREADS", "1")))
-            if cap == 1:
-                return max(_run_job(job) for job in jobs)
-            import concurrent.futures
-            with concurrent.futures.ProcessPoolExecutor(max_workers=cap) as pool:
-                return max(pool.map(_run_job, jobs))
-        return Runner(args.mode, cfg, out_base, args.strict).run()
+        base = Runner(args.mode, _load_config(args.config), args.out, args.strict)
+        if not args.sweep:
+            return base.run()
+        # every job's config is read, and so checked, before the first job runs
+        runners = [Runner(args.mode, sub, base.out / name, args.strict)
+                   for sub, name in _sweep_configs(args.sweep, base.raw)]
+        cap = max(1, int(os.environ.get("VISCOFLOW_THREADS", "1")))
+        if cap == 1:
+            return max(runner.run() for runner in runners)
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cap) as pool:
+            return max(pool.map(Runner.run, runners))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .grid import Grid, SpectralField, dealiased_product
+from .evolve import step_count
+from .grid import Grid, SpectralField, dealias_physical
 from .model import PrimitiveState
 from .operators import _deriv_mult, convect, divergence, jacobian, matrix_product
 
@@ -264,7 +265,7 @@ def generate_admissible(flow, u0: SpectralField | None = None,
 def transport_rhs(rho_hat: SpectralField, F: SpectralField, u: SpectralField):
     """Continuity and deformation transport with a prescribed velocity."""
     u_phys = u.to_physical()
-    rho_dot = -divergence(dealiased_product(rho_hat, u))
+    rho_dot = -divergence(dealias_physical(rho_hat.grid, rho_hat.to_physical() * u_phys))
     jac = jacobian(u)
     F_dot = -convect(u, F, u_phys) + matrix_product(jac, F)
     return rho_dot, F_dot
@@ -281,7 +282,7 @@ def transport_simulate(rho_hat: SpectralField, F: SpectralField, u_of_t,
     t = 0.0
     rho, Fc = rho_hat.copy(), F.copy()
     step = 0
-    nsteps = int(round(t_final / dt))
+    nsteps = step_count(dt, t_final)
 
     def record():
         times.append(t)

@@ -213,10 +213,6 @@ def bony_defect(f: SpectralField, g: SpectralField,
 # measured constants for the convection and product estimates
 # ----------------------------------------------------------------------
 
-def _phi_weight(s1: float, s2: float, q: int) -> float:
-    return s1 if q <= 0 else s2
-
-
 def _check_index_range(dim: int, s1: float, s2: float):
     lo, hi = -dim / 2.0, 1.0 + dim / 2.0
     for s in (s1, s2):
@@ -258,7 +254,7 @@ def measure_convection_constant(u: SpectralField, f: SpectralField,
         if denom_block < 1e-300:
             continue
         lhs = abs(bw.inner(bf))
-        scale = 2.0 ** (-q * (_phi_weight(s1, s2, q) - degree))
+        scale = 2.0 ** (-q * (BesovIndex(s1, s2).weight_exponent(q) - degree))
         ratios[q] = lhs / (scale * nu_norm * nf_norm * denom_block)
     sup = max(ratios.values()) if ratios else 0.0
     return {"ratios": ratios, "sup": sup, "l1": sum(ratios.values())}

@@ -37,6 +37,22 @@ CFL_CHECK_EVERY = 10      # steps between CFL checks, the first at step 0
 DIVERGENCE_FACTOR = 10.0  # a sweep norm past this times the data norm aborts
 
 
+def step_count(dt: float, t_final: float) -> int:
+    """Number of steps of size dt that end at t_final.
+
+    A t_final that is not a whole number of steps (to 1e-9 relative) is
+    rejected rather than moved to the nearest one.
+    """
+    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
+        raise InputError(f"dt and t_final must be positive and finite, "
+                         f"got dt = {dt}, t_final = {t_final}")
+    n = round(t_final / dt)
+    if abs(n * dt - t_final) > 1e-9 * t_final:
+        raise InputError(f"t_final = {t_final} is not a whole number of "
+                         f"steps of dt = {dt}")
+    return n
+
+
 @dataclass
 class RunConfig:
     """Knobs of one evolution run (shared by direct and iteration modes)."""
@@ -48,12 +64,14 @@ class RunConfig:
     init_mollified: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_final <= 0.0:
-            raise InputError("dt and t_final must be positive")
+        step_count(self.dt, self.t_final)
+        if self.picard_iterations < 1:
+            raise InputError(f"picard_iterations = {self.picard_iterations}: "
+                             f"at least one sweep is needed")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return step_count(self.dt, self.t_final)
 
 
 # ----------------------------------------------------------------------

@@ -204,9 +204,6 @@ class SpectralField:
         """Grid-averaged L2 inner product (components contracted)."""
         return float(np.sum(self.coeff * np.conj(other.coeff)).real)
 
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.to_physical())))
-
     def power_profile(self) -> np.ndarray:
         """|coeff|^2 summed over components; used by block-norm kernels."""
         extra = self.coeff.ndim - self.grid.dim

@@ -368,10 +368,15 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
 
     The trajectory is sampled from the exact propagator; the fitted rate of
     the block energy at the seeded frequency is compared with the oracle.
+    A zero wavevector (the mean) or one at or past Nyquist is rejected.
     """
+    xi = float(np.sqrt(sum((k / grid.length) ** 2 for k in kvec)))
+    if not any(kvec) or any(2 * abs(k) >= grid.n for k in kvec):
+        raise InputError(f"|xi| = {xi:g} (wavevector {tuple(kvec)}) is not "
+                         f"representable on n = {grid.n}: need k nonzero and "
+                         f"every |k_i| < n/2")
     consts = consts or EnergyConstants(visc.nu, visc.mu)
     fam = DyadicFamily(grid)
-    xi = float(np.sqrt(sum((k / grid.length) ** 2 for k in kvec)))
     oracle = oracle_decay_rate(pair, xi, visc.nu, visc.mu)
     t_final = horizon_efolds / oracle
     x0, y0 = pair_state(grid, kvec)

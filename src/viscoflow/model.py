@@ -131,14 +131,6 @@ class HelmholtzState:
     skew: SpectralField
     potential: SpectralField
 
-    def copy(self):
-        return HelmholtzState(*(f.copy() for f in
-                                (self.rho, self.d, self.omega, self.skew, self.potential)))
-
-    def l2(self) -> float:
-        return float(np.sqrt(sum(f.l2() ** 2 for f in
-                                 (self.rho, self.d, self.omega, self.skew, self.potential))))
-
 
 @dataclass
 class SourceTerms:
@@ -333,14 +325,6 @@ class ReformState:
 
     def to_primitive(self) -> PrimitiveState:
         return PrimitiveState(self.rho.copy(), self.velocity(), self.E.copy())
-
-    def helmholtz(self) -> HelmholtzState:
-        return HelmholtzState(self.rho.copy(), self.d.copy(), self.omega.copy(),
-                              transpose_gap(self.E), symmetric_scalar(self.E))
-
-    def copy(self):
-        return ReformState(self.rho.copy(), self.d.copy(),
-                           self.omega.copy(), self.E.copy())
 
 
 def reformulated_rhs(state: ReformState, params: ModelParams,

@@ -22,6 +22,7 @@ Coefficients use the package normalization: the k=0 entry is the grid mean.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -33,13 +34,14 @@ MAGIC = b"VISCOFLD"
 VERSION = 1
 _RANK_CODE = {"scalar": 0, "vector": 1, "matrix": 2}
 _CODE_RANK = {v: k for k, v in _RANK_CODE.items()}
+_HEADER = struct.Struct("<8sIIIIdId")    # magic through dealias fraction: 44 bytes
 
 
 def save_field(path, f: SpectralField):
     g = f.grid
     ncomp = f.ncomp
-    header = MAGIC + struct.pack("<IIIIdId", VERSION, g.dim, _RANK_CODE[f.rank],
-                                 g.n, g.length, ncomp, g.dealias_frac)
+    header = _HEADER.pack(MAGIC, VERSION, g.dim, _RANK_CODE[f.rank],
+                          g.n, g.length, ncomp, g.dealias_frac)
     flat = np.ascontiguousarray(f.coeff).reshape(ncomp, -1)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -51,21 +53,36 @@ def save_field(path, f: SpectralField):
 
 
 def load_field(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
+    """Read a snapshot; any file that is not exactly a v1 field is an InputError."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot read snapshot {path}: {exc.strerror}") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise InputError(f"snapshot {path}: {len(header)} bytes, shorter than "
+                             f"the {_HEADER.size}-byte header")
+        magic, version, dim, rank_code, n, length, ncomp, frac = _HEADER.unpack(header)
         if magic != MAGIC:
-            raise InputError(f"not a field snapshot: bad magic {magic!r}")
-        version, dim, rank_code, n, length, ncomp, frac = struct.unpack(
-            "<IIIIdId", fh.read(struct.calcsize("<IIIIdId")))
+            raise InputError(f"snapshot {path}: not a field snapshot, bad magic {magic!r}")
         if version != VERSION:
-            raise InputError(f"unsupported snapshot version {version}")
+            raise InputError(f"snapshot {path}: unsupported version {version}")
+        if rank_code not in _CODE_RANK:
+            raise InputError(f"snapshot {path}: unknown rank code {rank_code}")
+        if dim not in (2, 3):
+            raise InputError(f"snapshot {path}: unsupported dimension {dim}")
+        # checked before any allocation: 1, dim or dim*dim components
+        if ncomp != dim ** rank_code:
+            raise InputError(f"snapshot {path}: component count {ncomp} "
+                             f"inconsistent with rank {_CODE_RANK[rank_code]}")
+        expected_size = _HEADER.size + ncomp * n ** dim * 16
+        if size != expected_size:
+            raise InputError(f"snapshot {path}: {size} bytes, expected {expected_size} "
+                             f"for {ncomp} components on {n}^{dim} points")
         grid = Grid(dim, n, length, frac)
-        rank = _CODE_RANK[rank_code]
-        comp_shape = SpectralField._comp_shape(grid, rank)
-        expected = int(np.prod(comp_shape, dtype=int)) if comp_shape else 1
-        if ncomp != expected:
-            raise InputError(f"component count {ncomp} inconsistent with rank {rank}")
-        coeff = np.empty(comp_shape + (n,) * dim, dtype=np.complex128)
+        coeff = np.empty((dim,) * rank_code + (n,) * dim, dtype=np.complex128)
         flat = coeff.reshape(ncomp, -1)
         for c in range(ncomp):
             pairs = np.frombuffer(fh.read(flat.shape[1] * 16), dtype="<f8")

@@ -2,11 +2,12 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from viscoflow import load_field, random_field, save_field
+from viscoflow import Grid, load_field, random_field, save_field
 from viscoflow import cli
 from viscoflow.cli import main
 from viscoflow.errors import InputError, StabilityError
@@ -55,6 +56,42 @@ class TestSnapshots:
         path.write_bytes(b"NOTAFILE" + b"\x00" * 64)
         with pytest.raises(InputError):
             load_field(path)
+
+
+def _vector_snapshot(path):
+    """Raw bytes of a saved 2-D n=16 vector snapshot."""
+    save_field(path, random_field(Grid(2, 16, 8.0), "vector", np.random.default_rng(3)))
+    return path.read_bytes()
+
+
+_RANK_OFFSET = 16
+
+
+def _corrupt(raw, case):
+    if case == "short header":
+        return raw[:40]
+    if case == "rank code 7":
+        return raw[:_RANK_OFFSET] + struct.pack("<I", 7) + raw[_RANK_OFFSET + 4:]
+    if case == "short payload":
+        return raw[:-100]
+    assert case == "trailing bytes"
+    return raw + bytes(16)
+
+
+_CORRUPTIONS = ["short header", "rank code 7", "short payload", "trailing bytes"]
+
+
+class TestSnapshotValidation:
+    @pytest.mark.parametrize("case", _CORRUPTIONS)
+    def test_corrupt_file_rejected(self, tmp_path, case):
+        path = tmp_path / "f.vfs"
+        path.write_bytes(_corrupt(_vector_snapshot(path), case))
+        with pytest.raises(InputError, match="f.vfs"):
+            load_field(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="none.vfs"):
+            load_field(tmp_path / "none.vfs")
 
 
 def _write_config(path, body):
@@ -205,10 +242,10 @@ class TestCliErrorBoundary:
         assert len(err) == 1 and err[0].startswith("configuration error:")
 
     def test_diagnostic_error_exits_3(self, tmp_path, capsys):
-        # |xi| = 8 on the L = 8, n = 64 grid leaves no samples for the rate fit
+        # ten samples over the decay horizon leave too few for the rate fit
         code, err = self._run(tmp_path, capsys, "linear",
-                              "[grid]\nn = 64\nlength = 8\n"
-                              "\n[linear]\npairs = rho_d\nxi_values = 8\n")
+                              "[grid]\nn = 64\nlength = 1\n"
+                              "\n[linear]\npairs = rho_d\nxi_values = 2\nsamples = 10\n")
         assert code == 3
         assert len(err) == 1 and err[0].startswith("run stopped:")
 
@@ -240,3 +277,122 @@ class TestCliErrorBoundary:
         code, err = self._run(tmp_path, capsys, "analyze", "[grid]\nn = 16\n")
         assert code == 1
         assert len(err) == 1 and "input" in err[0]
+
+
+# mode, config body, --sweep spec, text the one stderr line must contain
+_MISUSE = [
+    ("scaling", "[grid]\nn = abc\n", None, "[grid] n = 'abc'"),
+    ("simulate", "[simulate]\nrotation_correction = maybe\n", None,
+     "[simulate] rotation_correction = 'maybe'"),
+    ("iterate", "[iterate]\ninit = molified\n", None, "[iterate] init = 'molified'"),
+    ("constraints", "[constraints]\nrefine_levels =\n", None, "[constraints] refine_levels"),
+    ("scaling", "[scaling]\ns_values = a\n", None, "[scaling] s_values = 'a'"),
+    ("analyze", "[analyze]\ninput = f.vfs\nhybrid_pairs = 0,1;2\n", None,
+     "[analyze] hybrid_pairs"),
+    ("linear", "[linear]\npairs = rho_x\n", None, "[linear] pairs = 'rho_x'"),
+    ("simulate", "[physics]\ngamma_gas = 3\n", None, "[physics] gamma_gas"),
+    ("simulate", "[physics]\npressure = ideal\n", None, "[physics] pressure = 'ideal'"),
+    ("simulate", "[solver]\ndt = 1\n", None, "[solver]"),
+    ("scaling", "", "simulate.foo=1,2", "[simulate] foo"),
+    ("scaling", "", "nosuch=1", "--sweep 'nosuch=1'"),
+    ("scaling", "", "bogus", "--sweep 'bogus'"),
+    ("simulate", "", "simulate.t_final=0.02,abc", "[simulate] t_final = 'abc'"),
+    ("scaling", "n = 32\n", None, "c.ini"),
+    ("scaling", "[grid]\nn = 32\nn = 16\n", None, "c.ini"),
+    ("scaling", "[grid]\nn = 32\n[grid]\ndim = 2\n", None, "c.ini"),
+    ("iterate", "[grid]\nn = 16\nlength = 1\n[iterate]\niterations = 0\n", None,
+     "[iterate] picard_iterations"),
+    ("simulate", "[grid]\nn = 16\nlength = 1\n[simulate]\ndt = 0.02\nt_final = 0.25\n",
+     None, "[simulate] t_final = 0.25"),
+    ("constraints", "[grid]\nn = 16\nlength = 1\n[constraints]\nrefine_levels = 16\n"
+     "t_final = 0.25\n", None, "[constraints] t_final = 0.25"),
+    ("linear", "[grid]\nn = 64\nlength = 8\n[linear]\npairs = rho_d\nxi_values = 4\n",
+     None, "[linear] |xi| = 4"),
+]
+
+
+class TestConfigMisuse:
+    """Each misuse exits 1 before any run starts, with one stderr line that
+    names the section and key, the sweep spec or the file."""
+
+    @pytest.mark.parametrize("mode,body,sweep,names", _MISUSE)
+    def test_exits_1_with_one_line(self, tmp_path, capsys, mode, body, sweep, names):
+        cfg = _write_config(tmp_path / "c.ini", body)
+        argv = [mode, "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv + (["--sweep", sweep] if sweep else [])) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and names in err[0], err
+        if sweep:
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", _CORRUPTIONS + ["missing file"])
+    def test_bad_snapshot_exits_1(self, tmp_path, capsys, case):
+        path = tmp_path / "f.vfs"
+        if case != "missing file":
+            path.write_bytes(_corrupt(_vector_snapshot(path), case))
+        cfg = _write_config(tmp_path / "c.ini", f"[analyze]\ninput = {path}\n")
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0], err
+
+
+class TestReadConfig:
+    def test_defaults(self):
+        conf = cli.read_config({})
+        assert set(conf) == set(cli._SCHEMA)
+        assert sum(len(keys) for keys in cli._SCHEMA.values()) == 34
+        assert conf["grid"]["dealias"] == 2.0 / 3.0
+        assert conf["analyze"]["input"] is None
+        assert conf["linear"]["pairs"] == ("rho_d", "omega_w", "potential_d")
+        assert conf["constraints"]["refine_levels"] == (16, 32, 64)
+
+    def test_values_are_parsed(self):
+        conf = cli.read_config({
+            "grid": {"n": "32", "length": "1.5"},
+            "analyze": {"hybrid_pairs": "0,1; 1,2", "s_values": "0, 0.5"},
+            "linear": {"pairs": "rho_d, omega_w"},
+            "physics": {"pressure": "power", "gamma_gas": "3"},
+        })
+        assert (conf["grid"]["n"], conf["grid"]["length"]) == (32, 1.5)
+        assert conf["analyze"]["hybrid_pairs"] == ((0.0, 1.0), (1.0, 2.0))
+        assert conf["analyze"]["s_values"] == (0.0, 0.5)
+        assert conf["linear"]["pairs"] == ("rho_d", "omega_w")
+        assert conf["physics"]["gamma_gas"] == 3.0
+
+    @pytest.mark.parametrize("mode,solver,line,attr,value", [
+        ("simulate", "direct_solve", f"rotation_correction = {text}", "rotation_correction", on)
+        for text, on in (("true", True), ("True", True), ("yes", True), ("on", True),
+                         ("1", True), ("false", False), ("no", False), ("off", False),
+                         ("0", False))
+    ] + [
+        ("iterate", "picard_solve", "init = mollified", "init_mollified", True),
+        ("iterate", "picard_solve", "init = full", "init_mollified", False),
+    ])
+    def test_value_reaches_the_run(self, tmp_path, capsys, monkeypatch,
+                                   mode, solver, line, attr, value):
+        seen = []
+
+        def stop(prim0, config):
+            seen.append(config)
+            raise StabilityError("stopped before the first step")
+
+        monkeypatch.setattr(cli, solver, stop)
+        cfg = _write_config(tmp_path / "c.ini",
+                            f"[grid]\nn = 16\nlength = 1\n\n[{mode}]\n{line}\n")
+        assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert getattr(seen[0], attr) is value
+
+
+def _readme_keys():
+    """(section, key) pairs of the README's config key table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| section | key |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    pairs = set()
+    for row in rows:
+        section, key = (cell.strip().strip("`") for cell in row.strip("|").split("|")[:2])
+        pairs.add((section, key))
+    return pairs
+
+
+def test_readme_lists_every_config_key():
+    assert _readme_keys() == {(s, k) for s, keys in cli._SCHEMA.items() for k in keys}

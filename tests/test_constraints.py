@@ -181,6 +181,13 @@ class TestPropagation:
             l2, point = curl_mismatch_sq(F)
             assert l2 < 1e-28 and point < 1e-28
 
+    def test_final_time_is_a_whole_number_of_steps(self, grid2d):
+        one = SpectralField.from_physical(grid2d, np.ones((32, 32)))
+        eye = SpectralField.zeros(grid2d, "matrix")
+        u = SpectralField.zeros(grid2d, "vector")
+        with pytest.raises(InputError, match="whole number of steps"):
+            transport_simulate(one, eye, lambda t: u, 0.02, 0.25)
+
     def test_seeded_residual_obeys_gronwall(self, grid2d):
         # non-admissible seed (both residuals nonzero) with a fixed smooth
         # low-frequency solenoidal velocity so the mode ladder stays resolved

@@ -104,6 +104,25 @@ class TestNormSeries:
             ns.record(0.5, z, zu, zE)
 
 
+class TestRunConfig:
+    def test_needs_one_sweep(self):
+        # zero sweeps used to end in an IndexError in uniform_bound_monitor
+        with pytest.raises(InputError, match="picard_iterations"):
+            RunConfig(_params(), dt=0.02, t_final=0.2, picard_iterations=0)
+
+    @pytest.mark.parametrize("dt,t_final", [(0.02, 0.25), (0.02, 0.005),
+                                            (float("nan"), 1.0), (0.02, float("inf")),
+                                            (-0.02, 0.2)])
+    def test_rejects_a_final_time_it_cannot_reach(self, dt, t_final):
+        with pytest.raises(InputError, match="t_final"):
+            RunConfig(_params(), dt=dt, t_final=t_final)
+
+    @pytest.mark.parametrize("dt,t_final,steps", [(0.02, 0.2, 10), (0.005, 0.05, 10),
+                                                  (0.02, 0.5, 25), (0.02, 20.0, 1000)])
+    def test_whole_step_counts(self, dt, t_final, steps):
+        assert RunConfig(_params(), dt=dt, t_final=t_final).n_steps == steps
+
+
 class TestStepper:
     def test_zero_state_fixed_point(self, grid2d):
         cfg = RunConfig(_params(), dt=0.05, t_final=0.5)

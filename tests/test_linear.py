@@ -122,6 +122,12 @@ class TestDecayRates:
         assert abs(res["fitted"] - 2.0) / 2.0 <= 0.05
         assert abs(res["oracle"] - 2.0) / 2.0 <= 0.01
 
+    @pytest.mark.parametrize("kvec", [(32, 0), (64, 0), (0, -32), (0, 0)])
+    def test_unrepresentable_seed_rejected(self, kvec):
+        # xi = 4 and 8 on L = 8, n = 64 seed Nyquist and the aliased mean
+        with pytest.raises(InputError, match="not representable"):
+            run_pair_decay(Grid(2, 64, length=8.0), "rho_d", kvec, _visc())
+
     def test_block_energy_monotone_in_free_decay(self):
         grid = Grid(2, 32, length=1.0)
         res = run_pair_decay(grid, "rho_d", (2, 0), _visc(), n_samples=300)

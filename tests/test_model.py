@@ -10,12 +10,13 @@ from viscoflow import (ComposedMap, Grid, ModelParams, PressureLaw,
                        dual_path_gap, elastic_energy, generate_admissible,
                        nondimensionalize, primitive_rhs, random_field,
                        reformulated_rhs, shear_map)
+from viscoflow.constraints import transport_rhs
 from viscoflow.errors import InputError, StabilityError
-from viscoflow.grid import cosine_mode, fine_grid_product, refine_field
+from viscoflow.grid import cosine_mode, dealiased_product, fine_grid_product, refine_field
 from viscoflow.model import (PhysicalBundle, ReformState, rotation_correction,
                              split_state)
-from viscoflow.operators import (Viscosity, derivative, gradient, jacobian, laplacian,
-                                 helmholtz_split, transpose_gap, symmetric_scalar)
+from viscoflow.operators import (Viscosity, derivative, divergence, gradient, jacobian,
+                                 laplacian, helmholtz_split, transpose_gap, symmetric_scalar)
 
 
 def _random_state(grid, rng, amplitude=0.05):
@@ -355,3 +356,13 @@ class TestTransformCounts:
 
     def test_assemble_sources(self, grid2d, rng, transform_count):
         assert transform_count(assemble_sources, _random_state(grid2d, rng), _params()) <= 60
+
+    def test_transport_rhs(self, grid2d, grid3d, rng, transform_count):
+        # the velocity is inverse-transformed once; twice cost 31 (2-D) and 73 (3-D)
+        for grid, cap in ((grid2d, 29), (grid3d, 70)):
+            rho, F, u = (random_field(grid, rank, rng)
+                         for rank in ("scalar", "matrix", "vector"))
+            assert transform_count(transport_rhs, rho, F, u) <= cap
+            rho_dot, _ = transport_rhs(rho, F, u)
+            assert np.array_equal(rho_dot.coeff,
+                                  -divergence(dealiased_product(rho, u)).coeff)
