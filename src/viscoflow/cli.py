@@ -62,6 +62,14 @@ def _list(parse):
     return lambda text: tuple(parse(v.strip()) for v in text.split(","))
 
 
+def _nonneg_int(text: str) -> int:
+    """A non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    return value
+
+
 def _choice(*names: str):
     def parse(text: str) -> str:
         if text not in names:
@@ -87,7 +95,7 @@ def _hybrid_pairs(text: str) -> tuple[tuple[float, float], ...]:
 
 # section -> key -> (parser, default); the default is the parsed value
 _SCHEMA = {
-    "run": {"seed": (int, 1234), "out": (str, "viscoflow-out")},
+    "run": {"seed": (_nonneg_int, 1234), "out": (str, "viscoflow-out")},
     "grid": {"dim": (int, 2), "n": (int, 64), "length": (float, 8.0),
              "dealias": (float, 2.0 / 3.0)},   # Grid compares with 2.0 / 3.0
     "physics": {"mu": (float, 1.0), "lambda": (float, 1.0), "alpha": (float, 1.0),
@@ -96,7 +104,7 @@ _SCHEMA = {
     "analyze": {"input": (str, None), "s_values": (_list(float), (0.0, 1.0)),
                 "hybrid_pairs": (_hybrid_pairs, ())},
     "linear": {"pairs": (_list(_choice(*PAIRS)), PAIRS),
-               "xi_values": (_list(float), (1.0, 2.0, 4.0, 8.0)),
+               "xi_values": (_list(float), (0.5, 1.0, 2.0)),
                "samples": (int, 600), "efolds": (float, 96.0)},
     "simulate": {"dt": (float, 0.02), "t_final": (float, 20.0),
                  "amplitude": (float, 1e-2), "rotation_correction": (_boolean, True)},
@@ -456,7 +464,11 @@ def main(argv=None) -> int:
         # every job's config is read, and so checked, before the first job runs
         runners = [Runner(args.mode, sub, base.out / name, args.strict)
                    for sub, name in _sweep_configs(args.sweep, base.raw)]
-        cap = max(1, int(os.environ.get("VISCOFLOW_THREADS", "1")))
+        threads = os.environ.get("VISCOFLOW_THREADS", "1")
+        try:
+            cap = max(1, int(threads))
+        except ValueError:
+            raise InputError(f"VISCOFLOW_THREADS = {threads!r}: expected an integer") from None
         if cap == 1:
             return max(runner.run() for runner in runners)
         import concurrent.futures

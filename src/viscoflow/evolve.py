@@ -14,12 +14,18 @@ against second-order viscous ones), so no linear solves are needed anywhere.
 The run loop samples the state at t = 0 and after every step into a
 ``NormSeries``; the consecutive-difference norms of the iteration are a
 ``NormSeries`` over the differences.
+
+States are field tuples (``model.FieldTuple``): the stepper writes
+``state + a * delta`` and a trajectory keeps one ``PrimitiveState`` per node,
+so a sweep's difference from the previous one is one subtraction per node.
+The first sweep is measured against the zero trajectory, which is never
+built: its difference norm is its own norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -174,10 +180,8 @@ class IFStepper:
         self.exp_om = np.exp(-p.mu * grid.xi_sq * config.dt)
 
     def _damp(self, state: ReformState) -> ReformState:
-        return ReformState(state.rho,
-                           SpectralField(self.grid, state.d.coeff * self.exp_d),
-                           SpectralField(self.grid, state.omega.coeff * self.exp_om),
-                           state.E)
+        return replace(state, d=SpectralField(self.grid, state.d.coeff * self.exp_d),
+                       omega=SpectralField(self.grid, state.omega.coeff * self.exp_om))
 
     def check_cfl(self, u: SpectralField):
         umax = float(np.max(np.abs(u.to_physical())))
@@ -188,22 +192,16 @@ class IFStepper:
     def step(self, state: ReformState, node: int) -> ReformState:
         dt = self.dt
         k1 = self.nonstiff(state, node)
-        pred = self._damp(_axpy(state, dt, k1))
+        pred = self._damp(state + dt * k1)
         k2 = self.nonstiff(pred, node + 1)
-        new = _axpy(self._damp(_axpy(state, 0.5 * dt, k1)), 0.5 * dt, k2)
+        new = self._damp(state + 0.5 * dt * k1) + 0.5 * dt * k2
         return _hygiene(new)
-
-
-def _axpy(state: ReformState, a: float, delta: ReformState) -> ReformState:
-    return ReformState(state.rho + a * delta.rho, state.d + a * delta.d,
-                       state.omega + a * delta.omega, state.E + a * delta.E)
 
 
 def _hygiene(state: ReformState) -> ReformState:
     om = 0.5 * (state.omega - SpectralField(state.omega.grid,
                                             np.swapaxes(state.omega.coeff, 0, 1)))
-    return ReformState(state.rho.project_mean_zero(), state.d.project_mean_zero(),
-                       om.project_mean_zero(), state.E.project_mean_zero())
+    return replace(state, omega=om).project_mean_zero()
 
 
 def direct_rhs(config: RunConfig):
@@ -240,22 +238,13 @@ def _march(stepper: IFStepper, state: ReformState, n_steps: int,
 
 @dataclass
 class Trajectory:
-    """Primitive-variable snapshots at every accepted step (coeff arrays)."""
+    """Primitive-variable snapshots at every accepted step."""
     times: list = field(default_factory=list)
-    rho: list = field(default_factory=list)
-    u: list = field(default_factory=list)
-    E: list = field(default_factory=list)
+    states: list = field(default_factory=list)
 
     def record(self, t, rho: SpectralField, u: SpectralField, E: SpectralField):
         self.times.append(t)
-        self.rho.append(rho.coeff.copy())
-        self.u.append(u.coeff.copy())
-        self.E.append(E.coeff.copy())
-
-    def state_at(self, grid: Grid, idx: int) -> PrimitiveState:
-        return PrimitiveState(SpectralField(grid, self.rho[idx]),
-                              SpectralField(grid, self.u[idx]),
-                              SpectralField(grid, self.E[idx]))
+        self.states.append(PrimitiveState(rho, u, E).copy())
 
 
 # ----------------------------------------------------------------------
@@ -310,15 +299,14 @@ class _SweepRHS:
     trajectory (none on the first sweep), sampled at the stage nodes.
     """
 
-    def __init__(self, params: ModelParams, grid: Grid, prev: Trajectory | None):
+    def __init__(self, params: ModelParams, prev: Trajectory | None):
         self.params = params
-        self.grid = grid
         self.prev = prev
         self._cache: dict[int, tuple] = {}
 
     def _frozen(self, idx: int):
         if idx not in self._cache:
-            prim = self.prev.state_at(self.grid, idx)
+            prim = self.prev.states[idx]
             self._cache[idx] = (prim.u, assemble_sources(prim, self.params))
             for old in [k for k in self._cache if k < idx - 1]:
                 del self._cache[old]
@@ -326,28 +314,23 @@ class _SweepRHS:
 
     def __call__(self, state: ReformState, node: int) -> ReformState:
         a = self.params.coupling
-        rho_dot = -fractional_power(state.d, 1.0)
-        d_dot = (1.0 + a) * fractional_power(state.rho, 1.0)
-        om_dot = a * fractional_power(transpose_gap(state.E), 1.0)
-        E_dot = jacobian(state.velocity())
-        if self.prev is not None:
-            u_frozen, src = self._frozen(node)
-            u_phys = src.velocity
-            rho_dot = rho_dot - convect(u_frozen, state.rho, u_phys) + src.mass
-            d_dot = d_dot - convect(u_frozen, state.d, u_phys) + src.compressible
-            om_dot = om_dot - convect(u_frozen, state.omega, u_phys) + src.rotational
-            E_dot = E_dot - convect(u_frozen, state.E, u_phys) + src.stretch
-        return ReformState(rho_dot, d_dot, om_dot, E_dot)
+        rhs = ReformState(-fractional_power(state.d, 1.0),
+                          (1.0 + a) * fractional_power(state.rho, 1.0),
+                          a * fractional_power(transpose_gap(state.E), 1.0),
+                          jacobian(state.velocity()))
+        if self.prev is None:
+            return rhs
+        u_frozen, src = self._frozen(node)
+        forcing = ReformState(src.mass, src.compressible, src.rotational, src.stretch)
+        return rhs - state.map(lambda f: convect(u_frozen, f, src.velocity)) + forcing
 
 
-def _difference_bnorm(a: Trajectory, b: Trajectory, grid: Grid,
-                      fam: DyadicFamily) -> float:
+def _difference_bnorm(a: Trajectory, b: Trajectory, fam: DyadicFamily) -> float:
     """Global-bound norm of the trajectory difference (same time nodes)."""
     norms = NormSeries(fam)
-    for i, t in enumerate(a.times):
-        norms.record(t, SpectralField(grid, a.rho[i] - b.rho[i]),
-                     SpectralField(grid, a.u[i] - b.u[i]),
-                     SpectralField(grid, a.E[i] - b.E[i]))
+    for t, x, y in zip(a.times, a.states, b.states, strict=True):
+        diff = x - y
+        norms.record(t, diff.rho, diff.u, diff.E)
     return norms.bnorm()
 
 
@@ -371,7 +354,8 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
 
     Sweep 0 is the zero trajectory; sweep n+1 solves the linear system with
     velocity and sources frozen at sweep n and data mollified to |q| <= n
-    (or full data when ``init_mollified`` is off).  Divergence beyond
+    (or full data when ``init_mollified`` is off).  Sweep 1 has no frozen
+    terms, and its difference from sweep 0 is its own norm.  Divergence beyond
     DIVERGENCE_FACTOR times the data norm aborts: the smallness hypothesis
     is violated.  A StabilityError names the sweep.
     """
@@ -379,26 +363,17 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
     fam = fam or DyadicFamily(grid)
     init_norm = initial_bnorm(prim0, fam)
     limit = DIVERGENCE_FACTOR * max(init_norm, 1e-300)
-    n_nodes = config.n_steps + 1
 
-    prev = Trajectory()
-    zr = SpectralField.zeros(grid, "scalar")
-    zu = SpectralField.zeros(grid, "vector")
-    zE = SpectralField.zeros(grid, "matrix")
-    for k in range(n_nodes):
-        prev.record(k * config.dt, zr, zu, zE)
-
+    prev: Trajectory | None = None
     results: list[NormSeries] = []
     diffs: list[float] = []
     finals: list[PrimitiveState] = []
     for sweep in range(1, config.picard_iterations + 1):
         if config.init_mollified:
-            data = PrimitiveState(mollify(prim0.rho, sweep, fam),
-                                  mollify(prim0.u, sweep, fam),
-                                  mollify(prim0.E, sweep, fam))
+            data = prim0.map(lambda f: mollify(f, sweep, fam))
         else:
             data = prim0.copy()
-        rhs = _SweepRHS(config.params, grid, None if sweep == 1 else prev)
+        rhs = _SweepRHS(config.params, prev)
         norms = NormSeries(fam)
         traj = Trajectory()
         try:
@@ -411,8 +386,8 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
         except StabilityError as exc:
             raise StabilityError(f"sweep {sweep}: {exc}") from exc
         results.append(norms)
-        diffs.append(_difference_bnorm(traj, prev, grid, fam))
-        finals.append(traj.state_at(grid, n_nodes - 1))
+        diffs.append(norms.bnorm() if prev is None else _difference_bnorm(traj, prev, fam))
+        finals.append(traj.states[-1])
         prev = traj
 
     ratios = [diffs[i + 1] / diffs[i] if diffs[i] > 0 else 0.0

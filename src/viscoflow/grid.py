@@ -40,7 +40,7 @@ class Grid:
             raise InputError(f"dim must be 2 or 3, got {dim}")
         if n < 8 or (n & (n - 1)) != 0:
             raise InputError(f"n must be a power of two >= 8, got {n}")
-        if length < 1.0:
+        if not (length >= 1.0):  # NaN-safe
             raise InputError(f"length must be >= 1, got {length}")
         if not 0.0 < dealias_frac <= 1.0:
             raise InputError(f"dealias_frac must lie in (0, 1], got {dealias_frac}")

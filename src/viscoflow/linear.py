@@ -19,11 +19,11 @@ make sense with compatible sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import DyadicFamily, besov_norm
+from .dyadic import SHELL_HI, SHELL_LO, DyadicFamily, besov_norm, psi
 from .errors import DiagnosticError, InputError, InvariantViolation
 from .grid import Grid, SpectralField
 from .model import HelmholtzState, SourceTerms
@@ -96,44 +96,21 @@ def linear_rhs(state: HelmholtzState, visc,
     """
     if d_mode not in ("rho", "potential"):
         raise InputError(f"d_mode must be 'rho' or 'potential', got {d_mode}")
-    nu, mu = visc.nu, visc.mu
-    u_phys = u.to_physical() if u is not None else None
-
-    def conv(f):
-        if u is None:
-            return None
-        return convect(u, f, u_phys)
-
     lam_d = fractional_power(state.d, 1.0)
-    rho_dot = -1.0 * lam_d
-    if d_mode == "rho":
-        d_dot = nu * laplacian(state.d) + 2.0 * fractional_power(state.rho, 1.0)
-    else:
-        d_dot = nu * laplacian(state.d) + 2.0 * fractional_power(state.potential, 1.0)
-    om_dot = (mu * laplacian(state.omega)
-              + fractional_power(state.skew, 1.0))
-    skew_dot = -1.0 * fractional_power(state.omega, 1.0)
-    pot_dot = -2.0 * lam_d
-
+    drive = state.rho if d_mode == "rho" else state.potential
+    rhs = HelmholtzState(-1.0 * lam_d,
+                         visc.nu * laplacian(state.d) + 2.0 * fractional_power(drive, 1.0),
+                         visc.mu * laplacian(state.omega) + fractional_power(state.skew, 1.0),
+                         -1.0 * fractional_power(state.omega, 1.0),
+                         -2.0 * lam_d)
     if u is not None:
-        rho_dot = rho_dot - conv(state.rho)
-        d_dot = d_dot - conv(state.d)
-        om_dot = om_dot - conv(state.omega)
-        skew_dot = skew_dot - conv(state.skew)
-        pot_dot = pot_dot - conv(state.potential)
+        u_phys = u.to_physical()
+        rhs = rhs - state.map(lambda f: convect(u, f, u_phys))
     if sources is not None:
-        rho_dot = rho_dot + sources.mass
-        d_dot = d_dot + (sources.compressible if d_mode == "rho"
-                         else sources.compressible_alt)
-        om_dot = om_dot + sources.rotational
-        skew_dot = skew_dot + sources.skew
-        pot_dot = pot_dot + sources.potential
-
-    return HelmholtzState(rho_dot.project_mean_zero(),
-                          d_dot.project_mean_zero(),
-                          om_dot.project_mean_zero(),
-                          skew_dot.project_mean_zero(),
-                          pot_dot.project_mean_zero())
+        rhs = rhs + HelmholtzState(
+            sources.mass, sources.compressible if d_mode == "rho" else sources.compressible_alt,
+            sources.rotational, sources.skew, sources.potential)
+    return rhs.project_mean_zero()
 
 
 # ----------------------------------------------------------------------
@@ -348,17 +325,15 @@ def pair_state(grid: Grid, kvec, amplitude: float = 1.0):
 
 
 def _assemble_state(grid: Grid, pair: str, x: SpectralField, y: SpectralField) -> HelmholtzState:
-    zero_s = SpectralField.zeros(grid, "scalar")
-    zero_m = SpectralField.zeros(grid, "matrix")
+    state = HelmholtzState(*(SpectralField.zeros(grid, rank) for rank in
+                             ("scalar", "scalar", "matrix", "matrix", "scalar")))
     if pair == "rho_d":
-        return HelmholtzState(x, y, zero_m.copy(), zero_m.copy(), zero_s.copy())
+        return replace(state, rho=x, d=y)
     if pair == "potential_d":
-        return HelmholtzState(zero_s.copy(), y, zero_m.copy(), zero_m.copy(), x)
-    om = SpectralField.zeros(grid, "matrix")
-    sk = SpectralField.zeros(grid, "matrix")
-    om.coeff[0, 1], om.coeff[1, 0] = x.coeff, -x.coeff
-    sk.coeff[0, 1], sk.coeff[1, 0] = y.coeff, -y.coeff
-    return HelmholtzState(zero_s.copy(), zero_s.copy(), om, sk, zero_s.copy())
+        return replace(state, d=y, potential=x)
+    state.omega.coeff[0, 1], state.omega.coeff[1, 0] = x.coeff, -x.coeff
+    state.skew.coeff[0, 1], state.skew.coeff[1, 0] = y.coeff, -y.coeff
+    return state
 
 
 def run_pair_decay(grid: Grid, pair: str, kvec, visc,
@@ -368,19 +343,23 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
 
     The trajectory is sampled from the exact propagator; the fitted rate of
     the block energy at the seeded frequency is compared with the oracle.
-    A zero wavevector (the mean) or one at or past Nyquist is rejected.
+    A zero wavevector (the mean) or one at or past Nyquist is rejected, and
+    so is a frequency outside the block q = round(log2 |xi|) that is fitted.
     """
     xi = float(np.sqrt(sum((k / grid.length) ** 2 for k in kvec)))
     if not any(kvec) or any(2 * abs(k) >= grid.n for k in kvec):
         raise InputError(f"|xi| = {xi:g} (wavevector {tuple(kvec)}) is not "
                          f"representable on n = {grid.n}: need k nonzero and "
                          f"every |k_i| < n/2")
+    q_seed = int(np.round(np.log2(xi)))
+    if not psi(xi * 2.0 ** -q_seed) > 0.0:
+        raise InputError(f"|xi| = {xi:g} lies outside block q = {q_seed}, which covers "
+                         f"[{SHELL_LO * 2.0 ** q_seed:.3g}, {SHELL_HI * 2.0 ** q_seed:.3g}]")
     consts = consts or EnergyConstants(visc.nu, visc.mu)
     fam = DyadicFamily(grid)
     oracle = oracle_decay_rate(pair, xi, visc.nu, visc.mu)
     t_final = horizon_efolds / oracle
     x0, y0 = pair_state(grid, kvec)
-    q_seed = int(np.round(np.log2(xi)))
     times = np.linspace(0.0, t_final, n_samples)
     series = np.empty(n_samples)
     for i, t in enumerate(times):
@@ -421,6 +400,4 @@ class VelocityWeight:
         return self.V
 
     def apply(self, state: HelmholtzState) -> HelmholtzState:
-        w = math.exp(-self.K * self.V)
-        return HelmholtzState(*(SpectralField(f.grid, f.coeff * w) for f in
-                                (state.rho, state.d, state.omega, state.skew, state.potential)))
+        return state * math.exp(-self.K * self.V)

@@ -30,7 +30,8 @@ that equals dealiasing each product alone.  Scalar transforms per call:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,8 +74,8 @@ class PressureLaw:
 
     @classmethod
     def power(cls, gamma_gas: float) -> "PressureLaw":
-        if gamma_gas <= 0.0:
-            raise InputError("gas exponent must be positive")
+        if not (gamma_gas > 0.0):  # NaN-safe
+            raise InputError(f"gas exponent must be positive, got {gamma_gas}")
         return cls(f"power({gamma_gas})",
                    lambda x, g=gamma_gas: x ** g,
                    lambda x, g=gamma_gas: g * x ** (g - 1.0))
@@ -107,22 +108,53 @@ class ModelParams:
 
 
 # ----------------------------------------------------------------------
-# states
+# states: one field-tuple type, three views of the same unknowns
 # ----------------------------------------------------------------------
+# PrimitiveState (rho, u, E), ReformState (rho, d, Omega, E) and
+# HelmholtzState (rho, d, Omega, E^T - E, potential) only declare their
+# fields; FieldTuple supplies +, -, scalar *, copy and project_mean_zero.
+
+class FieldTuple:
+    """Base of the state dataclasses, whose fields are all ``SpectralField``s.
+
+    The arithmetic acts field by field and returns the same subclass, so a
+    state update reads ``state + a * delta``.
+    """
+
+    def map(self, fn, *others) -> "FieldTuple":
+        """Same type; each field is ``fn`` of this state's field and the
+        matching fields of ``others``."""
+        columns = [[getattr(s, f.name) for f in fields(self)] for s in (self,) + others]
+        return type(self)(*(fn(*fs) for fs in zip(*columns, strict=True)))
+
+    def __add__(self, other):
+        return self.map(operator.add, other)
+
+    def __sub__(self, other):
+        return self.map(operator.sub, other)
+
+    def __mul__(self, scalar):
+        return self.map(lambda f: f * scalar)
+
+    __rmul__ = __mul__
+
+    def copy(self):
+        return self.map(SpectralField.copy)
+
+    def project_mean_zero(self):
+        return self.map(SpectralField.project_mean_zero)
+
 
 @dataclass
-class PrimitiveState:
+class PrimitiveState(FieldTuple):
     """Perturbation variables (density - 1, velocity, deformation - I)."""
     rho: SpectralField
     u: SpectralField
     E: SpectralField
 
-    def copy(self):
-        return PrimitiveState(self.rho.copy(), self.u.copy(), self.E.copy())
-
 
 @dataclass
-class HelmholtzState:
+class HelmholtzState(FieldTuple):
     """Split variables: rho, compressible d, rotational Omega, the
     antisymmetric record E^T - E, and the symmetric-part scalar."""
     rho: SpectralField
@@ -298,13 +330,11 @@ def primitive_rhs(prim: PrimitiveState, params: ModelParams) -> PrimitiveState:
     u_dot = (lame_operator(prim.u, params.visc) - gradient(prim.rho)
              + a * divergence(prim.E) - _common_vector(ph, params))
     E_dot = jacobian(prim.u) + _deformation_flux(ph)
-    return PrimitiveState(rho_dot.project_mean_zero(),
-                          u_dot.project_mean_zero(),
-                          E_dot.project_mean_zero())
+    return PrimitiveState(rho_dot, u_dot, E_dot).project_mean_zero()
 
 
 @dataclass
-class ReformState:
+class ReformState(FieldTuple):
     """State advanced by the split path: (rho, d, Omega, E).
 
     The antisymmetric record and the symmetric scalar are derived fields;
@@ -361,8 +391,7 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
 
     E_dot = jacobian(u) + _deformation_flux(ph)
 
-    return ReformState(rho_dot.project_mean_zero(), d_dot.project_mean_zero(),
-                       om_dot.project_mean_zero(), E_dot.project_mean_zero())
+    return ReformState(rho_dot, d_dot, om_dot, E_dot).project_mean_zero()
 
 
 def _inv_div(v: SpectralField) -> SpectralField:
@@ -406,14 +435,14 @@ def assemble_sources(prim: PrimitiveState, params: ModelParams) -> SourceTerms:
     # symmetric_scalar keeps only the symmetric part of its argument
     flux = dealias_physical(g, stretch_vals - ph.transport(ph.grad_E))
 
-    fields = [-dealias_physical(g, ph.rho * np.trace(ph.grad_u)),
-              conv_d - _inv_div(G + a * div_rho_E),
-              _antisymmetric(g, moved[1:-1]) - _inv_curl(G),
-              transpose_gap(stretch),
-              SpectralField(g, moved[-1]) + symmetric_scalar(flux),
-              conv_d - _inv_div(G - div_rho_E),
-              stretch]
-    return SourceTerms(*(f.project_mean_zero() for f in fields), velocity=ph.u)
+    terms = [-dealias_physical(g, ph.rho * np.trace(ph.grad_u)),
+             conv_d - _inv_div(G + a * div_rho_E),
+             _antisymmetric(g, moved[1:-1]) - _inv_curl(G),
+             transpose_gap(stretch),
+             SpectralField(g, moved[-1]) + symmetric_scalar(flux),
+             conv_d - _inv_div(G - div_rho_E),
+             stretch]
+    return SourceTerms(*(f.project_mean_zero() for f in terms), velocity=ph.u)
 
 
 def compatibility_residual(prim: PrimitiveState, params: ModelParams,
@@ -453,26 +482,14 @@ def dual_path_gap(prim: PrimitiveState, params: ModelParams,
     Returns absolute gaps and the relative gap against the primitive-path
     derivative magnitudes.  Small only on constraint-satisfying data.
     """
-    pdot = primitive_rhs(prim, params)
-    d_dot_a, om_dot_a = helmholtz_split(pdot.u.project_mean_zero())
-    skew_dot_a = transpose_gap(pdot.E)
-    pot_dot_a = symmetric_scalar(pdot.E)
-
-    ref = ReformState.from_primitive(prim)
-    rdot = reformulated_rhs(ref, params, include_rotation_correction)
-    skew_dot_b = transpose_gap(rdot.E)
-    pot_dot_b = symmetric_scalar(rdot.E)
-
-    gaps = {
-        "rho": (pdot.rho - rdot.rho).l2(),
-        "d": (d_dot_a - rdot.d).l2(),
-        "omega": (om_dot_a - rdot.omega).l2(),
-        "skew": (skew_dot_a - skew_dot_b).l2(),
-        "potential": (pot_dot_a - pot_dot_b).l2(),
-    }
-    scale = np.sqrt(pdot.rho.l2() ** 2 + d_dot_a.l2() ** 2 + om_dot_a.l2() ** 2
-                    + skew_dot_a.l2() ** 2 + pot_dot_a.l2() ** 2)
-    gaps["relative"] = float(np.sqrt(sum(v * v for v in
-                                         (gaps["rho"], gaps["d"], gaps["omega"],
-                                          gaps["skew"], gaps["potential"]))) / max(scale, 1e-300))
+    dot_a = split_state(primitive_rhs(prim, params))
+    rdot = reformulated_rhs(ReformState.from_primitive(prim), params,
+                            include_rotation_correction)
+    dot_b = HelmholtzState(rdot.rho, rdot.d, rdot.omega,
+                           transpose_gap(rdot.E), symmetric_scalar(rdot.E))
+    gap = dot_a - dot_b
+    gaps = {f.name: getattr(gap, f.name).l2() for f in fields(gap)}
+    scale = np.sqrt(sum(getattr(dot_a, f.name).l2() ** 2 for f in fields(dot_a)))
+    gaps["relative"] = float(np.sqrt(sum(v * v for v in gaps.values()))
+                             / max(scale, 1e-300))
     return gaps

@@ -148,7 +148,7 @@ class Viscosity:
     dim: int
 
     def __post_init__(self):
-        if self.mu <= 0.0 or 2.0 * self.mu + self.dim * self.lam <= 0.0:
+        if not (self.mu > 0.0 and 2.0 * self.mu + self.dim * self.lam > 0.0):  # NaN-safe
             raise ConfigurationError(
                 f"need mu > 0 and 2*mu + N*lambda > 0, got mu={self.mu}, lambda={self.lam}")
 
@@ -170,7 +170,7 @@ class SplitViscosity:
     mu: float
 
     def __post_init__(self):
-        if self.nu <= 0.0 or self.mu <= 0.0:
+        if not (self.nu > 0.0 and self.mu > 0.0):  # NaN-safe
             raise ConfigurationError("both damping coefficients must be positive")
 
 
@@ -184,14 +184,19 @@ def lame_operator(u: SpectralField, visc: Viscosity) -> SpectralField:
     return SpectralField(g, out)
 
 
-def double_divergence(E: SpectralField) -> SpectralField:
-    """|grad|^{-1} div div E, a scalar first-order reduction of a matrix."""
-    g = E.grid
-    acc = np.zeros(E.coeff.shape[2:], dtype=np.complex128)
+def _contract_dd(g: Grid, c: np.ndarray) -> np.ndarray:
+    """sum_ij c_ij (i xi_i)(i xi_j): the symbol of d_i d_j contracted with
+    matrix coefficients c."""
+    acc = np.zeros(c.shape[2:], dtype=np.complex128)
     for i in range(g.dim):
         for j in range(g.dim):
-            acc += E.coeff[i, j] * _deriv_mult(g, i) * _deriv_mult(g, j)
-    return SpectralField(g, acc * g.inv_xi)
+            acc += c[i, j] * _deriv_mult(g, i) * _deriv_mult(g, j)
+    return acc
+
+
+def double_divergence(E: SpectralField) -> SpectralField:
+    """|grad|^{-1} div div E, a scalar first-order reduction of a matrix."""
+    return SpectralField(E.grid, _contract_dd(E.grid, E.coeff) * E.grid.inv_xi)
 
 
 def curl_divergence(E: SpectralField) -> SpectralField:
@@ -215,10 +220,7 @@ def symmetric_scalar(E: SpectralField) -> SpectralField:
     scalar controls the full matrix in every block norm.
     """
     g = E.grid
-    acc = np.zeros(E.coeff.shape[2:], dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            acc += (E.coeff[i, j] + E.coeff[j, i]) * _deriv_mult(g, i) * _deriv_mult(g, j)
+    acc = _contract_dd(g, E.coeff + np.swapaxes(E.coeff, 0, 1))
     return SpectralField(g, acc * g.inv_xi ** 2)
 
 

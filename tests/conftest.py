@@ -3,6 +3,16 @@ import pytest
 
 from viscoflow import Grid
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same few examples on every run, no example database on disk
+    settings.register_profile("viscoflow", derandomize=True, deadline=None,
+                              max_examples=15, database=None)
+    settings.load_profile("viscoflow")
+
 
 @pytest.fixture
 def rng():

@@ -174,6 +174,16 @@ class TestCli:
         assert float(oracle) == pytest.approx(0.75)
         assert float(rel) < 0.02
 
+    def test_linear_defaults_run_on_the_default_grid(self, tmp_path):
+        # every default xi is representable on n = 64, L = 8 and lies in the
+        # block its fit reads
+        cfg = _write_config(tmp_path / "c.ini",
+                            "[grid]\nn = 64\nlength = 8\n\n[linear]\nsamples = 100\n")
+        out = tmp_path / "out"
+        assert main(["linear", "--config", cfg, "--strict", "--out", str(out)]) == 0
+        rows = (out / "decay.csv").read_text().strip().splitlines()[2:]
+        assert len(rows) == 9  # three pairs at xi = 0.5, 1, 2
+
     def test_constraints_mode(self, tmp_path):
         cfg = _write_config(
             tmp_path / "c.ini",
@@ -308,6 +318,15 @@ _MISUSE = [
      "t_final = 0.25\n", None, "[constraints] t_final = 0.25"),
     ("linear", "[grid]\nn = 64\nlength = 8\n[linear]\npairs = rho_d\nxi_values = 4\n",
      None, "[linear] |xi| = 4"),
+    # the fitted block q = round(log2 3) = 2 covers [3.33, 9.6]
+    ("linear", "[grid]\nn = 64\nlength = 8\n[linear]\npairs = rho_d\nxi_values = 3\n",
+     None, "[linear] |xi| = 3 lies outside block q = 2"),
+    # NaN fails every comparison, so each domain check is written to trip on it
+    ("scaling", "[grid]\nn = 16\nlength = nan\n", None, "length must be >= 1, got nan"),
+    ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nmu = nan\n", None, "mu=nan"),
+    ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\npressure = power\n"
+     "gamma_gas = nan\n", None, "gas exponent must be positive, got nan"),
+    ("scaling", "[run]\nseed = -1\n", None, "[run] seed = '-1'"),
 ]
 
 
@@ -324,6 +343,15 @@ class TestConfigMisuse:
         assert len(err) == 1 and names in err[0], err
         if sweep:
             assert not (tmp_path / "o").exists()
+
+    def test_thread_cap_must_be_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("VISCOFLOW_THREADS", "abc")
+        cfg = _write_config(tmp_path / "c.ini", "[grid]\nn = 16\nlength = 1\n")
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--sweep", "grid.length=1,2"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["input error: VISCOFLOW_THREADS = 'abc': expected an integer"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", _CORRUPTIONS + ["missing file"])
     def test_bad_snapshot_exits_1(self, tmp_path, capsys, case):

@@ -252,6 +252,15 @@ class TestPicard:
         assert all(ns.bnorm() == 0.0 for ns in res.iterate_norms)
         assert all(u == 0.0 for u in res.differences)
 
+    def test_first_difference_is_the_first_sweep_norm(self, rng):
+        # sweep 0 is the zero trajectory, so the first difference is sweep 1
+        # itself: the same samples, recorded in the same order
+        grid = Grid(2, 32, length=8.0)
+        prim = _small_state(grid, 1e-2, rng)
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=2)
+        res = picard_solve(prim, cfg)
+        assert res.differences[0] == res.iterate_norms[0].bnorm() > 0.0
+
     def test_linear_regime_rapid_settling(self, rng):
         # tiny data: quadratic sources are negligible, so successive sweeps
         # coincide as soon as the mollification window covers the data

@@ -39,6 +39,45 @@ def _admissible(grid, eps, u_amp=0.0, rng=None):
     return data.state
 
 
+class TestFieldTuple:
+    def _states(self, grid, rng):
+        prim = _random_state(grid, rng)
+        return [prim, ReformState.from_primitive(prim), split_state(prim)]
+
+    def test_map_keeps_the_type(self, grid2d, rng):
+        for state in self._states(grid2d, rng):
+            for out in (state.map(lambda f: f), state + state, state - state,
+                        2.0 * state, state * 2.0, state.copy(),
+                        state.project_mean_zero()):
+                assert type(out) is type(state)
+
+    def test_copy_is_independent(self, grid2d, rng):
+        for state in self._states(grid2d, rng):
+            twin = state.copy()
+            before = state.rho.coeff.copy()
+            twin.rho.coeff[:] = 7.0
+            assert np.array_equal(state.rho.coeff, before)
+
+    def test_axpy_matches_the_per_field_expression(self, grid2d, rng):
+        state, delta = (ReformState.from_primitive(_random_state(grid2d, rng))
+                        for _ in range(2))
+        a = 0.37
+        new = state + a * delta
+        old = ReformState(state.rho + a * delta.rho, state.d + a * delta.d,
+                          state.omega + a * delta.omega, state.E + a * delta.E)
+        for name in ("rho", "d", "omega", "E"):
+            assert (getattr(new, name).coeff == getattr(old, name).coeff).all()
+
+    def test_project_mean_zero_on_every_field(self, grid2d, rng):
+        prim = _random_state(grid2d, rng)
+        prim.rho.coeff[0, 0] = 1.0
+        prim.E.coeff[0, 0, 0, 0] = 1.0
+        out = prim.project_mean_zero()
+        for f in (out.rho, out.u, out.E):
+            assert np.all(f.mean_values() == 0.0)
+        assert prim.rho.coeff[0, 0] == 1.0
+
+
 class TestPressureLaw:
     def test_quadratic_constants(self):
         law = PressureLaw.quadratic()

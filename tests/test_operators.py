@@ -11,8 +11,8 @@ from viscoflow import (SpectralField, besov_norm, curl_divergence,
 from viscoflow.errors import ConfigurationError, InputError
 from viscoflow.dyadic import DyadicFamily
 from viscoflow.grid import cosine_mode
-from viscoflow.operators import (Viscosity, curl_matrix, divergence, gradient,
-                                 jacobian, transpose_gap)
+from viscoflow.operators import (SplitViscosity, Viscosity, curl_matrix, divergence,
+                                 gradient, jacobian, transpose_gap)
 
 
 class TestFractionalPower:
@@ -86,6 +86,14 @@ class TestLame:
         with pytest.raises(ConfigurationError):
             Viscosity(1.0, -1.5, 2)
         Viscosity(1.0, -0.9, 2)  # 2*1 - 1.8 > 0 is fine
+
+    @pytest.mark.parametrize("make", [
+        lambda v: Viscosity(v, 1.0, 2), lambda v: Viscosity(1.0, v, 2),
+        lambda v: SplitViscosity(v, 1.0), lambda v: SplitViscosity(1.0, v)])
+    def test_nan_rejected(self, make):
+        # NaN fails every comparison, so the checks are written to trip on it
+        with pytest.raises(ConfigurationError):
+            make(float("nan"))
 
     def test_longitudinal_eigenvalue(self, grid2d):
         # gradient single mode: A u = -(lambda+2 mu) |xi|^2 u
@@ -173,3 +181,19 @@ class TestReductions:
         rho = -1.0 * laplacian(phi)
         gap = double_divergence(E) - fractional_power(rho, 1.0)
         assert gap.l2() < 1e-14
+
+    @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
+    def test_shared_contraction_is_bit_identical(self, grid_name, request, rng):
+        # both reductions contract with one d_i d_j helper; the loop's
+        # multiplication order is kept, so they equal the per-reduction loops
+        g = request.getfixturevalue(grid_name)
+        E = random_field(g, "matrix", rng, mean_zero=False)
+        dd = np.zeros(E.coeff.shape[2:], dtype=np.complex128)
+        ss = np.zeros(E.coeff.shape[2:], dtype=np.complex128)
+        for i in range(g.dim):
+            for j in range(g.dim):
+                di, dj = 1j * g.xi_axes[i], 1j * g.xi_axes[j]
+                dd += E.coeff[i, j] * di * dj
+                ss += (E.coeff[i, j] + E.coeff[j, i]) * di * dj
+        assert (double_divergence(E).coeff == dd * g.inv_xi).all()
+        assert (symmetric_scalar(E).coeff == ss * g.inv_xi ** 2).all()
