@@ -472,7 +472,7 @@ def main(argv=None) -> int:
         if cap == 1:
             return max(runner.run() for runner in runners)
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cap) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(cap, len(runners))) as pool:
             return max(pool.map(Runner.run, runners))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -21,7 +21,8 @@ from .errors import InputError, InvariantViolation
 from .evolve import step_count
 from .grid import Grid, SpectralField, dealias_physical
 from .model import PrimitiveState
-from .operators import _deriv_mult, convect, divergence, jacobian, matrix_product
+from .operators import (_deriv_mult, convect, divergence, gradient, jacobian,
+                        matrix_product)
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +158,7 @@ def _det(F: np.ndarray, dim: int) -> np.ndarray:
 def div_residual(rho_hat: SpectralField, F: SpectralField) -> float:
     """L2 norm of div(rho F^T), componentwise d_j(rho F_{ji})."""
     g = F.grid
-    prod = rho_hat.to_physical() * F.to_physical()
-    prod_f = SpectralField.from_physical(g, prod).dealias()
+    prod_f = dealias_physical(g, rho_hat.to_physical() * F.to_physical())
     acc = 0.0
     for i in range(g.dim):
         comp = sum(prod_f.coeff[j, i] * _deriv_mult(g, j) for j in range(g.dim))
@@ -168,15 +168,10 @@ def div_residual(rho_hat: SpectralField, F: SpectralField) -> float:
 
 def _curl_mismatch_fields(F: SpectralField) -> np.ndarray:
     """Physical samples of T_{ijk} = F_{lk} d_l F_{ij} - F_{lj} d_l F_{ik}."""
-    g = F.grid
     F_phys = F.to_physical()
-    dF = np.empty((g.dim, g.dim, g.dim) + (g.n,) * g.dim)
-    for l in range(g.dim):
-        dF[l] = np.fft.ifftn(F.coeff * _deriv_mult(g, l),
-                             axes=tuple(range(2, 2 + g.dim))).real * g.n_points
-    T = (np.einsum("lk...,lij...->ijk...", F_phys, dF)
-         - np.einsum("lj...,lik...->ijk...", F_phys, dF))
-    return T
+    dF = gradient(F).to_physical()
+    return (np.einsum("lk...,lij...->ijk...", F_phys, dF)
+            - np.einsum("lj...,lik...->ijk...", F_phys, dF))
 
 
 def curl_residual(F: SpectralField) -> float:
@@ -266,8 +261,7 @@ def transport_rhs(rho_hat: SpectralField, F: SpectralField, u: SpectralField):
     """Continuity and deformation transport with a prescribed velocity."""
     u_phys = u.to_physical()
     rho_dot = -divergence(dealias_physical(rho_hat.grid, rho_hat.to_physical() * u_phys))
-    jac = jacobian(u)
-    F_dot = -convect(u, F, u_phys) + matrix_product(jac, F)
+    F_dot = -convect(u_phys, F)[0] + matrix_product(jacobian(u), F)
     return rho_dot, F_dot
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .grid import Grid, SpectralField, dealiased_product
+from .operators import convect, jacobian, matrix_product
 
 SHELL_LO = 5.0 / 6.0
 SHELL_HI = 12.0 / 5.0
@@ -238,9 +239,7 @@ def measure_convection_constant(u: SpectralField, f: SpectralField,
     grid = u.grid
     _check_index_range(grid.dim, s1, s2)
     fam = fam or DyadicFamily(grid)
-    from .operators import convect  # local import to avoid a cycle
-
-    w = convect(u, f)
+    w = convect(u.to_physical(), f)[0]
     g_mult = symbol(grid)
     nu_norm = besov_norm(u, 1.0 + grid.dim / 2.0, fam)
     nf_norm = hybrid_norm(f, s1, s2, fam)
@@ -267,8 +266,6 @@ def measure_product_constant(u: SpectralField, E: SpectralField,
     grid = u.grid
     _check_index_range(grid.dim, s1, s2)
     fam = fam or DyadicFamily(grid)
-    from .operators import jacobian, matrix_product
-
     if E.l2() == 0.0 or u.l2() == 0.0:
         return 0.0
     prod = matrix_product(jacobian(u), E)

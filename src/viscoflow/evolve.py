@@ -33,10 +33,9 @@ from .dyadic import (BesovIndex, DyadicFamily, besov_norm, hybrid_norm,
                      weighted_block_sum)
 from .errors import InputError, StabilityError
 from .grid import Grid, SpectralField
-from .model import (ModelParams, PrimitiveState, ReformState,
+from .model import (ModelParams, PrimitiveState, ReformState, SourceTerms,
                     assemble_sources, reformulated_rhs)
-from .operators import (convect, fractional_power, jacobian, laplacian,
-                        transpose_gap)
+from .operators import convect, fractional_power, jacobian, laplacian, transpose_gap
 
 CFL_LIMIT = 0.5
 CFL_CHECK_EVERY = 10      # steps between CFL checks, the first at step 0
@@ -302,12 +301,11 @@ class _SweepRHS:
     def __init__(self, params: ModelParams, prev: Trajectory | None):
         self.params = params
         self.prev = prev
-        self._cache: dict[int, tuple] = {}
+        self._cache: dict[int, SourceTerms] = {}
 
-    def _frozen(self, idx: int):
+    def _sources(self, idx: int) -> SourceTerms:
         if idx not in self._cache:
-            prim = self.prev.states[idx]
-            self._cache[idx] = (prim.u, assemble_sources(prim, self.params))
+            self._cache[idx] = assemble_sources(self.prev.states[idx], self.params)
             for old in [k for k in self._cache if k < idx - 1]:
                 del self._cache[old]
         return self._cache[idx]
@@ -320,9 +318,9 @@ class _SweepRHS:
                           jacobian(state.velocity()))
         if self.prev is None:
             return rhs
-        u_frozen, src = self._frozen(node)
+        src = self._sources(node)
         forcing = ReformState(src.mass, src.compressible, src.rotational, src.stretch)
-        return rhs - state.map(lambda f: convect(u_frozen, f, src.velocity)) + forcing
+        return rhs - ReformState(*convect(src.velocity, *state)) + forcing
 
 
 def _difference_bnorm(a: Trajectory, b: Trajectory, fam: DyadicFamily) -> float:

@@ -29,7 +29,7 @@ class Grid:
         Points per axis; a power of two, at least 8.
     length : float
         Domain scale L; the domain is [0, 2*pi*L)^dim and physical
-        frequencies are k/L.  Must be >= 1.
+        frequencies are k/L.  Must be finite and >= 1.
     dealias_frac : float
         Fraction of the spectrum kept when dealiasing products (default 2/3).
     """
@@ -40,8 +40,8 @@ class Grid:
             raise InputError(f"dim must be 2 or 3, got {dim}")
         if n < 8 or (n & (n - 1)) != 0:
             raise InputError(f"n must be a power of two >= 8, got {n}")
-        if not (length >= 1.0):  # NaN-safe
-            raise InputError(f"length must be >= 1, got {length}")
+        if not (1.0 <= length < np.inf):  # NaN-safe
+            raise InputError(f"length must be >= 1, got {length} (finite values only)")
         if not 0.0 < dealias_frac <= 1.0:
             raise InputError(f"dealias_frac must lie in (0, 1], got {dealias_frac}")
         self.dim = dim

@@ -104,8 +104,7 @@ def linear_rhs(state: HelmholtzState, visc,
                          -1.0 * fractional_power(state.omega, 1.0),
                          -2.0 * lam_d)
     if u is not None:
-        u_phys = u.to_physical()
-        rhs = rhs - state.map(lambda f: convect(u, f, u_phys))
+        rhs = rhs - HelmholtzState(*convect(u.to_physical(), *state))
     if sources is not None:
         rhs = rhs + HelmholtzState(
             sources.mass, sources.compressible if d_mode == "rho" else sources.compressible_alt,

@@ -20,12 +20,14 @@ Every right-hand side evaluates its state in physical space once
 (``PhysicalBundle``: rho, grad rho, u, grad u, A u, E and grad E, one
 batched inverse transform per family).  Products that share a destination
 are summed there and cost one dealiased forward transform; by linearity
-that equals dealiasing each product alone.  Scalar transforms per call:
+that equals dealiasing each product alone; ``operators.convect`` batches
+the u.grad f of whole fields.  Scalar transforms per call:
 
     call                 2-D   3-D
     reformulated_rhs      36    86
     primitive_rhs         30    68
     assemble_sources      47   106
+    evolve._SweepRHS      21    56   (frozen sources cached)
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InputError, StabilityError
+from .errors import ConfigurationError, InputError, StabilityError
 from .grid import Grid, SpectralField, dealias_physical, dealiased_product
-from .operators import (Viscosity, curl_matrix, divergence, double_divergence,
-                        fractional_power, gradient, helmholtz_reconstruct,
-                        helmholtz_split, jacobian, lame_operator, laplacian,
-                        symmetric_scalar, transpose_gap, _deriv_mult)
+from .operators import (Viscosity, antisymmetric, convect, curl_matrix, divergence,
+                        double_divergence, fractional_power, gradient,
+                        helmholtz_reconstruct, helmholtz_split, jacobian,
+                        lame_operator, laplacian, symmetric_scalar, transport,
+                        transpose_gap, _deriv_mult, _pairs)
 
 RHO_SUP_LIMIT = 0.5  # composition terms need the density perturbation below this
 
@@ -93,6 +96,10 @@ class ModelParams:
     alpha: float = 1.0
     pressure: PressureLaw = field(default_factory=PressureLaw.quadratic)
 
+    def __post_init__(self):
+        if not np.isfinite(self.alpha):
+            raise ConfigurationError(f"alpha must be finite, got {self.alpha}")
+
     @property
     def coupling(self) -> float:
         """Elastic coupling a = alpha / P'(1)."""
@@ -121,11 +128,13 @@ class FieldTuple:
     state update reads ``state + a * delta``.
     """
 
+    def __iter__(self):
+        return (getattr(self, f.name) for f in fields(self))
+
     def map(self, fn, *others) -> "FieldTuple":
         """Same type; each field is ``fn`` of this state's field and the
         matching fields of ``others``."""
-        columns = [[getattr(s, f.name) for f in fields(self)] for s in (self,) + others]
-        return type(self)(*(fn(*fs) for fs in zip(*columns, strict=True)))
+        return type(self)(*(fn(*fs) for fs in zip(self, *others, strict=True)))
 
     def __add__(self, other):
         return self.map(operator.add, other)
@@ -257,26 +266,9 @@ class PhysicalBundle:
                 f"density perturbation sup {sup:.3g} > {RHO_SUP_LIMIT}; left the small-data regime")
         return cls(prim.rho.grid, **samples)
 
-    def transport(self, grad_f: np.ndarray) -> np.ndarray:
-        """Samples of u . grad f, given grad_f[l] = d_l f for f of any rank."""
-        return sum(self.u[l] * grad_f[l] for l in range(self.grid.dim))
-
     def stretch(self) -> np.ndarray:
         """Samples of (grad u) E."""
         return np.einsum("ik...,kj...->ij...", self.grad_u, self.E)
-
-
-def _pairs(dim: int):
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
-def _antisymmetric(grid: Grid, upper: np.ndarray) -> SpectralField:
-    """Antisymmetric matrix from its i < j coefficients, in ``_pairs`` order."""
-    out = np.zeros((grid.dim, grid.dim) + upper.shape[1:], dtype=np.complex128)
-    for p, (i, j) in enumerate(_pairs(grid.dim)):
-        out[i, j] = upper[p]
-        out[j, i] = -upper[p]
-    return SpectralField(grid, out)
 
 
 def rotation_correction(ph: PhysicalBundle) -> SpectralField:
@@ -295,12 +287,12 @@ def rotation_correction(ph: PhysicalBundle) -> SpectralField:
                   for i, j in _pairs(g.dim)])
     Ch = dealias_physical(g, C).coeff
     upper = sum(Ch[:, k] * _deriv_mult(g, k) for k in range(g.dim)) * g.inv_xi
-    return _antisymmetric(g, upper)
+    return antisymmetric(g, upper)
 
 
 def _common_vector(ph: PhysicalBundle, params: ModelParams) -> SpectralField:
     """u.grad u + K(rho) grad rho + (rho/(1+rho)) A u - a E_{jk} d_j E_{ik}."""
-    vals = (ph.transport(ph.grad_u.swapaxes(0, 1))
+    vals = (transport(ph.u, ph.grad_u.swapaxes(0, 1))
             + params.pressure.deviation(ph.rho) * ph.grad_rho
             + ph.rho / (1.0 + ph.rho) * ph.lame
             - params.coupling * np.einsum("jk...,jik...->i...", ph.E, ph.grad_E))
@@ -310,12 +302,12 @@ def _common_vector(ph: PhysicalBundle, params: ModelParams) -> SpectralField:
 def _mass_flux(ph: PhysicalBundle) -> SpectralField:
     """rho div u + u.grad rho."""
     return dealias_physical(ph.grid, ph.rho * np.trace(ph.grad_u)
-                            + ph.transport(ph.grad_rho))
+                            + transport(ph.u, ph.grad_rho))
 
 
 def _deformation_flux(ph: PhysicalBundle) -> SpectralField:
     """(grad u) E - u.grad E."""
-    return dealias_physical(ph.grid, ph.stretch() - ph.transport(ph.grad_E))
+    return dealias_physical(ph.grid, ph.stretch() - transport(ph.u, ph.grad_E))
 
 
 # ----------------------------------------------------------------------
@@ -421,25 +413,20 @@ def assemble_sources(prim: PrimitiveState, params: ModelParams) -> SourceTerms:
     d, om = helmholtz_split(prim.u)
     pot = symmetric_scalar(prim.E)
 
-    # u.grad of d, of Omega_{ij} for i < j and of the potential, batched
-    scalars = np.stack([d.coeff] + [om.coeff[i, j] for i, j in _pairs(g.dim)]
-                       + [pot.coeff])
-    grads = gradient(SpectralField(g, scalars)).to_physical()
-    moved = dealias_physical(g, ph.transport(grads)).coeff
-    conv_d = SpectralField(g, moved[0])
+    conv_d, conv_om, conv_pot = convect(ph.u, d, om, pot)
 
     G = _common_vector(ph, params)
     div_rho_E = divergence(dealias_physical(g, ph.rho * ph.E))
     stretch_vals = ph.stretch()
     stretch = dealias_physical(g, stretch_vals)
     # symmetric_scalar keeps only the symmetric part of its argument
-    flux = dealias_physical(g, stretch_vals - ph.transport(ph.grad_E))
+    flux = dealias_physical(g, stretch_vals - transport(ph.u, ph.grad_E))
 
     terms = [-dealias_physical(g, ph.rho * np.trace(ph.grad_u)),
              conv_d - _inv_div(G + a * div_rho_E),
-             _antisymmetric(g, moved[1:-1]) - _inv_curl(G),
+             conv_om - _inv_curl(G),
              transpose_gap(stretch),
-             SpectralField(g, moved[-1]) + symmetric_scalar(flux),
+             conv_pot + symmetric_scalar(flux),
              conv_d - _inv_div(G - div_rho_E),
              stretch]
     return SourceTerms(*(f.project_mean_zero() for f in terms), velocity=ph.u)

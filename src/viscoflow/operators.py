@@ -66,15 +66,27 @@ def divergence(f: SpectralField) -> SpectralField:
     raise InputError("divergence needs a vector or matrix field")
 
 
+def _pairs(dim: int):
+    """Index pairs i < j: the stored entries of an antisymmetric matrix."""
+    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+
+
+def antisymmetric(grid: Grid, upper) -> SpectralField:
+    """Antisymmetric matrix from its i < j coefficients, in ``_pairs`` order
+    (a stacked array or a list of arrays)."""
+    out = np.zeros((grid.dim, grid.dim) + upper[0].shape, dtype=np.complex128)
+    for p, (i, j) in enumerate(_pairs(grid.dim)):
+        out[i, j] = upper[p]
+        out[j, i] = -upper[p]
+    return SpectralField(grid, out)
+
+
 def curl_matrix(u: SpectralField) -> SpectralField:
     """Vector -> antisymmetric matrix C_{ij} = d_j u_i - d_i u_j."""
     g = u.grid
-    out = np.zeros((g.dim, g.dim) + u.coeff.shape[1:], dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if i != j:
-                out[i, j] = u.coeff[i] * _deriv_mult(g, j) - u.coeff[j] * _deriv_mult(g, i)
-    return SpectralField(g, out)
+    upper = [u.coeff[i] * _deriv_mult(g, j) - u.coeff[j] * _deriv_mult(g, i)
+             for i, j in _pairs(g.dim)]
+    return antisymmetric(g, upper)
 
 
 def curl_vector(om: SpectralField) -> SpectralField:
@@ -201,15 +213,7 @@ def double_divergence(E: SpectralField) -> SpectralField:
 
 def curl_divergence(E: SpectralField) -> SpectralField:
     """|grad|^{-1} curl div E, an antisymmetric matrix reduction."""
-    g = E.grid
-    div_e = divergence(E)
-    out = np.zeros_like(E.coeff)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if i != j:
-                out[i, j] = (div_e.coeff[i] * _deriv_mult(g, j)
-                             - div_e.coeff[j] * _deriv_mult(g, i)) * g.inv_xi
-    return SpectralField(g, out)
+    return curl_matrix(divergence(E)) * E.grid.inv_xi
 
 
 def symmetric_scalar(E: SpectralField) -> SpectralField:
@@ -233,17 +237,35 @@ def transpose_gap(E: SpectralField) -> SpectralField:
 # dealiased nonlinear contractions
 # ----------------------------------------------------------------------
 
-def convect(u: SpectralField, f: SpectralField,
-            u_phys: np.ndarray | None = None) -> SpectralField:
-    """Dealiased transport term u . grad f for f of any rank."""
-    g = u.grid
-    if u_phys is None:
-        u_phys = u.to_physical()
-    acc = None
-    for j in range(g.dim):
-        dj = SpectralField(g, f.coeff * _deriv_mult(g, j)).to_physical()
-        acc = u_phys[j] * dj if acc is None else acc + u_phys[j] * dj
-    return dealias_physical(g, acc)
+def transport(u_phys: np.ndarray, grad_phys) -> np.ndarray:
+    """Samples of u . grad f, given grad_phys[l] = d_l f for f of any rank
+    (a stacked array or a list of arrays)."""
+    return sum((u_phys[l] * grad_phys[l] for l in range(1, len(u_phys))),
+               u_phys[0] * grad_phys[0])
+
+
+def convect(u_phys: np.ndarray, *fields: SpectralField) -> list[SpectralField]:
+    """Dealiased u . grad f for each field, fields of any rank.
+
+    ``u_phys`` holds the velocity's physical samples.  All components are
+    stacked and take one inverse transform per derivative direction (which
+    keeps the temporaries small) and one dealiased forward transform.  An
+    exactly antisymmetric matrix moves only its i < j entries and is mirrored
+    back; negation is exact, so that equals moving every entry.  A nonzero
+    (0, 0) entry settles the test without negating the whole matrix.
+    """
+    g = fields[0].grid
+    skew = [f.rank == "matrix" and not f.coeff[0, 0].any()
+            and np.array_equal(f.coeff, -f.coeff.swapaxes(0, 1)) for f in fields]
+    comps = [[f.coeff[i, j] for i, j in _pairs(g.dim)] if s
+             else list(f.coeff.reshape((-1,) + f.coeff.shape[-g.dim:]))
+             for f, s in zip(fields, skew)]
+    stacked = SpectralField(g, np.stack([c for group in comps for c in group]))
+    grads = [derivative(stacked, l).to_physical() for l in range(g.dim)]
+    moved = dealias_physical(g, transport(u_phys, grads)).coeff
+    ends = np.cumsum([len(group) for group in comps])[:-1]
+    return [antisymmetric(g, m) if s else SpectralField(g, m.reshape(f.coeff.shape))
+            for f, s, m in zip(fields, skew, np.split(moved, ends))]
 
 
 def matrix_product(A: SpectralField, B: SpectralField) -> SpectralField:

@@ -230,6 +230,34 @@ class TestCli:
         assert (out / "grid_length=1.0" / "scaling.csv").exists()
         assert (out / "grid_length=8.0" / "scaling.csv").exists()
 
+    def test_sweep_pool_is_capped_at_the_job_count(self, tmp_path, monkeypatch):
+        import concurrent.futures
+        asked = []
+
+        class InProcessPool:
+            """Records the worker count and runs the jobs here; starts nothing."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("VISCOFLOW_THREADS", "64")
+        cfg = _write_config(tmp_path / "c.ini", "[grid]\nn = 16\nlength = 1\n")
+        out = tmp_path / "sweep"
+        assert main(["scaling", "--config", cfg, "--out", str(out),
+                     "--sweep", "grid.length=1,2"]) == 0
+        assert asked == [2]
+        assert (out / "grid_length=2" / "scaling.csv").exists()
+
 
 class TestCliErrorBoundary:
     """Every failure ends in one stderr line and a documented exit code."""
@@ -327,6 +355,9 @@ _MISUSE = [
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\npressure = power\n"
      "gamma_gas = nan\n", None, "gas exponent must be positive, got nan"),
     ("scaling", "[run]\nseed = -1\n", None, "[run] seed = '-1'"),
+    ("scaling", "[grid]\nn = 16\nlength = inf\n", None, "length must be >= 1, got inf"),
+    ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nalpha = nan\n", None,
+     "alpha must be finite, got nan"),
 ]
 
 
