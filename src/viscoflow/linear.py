@@ -14,10 +14,15 @@ decouples per Fourier mode into three independent 2x2 pairs:
 which makes every damping/smoothing claim quantitatively testable.  The
 pairs share d, so free runs exercise them in isolation; coupled runs only
 make sense with compatible sources.
+
+A free run seeded at one mode is therefore sampled in closed form: one 2x2
+propagator over all sample times, and the block energy as a quadratic form
+in four fixed states (see ``run_pair_decay``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from .dyadic import SHELL_HI, SHELL_LO, DyadicFamily, besov_norm, psi
 from .errors import DiagnosticError, InputError, InvariantViolation
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, cosine_mode
 from .model import HelmholtzState, SourceTerms
 from .operators import convect, fractional_power, laplacian
 
@@ -116,11 +121,29 @@ def linear_rhs(state: HelmholtzState, visc,
 # block energies
 # ----------------------------------------------------------------------
 
-def _block_pieces(state: HelmholtzState, fam: DyadicFamily, q: int):
+def block_radicand(state: HelmholtzState, q: int, consts: EnergyConstants,
+                   fam: DyadicFamily | None = None) -> float:
+    """Square of the block energy g_q before its weight 2^(q(N/2-1)).
+
+    A real quadratic form in the state, in the low form for q <= block_split
+    and in the high form above it (see ``block_energy_low``/``_high``).
+    """
+    fam = fam or DyadicFamily(state.rho.grid)
     b = {name: fam.block(getattr(state, name), q)
          for name in ("rho", "d", "omega", "skew", "potential")}
-    lam = {name: fractional_power(b[name], 1.0) for name in b}
-    return b, lam
+    lam = {name: fractional_power(b[name], 1.0) for name in ("rho", "skew", "potential")}
+    if q <= consts.block_split:
+        ce = consts.nu / consts.eta
+        return (2.0 * b["rho"].l2() ** 2 + 2.0 * b["d"].l2() ** 2
+                + b["skew"].l2() ** 2 + b["potential"].l2() ** 2 + b["omega"].l2() ** 2
+                - ce * lam["skew"].inner(b["omega"])
+                - ce * lam["rho"].inner(b["d"])
+                - ce * lam["potential"].inner(b["d"]))
+    return (lam["rho"].l2() ** 2 + lam["skew"].l2() ** 2 + lam["potential"].l2() ** 2
+            + 2.0 * consts.gamma * b["d"].l2() ** 2 + consts.gamma * b["omega"].l2() ** 2
+            - consts.beta1 * lam["rho"].inner(b["d"])
+            - consts.beta2 * lam["skew"].inner(b["omega"])
+            - 2.0 * consts.beta1 * lam["potential"].inner(b["d"]))
 
 
 def block_energy_low(state: HelmholtzState, q: int, consts: EnergyConstants,
@@ -134,15 +157,7 @@ def block_energy_low(state: HelmholtzState, q: int, consts: EnergyConstants,
     """
     if q > consts.block_split:
         raise InputError(f"block {q} is above the split {consts.block_split}; use the high form")
-    fam = fam or DyadicFamily(state.rho.grid)
-    b, lam = _block_pieces(state, fam, q)
-    ce = consts.nu / consts.eta
-    sq = (2.0 * b["rho"].l2() ** 2 + 2.0 * b["d"].l2() ** 2
-          + b["skew"].l2() ** 2 + b["potential"].l2() ** 2 + b["omega"].l2() ** 2
-          - ce * lam["skew"].inner(b["omega"])
-          - ce * lam["rho"].inner(b["d"])
-          - ce * lam["potential"].inner(b["d"]))
-    return _weighted_sqrt(sq, q, state.rho.grid.dim)
+    return block_energy(state, q, consts, fam)
 
 
 def block_energy_high(state: HelmholtzState, q: int, consts: EnergyConstants,
@@ -155,28 +170,22 @@ def block_energy_high(state: HelmholtzState, q: int, consts: EnergyConstants,
     """
     if q <= consts.block_split:
         raise InputError(f"block {q} is below the split {consts.block_split}; use the low form")
-    fam = fam or DyadicFamily(state.rho.grid)
-    b, lam = _block_pieces(state, fam, q)
-    sq = (lam["rho"].l2() ** 2 + lam["skew"].l2() ** 2 + lam["potential"].l2() ** 2
-          + 2.0 * consts.gamma * b["d"].l2() ** 2 + consts.gamma * b["omega"].l2() ** 2
-          - consts.beta1 * lam["rho"].inner(b["d"])
-          - consts.beta2 * lam["skew"].inner(b["omega"])
-          - 2.0 * consts.beta1 * lam["potential"].inner(b["d"]))
-    return _weighted_sqrt(sq, q, state.rho.grid.dim)
+    return block_energy(state, q, consts, fam)
 
 
 def _weighted_sqrt(sq: float, q: int, dim: int) -> float:
-    if sq < -1e-13 * max(abs(sq), 1.0):
+    # written so that a NaN radicand fails the check too
+    if not sq >= -1e-13 * max(abs(sq), 1.0):
         raise InvariantViolation(
-            f"block energy radicand negative at q={q}: {sq:.3e}; constants misconfigured")
+            f"block energy radicand negative or NaN at q={q}: {sq:.3e}; "
+            f"constants misconfigured or state not finite")
     return 2.0 ** (q * (dim / 2.0 - 1.0)) * math.sqrt(max(sq, 0.0))
 
 
 def block_energy(state: HelmholtzState, q: int, consts: EnergyConstants,
                  fam: DyadicFamily | None = None) -> float:
-    if q <= consts.block_split:
-        return block_energy_low(state, q, consts, fam)
-    return block_energy_high(state, q, consts, fam)
+    """Block energy g_q in the low or high form, by q against block_split."""
+    return _weighted_sqrt(block_radicand(state, q, consts, fam), q, state.rho.grid.dim)
 
 
 def equivalence_ratio(state: HelmholtzState, E: SpectralField, q: int,
@@ -246,8 +255,10 @@ def pair_matrix(pair: str, s, nu: float, mu: float):
     raise InputError(f"unknown pair {pair!r}")
 
 
-def expm2(a, b, c, d, t: float):
+def expm2(a, b, c, d, t):
     """exp(t*[[a,b],[c,d]]) for elementwise array entries, overflow-safe.
+
+    ``t`` is a scalar or an array of times broadcast against the entries.
 
     Uses exp of the two eigenvalues directly, so decaying systems never
     evaluate a growing cosh; the defective (double-root) case is handled by
@@ -291,8 +302,12 @@ def evolve_pair_exact(x: SpectralField, y: SpectralField, pair: str,
 # decay measurement
 # ----------------------------------------------------------------------
 
-def measure_block_decay(times, values, fit_start_frac: float = 0.5,
-                        min_samples: int = 20) -> float:
+FIT_START_FRAC = 0.5    # leading share of the samples left out of the rate fit
+MIN_FIT_SAMPLES = 20    # fewest usable samples the rate fit accepts
+
+
+def measure_block_decay(times, values, fit_start_frac: float = FIT_START_FRAC,
+                        min_samples: int = MIN_FIT_SAMPLES) -> float:
     """Fitted exponential decay rate from a positive time series.
 
     Least-squares slope of log(values) over the trailing window; the
@@ -317,7 +332,6 @@ def measure_block_decay(times, values, fit_start_frac: float = 0.5,
 
 def pair_state(grid: Grid, kvec, amplitude: float = 1.0):
     """Seed (x, y) scalar coefficient fields for one pair at a single mode."""
-    from .grid import cosine_mode
     x = cosine_mode(grid, kvec, amplitude)
     y = cosine_mode(grid, kvec, amplitude, phase="sin")
     return x, y
@@ -340,11 +354,28 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
                    n_samples: int = 600, horizon_efolds: float = 96.0) -> dict:
     """Free-decay run of one pair seeded at a single mode, with rate fit.
 
-    The trajectory is sampled from the exact propagator; the fitted rate of
-    the block energy at the seeded frequency is compared with the oracle.
-    A zero wavevector (the mean) or one at or past Nyquist is rejected, and
-    so is a frequency outside the block q = round(log2 |xi|) that is fitted.
+    The block energy at the seeded frequency is sampled in closed form and
+    its fitted rate is compared with the oracle.  Only the +-k modes are
+    nonzero and share |xi|, so the exact propagator is one 2x2 matrix
+    exp(t M) per time: the state is c(t) . (A(x0, 0), A(y0, 0), A(0, x0),
+    A(0, y0)) with c = (m11, m12, m21, m22) and A the (linear) assembly of
+    the pair into the five fields.  The block radicand is a quadratic form,
+    so its 4x4 Gram matrix Q on these states (by polarization) gives every
+    sample as c^T Q c; each sample is still checked for a negative or NaN
+    radicand.
+
+    A horizon that is not finite and positive, or too few samples for the
+    rate fit, is rejected.  So is a zero wavevector (the mean) or one at or
+    past Nyquist, and a frequency outside the block q = round(log2 |xi|)
+    that is fitted.
     """
+    if not (math.isfinite(horizon_efolds) and horizon_efolds > 0.0):
+        raise InputError(f"efolds = {horizon_efolds}: the horizon in e-folds must be "
+                         f"finite and > 0")
+    window = n_samples - int(n_samples * FIT_START_FRAC)
+    if window < MIN_FIT_SAMPLES:
+        raise InputError(f"samples = {n_samples} leaves {window} in the trailing fit "
+                         f"window, fewer than the {MIN_FIT_SAMPLES} the rate fit needs")
     xi = float(np.sqrt(sum((k / grid.length) ** 2 for k in kvec)))
     if not any(kvec) or any(2 * abs(k) >= grid.n for k in kvec):
         raise InputError(f"|xi| = {xi:g} (wavevector {tuple(kvec)}) is not "
@@ -357,14 +388,21 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     consts = consts or EnergyConstants(visc.nu, visc.mu)
     fam = DyadicFamily(grid)
     oracle = oracle_decay_rate(pair, xi, visc.nu, visc.mu)
-    t_final = horizon_efolds / oracle
+    times = np.linspace(0.0, horizon_efolds / oracle, n_samples)
+    # real generator: exp(t M) is real, its imaginary part exactly zero
+    c = np.array([m.real for m in expm2(*pair_matrix(pair, xi, visc.nu, visc.mu), times)])
+    # the checks above keep +-k off the mean and the Nyquist planes, so the
+    # direct path's mask keep_mask & (xi_mag > 0) leaves the seed as it is
     x0, y0 = pair_state(grid, kvec)
-    times = np.linspace(0.0, t_final, n_samples)
-    series = np.empty(n_samples)
-    for i, t in enumerate(times):
-        x, y = evolve_pair_exact(x0, y0, pair, visc, float(t))
-        state = _assemble_state(grid, pair, x, y)
-        series[i] = block_energy(state, q_seed, consts, fam)
+    zero = SpectralField.zeros(grid, "scalar")
+    basis = [_assemble_state(grid, pair, x0, zero), _assemble_state(grid, pair, y0, zero),
+             _assemble_state(grid, pair, zero, x0), _assemble_state(grid, pair, zero, y0)]
+    gram = np.diag([block_radicand(s, q_seed, consts, fam) for s in basis])
+    for i, j in itertools.combinations(range(4), 2):
+        both = block_radicand(basis[i] + basis[j], q_seed, consts, fam)
+        gram[i, j] = gram[j, i] = (both - gram[i, i] - gram[j, j]) / 2.0
+    radicands = np.einsum("it,ij,jt->t", c, gram, c)
+    series = np.array([_weighted_sqrt(sq, q_seed, grid.dim) for sq in radicands])
     rate = measure_block_decay(times, series)
     return {"pair": pair, "xi": xi, "q": q_seed, "fitted": rate, "oracle": oracle,
             "rel_error": abs(rate - oracle) / oracle, "times": times, "energy": series}

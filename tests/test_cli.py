@@ -280,10 +280,10 @@ class TestCliErrorBoundary:
         assert len(err) == 1 and err[0].startswith("configuration error:")
 
     def test_diagnostic_error_exits_3(self, tmp_path, capsys):
-        # ten samples over the decay horizon leave too few for the rate fit
+        # a horizon of 0.1 e-fold leaves the fit window less than one e-fold
         code, err = self._run(tmp_path, capsys, "linear",
                               "[grid]\nn = 64\nlength = 1\n"
-                              "\n[linear]\npairs = rho_d\nxi_values = 2\nsamples = 10\n")
+                              "\n[linear]\npairs = rho_d\nxi_values = 2\nefolds = 0.1\n")
         assert code == 3
         assert len(err) == 1 and err[0].startswith("run stopped:")
 
@@ -358,6 +358,19 @@ _MISUSE = [
     ("scaling", "[grid]\nn = 16\nlength = inf\n", None, "length must be >= 1, got inf"),
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nalpha = nan\n", None,
      "alpha must be finite, got nan"),
+    # the rate fit needs 20 samples in the trailing half of the series
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nsamples = -1\n", None,
+     "[linear] samples = -1"),
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nsamples = 38\n", None,
+     "[linear] samples = 38"),
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = 0\n", None,
+     "[linear] efolds = 0.0"),
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = -5\n", None,
+     "[linear] efolds = -5.0"),
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = nan\n", None,
+     "[linear] efolds = nan"),
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = inf\n", None,
+     "[linear] efolds = inf"),
 ]
 
 

@@ -12,8 +12,9 @@ from viscoflow import (DyadicFamily, EnergyConstants, Grid, SpectralField,
                        equivalence_ratio, evolve_pair_exact, linear_rhs,
                        measure_block_decay, oracle_decay_rate, random_field,
                        run_pair_decay)
-from viscoflow.errors import DiagnosticError, InputError
-from viscoflow.linear import expm2, pair_state
+from viscoflow import linear
+from viscoflow.errors import DiagnosticError, InputError, InvariantViolation
+from viscoflow.linear import _assemble_state, expm2, pair_state
 from viscoflow.model import HelmholtzState
 from viscoflow.operators import SplitViscosity, symmetric_scalar, transpose_gap
 
@@ -143,6 +144,63 @@ class TestDecayRates:
             measure_block_decay(t, np.exp(-0.1 * t))  # less than one e-fold
 
 
+# (grid, wavevector, viscosity, seeded block low): low and high blocks in 2-D
+# and 3-D, and diagonal wavevectors that weight both +-k entries of every
+# component; nu = mu = 4 lowers the block split to 2
+_CLOSED_FORM_CASES = [
+    pytest.param(Grid(2, 64, length=1.0), (4, 0), (1.0, 1.0), True, id="2d-low"),
+    pytest.param(Grid(2, 64, length=1.0), (31, 0), (1.0, 1.0), False, id="2d-high"),
+    pytest.param(Grid(2, 64, length=1.0), (3, 3), (1.0, 1.0), True, id="2d-diagonal"),
+    pytest.param(Grid(3, 16, length=1.0), (0, 2, 0), (1.0, 1.0), True, id="3d-low"),
+    pytest.param(Grid(3, 16, length=1.0), (7, 0, 0), (4.0, 4.0), False, id="3d-high"),
+    pytest.param(Grid(3, 16, length=1.0), (3, 0, 3), (4.0, 4.0), True, id="3d-diagonal"),
+]
+
+
+class TestClosedFormSeries:
+    """The closed-form energy series against the direct path: the exact
+    per-mode propagator on the whole grid and ``block_energy`` per time."""
+
+    @pytest.mark.parametrize("pair", ["rho_d", "omega_w", "potential_d"])
+    @pytest.mark.parametrize("grid,kvec,nu_mu,low", _CLOSED_FORM_CASES)
+    def test_series_matches_direct_path(self, pair, grid, kvec, nu_mu, low):
+        visc = _visc(*nu_mu)
+        consts = EnergyConstants(*nu_mu)
+        fam = DyadicFamily(grid)
+        res = run_pair_decay(grid, pair, kvec, visc, consts, n_samples=100)
+        assert (res["q"] <= consts.block_split) == low
+        x0, y0 = pair_state(grid, kvec)
+        for i in (0, 1, 17, 50, 99):
+            x, y = evolve_pair_exact(x0, y0, pair, visc, float(res["times"][i]))
+            ref = block_energy(_assemble_state(grid, pair, x, y), res["q"], consts, fam)
+            assert ref > 0.0
+            assert abs(res["energy"][i] - ref) <= 1e-12 * ref
+
+    def test_one_propagator_and_ten_radicands(self, monkeypatch):
+        calls = {"expm2": 0, "block_radicand": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(linear, name, counting(name, getattr(linear, name)))
+        run_pair_decay(Grid(2, 32, length=1.0), "omega_w", (2, 0), _visc())
+        assert calls == {"expm2": 1, "block_radicand": 10}
+
+    def test_negative_radicand_still_raises(self):
+        class TinyEta(EnergyConstants):
+            @property
+            def eta(self):
+                return 1e-3  # cross terms nu/eta outweigh the L2 norms
+
+        with pytest.raises(InvariantViolation, match="radicand"):
+            run_pair_decay(Grid(2, 32, length=1.0), "rho_d", (2, 0), _visc(),
+                           TinyEta(1.0, 1.0))
+
+
 def _random_state(grid, rng, amplitude=1.0):
     E = random_field(grid, "matrix", rng, amplitude=amplitude)
     return HelmholtzState(
@@ -196,6 +254,16 @@ class TestBlockEnergies:
             block_energy_low(state, c.block_split + 1, c)
         with pytest.raises(InputError):
             block_energy_high(state, c.block_split, c)
+
+    def test_nan_radicand_raises(self, grid2d_unit):
+        c = EnergyConstants(1.0, 1.0)
+        d = cosine_mode(grid2d_unit, (2, 0))
+        d.coeff[2, 0] = np.nan
+        z = SpectralField.zeros(grid2d_unit, "scalar")
+        zm = SpectralField.zeros(grid2d_unit, "matrix")
+        state = HelmholtzState(z, d, zm, zm.copy(), z.copy())
+        with pytest.raises(InvariantViolation, match="NaN"):
+            block_energy(state, 1, c)
 
     def test_coercive_on_random_states(self, rng):
         # Monte-Carlo positivity in both regimes; raises on violation

@@ -1,6 +1,7 @@
 """Property tests: the Helmholtz split is an involution on mean-zero
-band-limited vectors, and a snapshot round trip is bit-identical for every
-rank.  Examples are drawn deterministically (see conftest.py)."""
+band-limited vectors, Bony's decomposition reassembles the dealiased
+product, and a snapshot round trip is bit-identical for every rank.
+Examples are drawn deterministically (see conftest.py)."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from viscoflow import (Grid, helmholtz_reconstruct, helmholtz_split,  # noqa: E402
-                       load_field, random_field, save_field)
+from viscoflow import (Grid, bony_defect, helmholtz_reconstruct,  # noqa: E402
+                       helmholtz_split, load_field, random_field, save_field)
 
 GRIDS = {2: Grid(2, 16, length=2.0), 3: Grid(3, 8, length=1.0)}
 
@@ -23,6 +24,15 @@ def test_helmholtz_involution(dim, seed, lo, width, amplitude):
                      band=(lo, lo + width), amplitude=amplitude)
     back = helmholtz_reconstruct(*helmholtz_split(u))
     assert (back - u).l2() <= 1e-13 * max(u.l2(), 1e-300)
+
+
+@hypothesis.given(dim=st.sampled_from([2, 3]), seed_f=st.integers(0, 2 ** 32 - 1),
+                  seed_g=st.integers(0, 2 ** 32 - 1))
+def test_bony_decomposition_is_exact(dim, seed_f, seed_g):
+    # T_f g + T_g f + R(f, g) equals the dealiased product fg
+    f = random_field(GRIDS[dim], "scalar", np.random.default_rng(seed_f))
+    g = random_field(GRIDS[dim], "scalar", np.random.default_rng(seed_g))
+    assert bony_defect(f, g) <= 1e-10
 
 
 @hypothesis.given(dim=st.sampled_from([2, 3]),
