@@ -19,9 +19,8 @@ from .operators import (Viscosity, SplitViscosity, fractional_power, helmholtz_s
                         helmholtz_reconstruct, lame_operator,
                         curl_divergence, double_divergence, symmetric_scalar)
 from .model import (PressureLaw, ModelParams, PrimitiveState, HelmholtzState,
-                    SourceTerms, ReformState, nondimensionalize,
-                    elastic_energy, assemble_sources, primitive_rhs,
-                    reformulated_rhs, compatibility_residual,
+                    ReformState, nondimensionalize, elastic_energy,
+                    assemble_sources, primitive_rhs, reformulated_rhs,
                     deformation_identity_gap, dual_path_gap, split_state)
 from .linear import (EnergyConstants, linear_rhs, block_energy_low,
                      block_energy_high, block_energy, equivalence_ratio,

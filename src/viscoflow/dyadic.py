@@ -18,8 +18,6 @@ from .errors import InputError
 from .grid import Grid, SpectralField, dealiased_product
 from .operators import convect, jacobian, matrix_product
 
-SHELL_LO = 5.0 / 6.0
-SHELL_HI = 12.0 / 5.0
 _CHI_FLAT = 5.0 / 3.0          # chi == 1 up to here
 _CHI_END = 12.0 / 5.0          # chi == 0 from here
 

@@ -33,8 +33,8 @@ from .dyadic import (BesovIndex, DyadicFamily, besov_norm, hybrid_norm,
                      weighted_block_sum)
 from .errors import InputError, StabilityError
 from .grid import Grid, SpectralField
-from .model import (ModelParams, PrimitiveState, ReformState, SourceTerms,
-                    assemble_sources, reformulated_rhs)
+from .model import (ModelParams, PrimitiveState, ReformState, assemble_sources,
+                    reformulated_rhs)
 from .operators import convect, fractional_power, jacobian, laplacian, transpose_gap
 
 CFL_LIMIT = 0.5
@@ -301,9 +301,9 @@ class _SweepRHS:
     def __init__(self, params: ModelParams, prev: Trajectory | None):
         self.params = params
         self.prev = prev
-        self._cache: dict[int, SourceTerms] = {}
+        self._cache: dict[int, tuple[ReformState, np.ndarray]] = {}
 
-    def _sources(self, idx: int) -> SourceTerms:
+    def _sources(self, idx: int) -> tuple[ReformState, np.ndarray]:
         if idx not in self._cache:
             self._cache[idx] = assemble_sources(self.prev.states[idx], self.params)
             for old in [k for k in self._cache if k < idx - 1]:
@@ -318,9 +318,8 @@ class _SweepRHS:
                           jacobian(state.velocity()))
         if self.prev is None:
             return rhs
-        src = self._sources(node)
-        forcing = ReformState(src.mass, src.compressible, src.rotational, src.stretch)
-        return rhs - ReformState(*convect(src.velocity, *state)) + forcing
+        sources, u = self._sources(node)
+        return rhs - ReformState(*convect(u, *state)) + sources
 
 
 def _difference_bnorm(a: Trajectory, b: Trajectory, fam: DyadicFamily) -> float:

@@ -3,17 +3,18 @@ and a constant-coefficient eigenvalue oracle for its decay rates.
 
 The system couples five unknowns (rho, d, Omega, W = E^T - E, scalar
 potential) through first-order frequency multipliers and carries viscous
-smoothing on d and Omega only.  With zero convection and zero sources it
-decouples per Fourier mode into three independent 2x2 pairs:
+smoothing on d and Omega only.  Without convection it decouples per
+Fourier mode into 2x2 pairs:
 
     (rho, d):        x'' + nu |xi|^2 x' + 2 |xi|^2 x = 0
     (Omega, W):      x'' + mu |xi|^2 x' +   |xi|^2 x = 0
     (potential, d):  x'' + nu |xi|^2 x' + 4 |xi|^2 x = 0
 
 (each obtained by eliminating one variable from the corresponding pair),
-which makes every damping/smoothing claim quantitatively testable.  The
-pairs share d, so free runs exercise them in isolation; coupled runs only
-make sense with compatible sources.
+which makes every damping/smoothing claim quantitatively testable.
+``linear_rhs`` drives d by the density, so its potential follows d; the
+(potential, d) pair is the same d equation driven by the potential instead,
+and is exercised only by the free pair runs below.
 
 A free run seeded at one mode is therefore sampled in closed form: one 2x2
 propagator over all sample times, and the block energy as a quadratic form
@@ -28,10 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyadic import SHELL_HI, SHELL_LO, DyadicFamily, besov_norm, psi
+from .dyadic import DyadicFamily, besov_norm, psi
 from .errors import DiagnosticError, InputError, InvariantViolation
 from .grid import Grid, SpectralField, cosine_mode
-from .model import HelmholtzState, SourceTerms
+from .model import HelmholtzState
 from .operators import convect, fractional_power, laplacian
 
 PAIRS = ("rho_d", "omega_w", "potential_d")
@@ -88,32 +89,21 @@ class EnergyConstants:
 # ----------------------------------------------------------------------
 
 def linear_rhs(state: HelmholtzState, visc,
-               u: SpectralField | None = None,
-               sources: SourceTerms | None = None,
-               d_mode: str = "rho") -> HelmholtzState:
-    """Time derivative of the five-field linear system.
+               u: SpectralField | None = None) -> HelmholtzState:
+    """Time derivative of the five-field linear system, the compressible
+    equation driven by the density (coefficient 2).
 
-    ``d_mode`` selects the compressible equation: driven by the density
-    ("rho", coefficient 2) or by the symmetric-part potential ("potential",
-    coefficient 2); the two agree exactly when the sources satisfy the
-    compatibility constraint.  Convection (when u is given) is dealiased;
-    antisymmetry and mean-zero are preserved by construction.
+    Convection (when u is given) is dealiased; antisymmetry and mean-zero
+    are preserved by construction.
     """
-    if d_mode not in ("rho", "potential"):
-        raise InputError(f"d_mode must be 'rho' or 'potential', got {d_mode}")
     lam_d = fractional_power(state.d, 1.0)
-    drive = state.rho if d_mode == "rho" else state.potential
     rhs = HelmholtzState(-1.0 * lam_d,
-                         visc.nu * laplacian(state.d) + 2.0 * fractional_power(drive, 1.0),
+                         visc.nu * laplacian(state.d) + 2.0 * fractional_power(state.rho, 1.0),
                          visc.mu * laplacian(state.omega) + fractional_power(state.skew, 1.0),
                          -1.0 * fractional_power(state.omega, 1.0),
                          -2.0 * lam_d)
     if u is not None:
         rhs = rhs - HelmholtzState(*convect(u.to_physical(), *state))
-    if sources is not None:
-        rhs = rhs + HelmholtzState(
-            sources.mass, sources.compressible if d_mode == "rho" else sources.compressible_alt,
-            sources.rotational, sources.skew, sources.potential)
     return rhs.project_mean_zero()
 
 
@@ -364,10 +354,11 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     sample as c^T Q c; each sample is still checked for a negative or NaN
     radicand.
 
-    A horizon that is not finite and positive, or too few samples for the
-    rate fit, is rejected.  So is a zero wavevector (the mean) or one at or
-    past Nyquist, and a frequency outside the block q = round(log2 |xi|)
-    that is fitted.
+    The fitted block is q = round(log2 |xi|), or q - 1 when |xi| 2^-q lies
+    in [2^-1/2, 5/6], below block q's shell, where block q - 1 has psi = 1;
+    so every representable frequency has a block.  A horizon that is not
+    finite and positive, or too few samples for the rate fit, is rejected.
+    So is a zero wavevector (the mean) or one at or past Nyquist.
     """
     if not (math.isfinite(horizon_efolds) and horizon_efolds > 0.0):
         raise InputError(f"efolds = {horizon_efolds}: the horizon in e-folds must be "
@@ -383,8 +374,7 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
                          f"every |k_i| < n/2")
     q_seed = int(np.round(np.log2(xi)))
     if not psi(xi * 2.0 ** -q_seed) > 0.0:
-        raise InputError(f"|xi| = {xi:g} lies outside block q = {q_seed}, which covers "
-                         f"[{SHELL_LO * 2.0 ** q_seed:.3g}, {SHELL_HI * 2.0 ** q_seed:.3g}]")
+        q_seed -= 1
     consts = consts or EnergyConstants(visc.nu, visc.mu)
     fam = DyadicFamily(grid)
     oracle = oracle_decay_rate(pair, xi, visc.nu, visc.mu)

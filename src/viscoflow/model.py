@@ -26,7 +26,7 @@ the u.grad f of whole fields.  Scalar transforms per call:
     call                 2-D   3-D
     reformulated_rhs      36    86
     primitive_rhs         30    68
-    assemble_sources      47   106
+    assemble_sources      40    93
     evolve._SweepRHS      21    56   (frozen sources cached)
 """
 
@@ -41,9 +41,9 @@ from .errors import ConfigurationError, InputError, StabilityError
 from .grid import Grid, SpectralField, dealias_physical, dealiased_product
 from .operators import (Viscosity, antisymmetric, convect, curl_matrix, divergence,
                         double_divergence, fractional_power, gradient,
-                        helmholtz_reconstruct, helmholtz_split, jacobian,
-                        lame_operator, laplacian, symmetric_scalar, transport,
-                        transpose_gap, _deriv_mult, _pairs)
+                        helmholtz_reconstruct, helmholtz_split, inverse_mag_times,
+                        jacobian, lame_operator, laplacian, symmetric_scalar,
+                        transport, transpose_gap, _deriv_mult, _pairs)
 
 RHO_SUP_LIMIT = 0.5  # composition terms need the density perturbation below this
 
@@ -171,19 +171,6 @@ class HelmholtzState(FieldTuple):
     omega: SpectralField
     skew: SpectralField
     potential: SpectralField
-
-
-@dataclass
-class SourceTerms:
-    """Frozen-state source fields of the auxiliary linear system."""
-    mass: SpectralField              # density equation
-    compressible: SpectralField      # d equation, density-coupled form
-    rotational: SpectralField        # Omega equation (antisymmetric)
-    skew: SpectralField              # (E^T - E) equation (antisymmetric)
-    potential: SpectralField         # symmetric-scalar equation
-    compressible_alt: SpectralField  # d equation, potential-coupled form
-    stretch: SpectralField           # grad(u) E, the full deformation source
-    velocity: np.ndarray             # physical samples of the frozen velocity
 
 
 def split_state(prim: PrimitiveState) -> HelmholtzState:
@@ -372,12 +359,12 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
     rho_E = dealias_physical(g, ph.rho * ph.E)
     d_dot = ((1.0 + a) * fractional_power(state.rho, 1.0)
              + params.nu * laplacian(state.d)
-             - _inv_div(G + a * divergence(rho_E)))
+             - inverse_mag_times(divergence(G + a * divergence(rho_E))))
 
     skew = transpose_gap(state.E)
     om_dot = (params.mu * laplacian(state.omega)
               + a * fractional_power(skew, 1.0)
-              - _inv_curl(G))
+              - inverse_mag_times(curl_matrix(G)))
     if include_rotation_correction:
         om_dot = om_dot + a * rotation_correction(ph)
 
@@ -386,72 +373,34 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
     return ReformState(rho_dot, d_dot, om_dot, E_dot).project_mean_zero()
 
 
-def _inv_div(v: SpectralField) -> SpectralField:
-    """|grad|^{-1} div of a vector."""
-    return SpectralField(v.grid, divergence(v).coeff * v.grid.inv_xi)
-
-
-def _inv_curl(v: SpectralField) -> SpectralField:
-    """|grad|^{-1} curl of a vector (antisymmetric matrix)."""
-    return SpectralField(v.grid, curl_matrix(v).coeff * v.grid.inv_xi)
-
-
 # ----------------------------------------------------------------------
 # frozen-state sources of the linear iteration
 # ----------------------------------------------------------------------
 
-def assemble_sources(prim: PrimitiveState, params: ModelParams) -> SourceTerms:
-    """All source fields evaluated at one frozen state.
+def assemble_sources(prim: PrimitiveState,
+                     params: ModelParams) -> tuple[ReformState, np.ndarray]:
+    """Sources of the frozen-coefficient iteration at one frozen state.
 
-    Every product is dealiased, compositions are evaluated pointwise in
-    physical space, and the antisymmetric sources are antisymmetric by
-    construction.  Requires the density perturbation below 1/2 in sup norm.
+    Returns the sources as a ``ReformState``, each in the slot of the
+    unknown whose equation it drives (rho: the mass source -rho div u; d and
+    Omega: the compressible and rotational sources; E: the stretch
+    (grad u) E), and the physical samples of the frozen velocity.  Every
+    product is dealiased, compositions are evaluated pointwise in physical
+    space, and the rotational source is antisymmetric by construction.
+    Requires the density perturbation below 1/2 in sup norm.
     """
     g = prim.rho.grid
     a = params.coupling
     ph = PhysicalBundle.of(prim, params.visc)
     d, om = helmholtz_split(prim.u)
-    pot = symmetric_scalar(prim.E)
-
-    conv_d, conv_om, conv_pot = convect(ph.u, d, om, pot)
-
+    conv_d, conv_om = convect(ph.u, d, om)
     G = _common_vector(ph, params)
     div_rho_E = divergence(dealias_physical(g, ph.rho * ph.E))
-    stretch_vals = ph.stretch()
-    stretch = dealias_physical(g, stretch_vals)
-    # symmetric_scalar keeps only the symmetric part of its argument
-    flux = dealias_physical(g, stretch_vals - transport(ph.u, ph.grad_E))
-
-    terms = [-dealias_physical(g, ph.rho * np.trace(ph.grad_u)),
-             conv_d - _inv_div(G + a * div_rho_E),
-             conv_om - _inv_curl(G),
-             transpose_gap(stretch),
-             conv_pot + symmetric_scalar(flux),
-             conv_d - _inv_div(G - div_rho_E),
-             stretch]
-    return SourceTerms(*(f.project_mean_zero() for f in terms), velocity=ph.u)
-
-
-def compatibility_residual(prim: PrimitiveState, params: ModelParams,
-                           sources: SourceTerms | None = None) -> SpectralField:
-    """Field residual of the constraint linking the two d-equation forms.
-
-    Equals (1+a) * [lam rho + M-source - lam potential/2 - J-source] ... i.e.
-    (1+a)*lam(rho) + M - (1+a)*lam(potential)/2 - J, which vanishes (at
-    discretization level) exactly when the double divergence of the full
-    deformation balances the density gradient.  Note the potential enters
-    through half the symmetric scalar: the summed-index definition double
-    counts the symmetric part, and it is the half-normalized scalar whose
-    gradient matches the double divergence.
-    """
-    if sources is None:
-        sources = assemble_sources(prim, params)
-    a = params.coupling
-    lam_rho = fractional_power(prim.rho, 1.0)
-    half_pot = 0.5 * symmetric_scalar(prim.E)
-    lam_pot = fractional_power(half_pot, 1.0)
-    return ((1.0 + a) * lam_rho + sources.compressible
-            - (1.0 + a) * lam_pot - sources.compressible_alt)
+    sources = ReformState(-dealias_physical(g, ph.rho * np.trace(ph.grad_u)),
+                          conv_d - inverse_mag_times(divergence(G + a * div_rho_E)),
+                          conv_om - inverse_mag_times(curl_matrix(G)),
+                          dealias_physical(g, ph.stretch()))
+    return sources.project_mean_zero(), ph.u
 
 
 def deformation_identity_gap(prim: PrimitiveState) -> SpectralField:

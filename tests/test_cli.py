@@ -175,14 +175,25 @@ class TestCli:
         assert float(rel) < 0.02
 
     def test_linear_defaults_run_on_the_default_grid(self, tmp_path):
-        # every default xi is representable on n = 64, L = 8 and lies in the
-        # block its fit reads
+        # every default xi is representable on n = 64, L = 8
         cfg = _write_config(tmp_path / "c.ini",
                             "[grid]\nn = 64\nlength = 8\n\n[linear]\nsamples = 100\n")
         out = tmp_path / "out"
         assert main(["linear", "--config", cfg, "--strict", "--out", str(out)]) == 0
         rows = (out / "decay.csv").read_text().strip().splitlines()[2:]
         assert len(rows) == 9  # three pairs at xi = 0.5, 1, 2
+
+    def test_linear_between_blocks_fits_the_block_below(self, tmp_path):
+        # xi = 0.75 and 3 sit at 0.75 of 2^round(log2 xi), below that block's
+        # shell; the fit reads block q - 1, where psi = 1
+        cfg = _write_config(tmp_path / "c.ini",
+                            "[grid]\nn = 64\nlength = 8\n\n[linear]\nxi_values = 0.75,3\n")
+        out = tmp_path / "out"
+        assert main(["linear", "--config", cfg, "--strict", "--out", str(out)]) == 0
+        rows = (out / "decay.csv").read_text().strip().splitlines()[2:]
+        assert len(rows) == 6
+        for row in rows:
+            assert float(row.split(",")[-1]) < 0.02
 
     def test_constraints_mode(self, tmp_path):
         cfg = _write_config(
@@ -346,9 +357,6 @@ _MISUSE = [
      "t_final = 0.25\n", None, "[constraints] t_final = 0.25"),
     ("linear", "[grid]\nn = 64\nlength = 8\n[linear]\npairs = rho_d\nxi_values = 4\n",
      None, "[linear] |xi| = 4"),
-    # the fitted block q = round(log2 3) = 2 covers [3.33, 9.6]
-    ("linear", "[grid]\nn = 64\nlength = 8\n[linear]\npairs = rho_d\nxi_values = 3\n",
-     None, "[linear] |xi| = 3 lies outside block q = 2"),
     # NaN fails every comparison, so each domain check is written to trip on it
     ("scaling", "[grid]\nn = 16\nlength = nan\n", None, "length must be >= 1, got nan"),
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nmu = nan\n", None, "mu=nan"),

@@ -123,6 +123,17 @@ class TestDecayRates:
         assert abs(res["fitted"] - 2.0) / 2.0 <= 0.05
         assert abs(res["oracle"] - 2.0) / 2.0 <= 0.01
 
+    @pytest.mark.parametrize("pair", ["rho_d", "omega_w", "potential_d"])
+    @pytest.mark.parametrize("grid,kvec", [
+        pytest.param(Grid(3, 16, length=1.0), (2, 2, 0), id="3d-xi-2.83"),
+        pytest.param(Grid(2, 32, length=8.0), (8, 8), id="2d-xi-1.41")])
+    def test_seed_below_its_rounded_block_fits_the_block_below(self, pair, grid, kvec):
+        # |xi| = 2.83 and 1.41 sit at 0.71 of 2^round(log2 |xi|), below that
+        # block's shell and where block q - 1 has psi = 1
+        res = run_pair_decay(grid, pair, kvec, _visc())
+        assert res["q"] == round(np.log2(res["xi"])) - 1
+        assert res["rel_error"] <= 0.02
+
     @pytest.mark.parametrize("kvec", [(32, 0), (64, 0), (0, -32), (0, 0)])
     def test_unrepresentable_seed_rejected(self, kvec):
         # xi = 4 and 8 on L = 8, n = 64 seed Nyquist and the aliased mean
@@ -309,16 +320,6 @@ class TestLinearRhs:
         state = HelmholtzState(z, z.copy(), zm, zm.copy(), z.copy())
         dot = linear_rhs(state, _visc())
         assert dot.rho.l2() == dot.d.l2() == dot.omega.l2() == 0.0
-
-    def test_mode_flag(self, grid2d, rng):
-        state, _ = _random_state(grid2d, rng)
-        a = linear_rhs(state, _visc(), d_mode="rho")
-        b = linear_rhs(state, _visc(), d_mode="potential")
-        # only the d equation changes
-        assert (a.rho - b.rho).l2() == 0.0
-        assert (a.d - b.d).l2() > 0.0
-        with pytest.raises(InputError):
-            linear_rhs(state, _visc(), d_mode="bogus")
 
     def test_constant_velocity_is_phase_advection(self, grid2d):
         # constant u: the convected solution is the unconvected one evaluated
