@@ -35,11 +35,23 @@ class FlowMap:
     ``modes`` lists (k integer tuple, cos-amplitude vector, sin-amplitude
     vector); phi and its gradient are evaluated analytically at arbitrary
     points, so inverse maps and pullbacks carry no interpolation error.
-    Invertibility needs eps * sup|grad phi| < 1/2.
+    Invertibility needs eps * sup|grad phi| < 1/2.  Each wavevector must
+    have ``dim`` entries, every one with |k_i| < n/2, so that the grid
+    represents the mode.
     """
     grid: Grid
     modes: list
     eps: float
+
+    def __post_init__(self):
+        half = self.grid.n // 2
+        for k, _, _ in self.modes:
+            if len(k) != self.grid.dim:
+                raise InputError(f"flow map mode k = {tuple(k)} has {len(k)} entries, "
+                                 f"need dim = {self.grid.dim}")
+            if any(abs(x) >= half for x in k):
+                raise InputError(f"flow map is degenerate on this grid: mode k = {tuple(k)} "
+                                 f"needs every |k_i| < {half} on n = {self.grid.n}")
 
     def displacement(self, y: np.ndarray) -> np.ndarray:
         """phi at points y of shape (dim, ...)."""

@@ -237,13 +237,18 @@ def _march(stepper: IFStepper, state: ReformState, n_steps: int,
 
 @dataclass
 class Trajectory:
-    """Primitive-variable snapshots at every accepted step."""
+    """Primitive-variable snapshots at every accepted step.
+
+    The recorded fields are kept, not copied: the stepper, the damping and
+    the hygiene pass all build new arrays, so a recorded state is never
+    written again (tested with the arrays set read-only).
+    """
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
 
     def record(self, t, rho: SpectralField, u: SpectralField, E: SpectralField):
         self.times.append(t)
-        self.states.append(PrimitiveState(rho, u, E).copy())
+        self.states.append(PrimitiveState(rho, u, E))
 
 
 # ----------------------------------------------------------------------

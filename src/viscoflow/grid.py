@@ -3,10 +3,23 @@
 Fields live on the torus [0, 2*pi*L)^N with N in {2, 3}.  They are stored as
 complex Fourier coefficients indexed by integer wavevectors k; the physical
 frequency of mode k is k/L, so a large L populates sub-integer frequencies.
-Coefficients are normalized so that the k=0 entry is the grid mean and the
-coefficient-sum L2 equals the grid-averaged L2 norm of the physical values
-(Parseval).  The Nyquist plane is always zeroed, which keeps derivative
-multipliers skew-adjoint.
+Coefficients are normalized so that the k=0 entry is the grid mean.  The
+Nyquist planes are always zeroed, which keeps derivative multipliers
+skew-adjoint.
+
+Storage layout.  Every field is real, so its spectrum is Hermitian,
+c(-k) = conj(c(k)), and only the ``rfftn`` half is stored: the coefficient
+array has shape ``comp_shape + (n,)*(N-1) + (n//2+1,)``, the first N-1 axes
+in FFT order (0..n/2-1, -n/2..-1) and the last axis k_N = 0..n/2.  Every
+transform is real-to-complex (``rfftn``/``irfftn`` with ``norm="forward"``),
+and every multiplier of ``Grid`` (wavevectors, |xi|, masks) has the stored
+shape.  A mode with 0 < k_N < n/2 stands for itself and its mirror -k, so
+sums over the full spectrum are weighted sums over the half: the Hermitian
+weight ``Grid.hermitian_weight`` is 1 on the k_N = 0 (and Nyquist) column
+and 2 on the interior columns.  ``l2``, ``inner`` and ``power_profile``
+apply it, so the coefficient L2 equals the grid-averaged L2 norm of the
+physical values (Parseval).  ``full_spectrum`` rebuilds the full FFT layout
+for the snapshot file and the fine-grid oracle.
 """
 
 from __future__ import annotations
@@ -49,13 +62,15 @@ class Grid:
         self.length = float(length)
         self.dealias_frac = float(dealias_frac)
 
-        k1 = np.fft.fftfreq(n, 1.0 / n)          # integer-valued: 0..n/2-1, -n/2..-1
-        shape = [1] * dim
+        # integer-valued: 0..n/2-1, -n/2..-1 on the first dim-1 axes, 0..n/2 on the last
+        k1 = np.fft.fftfreq(n, 1.0 / n)
+        self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self.k_axes = []
         for ax in range(dim):
-            s = shape.copy()
-            s[ax] = n
-            self.k_axes.append(k1.reshape(s))
+            s = [1] * dim
+            s[ax] = self.spectral_shape[ax]
+            k = k1 if ax < dim - 1 else np.fft.rfftfreq(n, 1.0 / n)
+            self.k_axes.append(k.reshape(s))
         self.xi_axes = [k / self.length for k in self.k_axes]
 
         self.xi_sq = sum(x * x for x in self.xi_axes)
@@ -64,21 +79,31 @@ class Grid:
         safe = np.where(self.xi_mag > 0.0, self.xi_mag, 1.0)
         self.inv_xi = np.where(self.xi_mag > 0.0, 1.0 / safe, 0.0)
 
-        nyq = np.zeros((n,) * dim, dtype=bool)
+        nyq = np.zeros(self.spectral_shape, dtype=bool)
         for k in self.k_axes:
-            nyq |= (k == -n // 2)
+            nyq |= (np.abs(k) == n // 2)
         self.keep_mask = ~nyq
+        # each interior column k_last = 1..n/2-1 also stands for its mirror -k
+        self.hermitian_weight = np.full(n // 2 + 1, 2.0)
+        self.hermitian_weight[[0, -1]] = 1.0
+        self._xi_power = {}
 
         kc = (n - 1) // 3 if dealias_frac == 2.0 / 3.0 else int(dealias_frac * (n // 2)) - 1
         self.dealias_cut = kc
-        mask = np.ones((n,) * dim, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for k in self.k_axes:
             mask &= (np.abs(k) <= kc)
         self.dealias_mask = mask & self.keep_mask
 
-        self.n_points = n ** dim
         self.xi_max = float(self.xi_mag[self.keep_mask].max())
         self.xi_min = 1.0 / self.length
+
+    def xi_power(self, s: float) -> np.ndarray:
+        """|xi|^s with the mean mode set to 0, built once per grid and s."""
+        if s not in self._xi_power:
+            mult = np.where(self.xi_mag > 0.0, self.xi_mag, 1.0) ** s
+            self._xi_power[s] = np.where(self.xi_mag > 0.0, mult, 0.0)
+        return self._xi_power[s]
 
     def axes_points(self):
         """1-D coordinate array, shared by every axis."""
@@ -100,9 +125,10 @@ class Grid:
 class SpectralField:
     """Scalar/vector/matrix field stored as Fourier coefficients.
 
-    The coefficient array has shape ``comp_shape + (n,)*dim`` where
-    ``comp_shape`` is ``()`` for scalars, ``(dim,)`` for vectors and
-    ``(dim, dim)`` for matrices.
+    The coefficient array has shape ``comp_shape + grid.spectral_shape``
+    (the ``rfftn`` half, see the module docstring) where ``comp_shape`` is
+    ``()`` for scalars, ``(dim,)`` for vectors and ``(dim, dim)`` for
+    matrices.
     """
 
     __slots__ = ("grid", "coeff")
@@ -115,7 +141,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid, rank: str = "scalar") -> "SpectralField":
-        shape = cls._comp_shape(grid, rank) + (grid.n,) * grid.dim
+        shape = cls._comp_shape(grid, rank) + grid.spectral_shape
         return cls(grid, np.zeros(shape, dtype=np.complex128))
 
     @classmethod
@@ -129,15 +155,15 @@ class SpectralField:
         if comp not in ((), (grid.dim,), (grid.dim, grid.dim)):
             raise InputError("component shape must be (), (dim,), or (dim, dim)")
         axes = tuple(range(values.ndim - grid.dim, values.ndim))
-        coeff = np.fft.fftn(values, axes=axes) / grid.n_points
+        coeff = np.fft.rfftn(values, axes=axes, norm="forward")
         coeff *= grid.keep_mask
         return cls(grid, coeff)
 
     def to_physical(self) -> np.ndarray:
-        """Inverse transform; returns the real samples (a new real array, so
-        the complex transform buffer is freed at once)."""
-        axes = tuple(range(self.coeff.ndim - self.grid.dim, self.coeff.ndim))
-        return np.fft.ifftn(self.coeff, axes=axes).real * self.grid.n_points
+        """Inverse transform; returns the real samples."""
+        g = self.grid
+        axes = tuple(range(self.coeff.ndim - g.dim, self.coeff.ndim))
+        return np.fft.irfftn(self.coeff, s=(g.n,) * g.dim, axes=axes, norm="forward")
 
     @staticmethod
     def _comp_shape(grid: Grid, rank: str):
@@ -198,19 +224,21 @@ class SpectralField:
 
     def l2(self) -> float:
         """Grid-averaged L2 norm (Frobenius over components)."""
-        return float(np.sqrt(np.sum(np.abs(self.coeff) ** 2)))
+        return float(np.sqrt(np.sum(self.power_profile())))
 
     def inner(self, other: "SpectralField") -> float:
         """Grid-averaged L2 inner product (components contracted)."""
-        return float(np.sum(self.coeff * np.conj(other.coeff)).real)
+        return float(np.sum((self.coeff * np.conj(other.coeff)).real
+                            * self.grid.hermitian_weight))
 
     def power_profile(self) -> np.ndarray:
-        """|coeff|^2 summed over components; used by block-norm kernels."""
+        """|coeff|^2 summed over components, times the Hermitian weight, so
+        that it sums to the full-spectrum power; used by block-norm kernels."""
         extra = self.coeff.ndim - self.grid.dim
         p = np.abs(self.coeff) ** 2
         if extra:
             p = p.sum(axis=tuple(range(extra)))
-        return p
+        return p * self.grid.hermitian_weight
 
 
 # ----------------------------------------------------------------------
@@ -241,27 +269,47 @@ def dealias_physical(grid: Grid, values: np.ndarray) -> SpectralField:
     equals dealiasing each product on its own.
     """
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    coeff = np.fft.fftn(values, axes=axes)
-    coeff *= grid.dealias_mask / grid.n_points
+    coeff = np.fft.rfftn(values, axes=axes, norm="forward")
+    coeff *= grid.dealias_mask
     return SpectralField(grid, coeff)
 
 
+def full_spectrum(f: SpectralField) -> np.ndarray:
+    """The full FFT layout of f, shape ``comp_shape + (n,)*dim``: the stored
+    half, and in the columns k_last = -n/2+1..-1 the conjugate of the stored
+    coefficient at -k."""
+    g = f.grid
+    n = g.n
+    full = np.empty(f.coeff.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., :n // 2 + 1] = f.coeff
+    mirror = f.coeff[..., n // 2 - 1:0:-1]        # k_last = n/2-1 .. 1
+    for ax in range(f.coeff.ndim - g.dim, f.coeff.ndim - 1):
+        # index i -> (n - i) % n, that is k -> -k on the other axes
+        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+    full[..., n // 2 + 1:] = np.conj(mirror)
+    return full
+
+
 def fine_grid_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Product computed on a 2x finer grid, then truncated: aliasing-free oracle."""
+    """Product computed on a 2x finer grid, then truncated: aliasing-free oracle.
+
+    It works on the full layout with complex transforms of its own, so it
+    stays independent of the real-transform path it checks.
+    """
     if f.rank != "scalar" or g.rank != "scalar":
         raise InputError("oracle product implemented for scalar fields")
     grid = f.grid
     n, d = grid.n, grid.dim
     big = np.zeros((2 * n,) * d, dtype=np.complex128)
-    _embed(big, f.coeff, n, d)
+    _embed(big, full_spectrum(f), n, d)
     fa = np.fft.ifftn(big) * (2 * n) ** d
     big[:] = 0.0
-    _embed(big, g.coeff, n, d)
+    _embed(big, full_spectrum(g), n, d)
     ga = np.fft.ifftn(big) * (2 * n) ** d
     prod = np.fft.fftn(fa * ga) / (2 * n) ** d
     small = np.zeros((n,) * d, dtype=np.complex128)
     _extract(small, prod, n, d)
-    out = SpectralField(grid, small * grid.keep_mask)
+    out = SpectralField(grid, small[..., :n // 2 + 1] * grid.keep_mask)
     return out.dealias()
 
 
@@ -282,6 +330,11 @@ def _extract(small, big, n, d):
         small[sl] = big[sl]
 
 
+def _axis_wavenumbers(grid: Grid):
+    """Integer wavenumbers along each axis of the stored layout."""
+    return [k.ravel().astype(int) for k in grid.k_axes]
+
+
 def scale_dyadic(f: SpectralField) -> SpectralField:
     """Return x -> f(2x): coefficient of f at k moves to 2k, odd modes vanish.
 
@@ -292,32 +345,19 @@ def scale_dyadic(f: SpectralField) -> SpectralField:
     grid = f.grid
     if np.max(np.abs(f.mean_values())) > 1e-14 * (f.l2() + 1e-300):
         raise InputError("scale_dyadic requires a mean-zero field")
-    n = grid.n
-    kmax_src = (n // 2 - 1) // 2
-    k1 = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    src_pos = np.where(np.abs(k1) <= kmax_src)[0]
-    tgt_pos = (2 * k1[src_pos]) % n
+    kmax_src = (grid.n // 2 - 1) // 2
+    ks = _axis_wavenumbers(grid)
+    src = np.ix_(*(np.flatnonzero(np.abs(k) <= kmax_src) for k in ks))
+    tgt = tuple((2 * k[s]) % grid.n for k, s in zip(ks, src))
 
     # reject content that cannot be doubled onto this grid
-    keep = np.zeros(n, dtype=bool)
-    keep[src_pos] = True
-    mask_ok = np.ones((n,) * grid.dim, dtype=bool)
-    shape = [1] * grid.dim
-    for ax in range(grid.dim):
-        s = shape.copy()
-        s[ax] = n
-        mask_ok &= keep.reshape(s)
+    mask_ok = np.zeros(grid.spectral_shape, dtype=bool)
+    mask_ok[src] = True
     if np.any(np.abs(f.coeff * ~mask_ok) > 1e-14 * (f.l2() + 1e-300)):
         raise InputError("field has modes beyond half band; f(2x) not representable")
 
     out = np.zeros_like(f.coeff)
-    src = np.ix_(src_pos, *([src_pos] * (grid.dim - 1)))
-    tgt = np.ix_(tgt_pos, *([tgt_pos] * (grid.dim - 1)))
-    if f.rank == "scalar":
-        out[tgt] = f.coeff[src]
-    else:
-        for ci in np.ndindex(f.coeff.shape[:f.coeff.ndim - grid.dim]):
-            out[ci + tuple(tgt)] = f.coeff[ci + tuple(src)]
+    out[(Ellipsis,) + tgt] = f.coeff[(Ellipsis,) + src]
     return SpectralField(grid, out)
 
 
@@ -355,30 +395,27 @@ def refine_field(f: SpectralField, fine: Grid) -> SpectralField:
     coarse = f.grid
     if fine.dim != coarse.dim or fine.length != coarse.length or fine.n < coarse.n:
         raise InputError("refinement target must share dim and length, with larger n")
-    k1 = np.fft.fftfreq(coarse.n, 1.0 / coarse.n).astype(int)
-    keep = np.abs(k1) < coarse.n // 2
-    src_pos = np.where(keep)[0]
-    tgt_pos = k1[src_pos] % fine.n
+    ks = _axis_wavenumbers(coarse)
+    src = np.ix_(*(np.flatnonzero(np.abs(k) < coarse.n // 2) for k in ks))
+    tgt = tuple(k[s] % fine.n for k, s in zip(ks, src))
     out = SpectralField.zeros(fine, f.rank)
-    src = np.ix_(src_pos, *([src_pos] * (coarse.dim - 1)))
-    tgt = np.ix_(tgt_pos, *([tgt_pos] * (coarse.dim - 1)))
-    if f.rank == "scalar":
-        out.coeff[tgt] = f.coeff[src]
-    else:
-        for ci in np.ndindex(f.coeff.shape[:f.coeff.ndim - coarse.dim]):
-            out.coeff[ci + tuple(tgt)] = f.coeff[ci + tuple(src)]
+    out.coeff[(Ellipsis,) + tgt] = f.coeff[(Ellipsis,) + src]
     return out
 
 
 def cosine_mode(grid: Grid, kvec, amplitude: float = 1.0,
                 rank: str = "scalar", component=None, phase: str = "cos") -> SpectralField:
-    """Single harmonic amplitude*cos(k.x/L) (or sin) placed exactly."""
+    """Single harmonic amplitude*cos(k.x/L) (or sin) placed exactly.
+
+    Of the pair +-k the stored half holds the one with k_last mod n <= n/2,
+    or both when k_last = 0.
+    """
     f = SpectralField.zeros(grid, rank)
     kvec = tuple(int(k) for k in kvec)
-    pos = tuple(k % grid.n for k in kvec)
-    neg = tuple((-k) % grid.n for k in kvec)
     half = amplitude / 2.0 if phase == "cos" else amplitude / 2.0j
     ci = () if rank == "scalar" else tuple(component)
-    f.coeff[ci + pos] += half
-    f.coeff[ci + neg] += np.conj(half)
+    for sign, c in ((1, half), (-1, np.conj(half))):
+        pos = tuple((sign * k) % grid.n for k in kvec)
+        if pos[-1] <= grid.n // 2:
+            f.coeff[ci + pos] += c
     return f

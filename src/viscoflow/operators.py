@@ -113,10 +113,7 @@ def fractional_power(f: SpectralField, s: float) -> SpectralField:
         return f.copy()
     if s < 0.0 and np.max(np.abs(f.mean_values())) > 1e-13 * (f.l2() + 1e-300):
         raise InputError("negative fractional power needs a mean-zero field")
-    with np.errstate(divide="ignore"):
-        mult = np.where(g.xi_mag > 0.0, g.xi_mag, 1.0) ** s
-    mult = np.where(g.xi_mag > 0.0, mult, 0.0)
-    return SpectralField(g, f.coeff * mult)
+    return SpectralField(g, f.coeff * g.xi_power(s))
 
 
 def inverse_mag_times(f: SpectralField) -> SpectralField:

@@ -18,6 +18,11 @@ IEEE-754 binary64):
                   full FFT layout, axis frequencies 0..n/2-1, -n/2..-1)
 
 Coefficients use the package normalization: the k=0 entry is the grid mean.
+
+The file holds this v1 full layout.  Fields are stored in memory as their
+``rfftn`` half (see ``grid``): ``save_field`` writes the full layout rebuilt
+by ``grid.full_spectrum``, and ``load_field`` keeps the half of the file's
+coefficients, the columns k_last = 0..n/2.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import struct
 import numpy as np
 
 from .errors import InputError
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, full_spectrum
 
 MAGIC = b"VISCOFLD"
 VERSION = 1
@@ -42,7 +47,7 @@ def save_field(path, f: SpectralField):
     ncomp = f.ncomp
     header = _HEADER.pack(MAGIC, VERSION, g.dim, _RANK_CODE[f.rank],
                           g.n, g.length, ncomp, g.dealias_frac)
-    flat = np.ascontiguousarray(f.coeff).reshape(ncomp, -1)
+    flat = full_spectrum(f).reshape(ncomp, -1)
     with open(path, "wb") as fh:
         fh.write(header)
         for c in range(ncomp):
@@ -82,11 +87,11 @@ def load_field(path) -> SpectralField:
             raise InputError(f"snapshot {path}: {size} bytes, expected {expected_size} "
                              f"for {ncomp} components on {n}^{dim} points")
         grid = Grid(dim, n, length, frac)
-        coeff = np.empty((dim,) * rank_code + (n,) * dim, dtype=np.complex128)
-        flat = coeff.reshape(ncomp, -1)
+        full = np.empty((dim,) * rank_code + (n,) * dim, dtype=np.complex128)
+        flat = full.reshape(ncomp, -1)
         for c in range(ncomp):
             pairs = np.frombuffer(fh.read(flat.shape[1] * 16), dtype="<f8")
             # separate assignments keep the sign of a -0.0 real part
             flat[c].real = pairs[0::2]
             flat[c].imag = pairs[1::2]
-    return SpectralField(grid, coeff)
+    return SpectralField(grid, np.ascontiguousarray(full[..., :n // 2 + 1]))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viscoflow import Grid, load_field, random_field, save_field
+from viscoflow import Grid, SpectralField, load_field, random_field, save_field
 from viscoflow import cli
 from viscoflow.cli import main
 from viscoflow.errors import InputError, StabilityError
@@ -50,6 +50,24 @@ class TestSnapshots:
         path = tmp_path / "f.vfs"
         save_field(path, f)
         assert load_field(path).coeff.tobytes() == f.coeff.tobytes()
+
+    def test_full_layout_file_loads(self, tmp_path, grid2d, rng):
+        # a v1 file as a full-layout writer leaves it: the complex FFT of the
+        # samples with the Nyquist planes zeroed
+        vals = rng.standard_normal((2, 32, 32))
+        full = np.fft.fftn(vals, axes=(1, 2)) / 32 ** 2
+        full[:, 16, :] = full[:, :, 16] = 0.0
+        pairs = np.empty(2 * full.size, dtype="<f8")
+        pairs[0::2], pairs[1::2] = full.real.ravel(), full.imag.ravel()
+        path = tmp_path / "full.vfs"
+        path.write_bytes(struct.pack("<8sIIIIdId", MAGIC, 1, 2, 1, 32, 8.0, 2, 2.0 / 3.0)
+                         + pairs.tobytes())
+        f = load_field(path)
+        assert f.coeff.shape == (2, 32, 17)
+        assert np.max(np.abs(f.coeff - SpectralField.from_physical(grid2d, vals).coeff)) < 1e-14
+        save_field(tmp_path / "again.vfs", f)
+        again = np.frombuffer((tmp_path / "again.vfs").read_bytes()[44:], dtype="<f8")
+        assert np.max(np.abs(again - pairs)) < 1e-14
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.vfs"
@@ -379,6 +397,9 @@ _MISUSE = [
      "[linear] efolds = nan"),
     ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = inf\n", None,
      "[linear] efolds = inf"),
+    # the refinement level n = 32 cannot hold the default mode k = (0, 2L) = (0, 16)
+    ("constraints", "[grid]\nn = 64\nlength = 8\n[constraints]\nrefine_levels = 32\n",
+     None, "mode k = (0, 16)"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Deformation constraints: residuals, admissible-data generation, and
 propagation majorants along transported trajectories."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -72,13 +74,13 @@ class TestResiduals:
 
 class TestFlowMaps:
     def test_inverse_map_accuracy(self, grid2d):
-        flow = _two_mode_map(grid2d, 0.02)
+        flow = _two_mode_map(grid2d, 0.02, base_k=4)
         x = grid2d.meshgrid()
         y = flow.inverse(x)
         assert np.max(np.abs(flow.forward(y) - x)) < 1e-11
 
     def test_too_strong_map_rejected(self, grid2d):
-        flow = _two_mode_map(grid2d, 10.0)
+        flow = _two_mode_map(grid2d, 10.0, base_k=4)
         with pytest.raises(InputError):
             flow.check_invertible()
 
@@ -97,18 +99,23 @@ class TestFlowMaps:
 
 class TestAdmissibleData:
     def test_nyquist_shear_is_degenerate(self):
-        # k = 8 on n = 16, L = 8 sits at Nyquist: the sampled shear has a
-        # vanishing gradient, the amplitude scaling blows up and det F hits 0
+        # k = 8 on n = 16, L = 8 sits at Nyquist: the grid cannot represent
+        # the mode, so the map is rejected when it is built
         grid = Grid(2, 16, length=8.0)
-        m1 = shear_map(grid, (8, 0), (0.0, 1.0), 1.0)
-        m2 = shear_map(grid, (0, 8), (1.0, 0.0), 1.0)
-        for m in (m1, m2):
-            m.eps = 0.01 / max(m.grad_sup(), 1e-300)
-        with pytest.raises(InputError, match="degenerate"):
-            generate_admissible(ComposedMap([m1, m2]))
+        with pytest.raises(InputError, match=r"degenerate.*k = \(8, 0\)"):
+            shear_map(grid, (8, 0), (0.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("k", [(1,), (1, 0, 0), (16, 0), (0, -16), (3, 17)])
+    def test_unrepresentable_wavevector_rejected(self, grid2d, k):
+        # a short k once ended in IndexError and a long one was truncated
+        with pytest.raises(InputError, match=rf"k = {re.escape(str(k))}"):
+            FlowMap(grid2d, [(k, np.ones(2), np.zeros(2))], 0.01)
+
+    def test_largest_representable_wavevector_accepted(self, grid2d):
+        FlowMap(grid2d, [((15, -15), np.ones(2), np.zeros(2))], 0.01)
 
     def test_zero_amplitude_is_equilibrium(self, grid2d):
-        flow = _two_mode_map(grid2d, 0.0)
+        flow = _two_mode_map(grid2d, 0.0, base_k=4)
         data = generate_admissible(flow)
         assert data.state.rho.l2() < 1e-14
         assert data.state.E.l2() < 1e-14
@@ -122,7 +129,7 @@ class TestAdmissibleData:
         assert curl_residual(data.F) <= 1e-10
 
     def test_det_identity_by_construction(self, grid2d):
-        flow = _two_mode_map(grid2d, 0.05)
+        flow = _two_mode_map(grid2d, 0.05, base_k=4)
         data = generate_admissible(flow)
         assert data.det_defect < 1e-12
 
@@ -158,7 +165,7 @@ class TestGauge:
 
 class TestPropagation:
     def test_zero_velocity_conserves_exactly(self, grid2d):
-        data = generate_admissible(_two_mode_map(grid2d, 0.05))
+        data = generate_admissible(_two_mode_map(grid2d, 0.05, base_k=4))
         zero = SpectralField.zeros(grid2d, "vector")
         times, snaps = transport_simulate(data.rho_hat, data.F,
                                           lambda t: zero, 0.05, 0.5)

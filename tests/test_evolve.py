@@ -10,7 +10,7 @@ from viscoflow import (ComposedMap, DyadicFamily, Grid, ModelParams,
                        picard_solve, random_field, shear_map,
                        uniform_bound_monitor)
 from viscoflow.errors import InputError, StabilityError
-from viscoflow.evolve import IFStepper, NormSeries, direct_rhs
+from viscoflow.evolve import IFStepper, NormSeries, Trajectory, direct_rhs
 from viscoflow.grid import cosine_mode
 from viscoflow.linear import evolve_pair_exact
 from viscoflow.model import ReformState
@@ -260,6 +260,23 @@ class TestPicard:
         cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=2)
         res = picard_solve(prim, cfg)
         assert res.differences[0] == res.iterate_norms[0].bnorm() > 0.0
+
+    def test_recorded_states_are_never_written(self, rng, monkeypatch):
+        # the trajectory keeps the march's own arrays, not copies: set each
+        # recorded array read-only, so any later in-place write raises
+        record = Trajectory.record
+
+        def frozen(self, t, rho, u, E):
+            record(self, t, rho, u, E)
+            for f in self.states[-1]:
+                f.coeff.setflags(write=False)
+        monkeypatch.setattr(Trajectory, "record", frozen)
+        grid = Grid(2, 16, length=2.0)
+        prim = _small_state(grid, 1e-2, rng)
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=3)
+        res = picard_solve(prim, cfg)
+        assert not res.final_states[-1].rho.coeff.flags.writeable
+        assert len(res.differences) == 3
 
     def test_linear_regime_rapid_settling(self, rng):
         # tiny data: quadratic sources are negligible, so successive sweeps

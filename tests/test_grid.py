@@ -1,12 +1,15 @@
 """Spectral substrate: transforms, Parseval, dealiased products, dyadic scaling."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from viscoflow import Grid, SpectralField, dealiased_product, random_field, scale_dyadic
 from viscoflow.dyadic import DyadicFamily, besov_norm
 from viscoflow.errors import InputError
-from viscoflow.grid import cosine_mode, fine_grid_product
+from viscoflow.grid import cosine_mode, fine_grid_product, full_spectrum, refine_field
 
 
 class TestGrid:
@@ -25,6 +28,21 @@ class TestGrid:
                                         * np.ones((32, 32)))
         # pure Nyquist signal transforms to nothing retained
         assert f.l2() == 0.0
+
+    def test_half_spectrum_layout(self, grid2d, grid3d):
+        assert grid2d.spectral_shape == (32, 17) and grid3d.spectral_shape == (16, 16, 9)
+        assert SpectralField.zeros(grid3d, "matrix").coeff.shape == (3, 3, 16, 16, 9)
+        assert grid2d.xi_mag.shape == grid2d.dealias_mask.shape == (32, 17)
+        assert not grid2d.keep_mask[:, -1].any() and not grid2d.keep_mask[16].any()
+        assert list(grid2d.hermitian_weight) == [1.0] + [2.0] * 15 + [1.0]
+
+    def test_full_spectrum_matches_complex_fft(self, grid3d, rng):
+        vals = rng.standard_normal((3, 16, 16, 16))
+        f = SpectralField.from_physical(grid3d, vals)
+        full = np.fft.fftn(vals, axes=(1, 2, 3)) / 16 ** 3
+        for ax in (1, 2, 3):
+            np.moveaxis(full, ax, 1)[:, 8] = 0.0
+        assert np.max(np.abs(full_spectrum(f) - full)) < 1e-15
 
     def test_frequency_resolution(self, grid2d):
         assert grid2d.xi_min == pytest.approx(1.0 / 8.0)
@@ -138,3 +156,34 @@ class TestScaleDyadic:
         f = SpectralField.from_physical(grid2d, np.ones((32, 32)))
         with pytest.raises(InputError):
             scale_dyadic(f)
+
+
+class TestRefine:
+    def test_refined_samples_interpolate(self, rng):
+        coarse, fine = Grid(3, 8, length=1.0), Grid(3, 16, length=1.0)
+        f = random_field(coarse, "vector", rng, mean_zero=False)
+        g = refine_field(f, fine)
+        assert g.l2() == pytest.approx(f.l2(), rel=1e-14)
+        # every second fine sample is a coarse sample
+        assert np.max(np.abs(g.to_physical()[:, ::2, ::2, ::2] - f.to_physical())) < 1e-14
+
+
+class TestCosineMode:
+    @pytest.mark.parametrize("k", [(1, 0), (0, 3), (2, -5), (-4, -1), (0, -7)])
+    @pytest.mark.parametrize("phase", ["cos", "sin"])
+    def test_samples(self, grid2d, k, phase):
+        x = grid2d.meshgrid()
+        arg = (k[0] * x[0] + k[1] * x[1]) / grid2d.length
+        want = np.cos(arg) if phase == "cos" else np.sin(arg)
+        got = cosine_mode(grid2d, k, phase=phase).to_physical()
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert cosine_mode(grid2d, k, phase=phase).l2() == pytest.approx(np.sqrt(0.5))
+
+
+def test_fft_only_in_grid():
+    """Every transform of the package goes through grid.py: the choke point
+    where the storage layout is decided."""
+    src = Path(__file__).resolve().parent.parent / "src" / "viscoflow"
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name != "grid.py" and re.search(r"np\.fft|numpy\.fft", p.read_text())]
+    assert offenders == []

@@ -362,10 +362,16 @@ _FFT_2D = ("fft2", "ifft2", "rfft2", "irfft2")
 _FFT_1D = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
 
 
+_FFT_REAL = ("rfftn", "irfftn", "rfft2", "irfft2", "rfft", "irfft")
+
+
 @pytest.fixture
 def transform_count(monkeypatch):
-    """Counts independent scalar transforms through every numpy.fft entry point."""
+    """Counts independent scalar transforms through every numpy.fft entry
+    point, and asserts that every one of them is real-to-complex (only the
+    fine-grid oracle product runs complex transforms)."""
     count = [0]
+    complex_calls = []
 
     def wrap(name, orig):
         def counted(a, *args, **kwargs):
@@ -377,6 +383,8 @@ def transform_count(monkeypatch):
             else:
                 axes = kwargs.get("axes") or range(a.ndim)
             count[0] += a.size // int(np.prod([a.shape[ax] for ax in axes]))
+            if name not in _FFT_REAL:
+                complex_calls.append(name)
             return orig(a, *args, **kwargs)
         return counted
 
@@ -385,7 +393,9 @@ def transform_count(monkeypatch):
 
     def run(fn, *args):
         count[0] = 0
+        complex_calls.clear()
         fn(*args)
+        assert complex_calls == [], f"complex transforms ran: {complex_calls}"
         return count[0]
     return run
 
@@ -394,7 +404,13 @@ class TestTransformCounts:
     """One physical evaluation per call: each family of samples is
     inverse-transformed once and products sharing a destination share one
     forward transform.  The unfused code spent 90 (2-D) and 219 (3-D) per
-    split RHS, 61 per primitive RHS and 88 per source assembly."""
+    split RHS, 61 per primitive RHS and 88 per source assembly.  Every
+    transform is real-to-complex on the half spectrum."""
+
+    def test_fine_grid_oracle_is_the_complex_path(self, grid2d, rng, transform_count):
+        f, g = (random_field(grid2d, "scalar", rng) for _ in range(2))
+        with pytest.raises(AssertionError, match="complex transforms ran"):
+            transform_count(fine_grid_product, f, g)
 
     def test_reformulated_rhs(self, grid2d, grid3d, rng, transform_count):
         for grid, cap in ((grid2d, 36), (grid3d, 86)):

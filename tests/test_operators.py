@@ -27,6 +27,18 @@ class TestFractionalPower:
             g = fractional_power(f, s)
             assert (g - (1.0 / 8.0) ** s * f).l2() < 1e-15
 
+    def test_unit_power_is_the_xi_mag_multiplier(self, grid2d, rng):
+        f = random_field(grid2d, "vector", rng, mean_zero=False)
+        assert np.array_equal(fractional_power(f, 1.0).coeff, f.coeff * grid2d.xi_mag)
+
+    def test_multiplier_built_once_per_grid_and_power(self, grid2d, rng):
+        f = random_field(grid2d, "scalar", rng)
+        fractional_power(f, 1.0)
+        mult = grid2d.xi_power(1.0)
+        fractional_power(f, 1.0)
+        assert grid2d.xi_power(1.0) is mult
+        assert grid2d.xi_power(-1.0) is not mult and grid2d.xi_power(-1.0)[0, 0] == 0.0
+
     def test_roundtrip(self, grid2d, rng):
         f = random_field(grid2d, "scalar", rng)
         g = fractional_power(fractional_power(f, -1.0), 1.0)
