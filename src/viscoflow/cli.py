@@ -388,10 +388,9 @@ class Runner:
         k = max(1, int(round(grid.length)))
         u = _solenoidal_velocity(grid, k, con["u_amplitude"])
         with _in_section("constraints"):
-            times, snaps = transport_simulate(data.rho_hat, data.F, lambda t: u,
-                                              con["dt"], con["t_final"],
-                                              sample_every=5)
-        rep = check_trajectory(times, snaps, strict=self.strict)
+            times, snaps = transport_simulate(data.rho_hat, data.F, u, con["dt"],
+                                              con["t_final"], sample_every=5)
+        rep = check_trajectory(times, snaps, u, strict=self.strict)
         write_csv(self.artifacts[1],
                   ["t", "div_residual", "curl_residual", "gauge_integral"],
                   zip(rep.times, rep.div_res, rep.curl_res, rep.gauge_integral),

@@ -6,9 +6,9 @@ weighted divergence div(rho F^T) vanishes, and the Lagrangian curl
 compatibility F_{lk} d_l F_{ij} = F_{lj} d_l F_{ik} holds.  Both are
 automatic for deformations pulled back from a flow map (chain rule plus the
 volume identity rho * det F = 1), which yields a constructive generator
-with a built-in oracle.  Along transport the divergence residual obeys a
-Gronwall bound and the curl mismatch an exponential majorant; both are
-verified sample-wise, never assumed.
+with a built-in oracle.  Along transport by a steady velocity the
+divergence residual obeys a Gronwall bound and the curl mismatch an
+exponential majorant; both are verified sample-wise, never assumed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import InputError, InvariantViolation
 from .evolve import step_count
 from .grid import Grid, SpectralField, dealias_physical
 from .model import PrimitiveState
-from .operators import convect, divergence, gradient, jacobian, matrix_product
+from .operators import convect, divergence, gradient, jacobian
 
 
 # ----------------------------------------------------------------------
@@ -173,20 +173,22 @@ def div_residual(rho_hat: SpectralField, F: SpectralField) -> float:
     return divergence(SpectralField(g, prod.coeff.swapaxes(0, 1))).l2()
 
 
-def _curl_mismatch_fields(F: SpectralField) -> np.ndarray:
-    """Physical samples of T_{ijk} = F_{lk} d_l F_{ij} - F_{lj} d_l F_{ik}."""
+def _curl_measures(F: SpectralField):
+    """(curl_residual, L2 form, pointwise form) from one evaluation of the
+    mismatch T_{ijk} = F_{lk} d_l F_{ij} - F_{lj} d_l F_{ik} at the grid points."""
+    g = F.grid
     F_phys = F.to_physical()
     dF = gradient(F).to_physical()
-    return (np.einsum("lk...,lij...->ijk...", F_phys, dF)
-            - np.einsum("lj...,lik...->ijk...", F_phys, dF))
+    T2 = (np.einsum("lk...,lij...->ijk...", F_phys, dF)
+          - np.einsum("lj...,lik...->ijk...", F_phys, dF)) ** 2
+    sq = T2.sum(axis=0)                             # (j, k, grid)
+    return (float(np.sqrt(T2.mean(axis=tuple(range(3, 3 + g.dim))).max())),
+            float(sq.mean(axis=tuple(range(2, 2 + g.dim))).max()), float(sq.max()))
 
 
 def curl_residual(F: SpectralField) -> float:
     """max over index triples of the grid-averaged L2 mismatch norm."""
-    g = F.grid
-    T = _curl_mismatch_fields(F)
-    sq = (T ** 2).mean(axis=tuple(range(3, 3 + g.dim)))
-    return float(np.sqrt(sq.max()))
+    return _curl_measures(F)[0]
 
 
 def curl_mismatch_sq(F: SpectralField):
@@ -197,11 +199,7 @@ def curl_mismatch_sq(F: SpectralField):
     (j,k) and x pointwise.  Contracting over i is what the transport
     derivation controls at rate exactly 2*gauge, with no dimensional slack.
     """
-    g = F.grid
-    T = _curl_mismatch_fields(F)
-    sq = (T ** 2).sum(axis=0)                       # (j, k, grid)
-    l2 = sq.mean(axis=tuple(range(2, 2 + g.dim))).max()
-    return float(l2), float(sq.max())
+    return _curl_measures(F)[1:]
 
 
 # ----------------------------------------------------------------------
@@ -217,18 +215,13 @@ class AdmissibleData:
     det_defect: float   # sup |det F * rho_hat - 1|, a construction identity
 
 
-def generate_admissible(flow, u0: SpectralField | None = None,
-                        project_means: bool = False) -> AdmissibleData:
+def generate_admissible(flow) -> AdmissibleData:
     """Build constraint-satisfying (density, deformation) from a flow map.
 
     F(x) is the pullback of the map's Jacobian through the inverse map and
     rho_hat = 1/det F, so both constraint residuals sit at interpolation
     error and det F * rho_hat = 1 holds pointwise by construction.  The
-    velocity is free; pass any smooth mean-zero field.
-
-    Perturbation means are O(eps^2)-small but not exactly zero for
-    compressive maps; ``project_means`` removes them (at the cost of an
-    O(eps^3) constraint residual), while the default keeps the fields exact.
+    state's velocity is zero; the constraints do not involve it.
     """
     grid = flow.grid
     flow.check_invertible()
@@ -251,58 +244,48 @@ def generate_admissible(flow, u0: SpectralField | None = None,
     E = F.copy()
     for i in range(grid.dim):
         E.coeff[(i, i) + (0,) * grid.dim] -= 1.0
-    if project_means:
-        rho_pert = rho_pert.project_mean_zero()
-        E = E.project_mean_zero()
-    if u0 is None:
-        u0 = SpectralField.zeros(grid, "vector")
-    state = PrimitiveState(rho_pert, u0, E)
+    state = PrimitiveState(rho_pert, SpectralField.zeros(grid, "vector"), E)
     return AdmissibleData(rho_hat, F, state, det_defect)
 
 
 # ----------------------------------------------------------------------
-# transport of (rho, F) under a given velocity
+# transport of (rho, F) under a steady velocity
 # ----------------------------------------------------------------------
 
-def transport_rhs(rho_hat: SpectralField, F: SpectralField, u: SpectralField):
-    """Continuity and deformation transport with a prescribed velocity."""
-    u_phys = u.to_physical()
-    rho_dot = -divergence(dealias_physical(rho_hat.grid, rho_hat.to_physical() * u_phys))
-    F_dot = -convect(u_phys, F)[0] + matrix_product(jacobian(u), F)
-    return rho_dot, F_dot
+def transport_rhs(rho_hat: SpectralField, F: SpectralField, u_phys: np.ndarray,
+                  grad_u: np.ndarray):
+    """Continuity and deformation transport with a prescribed velocity, given
+    its physical samples ``u_phys`` and those of its Jacobian ``grad_u``."""
+    g = rho_hat.grid
+    rho_dot = -divergence(dealias_physical(g, rho_hat.to_physical() * u_phys))
+    stretch = dealias_physical(g, np.einsum("ik...,kj...->ij...", grad_u, F.to_physical()))
+    return rho_dot, -convect(u_phys, F)[0] + stretch
 
 
-def transport_simulate(rho_hat: SpectralField, F: SpectralField, u_of_t,
+def transport_simulate(rho_hat: SpectralField, F: SpectralField, u: SpectralField,
                        dt: float, t_final: float, sample_every: int = 1):
-    """RK4 transport of (rho_hat, F) under velocity u_of_t(t).
+    """RK4 transport of (rho_hat, F) under the steady velocity u.
 
-    Returns sampled times and snapshots (rho_hat, F, u); pure advection has
-    no stiff part, so classical RK4 is appropriate.
+    u and grad u are sampled once per run.  Returns sampled times and
+    snapshots (rho_hat, F); pure advection has no stiff part, so classical
+    RK4 is appropriate.  Snapshots are kept, not copied: every step builds
+    new fields, so neither a snapshot nor the input is written again.
     """
-    times, snaps = [], []
-    t = 0.0
-    rho, Fc = rho_hat.copy(), F.copy()
-    step = 0
     nsteps = step_count(dt, t_final)
-
-    def record():
-        times.append(t)
-        snaps.append((rho.copy(), Fc.copy(), u_of_t(t)))
-
-    record()
+    u_phys = u.to_physical()
+    grad_u = jacobian(u).to_physical()
+    rho, Fc = rho_hat, F
+    times, snaps = [0.0], [(rho, Fc)]
     for step in range(1, nsteps + 1):
-        u1 = u_of_t(t)
-        k1r, k1f = transport_rhs(rho, Fc, u1)
-        u2 = u_of_t(t + dt / 2)
-        k2r, k2f = transport_rhs(rho + 0.5 * dt * k1r, Fc + 0.5 * dt * k1f, u2)
-        k3r, k3f = transport_rhs(rho + 0.5 * dt * k2r, Fc + 0.5 * dt * k2f, u2)
-        u3 = u_of_t(t + dt)
-        k4r, k4f = transport_rhs(rho + dt * k3r, Fc + dt * k3f, u3)
+        k1r, k1f = transport_rhs(rho, Fc, u_phys, grad_u)
+        k2r, k2f = transport_rhs(rho + 0.5 * dt * k1r, Fc + 0.5 * dt * k1f, u_phys, grad_u)
+        k3r, k3f = transport_rhs(rho + 0.5 * dt * k2r, Fc + 0.5 * dt * k2f, u_phys, grad_u)
+        k4r, k4f = transport_rhs(rho + dt * k3r, Fc + dt * k3f, u_phys, grad_u)
         rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         Fc = Fc + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        t = step * dt
         if step % sample_every == 0:
-            record()
+            times.append(step * dt)
+            snaps.append((rho, Fc))
     return times, snaps
 
 
@@ -342,7 +325,7 @@ class ConstraintReport:
     max_curl_margin: float = 0.0
 
 
-def check_trajectory(times, snaps, allowance: float = 1.1,
+def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
                      error_floor: float = 1e-10, strict: bool = False) -> ConstraintReport:
     """Verify the divergence Gronwall bound and the curl majorant sample-wise.
 
@@ -352,22 +335,21 @@ def check_trajectory(times, snaps, allowance: float = 1.1,
     where M runs over both tracked forms of the squared curl mismatch (the
     grid-averaged and the pointwise one).  The floor absorbs integrator
     error when the initial residual is at round-off.  Violations raise in
-    strict mode.
+    strict mode.  ``snaps`` are the (rho_hat, F) pairs of
+    ``transport_simulate`` under the steady velocity u, so the gauge is
+    evaluated once and integrated sample by sample.
     """
     rep = ConstraintReport()
+    gauge = convection_gauge(u)
     gauge_acc = 0.0
-    prev = None
-    for t, (rho, F, u) in zip(times, snaps):
-        gauge = convection_gauge(u)
-        if prev is not None:
-            t0, g0 = prev
-            gauge_acc += 0.5 * (t - t0) * (g0 + gauge)
-        prev = (t, gauge)
+    for t, (rho, F) in zip(times, snaps):
+        if rep.times:
+            gauge_acc += (t - rep.times[-1]) * gauge
         rep.times.append(t)
         rep.gauge_integral.append(gauge_acc)
         rep.div_res.append(div_residual(rho, F))
-        rep.curl_res.append(curl_residual(F))
-        l2, point = curl_mismatch_sq(F)
+        curl, l2, point = _curl_measures(F)
+        rep.curl_res.append(curl)
         rep.curl_sq_l2.append(l2)
         rep.curl_sq_point.append(point)
 

@@ -301,33 +301,26 @@ def fine_grid_product(f: SpectralField, g: SpectralField) -> SpectralField:
     grid = f.grid
     n, d = grid.n, grid.dim
     big = np.zeros((2 * n,) * d, dtype=np.complex128)
-    _embed(big, full_spectrum(f), n, d)
+    _copy_modes(big, full_spectrum(f), n, d)
     fa = np.fft.ifftn(big) * (2 * n) ** d
     big[:] = 0.0
-    _embed(big, full_spectrum(g), n, d)
+    _copy_modes(big, full_spectrum(g), n, d)
     ga = np.fft.ifftn(big) * (2 * n) ** d
     prod = np.fft.fftn(fa * ga) / (2 * n) ** d
     small = np.zeros((n,) * d, dtype=np.complex128)
-    _extract(small, prod, n, d)
+    _copy_modes(small, prod, n, d)
     out = SpectralField(grid, small[..., :n // 2 + 1] * grid.keep_mask)
     return out.dealias()
 
 
-def _half_slices(n):
+def _copy_modes(dst, src, n, d):
+    """dst[k] = src[k] for every mode -n/2 <= k_i < n/2; one of the two full
+    spectra is on n points, the other on 2n."""
     # positive-frequency block [0, n/2) and negative block [-n/2, 0)
-    return (slice(0, n // 2), slice(-(n // 2), None))
-
-
-def _embed(big, small, n, d):
+    halves = (slice(0, n // 2), slice(-(n // 2), None))
     for idx in np.ndindex(*(2,) * d):
-        sl = tuple(_half_slices(n)[i] for i in idx)
-        big[sl] = small[sl]
-
-
-def _extract(small, big, n, d):
-    for idx in np.ndindex(*(2,) * d):
-        sl = tuple(_half_slices(n)[i] for i in idx)
-        small[sl] = big[sl]
+        sl = tuple(halves[i] for i in idx)
+        dst[sl] = src[sl]
 
 
 def _axis_wavenumbers(grid: Grid):

@@ -47,14 +47,9 @@ def save_field(path, f: SpectralField):
     ncomp = f.ncomp
     header = _HEADER.pack(MAGIC, VERSION, g.dim, _RANK_CODE[f.rank],
                           g.n, g.length, ncomp, g.dealias_frac)
-    flat = full_spectrum(f).reshape(ncomp, -1)
     with open(path, "wb") as fh:
         fh.write(header)
-        for c in range(ncomp):
-            pairs = np.empty(flat.shape[1] * 2, dtype="<f8")
-            pairs[0::2] = flat[c].real
-            pairs[1::2] = flat[c].imag
-            fh.write(pairs.tobytes())
+        fh.write(np.ascontiguousarray(full_spectrum(f), dtype="<c16").tobytes())
 
 
 def load_field(path) -> SpectralField:
@@ -87,11 +82,6 @@ def load_field(path) -> SpectralField:
             raise InputError(f"snapshot {path}: {size} bytes, expected {expected_size} "
                              f"for {ncomp} components on {n}^{dim} points")
         grid = Grid(dim, n, length, frac)
-        full = np.empty((dim,) * rank_code + (n,) * dim, dtype=np.complex128)
-        flat = full.reshape(ncomp, -1)
-        for c in range(ncomp):
-            pairs = np.frombuffer(fh.read(flat.shape[1] * 16), dtype="<f8")
-            # separate assignments keep the sign of a -0.0 real part
-            flat[c].real = pairs[0::2]
-            flat[c].imag = pairs[1::2]
-    return SpectralField(grid, np.ascontiguousarray(full[..., :n // 2 + 1]))
+        full = np.frombuffer(fh.read(expected_size - _HEADER.size), dtype="<c16")
+    full = full.reshape((dim,) * rank_code + (n,) * dim)
+    return SpectralField(grid, np.ascontiguousarray(full[..., :n // 2 + 1], dtype=np.complex128))

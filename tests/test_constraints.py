@@ -168,7 +168,7 @@ class TestPropagation:
         data = generate_admissible(_two_mode_map(grid2d, 0.05, base_k=4))
         zero = SpectralField.zeros(grid2d, "vector")
         times, snaps = transport_simulate(data.rho_hat, data.F,
-                                          lambda t: zero, 0.05, 0.5)
+                                          zero, 0.05, 0.5)
         first = div_residual(snaps[0][0], snaps[0][1])
         last = div_residual(snaps[-1][0], snaps[-1][1])
         assert last == pytest.approx(first, abs=1e-15)
@@ -183,8 +183,8 @@ class TestPropagation:
         one = SpectralField.from_physical(grid2d, np.ones((32, 32)))
         u = SpectralField.zeros(grid2d, "vector")
         u.coeff[(0,) + (0,) * 2] = 0.3
-        _, snaps = transport_simulate(one, eye, lambda t: u, 0.05, 0.5)
-        for _, F, _ in (snaps[0], snaps[-1]):
+        _, snaps = transport_simulate(one, eye, u, 0.05, 0.5)
+        for _, F in (snaps[0], snaps[-1]):
             l2, point = curl_mismatch_sq(F)
             assert l2 < 1e-28 and point < 1e-28
 
@@ -193,7 +193,7 @@ class TestPropagation:
         eye = SpectralField.zeros(grid2d, "matrix")
         u = SpectralField.zeros(grid2d, "vector")
         with pytest.raises(InputError, match="whole number of steps"):
-            transport_simulate(one, eye, lambda t: u, 0.02, 0.25)
+            transport_simulate(one, eye, u, 0.02, 0.25)
 
     def test_seeded_residual_obeys_gronwall(self, grid2d):
         # non-admissible seed (both residuals nonzero) with a fixed smooth
@@ -207,18 +207,44 @@ class TestPropagation:
         rho = SpectralField.from_physical(
             grid2d, 1.0 + 1e-4 * cosine_mode(grid2d, (1, 1)).to_physical())
         u = _solenoidal_u(grid2d, 0.05, k=1)
-        times, snaps = transport_simulate(rho, F, lambda t: u, 0.02, 1.0,
+        times, snaps = transport_simulate(rho, F, u, 0.02, 1.0,
                                           sample_every=10)
-        rep = check_trajectory(times, snaps)
+        rep = check_trajectory(times, snaps, u)
         assert rep.div_res[0] > 1e-5 and rep.curl_sq_l2[0] > 1e-10
         assert rep.div_ok and rep.curl_ok
+
+    def test_input_fields_are_never_written(self, grid2d):
+        # snapshots keep the fields, not copies: the first snapshot is the
+        # input itself, and a write into it would raise
+        data = generate_admissible(_two_mode_map(grid2d, 0.02, base_k=1))
+        data.rho_hat.coeff.flags.writeable = False
+        data.F.coeff.flags.writeable = False
+        u = _solenoidal_u(grid2d, 0.05, k=1)
+        times, snaps = transport_simulate(data.rho_hat, data.F, u, 0.02, 0.2,
+                                          sample_every=5)
+        assert snaps[0][0] is data.rho_hat and snaps[0][1] is data.F
+        assert check_trajectory(times, snaps, u).div_ok
+
+    def test_gauge_evaluated_once_per_run(self, grid2d, monkeypatch):
+        import viscoflow.constraints as constraints
+        calls = []
+        gauge = constraints.convection_gauge
+        monkeypatch.setattr(constraints, "convection_gauge",
+                            lambda u: calls.append(u) or gauge(u))
+        data = generate_admissible(_two_mode_map(grid2d, 0.02, base_k=1))
+        u = _solenoidal_u(grid2d, 0.05, k=1)
+        times, snaps = transport_simulate(data.rho_hat, data.F, u, 0.02, 0.2,
+                                          sample_every=2)
+        rep = check_trajectory(times, snaps, u)
+        assert len(times) == 6 and len(calls) == 1
+        assert rep.gauge_integral[-1] == pytest.approx(times[-1] * gauge(u), rel=1e-14)
 
     def test_admissible_trajectory_residual_stays_small(self, grid2d):
         data = generate_admissible(_two_mode_map(grid2d, 0.02, base_k=1))
         u = _solenoidal_u(grid2d, 0.05, k=1)
         times, snaps = transport_simulate(data.rho_hat, data.F,
-                                          lambda t: u, 0.02, 1.0, sample_every=10)
-        rep = check_trajectory(times, snaps)
+                                          u, 0.02, 1.0, sample_every=10)
+        rep = check_trajectory(times, snaps, u)
         assert rep.div_ok and rep.curl_ok
         # the integrator-error envelope dominates the near-zero initial residual
         assert rep.div_res[-1] < 1e-8
@@ -233,7 +259,7 @@ class TestPropagation:
         finals = []
         for dt in (0.2, 0.1, 0.05):
             _, snaps = transport_simulate(data.rho_hat, data.F,
-                                          lambda t: u, dt, 2.0)
+                                          u, dt, 2.0)
             finals.append(div_residual(snaps[-1][0], snaps[-1][1]))
         assert all(r < 1e-12 for r in finals)
         assert finals[2] <= finals[0] + 1e-13

@@ -10,7 +10,7 @@ from viscoflow import (ComposedMap, Grid, ModelParams, PressureLaw,
                        dual_path_gap, elastic_energy, generate_admissible,
                        nondimensionalize, primitive_rhs, random_field,
                        reformulated_rhs, shear_map)
-from viscoflow.constraints import transport_rhs
+from viscoflow.constraints import transport_rhs, transport_simulate
 from viscoflow.errors import InputError, StabilityError
 from viscoflow.evolve import RunConfig, Trajectory, _SweepRHS, direct_rhs
 from viscoflow.grid import cosine_mode, dealiased_product, fine_grid_product, refine_field
@@ -427,14 +427,27 @@ class TestTransformCounts:
             assert transform_count(assemble_sources, prim, _params(dim=grid.dim)) <= cap
 
     def test_transport_rhs(self, grid2d, grid3d, rng, transform_count):
-        # the velocity is inverse-transformed once; twice cost 31 (2-D) and 73 (3-D)
-        for grid, cap in ((grid2d, 29), (grid3d, 70)):
+        # u and grad u come sampled; transforming them per call cost 29 (2-D)
+        # and 70 (3-D), and twice per call 31 and 73
+        for grid, cap in ((grid2d, 23), (grid3d, 58)):
             rho, F, u = (random_field(grid, rank, rng)
                          for rank in ("scalar", "matrix", "vector"))
-            assert transform_count(transport_rhs, rho, F, u) <= cap
-            rho_dot, _ = transport_rhs(rho, F, u)
+            samples = (u.to_physical(), jacobian(u).to_physical())
+            assert transform_count(transport_rhs, rho, F, *samples) <= cap
+            rho_dot, _ = transport_rhs(rho, F, *samples)
             assert np.array_equal(rho_dot.coeff,
                                   -divergence(dealiased_product(rho, u)).coeff)
+
+    def test_transport_run(self, grid2d, grid3d, rng, transform_count):
+        # the steady velocity is sampled once per run, then four RHS calls a
+        # step; sampling it at every stage cost 6 more (2-D) and 12 more (3-D)
+        # per RHS call
+        steps = 2
+        for grid, samples, per_rhs in ((grid2d, 6, 23), (grid3d, 12, 58)):
+            rho, F, u = (random_field(grid, rank, rng, amplitude=0.05)
+                         for rank in ("scalar", "matrix", "vector"))
+            count = transform_count(transport_simulate, rho, F, u, 0.05, 0.05 * steps)
+            assert count <= samples + 4 * per_rhs * steps
 
     def test_sweep_rhs(self, grid2d, grid3d, rng, transform_count):
         # every field's convection in one batch, Omega by its i < j part; one
