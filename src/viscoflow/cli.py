@@ -374,7 +374,7 @@ class Runner:
         grid = self.grid()
         rows = []
         for n in con["refine_levels"]:
-            level = Grid(grid.dim, n, grid.length)
+            level = Grid(grid.dim, n, grid.length, grid.dealias_frac)
             flow = FlowMap(level, _default_modes(level), con["eps"])
             data = generate_admissible(flow)
             rows.append((n, div_residual(data.rho_hat, data.F),

@@ -267,9 +267,11 @@ def transport_simulate(rho_hat: SpectralField, F: SpectralField, u: SpectralFiel
     """RK4 transport of (rho_hat, F) under the steady velocity u.
 
     u and grad u are sampled once per run.  Returns sampled times and
-    snapshots (rho_hat, F); pure advection has no stiff part, so classical
-    RK4 is appropriate.  Snapshots are kept, not copied: every step builds
-    new fields, so neither a snapshot nor the input is written again.
+    snapshots (rho_hat, F): t = 0, every ``sample_every``-th step, and the
+    final step whether or not it falls on that stride.  Pure advection has
+    no stiff part, so classical RK4 is appropriate.  Snapshots are kept, not
+    copied: every step builds new fields, so neither a snapshot nor the
+    input is written again.
     """
     nsteps = step_count(dt, t_final)
     u_phys = u.to_physical()
@@ -283,7 +285,7 @@ def transport_simulate(rho_hat: SpectralField, F: SpectralField, u: SpectralFiel
         k4r, k4f = transport_rhs(rho + dt * k3r, Fc + dt * k3f, u_phys, grad_u)
         rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         Fc = Fc + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        if step % sample_every == 0:
+        if step % sample_every == 0 or step == nsteps:
             times.append(step * dt)
             snaps.append((rho, Fc))
     return times, snaps

@@ -6,11 +6,21 @@ psi(xi) = chi(|xi|) - chi(2|xi|) is supported in the shell
 {5/6 <= |xi| <= 12/5} and the shifted family psi(2^-q xi) partitions unity
 away from the origin.  Block q of a field keeps frequencies in
 2^q * [5/6, 12/5]; blocks at distance >= 2 have disjoint supports.
+
+A ``DyadicFamily`` holds the psi_q of its grid as one stack: row i is
+psi(2^-q |xi|) on the stored half spectrum, q = q_lo + i, with the Nyquist
+planes zeroed, plus the elementwise square of that stack flattened to
+(rows, modes).  Both are built on the first call that needs them, once per
+family.  Since the psi_q are fixed per grid, a field's block profile
+(||block_q f||_L2 over the active range) is one matrix-vector product of the
+squared stack with the field's power spectrum, and a weighted block sum is
+one dot product with a weight vector cached per Besov index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,17 +73,29 @@ class DyadicFamily:
         self.grid = grid
         self.q_lo = int(np.floor(np.log2(grid.xi_min * 5.0 / 12.0)))
         self.q_hi = int(np.ceil(np.log2(grid.xi_max * 6.0 / 5.0)))
-        self._psi = {}
         self._chi = {}
+        self._weights = {}
 
     @property
     def q_range(self):
         return range(self.q_lo, self.q_hi + 1)
 
+    @cached_property
+    def psi_stack(self) -> np.ndarray:
+        """(rows, *spectral_shape) stack of psi_q over ``q_range``, built once."""
+        q = np.arange(self.q_lo, self.q_hi + 1.0).reshape((-1,) + (1,) * self.grid.dim)
+        return psi(self.grid.xi_mag * 2.0 ** (-q)) * self.grid.keep_mask
+
+    @cached_property
+    def psi_sq(self) -> np.ndarray:
+        """(rows, modes) elementwise square of the psi stack, built once."""
+        return (self.psi_stack ** 2).reshape(len(self.q_range), -1)
+
     def psi_array(self, q: int) -> np.ndarray:
-        if q not in self._psi:
-            self._psi[q] = psi(self.grid.xi_mag * 2.0 ** (-q)) * self.grid.keep_mask
-        return self._psi[q]
+        """Row q of the psi stack; q must lie in the active range."""
+        if not self.q_lo <= q <= self.q_hi:
+            raise InputError(f"block {q} outside the active range [{self.q_lo}, {self.q_hi}]")
+        return self.psi_stack[q - self.q_lo]
 
     def chi_array(self, q: int) -> np.ndarray:
         """Low-pass multiplier chi(2^-q |xi|) on retained modes, mean included."""
@@ -81,11 +103,16 @@ class DyadicFamily:
             self._chi[q] = chi(self.grid.xi_mag * 2.0 ** (-q)) * self.grid.keep_mask
         return self._chi[q]
 
+    def weights(self, index: BesovIndex) -> np.ndarray:
+        """Block weights 2^(q e(q)) over the active range, built once per index."""
+        if index not in self._weights:
+            self._weights[index] = np.array([2.0 ** (q * index.weight_exponent(q))
+                                             for q in self.q_range])
+        return self._weights[index]
+
     def partition_defect(self) -> float:
         """max over nonzero retained frequencies of |sum_q psi_q - 1|."""
-        total = np.zeros_like(self.grid.xi_mag)
-        for q in self.q_range:
-            total += self.psi_array(q)
+        total = self.psi_stack.sum(axis=0)
         mask = self.grid.keep_mask & (self.grid.xi_mag > 0)
         return float(np.max(np.abs(total[mask] - 1.0)))
 
@@ -109,13 +136,12 @@ class DyadicFamily:
         return g.project_mean_zero()
 
     def block_l2_profile(self, f: SpectralField) -> np.ndarray:
-        """Array of ||block_q f||_L2 over the active range."""
-        p = f.power_profile()
-        out = np.empty(self.q_hi - self.q_lo + 1)
-        for i, q in enumerate(self.q_range):
-            w = self.psi_array(q)
-            out[i] = np.sqrt(float(np.sum(p * w * w)))
-        return out
+        """Array of ||block_q f||_L2 over the active range.
+
+        One matrix-vector product: the squared psi stack (rows q, columns
+        the stored modes) against f's Hermitian-weighted power spectrum.
+        """
+        return np.sqrt(self.psi_sq @ f.power_profile().ravel())
 
 
 @dataclass(frozen=True)
@@ -142,11 +168,9 @@ def weighted_block_sum(fam: DyadicFamily, profile: np.ndarray,
                        index: BesovIndex) -> float:
     """sum_q 2^(q e(q)) profile[q] over the active range, e the index's
     per-block exponent; ``profile`` is ``fam.block_l2_profile(f)``, so one
-    profile serves every index a field is measured in."""
-    total = 0.0
-    for i, q in enumerate(fam.q_range):
-        total += 2.0 ** (q * index.weight_exponent(q)) * profile[i]
-    return total
+    profile serves every index a field is measured in.  One dot product with
+    ``fam.weights(index)``, the weight vector the family caches per index."""
+    return float(fam.weights(index) @ profile)
 
 
 def besov_norm(f: SpectralField, s: float, fam: DyadicFamily | None = None) -> float:
@@ -159,8 +183,8 @@ def hybrid_norm(f: SpectralField, s: float, t: float,
                 fam: DyadicFamily | None = None) -> float:
     """Hybrid norm: exponent s on blocks q <= 0, t on blocks q >= 1.
 
-    hybrid_norm(f, s, s) reproduces besov_norm(f, s) bit for bit: both run
-    the same summation loop in the same order.
+    hybrid_norm(f, s, s) reproduces besov_norm(f, s) bit for bit: both take
+    the same profile and equal weight vectors, 2^(qs) on every block.
     """
     fam = fam or DyadicFamily(f.grid)
     return weighted_block_sum(fam, fam.block_l2_profile(f), BesovIndex(s, t))

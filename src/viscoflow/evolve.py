@@ -288,11 +288,8 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig,
 def mollify(f: SpectralField, count: int, fam: DyadicFamily) -> SpectralField:
     """Partial dyadic sum over |q| <= count; full data once count covers the
     active range, which matches the intended limit on a finite grid."""
-    total = np.zeros_like(fam.grid.xi_mag)
-    for q in fam.q_range:
-        if abs(q) <= count:
-            total += fam.psi_array(q)
-    return SpectralField(f.grid, f.coeff * total)
+    rows = [abs(q) <= count for q in fam.q_range]
+    return SpectralField(f.grid, f.coeff * fam.psi_stack[rows].sum(axis=0))
 
 
 class _SweepRHS:

@@ -224,6 +224,30 @@ class TestCli:
         res = [float(r.split(",")[1]) for r in rows]
         assert res[1] < res[0]
 
+    def test_constraints_samples_the_final_step(self, tmp_path):
+        # 11 steps against the mode's stride of 5: samples at steps 0, 5, 10, 11
+        cfg = _write_config(
+            tmp_path / "c.ini",
+            "[grid]\ndim = 3\nn = 32\nlength = 1.0\n\n[constraints]\n"
+            "eps = 0.02\nrefine_levels = 16\ndt = 0.02\nt_final = 0.22\n")
+        out = tmp_path / "out"
+        assert main(["constraints", "--config", cfg, "--strict", "--out", str(out)]) == 0
+        rows = (out / "majorants.csv").read_text().strip().splitlines()[2:]
+        times = [float(r.split(",")[0]) for r in rows]
+        assert times[:-1] == pytest.approx([0.0, 0.1, 0.2])
+        assert times[-1] == pytest.approx(0.22, rel=1e-12)
+
+    def test_constraints_refinement_grids_take_dealias(self, tmp_path):
+        body = ("[grid]\nn = 32\nlength = 1.0\n{}\n[constraints]\neps = 0.02\n"
+                "refine_levels = 16,32\ndt = 0.05\nt_final = 0.1\n")
+        residuals = []
+        for name, extra in (("default", ""), ("half", "dealias = 0.5\n")):
+            cfg = _write_config(tmp_path / f"{name}.ini", body.format(extra))
+            out = tmp_path / name
+            assert main(["constraints", "--config", cfg, "--out", str(out)]) == 0
+            residuals.append((out / "residuals.csv").read_bytes())
+        assert residuals[0] != residuals[1]
+
     def test_simulate_mode_quick(self, tmp_path):
         cfg = _write_config(
             tmp_path / "c.ini",

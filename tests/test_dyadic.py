@@ -7,7 +7,8 @@ from viscoflow import (DyadicFamily, SpectralField, besov_norm, bony_defect,
                        hybrid_norm, measure_convection_constant,
                        measure_product_constant, paraproduct, random_field,
                        remainder)
-from viscoflow.dyadic import chi, psi
+from viscoflow import dyadic
+from viscoflow.dyadic import BesovIndex, chi, psi, weighted_block_sum
 from viscoflow.errors import InputError
 from viscoflow.grid import Grid, cosine_mode, dealiased_product
 from viscoflow.operators import fractional_power
@@ -147,6 +148,66 @@ class TestBesovNorms:
             base = besov_norm(f, s, fam)
             deriv = besov_norm(fractional_power(f, 1.0), s - 1.0, fam)
             assert (5.0 / 6.0) * base <= deriv <= (12.0 / 5.0) * base
+
+
+class TestNormLedger:
+    """The one-pass profile and weighted sums against per-block loops."""
+
+    @pytest.mark.parametrize("rank", ["scalar", "vector", "matrix"])
+    @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
+    def test_profile_matches_block_l2(self, grid_name, rank, rng, request):
+        grid = request.getfixturevalue(grid_name)
+        fam = DyadicFamily(grid)
+        f = random_field(grid, rank, rng, band=(0.0, grid.xi_max))
+        profile = fam.block_l2_profile(f)
+        assert profile.shape == (len(fam.q_range),)
+        for i, q in enumerate(fam.q_range):
+            assert profile[i] == pytest.approx(fam.block(f, q).l2(), rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d", "grid2d_unit"])
+    def test_psi_stack_rows_equal_per_block_multipliers(self, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        fam = DyadicFamily(grid)
+        for q in fam.q_range:
+            want = psi(grid.xi_mag * 2.0 ** (-q)) * grid.keep_mask
+            assert np.array_equal(fam.psi_array(q), want)
+
+    def test_weighted_sum_matches_explicit_sum(self, grid2d, rng):
+        fam = DyadicFamily(grid2d)
+        profile = fam.block_l2_profile(random_field(grid2d, "vector", rng))
+        for index in (BesovIndex(0.0), BesovIndex(-1.0), BesovIndex(1.0, 2.0),
+                      BesovIndex(0.5, -0.5)):
+            explicit = sum(2.0 ** (q * index.weight_exponent(q)) * profile[i]
+                           for i, q in enumerate(fam.q_range))
+            assert weighted_block_sum(fam, profile, index) == pytest.approx(explicit, rel=1e-13)
+
+    def test_psi_stack_built_once_per_family(self, grid2d, rng, monkeypatch):
+        calls = []
+        real_psi = dyadic.psi
+
+        def counted(r):
+            calls.append(1)
+            return real_psi(r)
+
+        monkeypatch.setattr(dyadic, "psi", counted)
+        fam = DyadicFamily(grid2d)
+        assert not calls                        # built lazily, not in __init__
+        f = random_field(grid2d, "scalar", rng)
+        fam.block_l2_profile(f)
+        stack, sq = fam.psi_stack, fam.psi_sq
+        fam.block_l2_profile(f)
+        fam.block(f, 0)
+        fam.partition_defect()
+        assert len(calls) == 1
+        assert fam.psi_stack is stack and fam.psi_sq is sq
+        assert fam.psi_array(0).base is stack
+        assert fam.weights(BesovIndex(1.0)) is fam.weights(BesovIndex(1.0))
+
+    def test_psi_array_outside_active_range(self, grid2d):
+        fam = DyadicFamily(grid2d)
+        for q in (fam.q_lo - 1, fam.q_hi + 1):
+            with pytest.raises(InputError):
+                fam.psi_array(q)
 
 
 class TestParaproducts:
