@@ -277,6 +277,7 @@ class Runner:
         grid = self.grid()
         params = self.params(grid.dim)
         consts = EnergyConstants.from_viscosity(params.visc)
+        fam = DyadicFamily(grid)
         rows = []
         for pair in lin["pairs"]:
             for xi in lin["xi_values"]:
@@ -285,7 +286,7 @@ class Runner:
                 with _in_section("linear"):
                     res = run_pair_decay(grid, pair, kvec, params.visc, consts,
                                          n_samples=lin["samples"],
-                                         horizon_efolds=lin["efolds"])
+                                         horizon_efolds=lin["efolds"], fam=fam)
                 rows.append((res["pair"], res["xi"], res["fitted"], res["oracle"],
                              res["rel_error"]))
                 if self.strict and res["rel_error"] > 0.02:

@@ -21,7 +21,7 @@ from .errors import InputError, InvariantViolation
 from .evolve import step_count
 from .grid import Grid, SpectralField, dealias_physical
 from .model import PrimitiveState
-from .operators import convect, divergence, gradient, jacobian
+from .operators import Convection, divergence, gradient, jacobian, transport
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +255,22 @@ def generate_admissible(flow) -> AdmissibleData:
 def transport_rhs(rho_hat: SpectralField, F: SpectralField, u_phys: np.ndarray,
                   grad_u: np.ndarray):
     """Continuity and deformation transport with a prescribed velocity, given
-    its physical samples ``u_phys`` and those of its Jacobian ``grad_u``."""
+    its physical samples ``u_phys`` and those of its Jacobian ``grad_u``.
+    One workspace pass: rho, F and the derivatives of F share one inverse
+    transform, and rho u, (grad u) F and u.grad F one forward transform."""
     g = rho_hat.grid
-    rho_dot = -divergence(dealias_physical(g, rho_hat.to_physical() * u_phys))
-    stretch = dealias_physical(g, np.einsum("ik...,kj...->ij...", grad_u, F.to_physical()))
-    return rho_dot, -convect(u_phys, F)[0] + stretch
+    with g.workspace() as ws:
+        rho_s, F_s = ws.spectral((), (g.dim, g.dim))
+        rho_s[...] = rho_hat.coeff
+        F_s[...] = F.coeff
+        conv = Convection(ws, (F,))
+        rho_p, F_p, grads = ws.inverse()
+        flux, stretch, moved = ws.products((g.dim,), (g.dim, g.dim), (conv.count,))
+        np.multiply(rho_p, u_phys, out=flux)
+        np.einsum("ik...,kj...->ij...", grad_u, F_p, out=stretch)
+        transport(u_phys, grads, moved)
+        flux, stretch, moved = ws.forward()
+        return -divergence(flux), -conv.fields_of(moved.coeff)[0] + stretch
 
 
 def transport_simulate(rho_hat: SpectralField, F: SpectralField, u: SpectralField,

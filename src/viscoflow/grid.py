@@ -20,9 +20,30 @@ and 2 on the interior columns.  ``l2``, ``inner`` and ``power_profile``
 apply it, so the coefficient L2 equals the grid-averaged L2 norm of the
 physical values (Parseval).  ``full_spectrum`` rebuilds the full FFT layout
 for the snapshot file and the fine-grid oracle.
+
+Workspace.  Every right-hand side transforms through ``Grid.workspace()``,
+a spectral stack and a physical stack that the grid owns: built at the
+first use, grown to the largest pass seen, reused by every later pass and
+freed with the grid.  A pass writes every spectral family it samples into
+the spectral stack, inverse-transforms them all with one ``irfftn`` into
+the physical stack, writes its products after the samples and
+forward-transforms those with one ``rfftn`` (the dealias mask applied in
+place) into the spectral rows the inverse consumed.  Each stack line is
+transformed on its own, so the batched transforms equal the per-field
+``to_physical``/``dealias_physical`` bit for bit.  Aliasing rule: a view
+of the workspace is valid only inside its pass, until the transform that
+consumes its rows; whatever a right-hand side returns owns its memory.  A
+pass cannot be nested (that raises), and a workspace is not thread-safe:
+parameter sweeps fan out to processes, each with its own grids.  Size:
+a direct run's ``reformulated_rhs`` needs 23 spectral and 34 physical rows
+in 2-D (1.8 MiB at n=64) and 55 and 77 in 3-D (34 MiB at n=32); the
+largest pass, the source assembly, 27 and 40 (2.1 MiB at 2-D n=64) and 67
+and 93 (41 MiB at 3-D n=32).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,6 +93,8 @@ class Grid:
             k = k1 if ax < dim - 1 else np.fft.rfftfreq(n, 1.0 / n)
             self.k_axes.append(k.reshape(s))
         self.xi_axes = [k / self.length for k in self.k_axes]
+        # derivative symbols 1j*xi_l, in the broadcast shape of xi_axes
+        self.deriv = [1j * x for x in self.xi_axes]
 
         self.xi_sq = sum(x * x for x in self.xi_axes)
         self.xi_mag = np.sqrt(self.xi_sq)
@@ -97,6 +120,16 @@ class Grid:
 
         self.xi_max = float(self.xi_mag[self.keep_mask].max())
         self.xi_min = 1.0 / self.length
+        # the workspace stacks, grown at first use; a pass holds the grid, the
+        # grid never holds a pass, so no reference cycle keeps a grid alive
+        self._stacks = {"spec": np.empty((0,) + self.spectral_shape, dtype=np.complex128),
+                        "phys": np.empty((0,) + (n,) * dim)}
+        self._in_pass = False
+
+    def workspace(self) -> "Workspace":
+        """A pass over this grid's transform stacks: ``with grid.workspace()
+        as ws``."""
+        return Workspace(self)
 
     def xi_power(self, s: float) -> np.ndarray:
         """|xi|^s with the mean mode set to 0, built once per grid and s."""
@@ -120,6 +153,90 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(dim={self.dim}, n={self.n}, length={self.length})"
+
+
+class Workspace:
+    """One pass over a grid's transform stacks (see "Workspace" in the module
+    docstring).  Rows are handed out in stack order: ``spectral`` and
+    ``products`` push rows for the caller to fill, one view per component
+    shape (shaped ``comp_shape + spatial shape``); ``inverse`` and ``forward``
+    pop every row pushed since the last transform and push its result.  Fill
+    a view before the next request: a stack that has to grow is reallocated,
+    and only the rows waiting for a transform move with it.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._stack = grid._stacks
+
+    def __enter__(self) -> "Workspace":
+        if self.grid._in_pass:
+            raise RuntimeError(f"the transform workspace of {self.grid} is already in use")
+        self.grid._in_pass = True
+        self._top = {"spec": 0, "phys": 0}       # first free row
+        self._mark = {"spec": 0, "phys": 0}      # first row waiting for a transform
+        self._waiting = {"spec": [], "phys": []}  # component shapes of those rows
+        return self
+
+    def __exit__(self, *exc):
+        self.grid._in_pass = False
+
+    def _push(self, kind: str, shapes, waiting: bool):
+        """Rows for ``shapes`` on top of a stack: the block and one view per
+        shape.  ``waiting`` rows are left for the next transform; the others
+        are a transform's output and start the rows after it."""
+        start = self._top[kind]
+        end = start + sum(math.prod(s) for s in shapes)
+        stack = self._stack[kind]
+        if len(stack) < end:
+            grown = np.empty((end,) + stack.shape[1:], dtype=stack.dtype)
+            mark = self._mark[kind]
+            grown[mark:start] = stack[mark:start]
+            stack = self._stack[kind] = grown
+        self._top[kind] = end
+        if waiting:
+            self._waiting[kind].extend(shapes)
+        else:
+            self._mark[kind] = end
+        views, row = [], start
+        for s in shapes:
+            views.append(stack[row:row + math.prod(s)].reshape(s + stack.shape[1:]))
+            row += math.prod(s)
+        return stack[start:end], views
+
+    def _pop(self, kind: str):
+        """The rows waiting for a transform, and their component shapes."""
+        mark, top = self._mark[kind], self._top[kind]
+        shapes, self._waiting[kind] = self._waiting[kind], []
+        self._top[kind] = mark
+        return self._stack[kind][mark:top], shapes
+
+    def spectral(self, *shapes) -> list[np.ndarray]:
+        """Spectral rows for the caller to fill, one view per component shape."""
+        return self._push("spec", shapes, True)[1]
+
+    def products(self, *shapes) -> list[np.ndarray]:
+        """Physical rows for the caller to fill, one view per component shape."""
+        return self._push("phys", shapes, True)[1]
+
+    def inverse(self) -> list[np.ndarray]:
+        """Samples of every spectral row pushed since the last transform."""
+        g = self.grid
+        coeff, shapes = self._pop("spec")
+        samples, views = self._push("phys", shapes, False)
+        np.fft.irfftn(coeff, s=(g.n,) * g.dim, axes=tuple(range(1, 1 + g.dim)),
+                      norm="forward", out=samples)
+        return views
+
+    def forward(self) -> list[SpectralField]:
+        """Dealiased coefficients of every product row pushed since the last
+        transform."""
+        g = self.grid
+        values, shapes = self._pop("phys")
+        coeff, views = self._push("spec", shapes, False)
+        np.fft.rfftn(values, axes=tuple(range(1, 1 + g.dim)), norm="forward", out=coeff)
+        coeff *= g.dealias_mask
+        return [SpectralField(g, c) for c in views]
 
 
 class SpectralField:

@@ -341,7 +341,8 @@ def _assemble_state(grid: Grid, pair: str, x: SpectralField, y: SpectralField) -
 
 def run_pair_decay(grid: Grid, pair: str, kvec, visc,
                    consts: EnergyConstants | None = None,
-                   n_samples: int = 600, horizon_efolds: float = 96.0) -> dict:
+                   n_samples: int = 600, horizon_efolds: float = 96.0,
+                   fam: DyadicFamily | None = None) -> dict:
     """Free-decay run of one pair seeded at a single mode, with rate fit.
 
     The block energy at the seeded frequency is sampled in closed form and
@@ -358,7 +359,8 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     in [2^-1/2, 5/6], below block q's shell, where block q - 1 has psi = 1;
     so every representable frequency has a block.  A horizon that is not
     finite and positive, or too few samples for the rate fit, is rejected.
-    So is a zero wavevector (the mean) or one at or past Nyquist.
+    So is a zero wavevector (the mean) or one at or past Nyquist.  A caller
+    that fits several pairs on one grid passes one dyadic family ``fam``.
     """
     if not (math.isfinite(horizon_efolds) and horizon_efolds > 0.0):
         raise InputError(f"efolds = {horizon_efolds}: the horizon in e-folds must be "
@@ -376,7 +378,7 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     if not psi(xi * 2.0 ** -q_seed) > 0.0:
         q_seed -= 1
     consts = consts or EnergyConstants(visc.nu, visc.mu)
-    fam = DyadicFamily(grid)
+    fam = fam or DyadicFamily(grid)
     oracle = oracle_decay_rate(pair, xi, visc.nu, visc.mu)
     times = np.linspace(0.0, horizon_efolds / oracle, n_samples)
     # real generator: exp(t M) is real, its imaginary part exactly zero

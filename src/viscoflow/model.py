@@ -17,17 +17,20 @@ The elastic coupling a = alpha / P'(1) is kept general (a = 1 recovers the
 usual normalization); the linear-system module always works at a = 1.
 
 Every right-hand side evaluates its state in physical space once
-(``PhysicalBundle``: rho, grad rho, u, grad u, A u, E and grad E, one
-batched inverse transform per family).  Products that share a destination
-are summed there and cost one dealiased forward transform; by linearity
-that equals dealiasing each product alone; ``operators.convect`` batches
-the u.grad f of whole fields.  Scalar transforms per call:
+(``PhysicalBundle``: rho, grad rho, u, grad u, A u, E and grad E), in one
+pass over the grid's transform workspace: all families are written into
+its spectral stack and take one inverse transform, and all products are
+written into its physical stack and take one dealiased forward transform.
+Products that share a destination are summed there; by linearity that
+equals dealiasing each product alone.  ``operators.Convection`` adds the
+u.grad f of whole fields to the same pass.  Scalar transforms and
+``rfftn``/``irfftn`` calls per call:
 
-    call                 2-D   3-D
-    reformulated_rhs      36    86
-    primitive_rhs         30    68
-    assemble_sources      40    93
-    evolve._SweepRHS      21    56   (frozen sources cached)
+    call                 2-D   3-D   calls
+    reformulated_rhs      36    86     3   (the rotation correction's own forward)
+    primitive_rhs         30    68     2
+    assemble_sources      40    93     2
+    evolve._SweepRHS      21    56     2   (frozen sources cached)
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigurationError, InputError, StabilityError
-from .grid import Grid, SpectralField, dealias_physical, dealiased_product
-from .operators import (Viscosity, antisymmetric, convect, curl_matrix, divergence,
+from .grid import Grid, SpectralField, Workspace, dealiased_product
+from .operators import (Convection, Viscosity, antisymmetric, curl_matrix, divergence,
                         double_divergence, fractional_power, gradient,
                         helmholtz_reconstruct, helmholtz_split, inverse_mag_times,
                         jacobian, lame_operator, laplacian, symmetric_scalar,
@@ -220,14 +223,17 @@ def elastic_energy(F: SpectralField, alpha: float = 1.0) -> float:
 
 @dataclass
 class PhysicalBundle:
-    """Physical samples of one state, each family inverse-transformed once.
+    """Physical samples of one state, every family in one inverse transform.
 
     Index conventions follow the operator layer: grad_u[i, j] = d_j u_i (the
-    Jacobian) and grad_E[l, i, j] = d_l E_{ij}.  Building the bundle raises
-    ``StabilityError`` naming the field when a sample is not finite, and when
-    the density perturbation leaves the small-data regime.
+    Jacobian) and grad_E[l, i, j] = d_l E_{ij}.  The samples are views of the
+    workspace ``ws`` and valid only inside its pass.  Building the bundle
+    raises ``StabilityError`` naming the first family (in field order) that
+    holds a non-finite sample, and when the density perturbation leaves the
+    small-data regime.  ``convection`` holds the fields whose u . grad f the
+    caller needs: their derivative rows are sampled in the same transform.
     """
-    grid: Grid
+    ws: Workspace
     rho: np.ndarray
     grad_rho: np.ndarray
     u: np.ndarray
@@ -235,27 +241,42 @@ class PhysicalBundle:
     lame: np.ndarray
     E: np.ndarray
     grad_E: np.ndarray
+    convection: Convection | None = None
+    grad_moved: np.ndarray | None = None
+
+    @property
+    def grid(self) -> Grid:
+        return self.ws.grid
 
     @classmethod
-    def of(cls, prim: PrimitiveState, visc: Viscosity) -> "PhysicalBundle":
-        families = {"rho": prim.rho, "grad_rho": gradient(prim.rho),
-                    "u": prim.u, "grad_u": jacobian(prim.u),
-                    "lame": lame_operator(prim.u, visc),
-                    "E": prim.E, "grad_E": gradient(prim.E)}
-        samples = {}
-        for name, f in families.items():
-            samples[name] = f.to_physical()
-            if not np.isfinite(samples[name]).all():
+    def of(cls, prim: PrimitiveState, visc: Viscosity, ws: Workspace,
+           convected=()) -> "PhysicalBundle":
+        d = ws.grid.dim
+        rho, grad_rho, u, grad_u, lame, E, grad_E = ws.spectral(
+            (), (d,), (d,), (d, d), (d,), (d, d), (d, d, d))
+        rho[...] = prim.rho.coeff
+        u[...] = prim.u.coeff
+        E[...] = prim.E.coeff
+        for l, sym in enumerate(ws.grid.deriv):
+            np.multiply(prim.rho.coeff, sym, out=grad_rho[l])
+            np.multiply(prim.u.coeff, sym, out=grad_u[:, l])
+            np.multiply(prim.E.coeff, sym, out=grad_E[l])
+        lame_operator(prim.u, visc, out=lame)
+        conv = Convection(ws, convected) if convected else None
+        samples = ws.inverse()
+        names = ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E")
+        for name, vals in zip(names, samples):
+            if not np.isfinite(vals).all():
                 raise StabilityError(f"non-finite samples in field {name}")
-        sup = float(np.max(np.abs(samples["rho"])))
+        sup = float(np.max(np.abs(samples[0])))
         if not (sup <= RHO_SUP_LIMIT):  # NaN-safe: comparisons with NaN are False
             raise StabilityError(
                 f"density perturbation sup {sup:.3g} > {RHO_SUP_LIMIT}; left the small-data regime")
-        return cls(prim.rho.grid, **samples)
+        return cls(ws, *samples[:7], conv, samples[7] if conv else None)
 
-    def stretch(self) -> np.ndarray:
-        """Samples of (grad u) E."""
-        return np.einsum("ik...,kj...->ij...", self.grad_u, self.E)
+    def stretch(self, out=None) -> np.ndarray:
+        """Samples of (grad u) E, written into ``out`` when given."""
+        return np.einsum("ik...,kj...->ij...", self.grad_u, self.E, out=out)
 
 
 def rotation_correction(ph: PhysicalBundle) -> SpectralField:
@@ -264,37 +285,40 @@ def rotation_correction(ph: PhysicalBundle) -> SpectralField:
     S_{ij} = |grad|^{-1} d_k (B_{ijk} - B_{jik}) with
     B_{ijk} = E_{lk} d_l E_{ij} - E_{lj} d_l E_{ik}.  The difference
     B_{ijk} - B_{jik} is formed in physical space for i < j only and
-    S_{ji} = -S_{ij}, so the result is antisymmetric exactly.
+    S_{ji} = -S_{ij}, so the result is antisymmetric exactly.  It takes its
+    own forward transform in the bundle's workspace pass.
     """
     g = ph.grid
     E, dE = ph.E, ph.grad_E
-    C = np.stack([np.einsum("lk...,l...->k...", E, dE[:, i, j] - dE[:, j, i])
-                  - np.einsum("l...,lk...->k...", E[:, j], dE[:, i])
-                  + np.einsum("l...,lk...->k...", E[:, i], dE[:, j])
-                  for i, j in _pairs(g.dim)])
-    Ch = dealias_physical(g, C).coeff
-    upper = sum(Ch[:, k] * _deriv_mult(g, k) for k in range(g.dim)) * g.inv_xi
+    pairs = _pairs(g.dim)
+    (C,) = ph.ws.products((len(pairs), g.dim))
+    for p, (i, j) in enumerate(pairs):
+        np.einsum("lk...,l...->k...", E, dE[:, i, j] - dE[:, j, i], out=C[p])
+        C[p] -= np.einsum("l...,lk...->k...", E[:, j], dE[:, i])
+        C[p] += np.einsum("l...,lk...->k...", E[:, i], dE[:, j])
+    (Ch,) = ph.ws.forward()
+    upper = sum(Ch.coeff[:, k] * _deriv_mult(g, k) for k in range(g.dim)) * g.inv_xi
     return antisymmetric(g, upper)
 
 
-def _common_vector(ph: PhysicalBundle, params: ModelParams) -> SpectralField:
+def _common_vector(ph: PhysicalBundle, params: ModelParams, out: np.ndarray):
     """u.grad u + K(rho) grad rho + (rho/(1+rho)) A u - a E_{jk} d_j E_{ik}."""
-    vals = (transport(ph.u, ph.grad_u.swapaxes(0, 1))
-            + params.pressure.deviation(ph.rho) * ph.grad_rho
-            + ph.rho / (1.0 + ph.rho) * ph.lame
-            - params.coupling * np.einsum("jk...,jik...->i...", ph.E, ph.grad_E))
-    return dealias_physical(ph.grid, vals)
+    transport(ph.u, ph.grad_u.swapaxes(0, 1), out)
+    out += params.pressure.deviation(ph.rho) * ph.grad_rho
+    out += ph.rho / (1.0 + ph.rho) * ph.lame
+    out -= params.coupling * np.einsum("jk...,jik...->i...", ph.E, ph.grad_E)
 
 
-def _mass_flux(ph: PhysicalBundle) -> SpectralField:
+def _mass_flux(ph: PhysicalBundle, out: np.ndarray):
     """rho div u + u.grad rho."""
-    return dealias_physical(ph.grid, ph.rho * np.trace(ph.grad_u)
-                            + transport(ph.u, ph.grad_rho))
+    np.multiply(ph.rho, np.trace(ph.grad_u), out=out)
+    out += transport(ph.u, ph.grad_rho)
 
 
-def _deformation_flux(ph: PhysicalBundle) -> SpectralField:
+def _deformation_flux(ph: PhysicalBundle, out: np.ndarray):
     """(grad u) E - u.grad E."""
-    return dealias_physical(ph.grid, ph.stretch() - transport(ph.u, ph.grad_E))
+    ph.stretch(out)
+    out -= transport(ph.u, ph.grad_E)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +328,18 @@ def _deformation_flux(ph: PhysicalBundle) -> SpectralField:
 def primitive_rhs(prim: PrimitiveState, params: ModelParams) -> PrimitiveState:
     """Direct evolution of (rho, u, E); all products dealiased."""
     a = params.coupling
-    ph = PhysicalBundle.of(prim, params.visc)
-    rho_dot = -divergence(prim.u) - _mass_flux(ph)
-    u_dot = (lame_operator(prim.u, params.visc) - gradient(prim.rho)
-             + a * divergence(prim.E) - _common_vector(ph, params))
-    E_dot = jacobian(prim.u) + _deformation_flux(ph)
+    d = prim.rho.grid.dim
+    with prim.rho.grid.workspace() as ws:
+        ph = PhysicalBundle.of(prim, params.visc, ws)
+        mass, G, flux = ws.products((), (d,), (d, d))
+        _mass_flux(ph, mass)
+        _common_vector(ph, params, G)
+        _deformation_flux(ph, flux)
+        mass, G, flux = ws.forward()
+        rho_dot = -divergence(prim.u) - mass
+        u_dot = (lame_operator(prim.u, params.visc) - gradient(prim.rho)
+                 + a * divergence(prim.E) - G)
+        E_dot = jacobian(prim.u) + flux
     return PrimitiveState(rho_dot, u_dot, E_dot).project_mean_zero()
 
 
@@ -349,26 +380,30 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
     g = state.rho.grid
     a = params.coupling
     u = state.velocity()
-    ph = PhysicalBundle.of(PrimitiveState(state.rho, u, state.E), params.visc)
+    with g.workspace() as ws:
+        ph = PhysicalBundle.of(PrimitiveState(state.rho, u, state.E), params.visc, ws)
+        mass, G, rho_E, flux = ws.products((), (g.dim,), (g.dim, g.dim), (g.dim, g.dim))
+        _mass_flux(ph, mass)
+        _common_vector(ph, params, G)
+        # rho E is its own dealiased product: folding its divergence into G by
+        # the product rule is exact only on band-limited data
+        np.multiply(ph.rho, ph.E, out=rho_E)
+        _deformation_flux(ph, flux)
+        mass, G, rho_E, flux = ws.forward()
 
-    rho_dot = -fractional_power(state.d, 1.0) - _mass_flux(ph)
+        rho_dot = -fractional_power(state.d, 1.0) - mass
+        d_dot = ((1.0 + a) * fractional_power(state.rho, 1.0)
+                 + params.nu * laplacian(state.d)
+                 - inverse_mag_times(divergence(G + a * divergence(rho_E))))
 
-    G = _common_vector(ph, params)
-    # rho E is its own dealiased product: folding its divergence into G by
-    # the product rule is exact only on band-limited data
-    rho_E = dealias_physical(g, ph.rho * ph.E)
-    d_dot = ((1.0 + a) * fractional_power(state.rho, 1.0)
-             + params.nu * laplacian(state.d)
-             - inverse_mag_times(divergence(G + a * divergence(rho_E))))
+        skew = transpose_gap(state.E)
+        om_dot = (params.mu * laplacian(state.omega)
+                  + a * fractional_power(skew, 1.0)
+                  - inverse_mag_times(curl_matrix(G)))
+        if include_rotation_correction:
+            om_dot = om_dot + a * rotation_correction(ph)
 
-    skew = transpose_gap(state.E)
-    om_dot = (params.mu * laplacian(state.omega)
-              + a * fractional_power(skew, 1.0)
-              - inverse_mag_times(curl_matrix(G)))
-    if include_rotation_correction:
-        om_dot = om_dot + a * rotation_correction(ph)
-
-    E_dot = jacobian(u) + _deformation_flux(ph)
+        E_dot = jacobian(u) + flux
 
     return ReformState(rho_dot, d_dot, om_dot, E_dot).project_mean_zero()
 
@@ -391,16 +426,25 @@ def assemble_sources(prim: PrimitiveState,
     """
     g = prim.rho.grid
     a = params.coupling
-    ph = PhysicalBundle.of(prim, params.visc)
     d, om = helmholtz_split(prim.u)
-    conv_d, conv_om = convect(ph.u, d, om)
-    G = _common_vector(ph, params)
-    div_rho_E = divergence(dealias_physical(g, ph.rho * ph.E))
-    sources = ReformState(-dealias_physical(g, ph.rho * np.trace(ph.grad_u)),
-                          conv_d - inverse_mag_times(divergence(G + a * div_rho_E)),
-                          conv_om - inverse_mag_times(curl_matrix(G)),
-                          dealias_physical(g, ph.stretch()))
-    return sources.project_mean_zero(), ph.u
+    with g.workspace() as ws:
+        ph = PhysicalBundle.of(prim, params.visc, ws, (d, om))
+        moved, G, rho_E, mass, stretch = ws.products(
+            (ph.convection.count,), (g.dim,), (g.dim, g.dim), (), (g.dim, g.dim))
+        transport(ph.u, ph.grad_moved, moved)
+        _common_vector(ph, params, G)
+        np.multiply(ph.rho, ph.E, out=rho_E)
+        np.multiply(ph.rho, np.trace(ph.grad_u), out=mass)
+        ph.stretch(stretch)
+        u_phys = ph.u.copy()
+        moved, G, rho_E, mass, stretch = ws.forward()
+        conv_d, conv_om = ph.convection.fields_of(moved.coeff)
+        div_rho_E = divergence(rho_E)
+        sources = ReformState(-mass,
+                              conv_d - inverse_mag_times(divergence(G + a * div_rho_E)),
+                              conv_om - inverse_mag_times(curl_matrix(G)),
+                              stretch)
+        return sources.project_mean_zero(), u_phys
 
 
 def deformation_identity_gap(prim: PrimitiveState) -> SpectralField:

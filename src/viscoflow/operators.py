@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grid import Grid, SpectralField, dealias_physical
+from .grid import Grid, SpectralField, Workspace, dealias_physical
 
 
 def _deriv_mult(grid: Grid, axis: int):
-    return 1j * grid.xi_axes[axis]
+    return grid.deriv[axis]
 
 
 def derivative(f: SpectralField, axis: int) -> SpectralField:
@@ -183,11 +183,12 @@ class SplitViscosity:
             raise ConfigurationError("both damping coefficients must be positive")
 
 
-def lame_operator(u: SpectralField, visc: Viscosity) -> SpectralField:
-    """Elliptic viscosity operator mu*Lap + (lambda+mu)*grad div on vectors."""
+def lame_operator(u: SpectralField, visc: Viscosity, out=None) -> SpectralField:
+    """Elliptic viscosity operator mu*Lap + (lambda+mu)*grad div on vectors;
+    the coefficients are written into ``out`` when it is given."""
     g = u.grid
     div_u = sum(u.coeff[j] * _deriv_mult(g, j) for j in range(g.dim))
-    out = np.empty_like(u.coeff)
+    out = np.empty_like(u.coeff) if out is None else out
     for i in range(g.dim):
         out[i] = -visc.mu * g.xi_sq * u.coeff[i] + (visc.lam + visc.mu) * _deriv_mult(g, i) * div_u
     return SpectralField(g, out)
@@ -234,35 +235,70 @@ def transpose_gap(E: SpectralField) -> SpectralField:
 # dealiased nonlinear contractions
 # ----------------------------------------------------------------------
 
-def transport(u_phys: np.ndarray, grad_phys) -> np.ndarray:
+def transport(u_phys: np.ndarray, grad_phys, out=None) -> np.ndarray:
     """Samples of u . grad f, given grad_phys[l] = d_l f for f of any rank
-    (a stacked array or a list of arrays)."""
-    return sum((u_phys[l] * grad_phys[l] for l in range(1, len(u_phys))),
-               u_phys[0] * grad_phys[0])
+    (a stacked array or a list of arrays); written into ``out`` when given."""
+    out = np.multiply(u_phys[0], grad_phys[0], out=out)
+    for l in range(1, len(u_phys)):
+        out += u_phys[l] * grad_phys[l]
+    return out
+
+
+class Convection:
+    """The components that u . grad f moves, for several fields of any rank,
+    inside one workspace pass.
+
+    An exactly antisymmetric matrix moves only its i < j entries and is
+    mirrored back; negation is exact, so that equals moving every entry.  A
+    nonzero (0, 0) entry settles the test without negating the whole matrix.
+    Building one pushes the spectral rows d_l c of every moved component c,
+    shape ``(dim, count)``; after the inverse transform, ``transport`` of the
+    velocity samples and those rows' samples gives the moved components, and
+    ``fields_of`` rebuilds the fields from their dealiased coefficients.
+    """
+
+    def __init__(self, ws: Workspace, fields):
+        g = ws.grid
+        self.fields = fields
+        self.skew = [f.rank == "matrix" and not f.coeff[0, 0].any()
+                     and np.array_equal(f.coeff, -f.coeff.swapaxes(0, 1)) for f in fields]
+        comps = [c for f, s in zip(fields, self.skew)
+                 for c in ([f.coeff[i, j] for i, j in _pairs(g.dim)] if s
+                           else f.coeff.reshape((-1,) + f.coeff.shape[-g.dim:]))]
+        self.count = len(comps)
+        (rows,) = ws.spectral((g.dim, self.count))
+        for l, sym in enumerate(g.deriv):
+            for r, c in enumerate(comps):
+                np.multiply(c, sym, out=rows[l, r])
+
+    def fields_of(self, moved: np.ndarray) -> list[SpectralField]:
+        """The moved fields from the coefficients of their components (copied
+        out of the workspace)."""
+        out, start = [], 0
+        for f, s in zip(self.fields, self.skew):
+            rows = len(_pairs(f.grid.dim)) if s else f.ncomp
+            m = moved[start:start + rows]
+            start += rows
+            out.append(antisymmetric(f.grid, m) if s
+                       else SpectralField(f.grid, m.reshape(f.coeff.shape).copy()))
+        return out
 
 
 def convect(u_phys: np.ndarray, *fields: SpectralField) -> list[SpectralField]:
     """Dealiased u . grad f for each field, fields of any rank.
 
-    ``u_phys`` holds the velocity's physical samples.  All components are
-    stacked and take one inverse transform per derivative direction (which
-    keeps the temporaries small) and one dealiased forward transform.  An
-    exactly antisymmetric matrix moves only its i < j entries and is mirrored
-    back; negation is exact, so that equals moving every entry.  A nonzero
-    (0, 0) entry settles the test without negating the whole matrix.
+    ``u_phys`` holds the velocity's physical samples.  Every moved component
+    (see ``Convection``) is differentiated in every direction, and the whole
+    stack takes one inverse and one dealiased forward transform.
     """
     g = fields[0].grid
-    skew = [f.rank == "matrix" and not f.coeff[0, 0].any()
-            and np.array_equal(f.coeff, -f.coeff.swapaxes(0, 1)) for f in fields]
-    comps = [[f.coeff[i, j] for i, j in _pairs(g.dim)] if s
-             else list(f.coeff.reshape((-1,) + f.coeff.shape[-g.dim:]))
-             for f, s in zip(fields, skew)]
-    stacked = SpectralField(g, np.stack([c for group in comps for c in group]))
-    grads = [derivative(stacked, l).to_physical() for l in range(g.dim)]
-    moved = dealias_physical(g, transport(u_phys, grads)).coeff
-    ends = np.cumsum([len(group) for group in comps])[:-1]
-    return [antisymmetric(g, m) if s else SpectralField(g, m.reshape(f.coeff.shape))
-            for f, s, m in zip(fields, skew, np.split(moved, ends))]
+    with g.workspace() as ws:
+        conv = Convection(ws, fields)
+        (grads,) = ws.inverse()
+        (moved,) = ws.products((conv.count,))
+        transport(u_phys, grads, moved)
+        (moved,) = ws.forward()
+        return conv.fields_of(moved.coeff)
 
 
 def matrix_product(A: SpectralField, B: SpectralField) -> SpectralField:

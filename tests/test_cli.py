@@ -201,6 +201,21 @@ class TestCli:
         rows = (out / "decay.csv").read_text().strip().splitlines()[2:]
         assert len(rows) == 9  # three pairs at xi = 0.5, 1, 2
 
+    def test_linear_run_builds_one_dyadic_family(self, tmp_path, monkeypatch):
+        # every (pair, xi) fit reads the same grid, so one family serves all
+        from viscoflow.dyadic import DyadicFamily
+        built = []
+        init = DyadicFamily.__init__
+        monkeypatch.setattr(DyadicFamily, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        cfg = _write_config(tmp_path / "c.ini",
+                            "[grid]\nn = 32\nlength = 1\n\n[linear]\n"
+                            "xi_values = 1,2\nsamples = 100\n")
+        out = tmp_path / "out"
+        assert main(["linear", "--config", cfg, "--strict", "--out", str(out)]) == 0
+        assert len((out / "decay.csv").read_text().strip().splitlines()[2:]) == 6
+        assert len(built) == 1
+
     def test_linear_between_blocks_fits_the_block_below(self, tmp_path):
         # xi = 0.75 and 3 sit at 0.75 of 2^round(log2 xi), below that block's
         # shell; the fit reads block q - 1, where psi = 1

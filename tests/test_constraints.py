@@ -10,9 +10,10 @@ from viscoflow import (ComposedMap, FlowMap, Grid, SpectralField,
                        check_trajectory, convection_gauge, curl_residual,
                        div_residual, generate_admissible, shear_map,
                        transport_simulate)
+from viscoflow.constraints import transport_rhs
 from viscoflow.errors import InputError
-from viscoflow.grid import cosine_mode
-from viscoflow.operators import gradient, jacobian
+from viscoflow.grid import cosine_mode, dealias_physical, random_field
+from viscoflow.operators import derivative, divergence, gradient, jacobian, transport
 
 
 def _two_mode_map(grid, eps, base_k=None):
@@ -263,3 +264,38 @@ class TestPropagation:
             finals.append(div_residual(snaps[-1][0], snaps[-1][1]))
         assert all(r < 1e-12 for r in finals)
         assert finals[2] <= finals[0] + 1e-13
+
+
+class TestTransportRHS:
+    @staticmethod
+    def _fields(grid, rng):
+        return [random_field(grid, rank, rng, amplitude=0.05)
+                for rank in ("scalar", "matrix", "vector")]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_pass_equals_per_field_transforms(self, dim, rng):
+        # the batched transforms of the workspace change no bit against
+        # transforming every family and product on its own
+        grid = Grid(dim, 32 if dim == 2 else 16, 4.0)
+        rho, F, u = self._fields(grid, rng)
+        u_phys, grad_u = u.to_physical(), jacobian(u).to_physical()
+        rho_dot, F_dot = transport_rhs(rho, F, u_phys, grad_u)
+        grads = [derivative(F, l).to_physical() for l in range(dim)]
+        stretch = np.einsum("ik...,kj...->ij...", grad_u, F.to_physical())
+        want_rho = -divergence(dealias_physical(grid, rho.to_physical() * u_phys))
+        want_F = (-dealias_physical(grid, transport(u_phys, grads))
+                  + dealias_physical(grid, stretch))
+        assert rho_dot.coeff.tobytes() == want_rho.coeff.tobytes()
+        assert F_dot.coeff.tobytes() == want_F.coeff.tobytes()
+
+    def test_results_own_their_memory(self, grid2d, rng):
+        rho, F, u = self._fields(grid2d, rng)
+        samples = (u.to_physical(), jacobian(u).to_physical())
+        transport_rhs(rho, F, *samples)  # the stacks reach their size
+        first = transport_rhs(rho, F, *samples)
+        kept = [f.coeff.copy() for f in first]
+        transport_rhs(2.0 * rho, 2.0 * F, *samples)
+        for f, old in zip(first, kept):
+            assert f.coeff.tobytes() == old.tobytes()
+            for stack in grid2d._stacks.values():
+                assert not np.shares_memory(f.coeff, stack)

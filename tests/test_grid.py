@@ -1,6 +1,7 @@
 """Spectral substrate: transforms, Parseval, dealiased products, dyadic scaling."""
 
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from viscoflow import Grid, SpectralField, dealiased_product, random_field, scale_dyadic
 from viscoflow.dyadic import DyadicFamily, besov_norm
 from viscoflow.errors import InputError
-from viscoflow.grid import cosine_mode, fine_grid_product, full_spectrum, refine_field
+from viscoflow.grid import (cosine_mode, dealias_physical, fine_grid_product, full_spectrum,
+                            refine_field)
+from viscoflow.operators import convect, derivative
 
 
 class TestGrid:
@@ -94,6 +97,95 @@ class TestTransforms:
     def test_size_mismatch_rejected(self, grid2d):
         with pytest.raises(InputError):
             SpectralField.from_physical(grid2d, np.ones((16, 16)))
+
+
+class TestWorkspace:
+    """One spectral and one physical stack per grid, reused by every pass."""
+
+    @staticmethod
+    def _fields(grid, rng):
+        # the whole retained band, so the dealias mask has work to do
+        return [random_field(grid, rank, rng, band=(0.0, grid.xi_max))
+                for rank in ("scalar", "vector", "matrix")]
+
+    @staticmethod
+    def _comp(f):
+        return f.coeff.shape[:f.coeff.ndim - f.grid.dim]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_transforms_equal_per_field_bitwise(self, dim, rng):
+        grid = Grid(dim, 32 if dim == 2 else 16, 4.0)
+        fields = self._fields(grid, rng)
+        with grid.workspace() as ws:
+            for row, f in zip(ws.spectral(*map(self._comp, fields)), fields):
+                row[...] = f.coeff
+            samples = ws.inverse()
+            for got, f in zip(samples, fields):
+                assert got.tobytes() == f.to_physical().tobytes()
+            values = [np.cos(x) * x for x in samples]
+            for row, v in zip(ws.products(*map(self._comp, fields)), values):
+                row[...] = v
+            for got, v in zip(ws.forward(), values):
+                assert got.coeff.tobytes() == dealias_physical(grid, v).coeff.tobytes()
+
+    def test_growth_keeps_the_rows_already_filled(self, rng):
+        # a fresh grid's stacks are empty, so every request below grows them
+        grid = Grid(2, 16, 1.0)
+        f, g = (random_field(grid, "matrix", rng) for _ in range(2))
+        with grid.workspace() as ws:
+            (a,) = ws.spectral((2, 2))
+            a[...] = f.coeff
+            (b,) = ws.spectral((3, 2, 2))
+            b[...] = derivative(g, 0).coeff
+            fa, fb = ws.inverse()
+        assert np.array_equal(fa, f.to_physical())
+        assert np.array_equal(fb[2], derivative(g, 0).to_physical())
+
+    def test_passes_reuse_the_stacks(self, grid2d, rng):
+        f = random_field(grid2d, "vector", rng)
+        views = []
+        for _ in range(2):
+            with grid2d.workspace() as ws:
+                (row,) = ws.spectral((2,))
+                row[...] = f.coeff
+                views.append(ws.inverse()[0])
+        assert np.shares_memory(*views)
+
+    def test_nested_pass_raises(self, grid2d, rng):
+        f = random_field(grid2d, "scalar", rng)
+        u = random_field(grid2d, "vector", rng).to_physical()
+        with grid2d.workspace():
+            with pytest.raises(RuntimeError, match="already in use"):
+                with grid2d.workspace():
+                    pass
+            with pytest.raises(RuntimeError, match="already in use"):
+                convect(u, f)
+        # closed again: a pass after the failed ones runs
+        assert np.array_equal(convect(u, f)[0].coeff, convect(u, f)[0].coeff)
+
+    def test_other_grids_have_their_own_workspace(self, rng):
+        a, b = Grid(2, 16, 1.0), Grid(2, 16, 1.0)
+        f = random_field(b, "scalar", rng)
+        u = random_field(b, "vector", rng).to_physical()
+        with a.workspace():
+            assert convect(u, f)[0].l2() > 0.0
+
+    def test_grid_is_freed_without_cycle_collection(self, rng):
+        # a pass holds the grid and the grid never holds a pass: dropping the
+        # last reference frees the grid and its stacks at once
+        grid = Grid(2, 16, 1.0)
+        f = random_field(grid, "matrix", rng)
+        u = random_field(grid, "vector", rng).to_physical()
+        moved = convect(u, f)
+        ref = weakref.ref(grid)
+        del grid, f, moved
+        assert ref() is None
+
+    def test_derivative_symbols_built_once(self, grid2d):
+        from viscoflow.operators import _deriv_mult
+        for ax in range(2):
+            assert _deriv_mult(grid2d, ax) is grid2d.deriv[ax]
+            assert np.array_equal(grid2d.deriv[ax], 1j * grid2d.xi_axes[ax])
 
 
 class TestDealiasedProduct:

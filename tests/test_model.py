@@ -17,9 +17,10 @@ from viscoflow.grid import cosine_mode, dealiased_product, fine_grid_product, re
 from viscoflow.linear import linear_rhs
 from viscoflow.model import (PhysicalBundle, ReformState, rotation_correction,
                              split_state)
-from viscoflow.operators import (SplitViscosity, Viscosity, convect, derivative, divergence,
-                                 gradient, inverse_mag_times, jacobian, laplacian,
-                                 helmholtz_split, transpose_gap, symmetric_scalar)
+from viscoflow.operators import (SplitViscosity, Viscosity, antisymmetric, convect,
+                                 derivative, divergence, gradient, inverse_mag_times,
+                                 jacobian, lame_operator, laplacian, helmholtz_split,
+                                 transpose_gap, symmetric_scalar)
 
 
 def _random_state(grid, rng, amplitude=0.05):
@@ -320,6 +321,19 @@ class TestDualPath:
 
 class TestPhysicalBundle:
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_samples_equal_per_family_transforms(self, rng, dim):
+        # one inverse transform of the whole stack changes no bit
+        grid = Grid(dim, 32 if dim == 2 else 16, 4.0)
+        prim, visc = _random_state(grid, rng), Viscosity(1.0, 1.0, dim)
+        families = {"rho": prim.rho, "grad_rho": gradient(prim.rho), "u": prim.u,
+                    "grad_u": jacobian(prim.u), "lame": lame_operator(prim.u, visc),
+                    "E": prim.E, "grad_E": gradient(prim.E)}
+        with grid.workspace() as ws:
+            ph = PhysicalBundle.of(prim, visc, ws)
+            for name, f in families.items():
+                assert getattr(ph, name).tobytes() == f.to_physical().tobytes(), name
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_rotation_correction_matches_fine_grid_products(self, rng, dim):
         # E inside the dealias band: the 2/3-rule products are exact, so the
         # fused correction must equal the one built from 2x-grid products
@@ -342,10 +356,19 @@ class TestPhysicalBundle:
                 expected[i, j] = sum(derivative(B(i, j, k) - B(j, i, k), k).coeff
                                      for k in range(dim)) * grid.inv_xi
         zero = PrimitiveState(SpectralField.zeros(grid), SpectralField.zeros(grid, "vector"), E)
-        got = rotation_correction(PhysicalBundle.of(zero, Viscosity(1.0, 1.0, dim)))
+        with grid.workspace() as ws:
+            got = rotation_correction(PhysicalBundle.of(zero, Viscosity(1.0, 1.0, dim), ws))
         assert (got - SpectralField(grid, expected)).l2() <= 1e-12 * max(got.l2(), 1e-300)
         assert got.l2() > 0.0
         assert np.array_equal(got.coeff, -np.swapaxes(got.coeff, 0, 1))
+
+    def test_failed_pass_releases_the_workspace(self, grid2d, rng):
+        bad = _random_state(grid2d, rng)
+        bad.E.coeff[..., 2, 3] = np.nan
+        with pytest.raises(StabilityError, match="field E$"):
+            reformulated_rhs(ReformState.from_primitive(bad), _params())
+        state = ReformState.from_primitive(_random_state(grid2d, rng))
+        assert np.isfinite(reformulated_rhs(state, _params()).E.coeff).all()
 
     @pytest.mark.parametrize("field", ["rho", "E"])
     def test_non_finite_sample_names_the_field(self, grid2d, rng, field):
@@ -369,9 +392,11 @@ _FFT_REAL = ("rfftn", "irfftn", "rfft2", "irfft2", "rfft", "irfft")
 def transform_count(monkeypatch):
     """Counts independent scalar transforms through every numpy.fft entry
     point, and asserts that every one of them is real-to-complex (only the
-    fine-grid oracle product runs complex transforms)."""
+    fine-grid oracle product runs complex transforms).  After a run,
+    ``transform_count.calls`` holds the number of ``numpy.fft`` calls."""
     count = [0]
     complex_calls = []
+    calls = [0]
 
     def wrap(name, orig):
         def counted(a, *args, **kwargs):
@@ -383,6 +408,7 @@ def transform_count(monkeypatch):
             else:
                 axes = kwargs.get("axes") or range(a.ndim)
             count[0] += a.size // int(np.prod([a.shape[ax] for ax in axes]))
+            calls[0] += 1
             if name not in _FFT_REAL:
                 complex_calls.append(name)
             return orig(a, *args, **kwargs)
@@ -392,10 +418,11 @@ def transform_count(monkeypatch):
         monkeypatch.setattr(np.fft, name, wrap(name, getattr(np.fft, name)))
 
     def run(fn, *args):
-        count[0] = 0
+        count[0] = calls[0] = 0
         complex_calls.clear()
         fn(*args)
         assert complex_calls == [], f"complex transforms ran: {complex_calls}"
+        run.calls = calls[0]
         return count[0]
     return run
 
@@ -405,7 +432,10 @@ class TestTransformCounts:
     inverse-transformed once and products sharing a destination share one
     forward transform.  The unfused code spent 90 (2-D) and 219 (3-D) per
     split RHS, 61 per primitive RHS and 88 per source assembly.  Every
-    transform is real-to-complex on the half spectrum."""
+    transform is real-to-complex on the half spectrum.  Through the grid's
+    workspace each RHS makes one inverse and one forward ``numpy.fft`` call;
+    the split RHS makes a third for the rotation correction (one call per
+    family and product cost about 12 per 2-D split RHS)."""
 
     def test_fine_grid_oracle_is_the_complex_path(self, grid2d, rng, transform_count):
         f, g = (random_field(grid2d, "scalar", rng) for _ in range(2))
@@ -416,15 +446,18 @@ class TestTransformCounts:
         for grid, cap in ((grid2d, 36), (grid3d, 86)):
             state = ReformState.from_primitive(_random_state(grid, rng))
             assert transform_count(reformulated_rhs, state, _params(dim=grid.dim)) <= cap
+            assert transform_count.calls <= 3
 
     def test_primitive_rhs(self, grid2d, rng, transform_count):
         assert transform_count(primitive_rhs, _random_state(grid2d, rng), _params()) <= 30
+        assert transform_count.calls <= 2
 
     def test_assemble_sources(self, grid2d, grid3d, rng, transform_count):
         # the unused potential convection and flux transform cost 47 (2-D) and 106 (3-D)
         for grid, cap in ((grid2d, 40), (grid3d, 93)):
             prim = _random_state(grid, rng)
             assert transform_count(assemble_sources, prim, _params(dim=grid.dim)) <= cap
+            assert transform_count.calls <= 2
 
     def test_transport_rhs(self, grid2d, grid3d, rng, transform_count):
         # u and grad u come sampled; transforming them per call cost 29 (2-D)
@@ -434,6 +467,7 @@ class TestTransformCounts:
                          for rank in ("scalar", "matrix", "vector"))
             samples = (u.to_physical(), jacobian(u).to_physical())
             assert transform_count(transport_rhs, rho, F, *samples) <= cap
+            assert transform_count.calls <= 2
             rho_dot, _ = transport_rhs(rho, F, *samples)
             assert np.array_equal(rho_dot.coeff,
                                   -divergence(dealiased_product(rho, u)).coeff)
@@ -448,6 +482,7 @@ class TestTransformCounts:
                          for rank in ("scalar", "matrix", "vector"))
             count = transform_count(transport_simulate, rho, F, u, 0.05, 0.05 * steps)
             assert count <= samples + 4 * per_rhs * steps
+            assert transform_count.calls <= 2 + 4 * 2 * steps
 
     def test_sweep_rhs(self, grid2d, grid3d, rng, transform_count):
         # every field's convection in one batch, Omega by its i < j part; one
@@ -459,6 +494,7 @@ class TestTransformCounts:
             state = ReformState.from_primitive(_random_state(grid, rng))
             rhs(state, 0)  # assembles and caches the frozen sources
             assert transform_count(rhs, state, 0) <= cap
+            assert transform_count.calls <= 2
 
     def test_linear_rhs_with_velocity(self, grid2d, grid3d, rng, transform_count):
         # one convect call per field cost 35 (2-D) and 87 (3-D)
@@ -466,3 +502,55 @@ class TestTransformCounts:
             prim = _random_state(grid, rng)
             state = split_state(prim)
             assert transform_count(linear_rhs, state, SplitViscosity(1.0, 1.0), prim.u) <= cap
+            # the oracle samples its spectral velocity with a call of its own
+            assert transform_count.calls <= 3
+
+
+class TestWorkspaceAliasing:
+    """What a right-hand side returns owns its memory: it shares none with
+    the grid's workspace, and a second evaluation leaves it unchanged."""
+
+    @staticmethod
+    def _arrays(result):
+        if isinstance(result, SpectralField):
+            return [result.coeff]
+        if isinstance(result, np.ndarray):
+            return [result]
+        out = []
+        for part in result:
+            out += TestWorkspaceAliasing._arrays(part)
+        return out
+
+    def _check(self, grid, rhs, first_args, second_args):
+        rhs(*second_args)  # the stacks reach their size, so no later call grows them
+        first = self._arrays(rhs(*first_args))
+        before = [a.copy() for a in first]
+        self._arrays(rhs(*second_args))
+        for got, kept in zip(first, before):
+            for stack in grid._stacks.values():
+                assert not np.shares_memory(got, stack)
+            assert got.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_model_right_hand_sides(self, dim, rng):
+        grid = Grid(dim, 32 if dim == 2 else 16, 8.0 if dim == 2 else 4.0)
+        params = _params(dim=dim)
+        a, b = _random_state(grid, rng), _random_state(grid, rng)
+        self._check(grid, reformulated_rhs, (ReformState.from_primitive(a), params),
+                    (ReformState.from_primitive(b), params))
+        self._check(grid, primitive_rhs, (a, params), (b, params))
+        # the sources and the frozen velocity samples (a copy)
+        self._check(grid, assemble_sources, (a, params), (b, params))
+
+    def test_sweep_right_hand_side(self, grid2d, rng):
+        prev = Trajectory()
+        prev.record(0.0, *_random_state(grid2d, rng))
+        rhs = _SweepRHS(_params(), prev)
+        self._check(grid2d, rhs, (ReformState.from_primitive(_random_state(grid2d, rng)), 0),
+                    (ReformState.from_primitive(_random_state(grid2d, rng)), 0))
+
+    def test_convect(self, grid2d, rng):
+        u = random_field(grid2d, "vector", rng).to_physical()
+        fields = [random_field(grid2d, rank, rng) for rank in ("scalar", "matrix")]
+        skew = antisymmetric(grid2d, [random_field(grid2d, "scalar", rng).coeff])
+        self._check(grid2d, convect, (u, *fields, skew), (2.0 * u, *fields, skew))
