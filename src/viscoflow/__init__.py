@@ -30,6 +30,7 @@ from .linear import (EnergyConstants, linear_rhs, block_energy_low,
 from .evolve import (RunConfig, NormSeries, direct_solve, picard_solve,
                      uniform_bound_monitor, initial_bnorm, mollify)
 from .constraints import (FlowMap, ComposedMap, shear_map, generate_admissible,
-                          div_residual, curl_residual, transport_simulate,
+                          div_residual, curl_residual, constraint_residuals,
+                          transport_simulate,
                           check_trajectory, convection_gauge)
 from .snapshots import save_field, load_field

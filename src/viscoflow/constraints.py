@@ -168,16 +168,19 @@ def _det(F: np.ndarray, dim: int) -> np.ndarray:
 
 def div_residual(rho_hat: SpectralField, F: SpectralField) -> float:
     """L2 norm of div(rho F^T), componentwise d_j(rho F_{ji})."""
-    g = F.grid
-    prod = dealias_physical(g, rho_hat.to_physical() * F.to_physical())
+    return _div_measure(rho_hat, F.to_physical(), F.grid)
+
+
+def _div_measure(rho_hat: SpectralField, F_phys: np.ndarray, g: Grid) -> float:
+    prod = dealias_physical(g, rho_hat.to_physical() * F_phys)
     return divergence(SpectralField(g, prod.coeff.swapaxes(0, 1))).l2()
 
 
-def _curl_measures(F: SpectralField):
+def _curl_measures(F: SpectralField, F_phys: np.ndarray):
     """(curl_residual, L2 form, pointwise form) from one evaluation of the
-    mismatch T_{ijk} = F_{lk} d_l F_{ij} - F_{lj} d_l F_{ik} at the grid points."""
+    mismatch T_{ijk} = F_{lk} d_l F_{ij} - F_{lj} d_l F_{ik} at the grid
+    points, given F's samples ``F_phys``."""
     g = F.grid
-    F_phys = F.to_physical()
     dF = gradient(F).to_physical()
     T2 = (np.einsum("lk...,lij...->ijk...", F_phys, dF)
           - np.einsum("lj...,lik...->ijk...", F_phys, dF)) ** 2
@@ -188,7 +191,7 @@ def _curl_measures(F: SpectralField):
 
 def curl_residual(F: SpectralField) -> float:
     """max over index triples of the grid-averaged L2 mismatch norm."""
-    return _curl_measures(F)[0]
+    return _curl_measures(F, F.to_physical())[0]
 
 
 def curl_mismatch_sq(F: SpectralField):
@@ -199,7 +202,15 @@ def curl_mismatch_sq(F: SpectralField):
     (j,k) and x pointwise.  Contracting over i is what the transport
     derivation controls at rate exactly 2*gauge, with no dimensional slack.
     """
-    return _curl_measures(F)[1:]
+    return _curl_measures(F, F.to_physical())[1:]
+
+
+def constraint_residuals(rho_hat: SpectralField, F: SpectralField):
+    """(div_residual, curl_residual, L2 form, pointwise form of the squared
+    curl mismatch) from one sampling of F; the same values as the single
+    functions."""
+    F_phys = F.to_physical()
+    return (_div_measure(rho_hat, F_phys, F.grid),) + _curl_measures(F, F_phys)
 
 
 # ----------------------------------------------------------------------
@@ -239,12 +250,10 @@ def generate_admissible(flow) -> AdmissibleData:
     rho_hat = SpectralField.from_physical(grid, rho_phys)
     det_defect = float(np.max(np.abs(det * rho_phys - 1.0)))
 
-    rho_pert = rho_hat.copy()
-    rho_pert.coeff[(0,) * grid.dim] -= 1.0
-    E = F.copy()
+    state = PrimitiveState(rho_hat, SpectralField.zeros(grid, "vector"), F)
+    state.rho.coeff[(0,) * grid.dim] -= 1.0
     for i in range(grid.dim):
-        E.coeff[(i, i) + (0,) * grid.dim] -= 1.0
-    state = PrimitiveState(rho_pert, SpectralField.zeros(grid, "vector"), E)
+        state.E.coeff[(i, i) + (0,) * grid.dim] -= 1.0
     return AdmissibleData(rho_hat, F, state, det_defect)
 
 
@@ -360,8 +369,8 @@ def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
             gauge_acc += (t - rep.times[-1]) * gauge
         rep.times.append(t)
         rep.gauge_integral.append(gauge_acc)
-        rep.div_res.append(div_residual(rho, F))
-        curl, l2, point = _curl_measures(F)
+        div, curl, l2, point = constraint_residuals(rho, F)
+        rep.div_res.append(div)
         rep.curl_res.append(curl)
         rep.curl_sq_l2.append(l2)
         rep.curl_sq_point.append(point)

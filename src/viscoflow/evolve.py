@@ -6,18 +6,22 @@ Both modes share one stepper, one run loop and one norm ledger.  The stepper
 is the integrating-factor Heun rule (IFRK2, Cox & Matthews, J. Comput. Phys.
 176:430, 2002): the viscous diagonal (nu on d, mu on Omega) is integrated
 exactly per mode, and a non-stiff right-hand side, a callable
-``(state, node) -> ReformState``, advances with the explicit second-order
-two-stage rule.  The direct mode's callable is the full reformulated system;
-an iteration sweep's holds the linear couplings plus the sources frozen at
-the previous sweep.  The skew couplings are non-stiff (first-order symbols
-against second-order viscous ones), so no linear solves are needed anywhere.
+``(state, node, u=None) -> ReformState``, advances with the explicit
+second-order two-stage rule (``u`` is the state's velocity when the run loop
+already holds it).  The direct mode's callable is the reformulated system
+without its viscous diagonal; an iteration sweep's holds the linear
+couplings plus the sources frozen at the previous sweep.  The skew
+couplings are non-stiff (first-order symbols against second-order viscous
+ones), so no linear solves are needed anywhere.
 The run loop samples the state at t = 0 and after every step into a
 ``NormSeries``; the consecutive-difference norms of the iteration are a
 ``NormSeries`` over the differences.
 
-States are field tuples (``model.FieldTuple``): the stepper writes
-``state + a * delta`` and a trajectory keeps one ``PrimitiveState`` per node,
-so a sweep's difference from the previous one is one subtraction per node.
+Every state is one coefficient block (``model.FieldTuple``): the stepper
+damps with one multiply by a per-row factor block and writes each stage into
+a fresh block in place, and a trajectory keeps one ``PrimitiveState`` block
+per node, so a sweep's difference from the previous one is one subtraction
+per node.
 The first sweep is measured against the zero trajectory, which is never
 built: its difference norm is its own norm.
 """
@@ -25,7 +29,7 @@ built: its difference norm is its own norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +38,8 @@ from .dyadic import (BesovIndex, DyadicFamily, besov_norm, hybrid_norm,
 from .errors import InputError, StabilityError
 from .grid import Grid, SpectralField
 from .model import (ModelParams, PrimitiveState, ReformState, assemble_sources,
-                    reformulated_rhs)
-from .operators import convect, fractional_power, jacobian, laplacian, transpose_gap
+                    reformulated_rhs, skew_couplings)
+from .operators import convect
 
 CFL_LIMIT = 0.5
 CFL_CHECK_EVERY = 10      # steps between CFL checks, the first at step 0
@@ -165,9 +169,10 @@ def initial_bnorm(prim: PrimitiveState, fam: DyadicFamily) -> float:
 class IFStepper:
     """Integrating-factor Heun step (IFRK2) around a non-stiff right-hand side.
 
-    ``nonstiff(state, node)`` is evaluated at the step's two stage nodes,
+    ``nonstiff(state, node, u)`` is evaluated at the step's two stage nodes,
     ``node`` and ``node + 1``; the viscous factors exp(-nu|xi|^2 dt) on d and
-    exp(-mu|xi|^2 dt) on Omega are applied exactly.
+    exp(-mu|xi|^2 dt) on Omega are applied exactly, as one multiply by a
+    factor block cached here (1 on the rho and E rows).
     """
 
     def __init__(self, grid: Grid, config: RunConfig, nonstiff):
@@ -175,12 +180,10 @@ class IFStepper:
         self.dt = config.dt
         self.nonstiff = nonstiff
         p = config.params
-        self.exp_d = np.exp(-p.nu * grid.xi_sq * config.dt)
-        self.exp_om = np.exp(-p.mu * grid.xi_sq * config.dt)
-
-    def _damp(self, state: ReformState) -> ReformState:
-        return replace(state, d=SpectralField(self.grid, state.d.coeff * self.exp_d),
-                       omega=SpectralField(self.grid, state.omega.coeff * self.exp_om))
+        self.damping = np.ones(ReformState.block_shape(grid))
+        rows = ReformState.of_block(grid, self.damping)
+        rows.d.coeff[...] = np.exp(-p.nu * grid.xi_sq * config.dt)
+        rows.omega.coeff[...] = np.exp(-p.mu * grid.xi_sq * config.dt)
 
     def check_cfl(self, u: SpectralField):
         umax = float(np.max(np.abs(u.to_physical())))
@@ -188,31 +191,39 @@ class IFStepper:
         if not (number <= CFL_LIMIT):
             raise StabilityError(f"CFL number {number:.3g} exceeds limit {CFL_LIMIT}")
 
-    def step(self, state: ReformState, node: int) -> ReformState:
-        dt = self.dt
-        k1 = self.nonstiff(state, node)
-        pred = self._damp(state + dt * k1)
-        k2 = self.nonstiff(pred, node + 1)
-        new = self._damp(state + 0.5 * dt * k1) + 0.5 * dt * k2
-        return _hygiene(new)
+    def step(self, state: ReformState, node: int,
+             u: SpectralField | None = None) -> ReformState:
+        """One step from ``state``, whose velocity ``u`` the caller may hold.
+        The predictor and the Heun sum are fresh blocks, written in place;
+        ``state`` and the right-hand sides' results are only read, since
+        recorders keep states."""
+        dt, x = self.dt, state.block
+        k1 = self.nonstiff(state, node, u).block
+        pred = np.multiply(k1, dt)
+        pred += x
+        pred *= self.damping
+        k2 = self.nonstiff(ReformState.of_block(self.grid, pred), node + 1).block
+        new = np.multiply(k1, 0.5 * dt)
+        new += x
+        new *= self.damping
+        new += k2 * (0.5 * dt)
+        return _hygiene(ReformState.of_block(self.grid, new))
 
 
 def _hygiene(state: ReformState) -> ReformState:
-    om = 0.5 * (state.omega - SpectralField(state.omega.grid,
-                                            np.swapaxes(state.omega.coeff, 0, 1)))
-    return replace(state, omega=om).project_mean_zero()
+    """Exact antisymmetry of Omega and zero means, in place."""
+    om = state.omega.coeff
+    om[...] = 0.5 * (om - om.swapaxes(0, 1))
+    return state._zero_means()
 
 
 def direct_rhs(config: RunConfig):
     """Non-stiff part of the split nonlinear system: the reformulated
-    right-hand side less the viscous diagonal the stepper integrates."""
+    right-hand side without the viscous diagonal the stepper integrates."""
     p = config.params
 
-    def nonstiff(state: ReformState, node: int) -> ReformState:
-        rhs = reformulated_rhs(state, p, config.rotation_correction)
-        rhs.d = rhs.d - p.nu * laplacian(state.d)
-        rhs.omega = rhs.omega - p.mu * laplacian(state.omega)
-        return rhs
+    def nonstiff(state: ReformState, node: int, u: SpectralField | None = None) -> ReformState:
+        return reformulated_rhs(state, p, config.rotation_correction, viscous=False, u=u)
     return nonstiff
 
 
@@ -230,19 +241,16 @@ def _march(stepper: IFStepper, state: ReformState, n_steps: int,
         try:
             if k % CFL_CHECK_EVERY == 0:
                 stepper.check_cfl(u)
-            state = stepper.step(state, k)
+            state = stepper.step(state, k, u)
         except StabilityError as exc:
             raise StabilityError(f"step {k + 1}: {exc}") from exc
 
 
 @dataclass
 class Trajectory:
-    """Primitive-variable snapshots at every accepted step.
-
-    The recorded fields are kept, not copied: the stepper, the damping and
-    the hygiene pass all build new arrays, so a recorded state is never
-    written again (tested with the arrays set read-only).
-    """
+    """Primitive-variable snapshots at every accepted step, each copied
+    once into its own ``PrimitiveState`` block, which nothing writes again
+    (tested with the arrays set read-only)."""
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
 
@@ -312,16 +320,18 @@ class _SweepRHS:
                 del self._cache[old]
         return self._cache[idx]
 
-    def __call__(self, state: ReformState, node: int) -> ReformState:
-        a = self.params.coupling
-        rhs = ReformState(-fractional_power(state.d, 1.0),
-                          (1.0 + a) * fractional_power(state.rho, 1.0),
-                          a * fractional_power(transpose_gap(state.E), 1.0),
-                          jacobian(state.velocity()))
+    def __call__(self, state: ReformState, node: int,
+                 u: SpectralField | None = None) -> ReformState:
+        out = skew_couplings(state, self.params.coupling,
+                             state.velocity() if u is None else u)
         if self.prev is None:
-            return rhs
-        sources, u = self._sources(node)
-        return rhs - ReformState(*convect(u, *state)) + sources
+            return out
+        sources, u_frozen = self._sources(node)
+        moved = ReformState.empty(state.grid)
+        convect(u_frozen, *state, out=[f.coeff for f in moved])
+        out.block -= moved.block
+        out.block += sources.block
+        return out
 
 
 def _difference_bnorm(a: Trajectory, b: Trajectory, fam: DyadicFamily) -> float:

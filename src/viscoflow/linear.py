@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -328,14 +328,14 @@ def pair_state(grid: Grid, kvec, amplitude: float = 1.0):
 
 
 def _assemble_state(grid: Grid, pair: str, x: SpectralField, y: SpectralField) -> HelmholtzState:
-    state = HelmholtzState(*(SpectralField.zeros(grid, rank) for rank in
-                             ("scalar", "scalar", "matrix", "matrix", "scalar")))
+    state = HelmholtzState.zeros(grid)
     if pair == "rho_d":
-        return replace(state, rho=x, d=y)
-    if pair == "potential_d":
-        return replace(state, d=y, potential=x)
-    state.omega.coeff[0, 1], state.omega.coeff[1, 0] = x.coeff, -x.coeff
-    state.skew.coeff[0, 1], state.skew.coeff[1, 0] = y.coeff, -y.coeff
+        state.rho, state.d = x, y
+    elif pair == "potential_d":
+        state.d, state.potential = y, x
+    else:
+        state.omega.coeff[0, 1], state.omega.coeff[1, 0] = x.coeff, -x.coeff
+        state.skew.coeff[0, 1], state.skew.coeff[1, 0] = y.coeff, -y.coeff
     return state
 
 

@@ -16,6 +16,14 @@ constraint manifold they differ, and that gap is itself a diagnostic.
 The elastic coupling a = alpha / P'(1) is kept general (a = 1 recovers the
 usual normalization); the linear-system module always works at a = 1.
 
+Every state owns one coefficient block (``FieldTuple``): one complex array
+of shape ``(rows,) + grid.spectral_shape`` with the components of its
+fields stacked in field order, each field a view of its rows.  A
+``ReformState`` has 2 + 2 N^2 rows (rho, d, the N^2 of Omega, the N^2 of
+E), a ``PrimitiveState`` 1 + N + N^2.  ``reformulated_rhs``,
+``assemble_sources`` and the iteration sweep write their results into the
+rows of one new block.
+
 Every right-hand side evaluates its state in physical space once
 (``PhysicalBundle``: rho, grad rho, u, grad u, A u, E and grad E), in one
 pass over the grid's transform workspace: all families are written into
@@ -27,7 +35,7 @@ u.grad f of whole fields to the same pass.  Scalar transforms and
 ``rfftn``/``irfftn`` calls per call:
 
     call                 2-D   3-D   calls
-    reformulated_rhs      36    86     3   (the rotation correction's own forward)
+    reformulated_rhs      36    86     2   (rotation correction in the same forward)
     primitive_rhs         30    68     2
     assemble_sources      40    93     2
     evolve._SweepRHS      21    56     2   (frozen sources cached)
@@ -35,8 +43,10 @@ u.grad f of whole fields to the same pass.  Scalar transforms and
 
 from __future__ import annotations
 
-import operator
+import functools
+import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +54,7 @@ from .errors import ConfigurationError, InputError, StabilityError
 from .grid import Grid, SpectralField, Workspace, dealiased_product
 from .operators import (Convection, Viscosity, antisymmetric, curl_matrix, divergence,
                         double_divergence, fractional_power, gradient,
-                        helmholtz_reconstruct, helmholtz_split, inverse_mag_times,
+                        helmholtz_reconstruct, helmholtz_split,
                         jacobian, lame_operator, laplacian, symmetric_scalar,
                         transport, transpose_gap, _deriv_mult, _pairs)
 
@@ -118,48 +128,137 @@ class ModelParams:
 
 
 # ----------------------------------------------------------------------
-# states: one field-tuple type, three views of the same unknowns
+# states: one coefficient block per state
 # ----------------------------------------------------------------------
 # PrimitiveState (rho, u, E), ReformState (rho, d, Omega, E) and
-# HelmholtzState (rho, d, Omega, E^T - E, potential) only declare their
-# fields; FieldTuple supplies +, -, scalar *, copy and project_mean_zero.
+# HelmholtzState (rho, d, Omega, E^T - E, potential) declare their fields and
+# the fields' ranks; FieldTuple stores them in one block and supplies +, -,
+# scalar *, copy and project_mean_zero.
+
+@functools.cache
+def _rows(ranks: tuple[str, ...], dim: int) -> tuple:
+    """(first row, end row, component shape) of each field of a block."""
+    out, row = [], 0
+    for rank in ranks:
+        comp = (dim,) * ("scalar", "vector", "matrix").index(rank)
+        out.append((row, row + math.prod(comp), comp))
+        row += math.prod(comp)
+    return tuple(out)
+
 
 class FieldTuple:
-    """Base of the state dataclasses, whose fields are all ``SpectralField``s.
+    """Base of the state dataclasses: every state owns one coefficient block.
 
-    The arithmetic acts field by field and returns the same subclass, so a
-    state update reads ``state + a * delta``.
+    The block is one complex array of shape ``(rows,) + grid.spectral_shape``
+    holding the fields' components in field order (ranks in ``RANKS``), and
+    each field is a ``SpectralField`` view of its rows.  Building a state
+    from fields copies them into a new block once, so a state never aliases
+    its inputs.  Assigning a field copies its values into the rows, and
+    ``dataclasses.replace`` builds a new block, so no field comes apart from
+    its block.  The arithmetic is one numpy operation on the blocks and
+    returns the same subclass, so a state update reads ``state + a * delta``.
     """
 
+    RANKS: ClassVar[tuple[str, ...]]
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __post_init__(self):
+        given = list(self)
+        grid = given[0].grid
+        self._bind(grid, np.empty(self.block_shape(grid), dtype=np.complex128))
+        for name, value in zip(self.__dataclass_fields__, given):
+            setattr(self, name, value)
+
+    def __reduce__(self):  # copies and pickles keep every field a view of the block
+        return type(self).of_block, (self.grid, self.block)
+
+    @classmethod
+    def block_shape(cls, grid: Grid) -> tuple:
+        return (_rows(cls.RANKS, grid.dim)[-1][1],) + grid.spectral_shape
+
+    @classmethod
+    def of_block(cls, grid: Grid, block: np.ndarray):
+        """The state whose block is ``block`` itself, not a copy."""
+        if block.shape != cls.block_shape(grid):
+            raise InputError(f"{cls.__name__} on {grid} needs a block of shape "
+                             f"{cls.block_shape(grid)}, got {block.shape}")
+        state = cls.__new__(cls)
+        state._bind(grid, block)
+        return state
+
+    @classmethod
+    def empty(cls, grid: Grid):
+        return cls.of_block(grid, np.empty(cls.block_shape(grid), dtype=np.complex128))
+
+    @classmethod
+    def zeros(cls, grid: Grid):
+        return cls.of_block(grid, np.zeros(cls.block_shape(grid), dtype=np.complex128))
+
+    def _bind(self, grid: Grid, block: np.ndarray):
+        attrs = self.__dict__
+        attrs["grid"], attrs["block"] = grid, block
+        for name, (start, end, comp) in zip(self.__dataclass_fields__,
+                                            _rows(self.RANKS, grid.dim), strict=True):
+            attrs[name] = SpectralField(grid, block[start:end].reshape(comp + grid.spectral_shape))
+
+    def __setattr__(self, name, value):
+        if "block" not in self.__dict__:  # the dataclass __init__, before the block exists
+            object.__setattr__(self, name, value)
+            return
+        if name == "block" and value is self.block:  # ``state.block += x`` wrote in place
+            return
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__} has no field {name!r}")
+        rows = self.__dict__[name].coeff
+        if not (isinstance(value, SpectralField) and value.coeff.shape == rows.shape
+                and value.grid.compatible(self.grid)):
+            raise InputError(f"{type(self).__name__}.{name} needs a field of shape "
+                             f"{rows.shape} on {self.grid}")
+        rows[...] = value.coeff
+
     def __iter__(self):
-        return (getattr(self, f.name) for f in fields(self))
+        return (self.__dict__[name] for name in self.__dataclass_fields__)
 
     def map(self, fn, *others) -> "FieldTuple":
         """Same type; each field is ``fn`` of this state's field and the
         matching fields of ``others``."""
         return type(self)(*(fn(*fs) for fs in zip(self, *others, strict=True)))
 
+    def _like(self, block: np.ndarray) -> "FieldTuple":
+        return self.of_block(self.grid, block)
+
     def __add__(self, other):
-        return self.map(operator.add, other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(self.block + other.block)
 
     def __sub__(self, other):
-        return self.map(operator.sub, other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(self.block - other.block)
 
     def __mul__(self, scalar):
-        return self.map(lambda f: f * scalar)
+        return self._like(self.block * scalar)
 
     __rmul__ = __mul__
 
     def copy(self):
-        return self.map(SpectralField.copy)
+        return self._like(self.block.copy())
 
     def project_mean_zero(self):
-        return self.map(SpectralField.project_mean_zero)
+        return self.copy()._zero_means()
+
+    def _zero_means(self):
+        """Zero the mean mode of every row, in place; for blocks the caller
+        has just built."""
+        self.block[(slice(None),) + (0,) * self.grid.dim] = 0.0
+        return self
 
 
 @dataclass
 class PrimitiveState(FieldTuple):
     """Perturbation variables (density - 1, velocity, deformation - I)."""
+    RANKS = ("scalar", "vector", "matrix")
     rho: SpectralField
     u: SpectralField
     E: SpectralField
@@ -169,6 +268,7 @@ class PrimitiveState(FieldTuple):
 class HelmholtzState(FieldTuple):
     """Split variables: rho, compressible d, rotational Omega, the
     antisymmetric record E^T - E, and the symmetric-part scalar."""
+    RANKS = ("scalar", "scalar", "matrix", "matrix", "scalar")
     rho: SpectralField
     d: SpectralField
     omega: SpectralField
@@ -178,7 +278,7 @@ class HelmholtzState(FieldTuple):
 
 def split_state(prim: PrimitiveState) -> HelmholtzState:
     d, om = helmholtz_split(prim.u)
-    return HelmholtzState(prim.rho.copy(), d, om,
+    return HelmholtzState(prim.rho, d, om,
                           transpose_gap(prim.E), symmetric_scalar(prim.E))
 
 
@@ -201,14 +301,14 @@ def nondimensionalize(rho_hat: SpectralField, u_hat: SpectralField,
         raise InputError("density must be positive pointwise")
     old = rho_hat.grid
     new_grid = Grid(old.dim, old.n, old.length / law.chi0, old.dealias_frac)
-    rho = SpectralField(new_grid, rho_hat.coeff.copy())
-    rho.coeff[(Ellipsis,) + (0,) * old.dim] -= 1.0
-    u = SpectralField(new_grid, law.chi0 * u_hat.coeff.copy())
-    E = SpectralField(new_grid, F.coeff.copy())
+    prim = PrimitiveState(SpectralField(new_grid, rho_hat.coeff),
+                          SpectralField(new_grid, law.chi0 * u_hat.coeff),
+                          SpectralField(new_grid, F.coeff))
+    prim.rho.coeff[(Ellipsis,) + (0,) * old.dim] -= 1.0
     for i in range(old.dim):
-        E.coeff[(i, i) + (0,) * old.dim] -= 1.0
+        prim.E.coeff[(i, i) + (0,) * old.dim] -= 1.0
     params = ModelParams(Viscosity(mu, lam, old.dim), alpha, law)
-    return PrimitiveState(rho, u, E), params
+    return prim, params
 
 
 def elastic_energy(F: SpectralField, alpha: float = 1.0) -> float:
@@ -232,6 +332,7 @@ class PhysicalBundle:
     holds a non-finite sample, and when the density perturbation leaves the
     small-data regime.  ``convection`` holds the fields whose u . grad f the
     caller needs: their derivative rows are sampled in the same transform.
+    ``prim`` supplies rho and E, and the velocity unless ``u`` is given.
     """
     ws: Workspace
     rho: np.ndarray
@@ -249,19 +350,20 @@ class PhysicalBundle:
         return self.ws.grid
 
     @classmethod
-    def of(cls, prim: PrimitiveState, visc: Viscosity, ws: Workspace,
-           convected=()) -> "PhysicalBundle":
+    def of(cls, prim: PrimitiveState | ReformState, visc: Viscosity, ws: Workspace,
+           convected=(), u: SpectralField | None = None) -> "PhysicalBundle":
         d = ws.grid.dim
+        vel = prim.u if u is None else u
         rho, grad_rho, u, grad_u, lame, E, grad_E = ws.spectral(
             (), (d,), (d,), (d, d), (d,), (d, d), (d, d, d))
         rho[...] = prim.rho.coeff
-        u[...] = prim.u.coeff
+        u[...] = vel.coeff
         E[...] = prim.E.coeff
         for l, sym in enumerate(ws.grid.deriv):
             np.multiply(prim.rho.coeff, sym, out=grad_rho[l])
-            np.multiply(prim.u.coeff, sym, out=grad_u[:, l])
+            np.multiply(vel.coeff, sym, out=grad_u[:, l])
             np.multiply(prim.E.coeff, sym, out=grad_E[l])
-        lame_operator(prim.u, visc, out=lame)
+        lame_operator(vel, visc, out=lame)
         conv = Convection(ws, convected) if convected else None
         samples = ws.inverse()
         names = ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E")
@@ -279,25 +381,30 @@ class PhysicalBundle:
         return np.einsum("ik...,kj...->ij...", self.grad_u, self.E, out=out)
 
 
-def rotation_correction(ph: PhysicalBundle) -> SpectralField:
-    """Antisymmetric quadratic correction in the rotational equation.
+def rotation_correction(ph: PhysicalBundle, out: np.ndarray):
+    """Physical products of the antisymmetric quadratic correction in the
+    rotational equation.
 
     S_{ij} = |grad|^{-1} d_k (B_{ijk} - B_{jik}) with
     B_{ijk} = E_{lk} d_l E_{ij} - E_{lj} d_l E_{ik}.  The difference
-    B_{ijk} - B_{jik} is formed in physical space for i < j only and
-    S_{ji} = -S_{ij}, so the result is antisymmetric exactly.  It takes its
-    own forward transform in the bundle's workspace pass.
+    C_{pk} = B_{ijk} - B_{jik} is formed for the pairs p = (i, j), i < j,
+    and written into ``out`` (shape ``(pairs, dim)``), product rows of the
+    caller's workspace pass; ``rotation_from_products`` finishes S from
+    their dealiased coefficients after the pass's one forward transform.
     """
-    g = ph.grid
     E, dE = ph.E, ph.grad_E
-    pairs = _pairs(g.dim)
-    (C,) = ph.ws.products((len(pairs), g.dim))
-    for p, (i, j) in enumerate(pairs):
-        np.einsum("lk...,l...->k...", E, dE[:, i, j] - dE[:, j, i], out=C[p])
-        C[p] -= np.einsum("l...,lk...->k...", E[:, j], dE[:, i])
-        C[p] += np.einsum("l...,lk...->k...", E[:, i], dE[:, j])
-    (Ch,) = ph.ws.forward()
-    upper = sum(Ch.coeff[:, k] * _deriv_mult(g, k) for k in range(g.dim)) * g.inv_xi
+    for p, (i, j) in enumerate(_pairs(ph.grid.dim)):
+        np.einsum("lk...,l...->k...", E, dE[:, i, j] - dE[:, j, i], out=out[p])
+        out[p] -= np.einsum("l...,lk...->k...", E[:, j], dE[:, i])
+        out[p] += np.einsum("l...,lk...->k...", E[:, i], dE[:, j])
+
+
+def rotation_from_products(C: SpectralField) -> SpectralField:
+    """The correction S from the dealiased coefficients of the products of
+    ``rotation_correction``: S_{ij} = |grad|^{-1} d_k C_{pk} for i < j and
+    S_{ji} = -S_{ij}, so the result is antisymmetric exactly."""
+    g = C.grid
+    upper = sum(C.coeff[:, k] * _deriv_mult(g, k) for k in range(g.dim)) * g.inv_xi
     return antisymmetric(g, upper)
 
 
@@ -350,6 +457,7 @@ class ReformState(FieldTuple):
     The antisymmetric record and the symmetric scalar are derived fields;
     their displayed evolutions follow identically from the E equation.
     """
+    RANKS = ("scalar", "scalar", "matrix", "matrix")
     rho: SpectralField
     d: SpectralField
     omega: SpectralField
@@ -358,54 +466,86 @@ class ReformState(FieldTuple):
     @classmethod
     def from_primitive(cls, prim: PrimitiveState) -> "ReformState":
         d, om = helmholtz_split(prim.u)
-        return cls(prim.rho.copy(), d, om, prim.E.copy())
+        return cls(prim.rho, d, om, prim.E)
 
     def velocity(self) -> SpectralField:
         return helmholtz_reconstruct(self.d, self.omega)
 
     def to_primitive(self) -> PrimitiveState:
-        return PrimitiveState(self.rho.copy(), self.velocity(), self.E.copy())
+        return PrimitiveState(self.rho, self.velocity(), self.E)
 
 
 def reformulated_rhs(state: ReformState, params: ModelParams,
-                     include_rotation_correction: bool = True) -> ReformState:
+                     include_rotation_correction: bool = True, *,
+                     viscous: bool = True, u: SpectralField | None = None) -> ReformState:
     """Evolution of (rho, d, Omega, E) in the split formulation.
 
     The d equation carries the (1+a) density coupling produced by folding
     the double-divergence of the deformation into the density gradient; the
     Omega equation carries the antisymmetric part plus (optionally) the
     quadratic rotation correction, which belongs to the exact system but is
-    absent from the frozen-coefficient iteration sources.
+    absent from the frozen-coefficient iteration sources.  ``viscous=False``
+    leaves out the viscous diagonal (nu Lap d, mu Lap Omega), which an
+    integrating-factor stepper applies exactly.  ``u`` is the state's
+    velocity when the caller holds it.  The result is written into the rows
+    of one new block.
     """
-    g = state.rho.grid
+    g = state.grid
     a = params.coupling
-    u = state.velocity()
+    d = g.dim
+    u = state.velocity() if u is None else u
+    out = skew_couplings(state, a, u)
+    rho_dot, d_dot, om_dot, E_dot = (f.coeff for f in out)
+    rotation = [(len(_pairs(d)), d)] if include_rotation_correction else []
     with g.workspace() as ws:
-        ph = PhysicalBundle.of(PrimitiveState(state.rho, u, state.E), params.visc, ws)
-        mass, G, rho_E, flux = ws.products((), (g.dim,), (g.dim, g.dim), (g.dim, g.dim))
+        ph = PhysicalBundle.of(state, params.visc, ws, u=u)
+        mass, G, rho_E, flux, *rot = ws.products((), (d,), (d, d), (d, d), *rotation)
         _mass_flux(ph, mass)
         _common_vector(ph, params, G)
         # rho E is its own dealiased product: folding its divergence into G by
         # the product rule is exact only on band-limited data
         np.multiply(ph.rho, ph.E, out=rho_E)
         _deformation_flux(ph, flux)
-        mass, G, rho_E, flux = ws.forward()
+        if rot:
+            rotation_correction(ph, rot[0])
+        mass, G, rho_E, flux, *rot = ws.forward()
+        # the couplings plus the terms of the dealiased products
+        rho_dot -= mass.coeff
+        if viscous:
+            d_dot += params.nu * laplacian(state.d).coeff
+            om_dot += params.mu * laplacian(state.omega).coeff
+        _subtract_momentum(out, G, rho_E, a)
+        if rot:
+            om_dot += a * rotation_from_products(rot[0]).coeff
+        E_dot += flux.coeff
+    return out._zero_means()
 
-        rho_dot = -fractional_power(state.d, 1.0) - mass
-        d_dot = ((1.0 + a) * fractional_power(state.rho, 1.0)
-                 + params.nu * laplacian(state.d)
-                 - inverse_mag_times(divergence(G + a * divergence(rho_E))))
 
-        skew = transpose_gap(state.E)
-        om_dot = (params.mu * laplacian(state.omega)
-                  + a * fractional_power(skew, 1.0)
-                  - inverse_mag_times(curl_matrix(G)))
-        if include_rotation_correction:
-            om_dot = om_dot + a * rotation_correction(ph)
+def skew_couplings(state: ReformState, a: float, u: SpectralField) -> ReformState:
+    """The first-order couplings of the split system in one new block:
+    -|grad| d, (1+a) |grad| rho, a |grad| (E^T - E) and grad u, with u the
+    state's velocity."""
+    g = state.grid
+    out = ReformState.empty(g)
+    rho_dot, d_dot, om_dot, E_dot = (f.coeff for f in out)
+    np.multiply(state.d.coeff, g.xi_power(1.0), out=rho_dot)
+    np.negative(rho_dot, out=rho_dot)
+    np.multiply(state.rho.coeff, g.xi_power(1.0), out=d_dot)
+    d_dot *= 1.0 + a
+    np.subtract(state.E.coeff.swapaxes(0, 1), state.E.coeff, out=om_dot)
+    om_dot *= g.xi_power(1.0)
+    om_dot *= a
+    jacobian(u, out=E_dot)
+    return out
 
-        E_dot = jacobian(u) + flux
 
-    return ReformState(rho_dot, d_dot, om_dot, E_dot).project_mean_zero()
+def _subtract_momentum(out: ReformState, G: SpectralField, rho_E: SpectralField,
+                       a: float):
+    """Subtract |grad|^{-1} div(G + a div(rho E)) from the d row of ``out``
+    and |grad|^{-1} curl G from its Omega rows."""
+    inv = out.grid.inv_xi
+    out.d.coeff -= divergence(G + a * divergence(rho_E)).coeff * inv
+    out.omega.coeff -= curl_matrix(G).coeff * inv
 
 
 # ----------------------------------------------------------------------
@@ -425,8 +565,8 @@ def assemble_sources(prim: PrimitiveState,
     Requires the density perturbation below 1/2 in sup norm.
     """
     g = prim.rho.grid
-    a = params.coupling
     d, om = helmholtz_split(prim.u)
+    out = ReformState.empty(g)
     with g.workspace() as ws:
         ph = PhysicalBundle.of(prim, params.visc, ws, (d, om))
         moved, G, rho_E, mass, stretch = ws.products(
@@ -438,13 +578,11 @@ def assemble_sources(prim: PrimitiveState,
         ph.stretch(stretch)
         u_phys = ph.u.copy()
         moved, G, rho_E, mass, stretch = ws.forward()
-        conv_d, conv_om = ph.convection.fields_of(moved.coeff)
-        div_rho_E = divergence(rho_E)
-        sources = ReformState(-mass,
-                              conv_d - inverse_mag_times(divergence(G + a * div_rho_E)),
-                              conv_om - inverse_mag_times(curl_matrix(G)),
-                              stretch)
-        return sources.project_mean_zero(), u_phys
+        np.negative(mass.coeff, out=out.rho.coeff)
+        ph.convection.fields_of(moved.coeff, out=[out.d.coeff, out.omega.coeff])
+        _subtract_momentum(out, G, rho_E, params.coupling)
+        out.E.coeff[...] = stretch.coeff
+    return out._zero_means(), u_phys
 
 
 def deformation_identity_gap(prim: PrimitiveState) -> SpectralField:

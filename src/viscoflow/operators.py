@@ -42,13 +42,14 @@ def gradient(f: SpectralField) -> SpectralField:
     return SpectralField(g, out)
 
 
-def jacobian(u: SpectralField) -> SpectralField:
-    """Vector -> matrix J_{ij} = d_j u_i."""
+def jacobian(u: SpectralField, out=None) -> SpectralField:
+    """Vector -> matrix J_{ij} = d_j u_i, written into ``out`` when given."""
     g = u.grid
-    out = np.empty((g.dim, g.dim) + u.coeff.shape[1:], dtype=np.complex128)
+    if out is None:
+        out = np.empty((g.dim, g.dim) + u.coeff.shape[1:], dtype=np.complex128)
     for i in range(g.dim):
         for j in range(g.dim):
-            out[i, j] = u.coeff[i] * _deriv_mult(g, j)
+            np.multiply(u.coeff[i], _deriv_mult(g, j), out=out[i, j])
     return SpectralField(g, out)
 
 
@@ -71,10 +72,13 @@ def _pairs(dim: int):
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
-def antisymmetric(grid: Grid, upper) -> SpectralField:
+def antisymmetric(grid: Grid, upper, out=None) -> SpectralField:
     """Antisymmetric matrix from its i < j coefficients, in ``_pairs`` order
-    (a stacked array or a list of arrays)."""
-    out = np.zeros((grid.dim, grid.dim) + upper[0].shape, dtype=np.complex128)
+    (a stacked array or a list of arrays); written into ``out`` when given."""
+    if out is None:
+        out = np.empty((grid.dim, grid.dim) + upper[0].shape, dtype=np.complex128)
+    for i in range(grid.dim):
+        out[i, i] = 0.0
     for p, (i, j) in enumerate(_pairs(grid.dim)):
         out[i, j] = upper[p]
         out[j, i] = -upper[p]
@@ -271,25 +275,33 @@ class Convection:
             for r, c in enumerate(comps):
                 np.multiply(c, sym, out=rows[l, r])
 
-    def fields_of(self, moved: np.ndarray) -> list[SpectralField]:
-        """The moved fields from the coefficients of their components (copied
-        out of the workspace)."""
-        out, start = [], 0
-        for f, s in zip(self.fields, self.skew):
+    def fields_of(self, moved: np.ndarray, out=None) -> list[SpectralField]:
+        """The moved fields from the coefficients of their components, copied
+        out of the workspace: into new arrays, or into ``out``, one array per
+        field."""
+        res, start = [], 0
+        for k, (f, s) in enumerate(zip(self.fields, self.skew)):
             rows = len(_pairs(f.grid.dim)) if s else f.ncomp
             m = moved[start:start + rows]
             start += rows
-            out.append(antisymmetric(f.grid, m) if s
-                       else SpectralField(f.grid, m.reshape(f.coeff.shape).copy()))
-        return out
+            dst = None if out is None else out[k]
+            if s:
+                res.append(antisymmetric(f.grid, m, dst))
+            elif dst is None:
+                res.append(SpectralField(f.grid, m.reshape(f.coeff.shape).copy()))
+            else:
+                dst[...] = m.reshape(dst.shape)
+                res.append(SpectralField(f.grid, dst))
+        return res
 
 
-def convect(u_phys: np.ndarray, *fields: SpectralField) -> list[SpectralField]:
+def convect(u_phys: np.ndarray, *fields: SpectralField, out=None) -> list[SpectralField]:
     """Dealiased u . grad f for each field, fields of any rank.
 
     ``u_phys`` holds the velocity's physical samples.  Every moved component
     (see ``Convection``) is differentiated in every direction, and the whole
-    stack takes one inverse and one dealiased forward transform.
+    stack takes one inverse and one dealiased forward transform.  ``out``
+    (one array per field) receives the results when given.
     """
     g = fields[0].grid
     with g.workspace() as ws:
@@ -298,7 +310,7 @@ def convect(u_phys: np.ndarray, *fields: SpectralField) -> list[SpectralField]:
         (moved,) = ws.products((conv.count,))
         transport(u_phys, grads, moved)
         (moved,) = ws.forward()
-        return conv.fields_of(moved.coeff)
+        return conv.fields_of(moved.coeff, out)
 
 
 def matrix_product(A: SpectralField, B: SpectralField) -> SpectralField:

@@ -10,7 +10,7 @@ from viscoflow import (ComposedMap, FlowMap, Grid, SpectralField,
                        check_trajectory, convection_gauge, curl_residual,
                        div_residual, generate_admissible, shear_map,
                        transport_simulate)
-from viscoflow.constraints import transport_rhs
+from viscoflow.constraints import constraint_residuals, curl_mismatch_sq, transport_rhs
 from viscoflow.errors import InputError
 from viscoflow.grid import cosine_mode, dealias_physical, random_field
 from viscoflow.operators import derivative, divergence, gradient, jacobian, transport
@@ -71,6 +71,26 @@ class TestResiduals:
         res = np.array(res)
         slope = np.polyfit(np.log(amps), np.log(res), 1)[0]
         assert abs(slope - 2.0) <= 0.1
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_sampling_of_F_per_residual_set(self, dim, monkeypatch):
+        # the joint evaluation equals the single functions bit for bit and
+        # inverse-transforms F once, where the single functions do it twice
+        grid = Grid(dim, 16, length=2.0)
+        flow = _two_mode_map(grid, 0.05, base_k=1)
+        data = generate_admissible(flow)
+        singles = (div_residual(data.rho_hat, data.F), curl_residual(data.F),
+                   *curl_mismatch_sq(data.F))
+        sampled = []
+        to_physical = SpectralField.to_physical
+
+        def counted(self):
+            sampled.append(self.coeff.shape)
+            return to_physical(self)
+        monkeypatch.setattr(SpectralField, "to_physical", counted)
+        assert constraint_residuals(data.rho_hat, data.F) == singles
+        assert sampled.count(data.F.coeff.shape) == 1
 
 
 class TestFlowMaps:

@@ -10,16 +10,21 @@ from viscoflow import (ComposedMap, DyadicFamily, Grid, ModelParams,
                        picard_solve, random_field, shear_map,
                        uniform_bound_monitor)
 from viscoflow.errors import InputError, StabilityError
-from viscoflow.evolve import IFStepper, NormSeries, Trajectory, direct_rhs
+from viscoflow.evolve import IFStepper, NormSeries, Trajectory, _SweepRHS, direct_rhs
 from viscoflow.grid import cosine_mode
 from viscoflow.linear import evolve_pair_exact
-from viscoflow.model import ReformState
-from viscoflow.operators import SplitViscosity, Viscosity
+from viscoflow.model import ReformState, reformulated_rhs
+from viscoflow.operators import SplitViscosity, Viscosity, laplacian
 
 
 def _params(alpha=2.0):
     # alpha=2 with the quadratic law gives unit elastic coupling
     return ModelParams(Viscosity(1.0, 1.0, 2), alpha, PressureLaw.quadratic())
+
+
+def _random_prim(grid, rng, amplitude=0.05):
+    return PrimitiveState(*(random_field(grid, rank, rng, amplitude=amplitude)
+                            for rank in ("scalar", "vector", "matrix")))
 
 
 def _small_state(grid, amplitude, rng, with_velocity=True):
@@ -188,6 +193,99 @@ class TestStepper:
         cfg = RunConfig(_params(), dt=0.1, t_final=0.5)
         with pytest.raises(StabilityError):
             direct_solve(prim, cfg)
+
+
+class TestBlockStepper:
+    """The stepper on one coefficient block per state against the per-field
+    IFRK2 rule, written out here field by field."""
+
+    @staticmethod
+    def _reference_step(state, k1, k2, cfg, grid):
+        # Heun: pred = D(x + dt k1), new = D(x + dt/2 k1) + dt/2 k2, with D the
+        # viscous factors on d and Omega; then Omega antisymmetric, means zero
+        dt, p = cfg.dt, cfg.params
+        factor = {"d": np.exp(-p.nu * grid.xi_sq * dt), "omega": np.exp(-p.mu * grid.xi_sq * dt)}
+        names = ("rho", "d", "omega", "E")
+
+        def damp(name, c):
+            return c * factor[name] if name in factor else c
+
+        x = {n: getattr(state, n).coeff for n in names}
+        a = {n: getattr(k1, n).coeff for n in names}
+        b = {n: getattr(k2, n).coeff for n in names}
+        pred = {n: damp(n, x[n] + a[n] * dt) for n in names}
+        new = {n: damp(n, x[n] + a[n] * (0.5 * dt)) + b[n] * (0.5 * dt) for n in names}
+        new["omega"] = 0.5 * (new["omega"] - np.swapaxes(new["omega"], 0, 1))
+        for n in names:
+            new[n] = new[n].copy()
+            new[n][(Ellipsis,) + (0,) * grid.dim] = 0.0
+        return pred, new
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_step_equals_the_per_field_rule(self, rng, dim, grid2d, grid3d):
+        grid = grid2d if dim == 2 else grid3d
+        # a general matrix in the Omega rows and nonzero means, so that the
+        # hygiene pass acts
+        ranks = ("scalar", "scalar", "matrix", "matrix")
+        state, k1, k2 = (ReformState(*(random_field(grid, r, rng, mean_zero=False) for r in ranks))
+                         for _ in range(3))
+        kept = [s.block.copy() for s in (state, k1, k2)]
+        calls = []
+
+        def fixed(s, node, u=None):
+            calls.append((s.block.copy(), node, u))
+            return (k1, k2)[node]
+
+        cfg = RunConfig(_params(), dt=0.05, t_final=0.5)
+        u = state.velocity()
+        out = IFStepper(grid, cfg, fixed).step(state, 0, u)
+        pred, new = self._reference_step(state, k1, k2, cfg, grid)
+        for name in ("rho", "d", "omega", "E"):
+            assert np.array_equal(getattr(out, name).coeff, new[name]), name
+            stage2 = ReformState.of_block(grid, calls[1][0])
+            assert np.array_equal(getattr(stage2, name).coeff, pred[name]), name
+        # stage 1 gets the state and its velocity, stage 2 the predictor alone
+        assert calls[0][1:] == (0, u) and calls[1][1:] == (1, None)
+        assert np.array_equal(calls[0][0], kept[0])
+        # nothing handed to the stepper is written
+        for s, block in zip((state, k1, k2), kept):
+            assert s.block.tobytes() == block.tobytes()
+        assert not np.shares_memory(out.block, state.block)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_direct_nonstiff_is_the_full_system_less_the_viscous_diagonal(
+            self, rng, dim, grid2d, grid3d):
+        grid = grid2d if dim == 2 else grid3d
+        params = ModelParams(Viscosity(1.0, 0.5, dim), 1.3, PressureLaw.quadratic())
+        state = ReformState.from_primitive(_random_prim(grid, rng))
+        full = reformulated_rhs(state, params)
+        got = direct_rhs(RunConfig(params, 0.01, 0.01))(state, 0)
+        want = {"rho": full.rho, "d": full.d - params.nu * laplacian(state.d),
+                "omega": full.omega - params.mu * laplacian(state.omega), "E": full.E}
+        for name, w in want.items():
+            assert (getattr(got, name) - w).l2() <= 1e-14 * w.l2(), name
+
+    def test_stage_one_reuses_the_march_velocity(self, grid2d, rng, monkeypatch):
+        # one reconstruction per recorded state and one per predictor: the
+        # stage-1 right-hand side takes the velocity the run loop holds
+        import viscoflow.model as model
+        calls = []
+        reconstruct = model.helmholtz_reconstruct
+
+        def counted(d, om):
+            calls.append(1)
+            return reconstruct(d, om)
+        monkeypatch.setattr(model, "helmholtz_reconstruct", counted)
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.06)
+        direct_solve(_small_state(grid2d, 1e-2, rng), cfg)
+        assert len(calls) == (cfg.n_steps + 1) + cfg.n_steps
+
+    def test_sweep_rhs_given_the_velocity_is_unchanged(self, grid2d, rng):
+        prev = Trajectory()
+        prev.record(0.0, *_random_prim(grid2d, rng))
+        rhs = _SweepRHS(_params(), prev)
+        state = ReformState.from_primitive(_random_prim(grid2d, rng))
+        assert rhs(state, 0, state.velocity()).block.tobytes() == rhs(state, 0).block.tobytes()
 
 
 class TestDirectRun:
