@@ -13,20 +13,16 @@ __version__ = "0.1.0"
 
 from .grid import Grid, SpectralField, dealiased_product, scale_dyadic, random_field, cosine_mode
 from .dyadic import (DyadicFamily, BesovIndex, besov_norm, hybrid_norm,
-                     paraproduct, remainder, bony_defect,
-                     measure_convection_constant, measure_product_constant)
+                     paraproduct, remainder, bony_defect)
 from .operators import (Viscosity, SplitViscosity, fractional_power, helmholtz_split,
                         helmholtz_reconstruct, lame_operator,
-                        curl_divergence, double_divergence, symmetric_scalar)
+                        double_divergence, symmetric_scalar)
 from .model import (PressureLaw, ModelParams, PrimitiveState, HelmholtzState,
-                    ReformState, nondimensionalize, elastic_energy,
-                    assemble_sources, primitive_rhs, reformulated_rhs,
+                    ReformState, assemble_sources, primitive_rhs, reformulated_rhs,
                     deformation_identity_gap, dual_path_gap, split_state)
-from .linear import (EnergyConstants, linear_rhs, block_energy_low,
-                     block_energy_high, block_energy, equivalence_ratio,
+from .linear import (EnergyConstants, linear_rhs, block_energy, equivalence_ratio,
                      constant_coeff_spectrum, oracle_decay_rate,
-                     run_pair_decay, measure_block_decay, evolve_pair_exact,
-                     VelocityWeight)
+                     run_pair_decay, measure_block_decay, evolve_pair_exact)
 from .evolve import (RunConfig, NormSeries, direct_solve, picard_solve,
                      uniform_bound_monitor, initial_bnorm, mollify)
 from .constraints import (FlowMap, ComposedMap, shear_map, generate_admissible,

@@ -276,7 +276,7 @@ class Runner:
         lin = self.conf["linear"]
         grid = self.grid()
         params = self.params(grid.dim)
-        consts = EnergyConstants.from_viscosity(params.visc)
+        consts = EnergyConstants(params.nu, params.mu)
         fam = DyadicFamily(grid)
         rows = []
         for pair in lin["pairs"]:

@@ -194,21 +194,17 @@ def curl_residual(F: SpectralField) -> float:
     return _curl_measures(F, F.to_physical())[0]
 
 
-def curl_mismatch_sq(F: SpectralField):
-    """The two majorant-tracked forms of the squared curl mismatch.
-
-    Returns (L2 form, pointwise form): the first-index contraction
-    sum_i T_{ijk}^2 is maximized over (j,k) after grid averaging, and over
-    (j,k) and x pointwise.  Contracting over i is what the transport
-    derivation controls at rate exactly 2*gauge, with no dimensional slack.
-    """
-    return _curl_measures(F, F.to_physical())[1:]
-
-
 def constraint_residuals(rho_hat: SpectralField, F: SpectralField):
     """(div_residual, curl_residual, L2 form, pointwise form of the squared
-    curl mismatch) from one sampling of F; the same values as the single
-    functions."""
+    curl mismatch) from one sampling of F; the first two are the values of
+    the single functions.
+
+    The two majorant-tracked forms contract the first index, sum_i
+    T_{ijk}^2, and take the max over (j,k) after grid averaging (L2 form)
+    or over (j,k) and x (pointwise form).  Contracting over i is what the
+    transport derivation controls at rate exactly 2*gauge, with no
+    dimensional slack.
+    """
     F_phys = F.to_physical()
     return (_div_measure(rho_hat, F_phys, F.grid),) + _curl_measures(F, F_phys)
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InputError
 from .grid import Grid, SpectralField, dealiased_product
-from .operators import convect, jacobian, matrix_product
 
 _CHI_FLAT = 5.0 / 3.0          # chi == 1 up to here
 _CHI_END = 12.0 / 5.0          # chi == 0 from here
@@ -159,10 +158,6 @@ class BesovIndex:
             return self.s
         return self.t
 
-    @property
-    def kind(self) -> str:
-        return "homogeneous" if self.t is None else "hybrid"
-
 
 def weighted_block_sum(fam: DyadicFamily, profile: np.ndarray,
                        index: BesovIndex) -> float:
@@ -230,66 +225,3 @@ def bony_defect(f: SpectralField, g: SpectralField,
     if denom == 0.0:
         return (recon - direct).l2()
     return (recon - direct).l2() / denom
-
-
-# ----------------------------------------------------------------------
-# measured constants for the convection and product estimates
-# ----------------------------------------------------------------------
-
-def _check_index_range(dim: int, s1: float, s2: float):
-    lo, hi = -dim / 2.0, 1.0 + dim / 2.0
-    for s in (s1, s2):
-        if not (lo < s <= hi):
-            raise InputError(f"index {s} outside admissible range ({lo}, {hi}]")
-
-
-def measure_convection_constant(u: SpectralField, f: SpectralField,
-                                symbol, degree: float,
-                                s1: float, s2: float,
-                                fam: DyadicFamily | None = None) -> dict:
-    """Measured per-block ratios for the convection inner-product estimate.
-
-    For each block q the quantity |(G(D) block_q(u.grad f) | G(D) block_q f)|
-    is divided by 2^(-q(phi(q)-degree)) * ||u||_{B^{1+N/2}} *
-    ||f||_{hybrid(s1,s2)} * ||G(D) block_q f||_L2.  The ratios are reported
-    per block together with their supremum and l1 profile; nothing is
-    asserted against a fixed constant.
-
-    ``symbol`` maps the grid to a multiplier array and must be homogeneous
-    of the stated degree.
-    """
-    grid = u.grid
-    _check_index_range(grid.dim, s1, s2)
-    fam = fam or DyadicFamily(grid)
-    w = convect(u.to_physical(), f)[0]
-    g_mult = symbol(grid)
-    nu_norm = besov_norm(u, 1.0 + grid.dim / 2.0, fam)
-    nf_norm = hybrid_norm(f, s1, s2, fam)
-    ratios = {}
-    if nu_norm == 0.0 or nf_norm == 0.0:
-        return {"ratios": {}, "sup": 0.0, "l1": 0.0}
-    for q in fam.q_range:
-        bf = SpectralField(grid, fam.block(f, q).coeff * g_mult)
-        bw = SpectralField(grid, fam.block(w, q).coeff * g_mult)
-        denom_block = bf.l2()
-        if denom_block < 1e-300:
-            continue
-        lhs = abs(bw.inner(bf))
-        scale = 2.0 ** (-q * (BesovIndex(s1, s2).weight_exponent(q) - degree))
-        ratios[q] = lhs / (scale * nu_norm * nf_norm * denom_block)
-    sup = max(ratios.values()) if ratios else 0.0
-    return {"ratios": ratios, "sup": sup, "l1": sum(ratios.values())}
-
-
-def measure_product_constant(u: SpectralField, E: SpectralField,
-                             s1: float, s2: float,
-                             fam: DyadicFamily | None = None) -> float:
-    """Measured ratio ||grad(u) E|| / (||u||_{B^{1+N/2}} ||E||) in hybrid norms."""
-    grid = u.grid
-    _check_index_range(grid.dim, s1, s2)
-    fam = fam or DyadicFamily(grid)
-    if E.l2() == 0.0 or u.l2() == 0.0:
-        return 0.0
-    prod = matrix_product(jacobian(u), E)
-    return hybrid_norm(prod, s1, s2, fam) / (
-        besov_norm(u, 1.0 + grid.dim / 2.0, fam) * hybrid_norm(E, s1, s2, fam))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFamily, besov_norm, psi
+from .dyadic import DyadicFamily, psi
 from .errors import DiagnosticError, InputError, InvariantViolation
 from .grid import Grid, SpectralField, cosine_mode
 from .model import HelmholtzState
@@ -78,11 +78,6 @@ class EnergyConstants:
     def beta2(self) -> float:
         return 2.0 / self.mu
 
-    @classmethod
-    def from_viscosity(cls, visc) -> "EnergyConstants":
-        """Accepts any object exposing nu and mu (Lame or split pair)."""
-        return cls(visc.nu, visc.mu)
-
 
 # ----------------------------------------------------------------------
 # right-hand side
@@ -115,8 +110,13 @@ def block_radicand(state: HelmholtzState, q: int, consts: EnergyConstants,
                    fam: DyadicFamily | None = None) -> float:
     """Square of the block energy g_q before its weight 2^(q(N/2-1)).
 
-    A real quadratic form in the state, in the low form for q <= block_split
-    and in the high form above it (see ``block_energy_low``/``_high``).
+    A real quadratic form in the blocks of the state.  The low form
+    (q <= block_split) combines the L2 norms of (rho, d, skew, potential,
+    Omega) with weights 2, 2, 1, 1, 1 and three cross terms scaled by
+    nu/eta; eta keeps it nonnegative for every state.  The high
+    form (q > block_split) takes first-order norms of (rho, skew, potential),
+    weights 2*gamma and gamma on (d, Omega), and cross terms beta1, beta2,
+    2*beta1; gamma makes it coercive for every state.
     """
     fam = fam or DyadicFamily(state.rho.grid)
     b = {name: fam.block(getattr(state, name), q)
@@ -134,33 +134,6 @@ def block_radicand(state: HelmholtzState, q: int, consts: EnergyConstants,
             - consts.beta1 * lam["rho"].inner(b["d"])
             - consts.beta2 * lam["skew"].inner(b["omega"])
             - 2.0 * consts.beta1 * lam["potential"].inner(b["d"]))
-
-
-def block_energy_low(state: HelmholtzState, q: int, consts: EnergyConstants,
-                     fam: DyadicFamily | None = None) -> float:
-    """Low-frequency block energy g_q (q <= block_split).
-
-    Square combines weighted L2 norms (weights 2,2,1,1,1) with three cross
-    terms scaled by nu/eta; eta is sized so the radicand is nonnegative for
-    every state, and a negative radicand is reported as a violation, never
-    clipped.
-    """
-    if q > consts.block_split:
-        raise InputError(f"block {q} is above the split {consts.block_split}; use the high form")
-    return block_energy(state, q, consts, fam)
-
-
-def block_energy_high(state: HelmholtzState, q: int, consts: EnergyConstants,
-                      fam: DyadicFamily | None = None) -> float:
-    """High-frequency block energy g_q (q > block_split).
-
-    First-order norms on (rho, skew, potential), weights 2*gamma and gamma
-    on (d, Omega), and cross terms beta1, beta2, 2*beta1; coercive for any
-    state by the choice of gamma.
-    """
-    if q <= consts.block_split:
-        raise InputError(f"block {q} is below the split {consts.block_split}; use the low form")
-    return block_energy(state, q, consts, fam)
 
 
 def _weighted_sqrt(sq: float, q: int, dim: int) -> float:
@@ -399,34 +372,3 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     return {"pair": pair, "xi": xi, "q": q_seed, "fitted": rate, "oracle": oracle,
             "rel_error": abs(rate - oracle) / oracle, "times": times, "energy": series}
 
-
-# ----------------------------------------------------------------------
-# convection-weighted damping
-# ----------------------------------------------------------------------
-
-class VelocityWeight:
-    """Accumulates V(t) = int ||u||_{B^{N/2+1}} dt and applies exp(-K V).
-
-    The reweighting is the bookkeeping device that absorbs convection in the
-    energy estimates; K is a configuration value compared against the
-    measured interaction constant, never assumed.
-    """
-
-    def __init__(self, K: float, fam: DyadicFamily):
-        self.K = K
-        self.fam = fam
-        self.V = 0.0
-        self._last = None
-
-    def update(self, t: float, u: SpectralField) -> float:
-        norm = besov_norm(u, u.grid.dim / 2.0 + 1.0, self.fam)
-        if self._last is not None:
-            t0, n0 = self._last
-            if t < t0:
-                raise InputError("times must be nondecreasing")
-            self.V += 0.5 * (t - t0) * (n0 + norm)
-        self._last = (t, norm)
-        return self.V
-
-    def apply(self, state: HelmholtzState) -> HelmholtzState:
-        return state * math.exp(-self.K * self.V)

@@ -1,5 +1,6 @@
-"""Physical model: pressure law, nondimensionalized perturbation states, and
-assembly of every right-hand side of the near-equilibrium system.
+"""Physical model: pressure law, perturbation states about the equilibrium
+(density 1, deformation I), and assembly of every right-hand side of the
+near-equilibrium system.
 
 Two equivalent evolution paths are provided:
 
@@ -56,7 +57,7 @@ from .operators import (Convection, Viscosity, antisymmetric, curl_matrix, diver
                         double_divergence, fractional_power, gradient,
                         helmholtz_reconstruct, helmholtz_split,
                         jacobian, lame_operator, laplacian, symmetric_scalar,
-                        transport, transpose_gap, _deriv_mult, _pairs)
+                        transport, transpose_gap, _pairs)
 
 RHO_SUP_LIMIT = 0.5  # composition terms need the density perturbation below this
 
@@ -66,35 +67,32 @@ RHO_SUP_LIMIT = 0.5  # composition terms need the density perturbation below thi
 # ----------------------------------------------------------------------
 
 class PressureLaw:
-    """Barotropic pressure with the derived constants used downstream.
+    """Barotropic pressure, held by its derivative P'.
 
-    ``chi0 = P'(1)^(-1/2)`` rescales time and space in the
-    nondimensionalization; ``deviation(r)`` is the normalized pressure
-    nonlinearity P'(1+r)/((1+r) P'(1)) - 1, which vanishes identically for
-    the quadratic reference law.
+    The flow sees the law only through ``dp1 = P'(1)``, which sets the
+    elastic coupling a = alpha / P'(1), and through ``deviation(r)``, the
+    normalized pressure nonlinearity P'(1+r)/((1+r) P'(1)) - 1, which
+    vanishes identically for the quadratic reference law.
     """
 
-    def __init__(self, name: str, p, dp):
-        self.name = name
-        self.p = p
+    def __init__(self, dp):
         self.dp = dp
         dp1 = float(dp(1.0))
         if dp1 <= 0.0:
             raise InputError("pressure law must have P'(1) > 0")
         self.dp1 = dp1
-        self.chi0 = dp1 ** -0.5
 
     @classmethod
     def quadratic(cls) -> "PressureLaw":
-        return cls("quadratic", lambda x: x ** 2, lambda x: 2.0 * x)
+        """P(x) = x^2."""
+        return cls(lambda x: 2.0 * x)
 
     @classmethod
     def power(cls, gamma_gas: float) -> "PressureLaw":
+        """P(x) = x^gamma_gas."""
         if not (gamma_gas > 0.0):  # NaN-safe
             raise InputError(f"gas exponent must be positive, got {gamma_gas}")
-        return cls(f"power({gamma_gas})",
-                   lambda x, g=gamma_gas: x ** g,
-                   lambda x, g=gamma_gas: g * x ** (g - 1.0))
+        return cls(lambda x, g=gamma_gas: g * x ** (g - 1.0))
 
     def deviation(self, r: np.ndarray) -> np.ndarray:
         """K(r) = P'(1+r)/((1+r) P'(1)) - 1, evaluated pointwise."""
@@ -283,41 +281,6 @@ def split_state(prim: PrimitiveState) -> HelmholtzState:
 
 
 # ----------------------------------------------------------------------
-# nondimensionalization and energy
-# ----------------------------------------------------------------------
-
-def nondimensionalize(rho_hat: SpectralField, u_hat: SpectralField,
-                      F: SpectralField, law: PressureLaw,
-                      alpha: float, mu: float, lam: float):
-    """Rescale (density, velocity, deformation) to perturbation form.
-
-    Space and time contract by chi0 = P'(1)^(-1/2); on the torus this turns
-    a domain of scale L into one of scale L/chi0 while the samples are
-    reused verbatim.  The velocity picks up the factor chi0 and the elastic
-    terms the coupling a = alpha/P'(1).
-    """
-    vals = rho_hat.to_physical()
-    if np.min(vals) <= 0.0:
-        raise InputError("density must be positive pointwise")
-    old = rho_hat.grid
-    new_grid = Grid(old.dim, old.n, old.length / law.chi0, old.dealias_frac)
-    prim = PrimitiveState(SpectralField(new_grid, rho_hat.coeff),
-                          SpectralField(new_grid, law.chi0 * u_hat.coeff),
-                          SpectralField(new_grid, F.coeff))
-    prim.rho.coeff[(Ellipsis,) + (0,) * old.dim] -= 1.0
-    for i in range(old.dim):
-        prim.E.coeff[(i, i) + (0,) * old.dim] -= 1.0
-    params = ModelParams(Viscosity(mu, lam, old.dim), alpha, law)
-    return prim, params
-
-
-def elastic_energy(F: SpectralField, alpha: float = 1.0) -> float:
-    """Grid-averaged Hookean energy (alpha/2) |F|^2 of the full deformation."""
-    vals = F.to_physical()
-    return 0.5 * alpha * float(np.mean(np.sum(vals * vals, axis=(0, 1))))
-
-
-# ----------------------------------------------------------------------
 # one physical evaluation per state
 # ----------------------------------------------------------------------
 
@@ -404,7 +367,7 @@ def rotation_from_products(C: SpectralField) -> SpectralField:
     ``rotation_correction``: S_{ij} = |grad|^{-1} d_k C_{pk} for i < j and
     S_{ji} = -S_{ij}, so the result is antisymmetric exactly."""
     g = C.grid
-    upper = sum(C.coeff[:, k] * _deriv_mult(g, k) for k in range(g.dim)) * g.inv_xi
+    upper = sum(C.coeff[:, k] * g.deriv[k] for k in range(g.dim)) * g.inv_xi
     return antisymmetric(g, upper)
 
 

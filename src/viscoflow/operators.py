@@ -1,5 +1,5 @@
 """Fourier-multiplier calculus: fractional powers, Helmholtz split, Lame
-operator, double-divergence/curl reductions, and the symmetric-part scalar.
+operator, the double-divergence reduction, and the symmetric-part scalar.
 
 Conventions (fixed package-wide):
 
@@ -24,21 +24,13 @@ from .errors import ConfigurationError, InputError
 from .grid import Grid, SpectralField, Workspace, dealias_physical
 
 
-def _deriv_mult(grid: Grid, axis: int):
-    return grid.deriv[axis]
-
-
-def derivative(f: SpectralField, axis: int) -> SpectralField:
-    return SpectralField(f.grid, f.coeff * _deriv_mult(f.grid, axis))
-
-
 def gradient(f: SpectralField) -> SpectralField:
     """Partial derivatives stacked on a new leading axis: scalar -> vector,
     and for any rank out[l] = d_l f."""
     g = f.grid
     out = np.empty((g.dim,) + f.coeff.shape, dtype=np.complex128)
     for ax in range(g.dim):
-        out[ax] = f.coeff * _deriv_mult(g, ax)
+        out[ax] = f.coeff * g.deriv[ax]
     return SpectralField(g, out)
 
 
@@ -49,7 +41,7 @@ def jacobian(u: SpectralField, out=None) -> SpectralField:
         out = np.empty((g.dim, g.dim) + u.coeff.shape[1:], dtype=np.complex128)
     for i in range(g.dim):
         for j in range(g.dim):
-            np.multiply(u.coeff[i], _deriv_mult(g, j), out=out[i, j])
+            np.multiply(u.coeff[i], g.deriv[j], out=out[i, j])
     return SpectralField(g, out)
 
 
@@ -57,12 +49,12 @@ def divergence(f: SpectralField) -> SpectralField:
     """Vector -> scalar, or matrix -> vector (row divergence)."""
     g = f.grid
     if f.rank == "vector":
-        out = sum(f.coeff[j] * _deriv_mult(g, j) for j in range(g.dim))
+        out = sum(f.coeff[j] * g.deriv[j] for j in range(g.dim))
         return SpectralField(g, out)
     if f.rank == "matrix":
         out = np.empty((g.dim,) + f.coeff.shape[2:], dtype=np.complex128)
         for i in range(g.dim):
-            out[i] = sum(f.coeff[i, j] * _deriv_mult(g, j) for j in range(g.dim))
+            out[i] = sum(f.coeff[i, j] * g.deriv[j] for j in range(g.dim))
         return SpectralField(g, out)
     raise InputError("divergence needs a vector or matrix field")
 
@@ -88,7 +80,7 @@ def antisymmetric(grid: Grid, upper, out=None) -> SpectralField:
 def curl_matrix(u: SpectralField) -> SpectralField:
     """Vector -> antisymmetric matrix C_{ij} = d_j u_i - d_i u_j."""
     g = u.grid
-    upper = [u.coeff[i] * _deriv_mult(g, j) - u.coeff[j] * _deriv_mult(g, i)
+    upper = [u.coeff[i] * g.deriv[j] - u.coeff[j] * g.deriv[i]
              for i, j in _pairs(g.dim)]
     return antisymmetric(g, upper)
 
@@ -98,7 +90,7 @@ def curl_vector(om: SpectralField) -> SpectralField:
     g = om.grid
     out = np.empty((g.dim,) + om.coeff.shape[2:], dtype=np.complex128)
     for i in range(g.dim):
-        out[i] = sum(om.coeff[j, i] * _deriv_mult(g, j) for j in range(g.dim))
+        out[i] = sum(om.coeff[j, i] * g.deriv[j] for j in range(g.dim))
     return SpectralField(g, out)
 
 
@@ -191,10 +183,10 @@ def lame_operator(u: SpectralField, visc: Viscosity, out=None) -> SpectralField:
     """Elliptic viscosity operator mu*Lap + (lambda+mu)*grad div on vectors;
     the coefficients are written into ``out`` when it is given."""
     g = u.grid
-    div_u = sum(u.coeff[j] * _deriv_mult(g, j) for j in range(g.dim))
+    div_u = sum(u.coeff[j] * g.deriv[j] for j in range(g.dim))
     out = np.empty_like(u.coeff) if out is None else out
     for i in range(g.dim):
-        out[i] = -visc.mu * g.xi_sq * u.coeff[i] + (visc.lam + visc.mu) * _deriv_mult(g, i) * div_u
+        out[i] = -visc.mu * g.xi_sq * u.coeff[i] + (visc.lam + visc.mu) * g.deriv[i] * div_u
     return SpectralField(g, out)
 
 
@@ -204,18 +196,13 @@ def _contract_dd(g: Grid, c: np.ndarray) -> np.ndarray:
     acc = np.zeros(c.shape[2:], dtype=np.complex128)
     for i in range(g.dim):
         for j in range(g.dim):
-            acc += c[i, j] * _deriv_mult(g, i) * _deriv_mult(g, j)
+            acc += c[i, j] * g.deriv[i] * g.deriv[j]
     return acc
 
 
 def double_divergence(E: SpectralField) -> SpectralField:
     """|grad|^{-1} div div E, a scalar first-order reduction of a matrix."""
     return SpectralField(E.grid, _contract_dd(E.grid, E.coeff) * E.grid.inv_xi)
-
-
-def curl_divergence(E: SpectralField) -> SpectralField:
-    """|grad|^{-1} curl div E, an antisymmetric matrix reduction."""
-    return curl_matrix(divergence(E)) * E.grid.inv_xi
 
 
 def symmetric_scalar(E: SpectralField) -> SpectralField:

@@ -1,17 +1,16 @@
-"""Dyadic blocks, block norms, paraproducts, and the measured estimates."""
+"""Dyadic blocks, block norms, paraproducts, and hand values of the
+convection and matrix products."""
 
 import numpy as np
 import pytest
 
 from viscoflow import (DyadicFamily, SpectralField, besov_norm, bony_defect,
-                       hybrid_norm, measure_convection_constant,
-                       measure_product_constant, paraproduct, random_field,
-                       remainder)
+                       hybrid_norm, paraproduct, random_field, remainder)
 from viscoflow import dyadic
 from viscoflow.dyadic import BesovIndex, chi, psi, weighted_block_sum
 from viscoflow.errors import InputError
-from viscoflow.grid import Grid, cosine_mode, dealiased_product
-from viscoflow.operators import fractional_power
+from viscoflow.grid import cosine_mode, dealiased_product
+from viscoflow.operators import convect, fractional_power, jacobian, matrix_product
 
 
 class TestCutoffProfile:
@@ -243,74 +242,18 @@ class TestParaproducts:
         assert (paraproduct(f, g) - full).l2() < 1e-12 * full.l2()
 
 
-def _abs_symbol(grid):
-    return grid.xi_mag
-
-
-class TestMeasuredConstants:
-    def test_zero_velocity_gives_zero(self, grid2d, rng):
-        u = SpectralField.zeros(grid2d, "vector")
-        f = random_field(grid2d, "scalar", rng)
-        out = measure_convection_constant(u, f, _abs_symbol, 1.0, 0.0, 1.0)
-        assert out["sup"] == 0.0
-
-    def test_index_range_enforced(self, grid2d, rng):
-        u = random_field(grid2d, "vector", rng)
-        f = random_field(grid2d, "scalar", rng)
-        with pytest.raises(InputError):
-            measure_convection_constant(u, f, _abs_symbol, 1.0, -5.0, 0.0)
-        with pytest.raises(InputError):
-            measure_product_constant(u, random_field(grid2d, "matrix", rng), 0.0, 99.0)
-
+class TestProductHandValues:
     def test_single_triad_hand_value(self, grid2d_unit):
         # u = (cos(y), 0), f = cos(2x): u.grad f = -2 cos(y) sin(2x)
         #                             = -(sin(2x+y) + sin(2x-y))
         grid = grid2d_unit
         u = cosine_mode(grid, (0, 1), rank="vector", component=(0,))
         f = cosine_mode(grid, (2, 0))
-        from viscoflow.operators import convect
         w = convect(u.to_physical(), f)[0]
         x = grid.meshgrid()
         expected = SpectralField.from_physical(
             grid, -(np.sin(2 * x[0] + x[1]) + np.sin(2 * x[0] - x[1])))
         assert (w - expected).l2() < 1e-13
-
-        # ratio at the block holding |xi| = sqrt(5): both triad modes live there
-        fam = DyadicFamily(grid)
-        out = measure_convection_constant(u, f, _abs_symbol, 1.0, 0.5, 0.5, fam)
-        # independent evaluation of the same quotient at q = 1 (shell holds |xi|=2)
-        q = 1
-        gf = fractional_power(fam.block(f, q), 1.0)
-        gw = fractional_power(fam.block(w, q), 1.0)
-        lhs = abs(gw.inner(gf))
-        denom = (2.0 ** (-q * (0.5 - 1.0)) * besov_norm(u, 2.0, fam)
-                 * hybrid_norm(f, 0.5, 0.5, fam) * gf.l2())
-        assert out["ratios"][q] == pytest.approx(lhs / denom, rel=1e-12)
-        assert out["sup"] >= out["ratios"][q]
-
-    def test_convection_ratio_stable_under_refinement(self, rng):
-        from viscoflow.grid import refine_field
-        coarse = Grid(2, 32, length=8.0)
-        fine = Grid(2, 64, length=8.0)
-        u = random_field(coarse, "vector", rng, band=(0.25, 0.7), amplitude=0.1)
-        f = random_field(coarse, "scalar", rng, band=(0.25, 0.7))
-        vals = [measure_convection_constant(u, f, _abs_symbol, 1.0, 0.0, 1.0)["sup"],
-                measure_convection_constant(refine_field(u, fine), refine_field(f, fine),
-                                            _abs_symbol, 1.0, 0.0, 1.0)["sup"]]
-        assert abs(vals[1] - vals[0]) <= 0.2 * max(vals)
-
-    def test_product_constant_zero_and_stability(self, rng):
-        from viscoflow.grid import refine_field
-        coarse = Grid(2, 32, length=8.0)
-        fine = Grid(2, 64, length=8.0)
-        u = random_field(coarse, "vector", rng, band=(0.25, 0.7), amplitude=0.1)
-        E = random_field(coarse, "matrix", rng, band=(0.25, 0.7))
-        zero = SpectralField.zeros(coarse, "matrix")
-        assert measure_product_constant(u, zero, 0.0, 1.0) == 0.0
-        vals = [measure_product_constant(u, E, 0.0, 1.0),
-                measure_product_constant(refine_field(u, fine),
-                                         refine_field(E, fine), 0.0, 1.0)]
-        assert abs(vals[1] - vals[0]) <= 0.2 * max(vals)
 
     def test_product_single_mode_hand_value(self, grid2d_unit):
         # u = (0, cos(x)), E = e_{00} cos(y):
@@ -318,15 +261,9 @@ class TestMeasuredConstants:
         grid = grid2d_unit
         u = cosine_mode(grid, (1, 0), rank="vector", component=(1,))
         E = cosine_mode(grid, (0, 1), rank="matrix", component=(0, 0))
-        from viscoflow.operators import jacobian, matrix_product
         prod = matrix_product(jacobian(u), E)
         x = grid.meshgrid()
         expected = SpectralField.zeros(grid, "matrix")
         expected.coeff[1, 0] = SpectralField.from_physical(
             grid, -np.sin(x[0]) * np.cos(x[1])).coeff
         assert (prod - expected).l2() < 1e-13
-        fam = DyadicFamily(grid)
-        ratio = measure_product_constant(u, E, 0.5, 0.5, fam)
-        hand = (hybrid_norm(expected, 0.5, 0.5, fam)
-                / (besov_norm(u, 2.0, fam) * hybrid_norm(E, 0.5, 0.5, fam)))
-        assert ratio == pytest.approx(hand, rel=1e-12)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from viscoflow import (DyadicFamily, EnergyConstants, Grid, SpectralField,
-                       VelocityWeight, block_energy, block_energy_high,
-                       block_energy_low, constant_coeff_spectrum, cosine_mode,
+                       block_energy, constant_coeff_spectrum, cosine_mode,
                        equivalence_ratio, evolve_pair_exact, linear_rhs,
                        measure_block_decay, oracle_decay_rate, random_field,
                        run_pair_decay)
@@ -241,8 +240,8 @@ class TestBlockEnergies:
         z = SpectralField.zeros(grid2d_unit, "scalar")
         zm = SpectralField.zeros(grid2d_unit, "matrix")
         state = HelmholtzState(z, z.copy(), zm, zm.copy(), z.copy())
-        assert block_energy_low(state, 0, c) == 0.0
-        assert block_energy_high(state, 5, c) == 0.0
+        assert block_energy(state, 0, c) == 0.0
+        assert block_energy(state, 5, c) == 0.0
 
     def test_pure_d_low_value(self, grid2d_unit):
         # cross terms vanish; the display carries weight 2 on ||d||^2
@@ -254,17 +253,7 @@ class TestBlockEnergies:
         state = HelmholtzState(z, d, zm, zm.copy(), z.copy())
         q = 1
         expected = 2.0 ** (q * (2 / 2 - 1)) * math.sqrt(2.0) * fam.block(d, q).l2()
-        assert block_energy_low(state, q, c) == pytest.approx(expected, rel=1e-13)
-
-    def test_regime_guards(self, grid2d_unit):
-        c = EnergyConstants(1.0, 1.0)
-        z = SpectralField.zeros(grid2d_unit, "scalar")
-        zm = SpectralField.zeros(grid2d_unit, "matrix")
-        state = HelmholtzState(z, z.copy(), zm, zm.copy(), z.copy())
-        with pytest.raises(InputError):
-            block_energy_low(state, c.block_split + 1, c)
-        with pytest.raises(InputError):
-            block_energy_high(state, c.block_split, c)
+        assert block_energy(state, q, c) == pytest.approx(expected, rel=1e-13)
 
     def test_nan_radicand_raises(self, grid2d_unit):
         c = EnergyConstants(1.0, 1.0)
@@ -372,35 +361,3 @@ class TestSmoothingIntegral:
         assert np.isfinite(total_c) and total_c > 0.0
         assert tail_c <= 0.02 * total_c          # Cauchy in T
         assert abs(total_f - total_c) <= 1e-10 * total_c  # grid-stable
-
-
-class TestVelocityWeight:
-    def test_zero_velocity_identity(self, grid2d, rng):
-        fam = DyadicFamily(grid2d)
-        w = VelocityWeight(3.0, fam)
-        u = SpectralField.zeros(grid2d, "vector")
-        for t in (0.0, 0.5, 1.0):
-            assert w.update(t, u) == 0.0
-        state, _ = _random_state(grid2d, rng)
-        out = w.apply(state)
-        assert (out.rho - state.rho).l2() == 0.0
-
-    def test_constant_norm_gives_linear_accumulation(self, grid2d):
-        fam = DyadicFamily(grid2d)
-        w = VelocityWeight(1.0, fam)
-        u = cosine_mode(grid2d, (8, 0), rank="vector", component=(0,))
-        from viscoflow import besov_norm
-        c = besov_norm(u, 2.0, fam)
-        for t in np.linspace(0.0, 2.0, 21):
-            v = w.update(float(t), u)
-        assert v == pytest.approx(2.0 * c, rel=1e-12)
-
-    def test_monotone_for_random_trajectory(self, grid2d, rng):
-        fam = DyadicFamily(grid2d)
-        w = VelocityWeight(1.0, fam)
-        last = 0.0
-        for t in np.linspace(0.0, 1.0, 11):
-            u = random_field(grid2d, "vector", rng, amplitude=float(rng.uniform(0, 1)))
-            v = w.update(float(t), u)
-            assert v >= last
-            last = v

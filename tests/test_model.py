@@ -1,5 +1,5 @@
-"""Pressure law, nondimensionalization, source assembly, and the agreement
-between the primitive and split evolution paths on admissible data."""
+"""Pressure law, source assembly, and the agreement between the primitive
+and split evolution paths on admissible data."""
 
 import copy
 import dataclasses
@@ -10,8 +10,7 @@ import pytest
 from viscoflow import (ComposedMap, Grid, ModelParams, PressureLaw,
                        PrimitiveState, SpectralField, assemble_sources,
                        deformation_identity_gap,
-                       dual_path_gap, elastic_energy, generate_admissible,
-                       nondimensionalize, primitive_rhs, random_field,
+                       dual_path_gap, generate_admissible, primitive_rhs, random_field,
                        reformulated_rhs, shear_map)
 from viscoflow.constraints import transport_rhs, transport_simulate
 from viscoflow.errors import InputError, StabilityError
@@ -21,7 +20,7 @@ from viscoflow.linear import linear_rhs
 from viscoflow.model import (FieldTuple, PhysicalBundle, ReformState, rotation_correction,
                              rotation_from_products, split_state)
 from viscoflow.operators import (SplitViscosity, Viscosity, antisymmetric, convect,
-                                 derivative, divergence, gradient, inverse_mag_times,
+                                 divergence, gradient, inverse_mag_times,
                                  jacobian, lame_operator, laplacian, helmholtz_split,
                                  transpose_gap, symmetric_scalar, _pairs)
 
@@ -154,7 +153,7 @@ class TestFieldTuple:
 class TestPressureLaw:
     def test_quadratic_constants(self):
         law = PressureLaw.quadratic()
-        assert law.chi0 == pytest.approx(2.0 ** -0.5)
+        assert law.dp1 == 2.0
         r = np.linspace(-0.4, 0.4, 101)
         assert np.all(law.deviation(r) == 0.0)  # bit-exact cancellation
 
@@ -168,58 +167,6 @@ class TestPressureLaw:
     def test_coupling_constant(self):
         p = _params(alpha=3.0)
         assert p.coupling == pytest.approx(3.0 / 2.0)
-
-
-class TestNondimensionalize:
-    def test_equilibrium_maps_to_zero(self, grid2d):
-        one = SpectralField.from_physical(grid2d, np.ones((32, 32)))
-        zero_u = SpectralField.zeros(grid2d, "vector")
-        eye = SpectralField.zeros(grid2d, "matrix")
-        for i in range(2):
-            eye.coeff[i, i, 0, 0] = 1.0
-        state, params = nondimensionalize(one, zero_u, eye,
-                                          PressureLaw.quadratic(), 1.0, 1.0, 1.0)
-        assert state.rho.l2() < 1e-15
-        assert state.u.l2() == 0.0
-        assert state.E.l2() < 1e-15
-        assert state.rho.grid.length == pytest.approx(8.0 * np.sqrt(2.0))
-
-    def test_velocity_rescaled(self, grid2d):
-        one = SpectralField.from_physical(grid2d, np.ones((32, 32)))
-        u = cosine_mode(grid2d, (1, 0), 2.0, rank="vector", component=(0,))
-        eye = SpectralField.zeros(grid2d, "matrix")
-        for i in range(2):
-            eye.coeff[i, i, 0, 0] = 1.0
-        state, _ = nondimensionalize(one, u, eye, PressureLaw.quadratic(),
-                                     1.0, 1.0, 1.0)
-        assert state.u.l2() == pytest.approx(2.0 ** -0.5 * u.l2())
-
-    def test_positive_density_required(self, grid2d):
-        bad = SpectralField.from_physical(grid2d, -np.ones((32, 32)))
-        zero_u = SpectralField.zeros(grid2d, "vector")
-        eye = SpectralField.zeros(grid2d, "matrix")
-        with pytest.raises(InputError):
-            nondimensionalize(bad, zero_u, eye, PressureLaw.quadratic(), 1.0, 1.0, 1.0)
-
-
-class TestElasticEnergy:
-    def test_identity_deformation(self, grid3d):
-        eye = SpectralField.zeros(grid3d, "matrix")
-        for i in range(3):
-            eye.coeff[(i, i) + (0,) * 3] = 1.0
-        assert elastic_energy(eye, 1.0) == pytest.approx(1.5)
-
-    def test_zero(self, grid2d):
-        assert elastic_energy(SpectralField.zeros(grid2d, "matrix"), 2.0) == 0.0
-
-    def test_matches_pointwise_sum(self, grid2d, rng):
-        E = random_field(grid2d, "matrix", rng, amplitude=0.1)
-        F = E.copy()
-        for i in range(2):
-            F.coeff[i, i, 0, 0] += 1.0
-        vals = F.to_physical()
-        brute = 0.5 * 0.7 * np.mean((vals ** 2).sum(axis=(0, 1)))
-        assert elastic_energy(F, 0.7) == pytest.approx(brute, rel=1e-13)
 
 
 class TestSources:
@@ -409,8 +356,8 @@ class TestPhysicalBundle:
         grid = Grid(dim, 16, length=4.0)
         E = random_field(grid, "matrix", rng, amplitude=0.1)
         comp = [[SpectralField(grid, E.coeff[i, j]) for j in range(dim)] for i in range(dim)]
-        grad = [[[derivative(comp[i][j], l) for j in range(dim)] for i in range(dim)]
-                for l in range(dim)]
+        grad = [[[SpectralField(grid, comp[i][j].coeff * grid.deriv[l]) for j in range(dim)]
+                 for i in range(dim)] for l in range(dim)]
 
         def B(i, j, k):  # E_lk d_l E_ij - E_lj d_l E_ik
             acc = SpectralField.zeros(grid)
@@ -422,7 +369,7 @@ class TestPhysicalBundle:
         expected = np.zeros_like(E.coeff)
         for i in range(dim):
             for j in range(dim):
-                expected[i, j] = sum(derivative(B(i, j, k) - B(j, i, k), k).coeff
+                expected[i, j] = sum((B(i, j, k) - B(j, i, k)).coeff * grid.deriv[k]
                                      for k in range(dim)) * grid.inv_xi
         zero = PrimitiveState(SpectralField.zeros(grid), SpectralField.zeros(grid, "vector"), E)
         with grid.workspace() as ws:

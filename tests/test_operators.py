@@ -1,18 +1,17 @@
 """Multiplier calculus: fractional powers, Helmholtz split, Lame symbol,
-double-divergence/curl reductions, symmetric scalar."""
+double-divergence reduction, symmetric scalar."""
 
 import numpy as np
 import pytest
 
-from viscoflow import (SpectralField, besov_norm, curl_divergence,
-                       double_divergence, fractional_power,
+from viscoflow import (SpectralField, besov_norm, double_divergence, fractional_power,
                        helmholtz_reconstruct, helmholtz_split, lame_operator,
                        random_field, symmetric_scalar)
 from viscoflow.errors import ConfigurationError, InputError
 from viscoflow.dyadic import DyadicFamily
 from viscoflow.grid import cosine_mode, dealias_physical
 from viscoflow.operators import (SplitViscosity, Viscosity, convect, curl_matrix,
-                                 derivative, divergence, gradient, jacobian,
+                                 divergence, gradient, jacobian,
                                  transpose_gap)
 
 
@@ -137,13 +136,8 @@ def _hessian_field(grid, kvec, amplitude=1.0):
 
 
 class TestReductions:
-    def test_curl_divergence_kills_hessians(self, grid2d):
-        E, _ = _hessian_field(grid2d, (3, 2))
-        assert curl_divergence(E).l2() < 1e-14
-
     def test_zero_input(self, grid2d):
         z = SpectralField.zeros(grid2d, "matrix")
-        assert curl_divergence(z).l2() == 0.0
         assert double_divergence(z).l2() == 0.0
 
     def test_double_divergence_single_mode(self, grid2d):
@@ -217,7 +211,7 @@ def _convect_per_field(u_phys, f):
     forward transform per field, each field on its own."""
     acc = None
     for j in range(f.grid.dim):
-        dj = derivative(f, j).to_physical()
+        dj = SpectralField(f.grid, f.coeff * f.grid.deriv[j]).to_physical()
         acc = u_phys[j] * dj if acc is None else acc + u_phys[j] * dj
     return dealias_physical(f.grid, acc)
 
