@@ -13,7 +13,7 @@ from viscoflow import (DyadicFamily, EnergyConstants, Grid, SpectralField,
                        run_pair_decay)
 from viscoflow import linear
 from viscoflow.errors import DiagnosticError, InputError, InvariantViolation
-from viscoflow.linear import _assemble_state, expm2, pair_state
+from viscoflow.linear import _assemble_state, block_radicand, expm2, pair_state
 from viscoflow.model import HelmholtzState
 from viscoflow.operators import SplitViscosity, symmetric_scalar, transpose_gap
 
@@ -254,6 +254,52 @@ class TestBlockEnergies:
         q = 1
         expected = 2.0 ** (q * (2 / 2 - 1)) * math.sqrt(2.0) * fam.block(d, q).l2()
         assert block_energy(state, q, c) == pytest.approx(expected, rel=1e-13)
+
+    def test_regime_switches_after_block_split(self, grid2d_unit, rng):
+        # pure d: every cross term vanishes, so the radicand is the weight on
+        # ||d_q||^2, 2 in the low form and 2*gamma in the high form;
+        # nu = mu = 4 lowers the block split to 2
+        c = EnergyConstants(4.0, 4.0)
+        fam = DyadicFamily(grid2d_unit)
+        d = random_field(grid2d_unit, "scalar", rng)
+        z = SpectralField.zeros(grid2d_unit, "scalar")
+        zm = SpectralField.zeros(grid2d_unit, "matrix")
+        state = HelmholtzState(z, d, zm, zm.copy(), z.copy())
+        for q, weight in ((c.block_split, 2.0), (c.block_split + 1, 2.0 * c.gamma)):
+            norm_sq = fam.block(d, q).l2() ** 2
+            assert norm_sq > 0.0
+            assert block_radicand(state, q, c, fam) == pytest.approx(weight * norm_sq,
+                                                                      rel=1e-13)
+
+    def test_pure_rho_high_value(self, grid2d_unit):
+        # high form: ||Lambda rho_q||^2, and Lambda is |xi| = 10 on the mode,
+        # which block 3 holds whole; nu = mu = 4 puts block 3 above the split
+        c = EnergyConstants(4.0, 4.0)
+        fam = DyadicFamily(grid2d_unit)
+        rho = cosine_mode(grid2d_unit, (10, 0))
+        z = SpectralField.zeros(grid2d_unit, "scalar")
+        zm = SpectralField.zeros(grid2d_unit, "matrix")
+        state = HelmholtzState(rho, z, zm, zm.copy(), z.copy())
+        q = 3
+        assert q > c.block_split
+        assert fam.block(rho, q).l2() == pytest.approx(rho.l2(), rel=1e-13)
+        assert block_radicand(state, q, c, fam) == pytest.approx(100.0 * rho.l2() ** 2,
+                                                                  rel=1e-12)
+
+    def test_low_cross_term_value(self, grid2d_unit):
+        # rho = d on one mode |xi| = 5, held whole by block 2:
+        # 2||b||^2 + 2||b||^2 - (nu/eta) <Lambda b, b> = (4 - 5 nu/eta) ||b||^2
+        c = EnergyConstants(1.0, 1.0)
+        fam = DyadicFamily(grid2d_unit)
+        b = cosine_mode(grid2d_unit, (5, 0))
+        z = SpectralField.zeros(grid2d_unit, "scalar")
+        zm = SpectralField.zeros(grid2d_unit, "matrix")
+        state = HelmholtzState(b, b.copy(), zm, zm.copy(), z)
+        q = 2
+        assert q <= c.block_split
+        assert fam.block(b, q).l2() == pytest.approx(b.l2(), rel=1e-13)
+        expected = (4.0 - 5.0 * c.nu / c.eta) * b.l2() ** 2
+        assert block_radicand(state, q, c, fam) == pytest.approx(expected, rel=1e-13)
 
     def test_nan_radicand_raises(self, grid2d_unit):
         c = EnergyConstants(1.0, 1.0)

@@ -164,6 +164,19 @@ class TestPressureLaw:
             1.1 ** -0.6 - 1.0, rel=1e-12)
         assert law.deviation(np.array([0.0]))[0] == 0.0
 
+    def test_law_from_its_derivative(self):
+        # P(x) = x^3: P'(1) = 3, deviation 3(1+r)^2/(3(1+r)) - 1 = r
+        law = PressureLaw(lambda x: 3.0 * x ** 2)
+        assert law.dp1 == 3.0
+        r = np.array([-0.25, 0.0, 0.5])
+        assert law.deviation(r) == pytest.approx(r, abs=1e-15)
+
+    @pytest.mark.parametrize("dp", [lambda x: 0.0 * x, lambda x: -x],
+                             ids=["flat", "decreasing"])
+    def test_nonpositive_reference_slope_rejected(self, dp):
+        with pytest.raises(InputError, match="P'\\(1\\) > 0"):
+            PressureLaw(dp)
+
     def test_coupling_constant(self):
         p = _params(alpha=3.0)
         assert p.coupling == pytest.approx(3.0 / 2.0)

@@ -136,6 +136,12 @@ def _hessian_field(grid, kvec, amplitude=1.0):
 
 
 class TestReductions:
+    def test_curl_of_divergence_kills_hessians(self, grid2d):
+        # div Hess(phi) = grad(Lap phi), and a gradient has no curl
+        E, _ = _hessian_field(grid2d, (3, 2))
+        assert divergence(E).l2() > 0.0
+        assert curl_matrix(divergence(E)).l2() < 1e-14
+
     def test_zero_input(self, grid2d):
         z = SpectralField.zeros(grid2d, "matrix")
         assert double_divergence(z).l2() == 0.0
