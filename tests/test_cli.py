@@ -263,6 +263,23 @@ class TestCli:
             residuals.append((out / "residuals.csv").read_bytes())
         assert residuals[0] != residuals[1]
 
+    @pytest.mark.parametrize("levels, calls", [("16,32", 2), ("32,16", 2), ("16", 2),
+                                               ("16,64", 3)])
+    def test_constraints_reuse_the_run_grid_level(self, tmp_path, monkeypatch, levels, calls):
+        # one flow-map pullback per level; the transport's initial data is
+        # built again only when no level lies on the run grid (n = 32)
+        made = []
+        generate = cli.generate_admissible
+        monkeypatch.setattr(cli, "generate_admissible",
+                            lambda flow: made.append(flow.grid.n) or generate(flow))
+        cfg = _write_config(
+            tmp_path / "c.ini",
+            "[grid]\nn = 32\nlength = 1.0\n\n[constraints]\neps = 0.02\n"
+            f"refine_levels = {levels}\ndt = 0.05\nt_final = 0.1\n")
+        assert main(["constraints", "--config", cfg, "--strict", "--out", str(tmp_path)]) == 0
+        assert len(made) == calls
+        assert made.count(32) == 1
+
     def test_simulate_mode_quick(self, tmp_path):
         cfg = _write_config(
             tmp_path / "c.ini",

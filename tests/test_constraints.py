@@ -10,7 +10,8 @@ from viscoflow import (ComposedMap, FlowMap, Grid, SpectralField,
                        check_trajectory, convection_gauge, curl_residual,
                        div_residual, generate_admissible, shear_map,
                        transport_simulate)
-from viscoflow.constraints import constraint_residuals, transport_rhs
+from viscoflow.constraints import (_largest_singular_value, constraint_residuals,
+                                   transport_rhs)
 from viscoflow.errors import InputError
 from viscoflow.grid import cosine_mode, dealias_physical, random_field
 from viscoflow.operators import divergence, gradient, jacobian, transport
@@ -182,6 +183,25 @@ class TestGauge:
         assert g >= op - 1e-12
         assert g >= 0.5 * divu - 1e-12
 
+    @pytest.mark.parametrize("kind", ["random", "solenoidal"])
+    def test_closed_form_2d_norm_matches_svd(self, grid2d, rng, kind):
+        u = (random_field(grid2d, "vector", rng, band=(0.2, 1.2)) if kind == "random"
+             else _solenoidal_u(grid2d, 0.3, k=2))
+        J = jacobian(u).to_physical()
+        svd = np.linalg.svd(np.moveaxis(J, (0, 1), (-2, -1)), compute_uv=False)[..., 0]
+        got = _largest_singular_value(J)
+        assert np.all(np.abs(got - svd) <= 1e-14 * svd)
+
+    @pytest.mark.parametrize("matrix, want", [
+        ([[3.0, 0.0], [0.0, -5.0]], 5.0),                 # diagonal
+        ([[0.6, -0.8], [0.8, 0.6]], 1.0),                 # rotation
+        ([[1.0, 2.0], [0.0, 1.0]], 1.0 + np.sqrt(2.0)),   # shear: (1 + sqrt 2)^2 = 3 + 2 sqrt 2
+        ([[0.0, 0.0], [0.0, 0.0]], 0.0),
+    ])
+    def test_closed_form_2d_norm_hand_values(self, matrix, want):
+        J = np.array(matrix).reshape(2, 2, 1)
+        assert _largest_singular_value(J)[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 class TestPropagation:
     def test_zero_velocity_conserves_exactly(self, grid2d):
@@ -301,10 +321,25 @@ class TestTransportRHS:
         grads = [SpectralField(grid, d).to_physical() for d in gradient(F).coeff]
         stretch = np.einsum("ik...,kj...->ij...", grad_u, F.to_physical())
         want_rho = -divergence(dealias_physical(grid, rho.to_physical() * u_phys))
-        want_F = (-dealias_physical(grid, transport(u_phys, grads))
-                  + dealias_physical(grid, stretch))
+        want_F = dealias_physical(grid, stretch - transport(u_phys, grads))
         assert rho_dot.coeff.tobytes() == want_rho.coeff.tobytes()
         assert F_dot.coeff.tobytes() == want_F.coeff.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_summed_products_equal_two_forward_transforms(self, dim, rng):
+        # dealiasing is linear: one forward transform of (grad u) F - u.grad F
+        # equals the difference of the two products' own dealiased transforms
+        grid = Grid(dim, 32 if dim == 2 else 16, 4.0)
+        rho, F, u = self._fields(grid, rng)
+        u_phys, grad_u = u.to_physical(), jacobian(u).to_physical()
+        _, F_dot = transport_rhs(rho, F, u_phys, grad_u)
+        grads = [SpectralField(grid, d).to_physical() for d in gradient(F).coeff]
+        stretch = np.einsum("ik...,kj...->ij...", grad_u, F.to_physical())
+        two = (dealias_physical(grid, stretch).coeff
+               - dealias_physical(grid, transport(u_phys, grads)).coeff)
+        scale = np.abs(two).max()
+        assert scale > 0.0
+        assert np.abs(F_dot.coeff - two).max() <= 1e-14 * scale
 
     def test_results_own_their_memory(self, grid2d, rng):
         rho, F, u = self._fields(grid2d, rng)
