@@ -12,7 +12,7 @@ iteration with contraction monitoring, and constraint-propagation checks.
 __version__ = "0.1.0"
 
 from .grid import Grid, SpectralField, dealiased_product, scale_dyadic, random_field, cosine_mode
-from .dyadic import (DyadicFamily, BesovIndex, besov_norm, hybrid_norm,
+from .dyadic import (DyadicFamily, besov_norm, hybrid_norm,
                      paraproduct, remainder, bony_defect)
 from .operators import (Viscosity, SplitViscosity, fractional_power, helmholtz_split,
                         helmholtz_reconstruct, lame_operator,

@@ -41,13 +41,13 @@ from . import __version__
 from .constraints import (check_trajectory, constraint_residuals,
                           generate_admissible, shear_map, transport_simulate,
                           ComposedMap, FlowMap)
-from .dyadic import DyadicFamily, besov_norm, hybrid_norm
+from .dyadic import besov_norm, hybrid_norm
 from .errors import (ConfigurationError, DiagnosticError, InputError,
                      InvariantViolation, StabilityError)
 from .evolve import (RunConfig, direct_solve, picard_solve,
                      uniform_bound_monitor)
 from .grid import Grid, SpectralField, cosine_mode, random_field, scale_dyadic
-from .linear import EnergyConstants, run_pair_decay, PAIRS
+from .linear import run_pair_decay, PAIRS
 from .model import ModelParams, PressureLaw, PrimitiveState
 from .operators import Viscosity
 from .snapshots import load_field, save_field
@@ -97,7 +97,7 @@ def _hybrid_pairs(text: str) -> tuple[tuple[float, float], ...]:
 _SCHEMA = {
     "run": {"seed": (_nonneg_int, 1234), "out": (str, "viscoflow-out")},
     "grid": {"dim": (int, 2), "n": (int, 64), "length": (float, 8.0),
-             "dealias": (float, 2.0 / 3.0)},   # Grid compares with 2.0 / 3.0
+             "dealias": (float, 2.0 / 3.0)},
     "physics": {"mu": (float, 1.0), "lambda": (float, 1.0), "alpha": (float, 1.0),
                 "pressure": (_choice("quadratic", "power"), "quadratic"),
                 "gamma_gas": (float, 1.4)},
@@ -262,13 +262,12 @@ class Runner:
         if an["input"] is None:
             raise InputError("analyze needs a snapshot path: [analyze] input = <path>")
         field = load_field(an["input"])
-        fam = DyadicFamily(field.grid)
         rows = []
         for s in an["s_values"]:
-            rows.append(("homogeneous", s, "", besov_norm(field.project_mean_zero(), s, fam)))
+            rows.append(("homogeneous", s, "", besov_norm(field.project_mean_zero(), s)))
         for s, t in an["hybrid_pairs"]:
             rows.append(("hybrid", s, t,
-                         hybrid_norm(field.project_mean_zero(), s, t, fam)))
+                         hybrid_norm(field.project_mean_zero(), s, t)))
         write_csv(self.artifacts[0], ["kind", "s", "t", "norm"], rows,
                   "frequency-block norms of one field snapshot")
 
@@ -276,17 +275,15 @@ class Runner:
         lin = self.conf["linear"]
         grid = self.grid()
         params = self.params(grid.dim)
-        consts = EnergyConstants(params.nu, params.mu)
-        fam = DyadicFamily(grid)
         rows = []
         for pair in lin["pairs"]:
             for xi in lin["xi_values"]:
                 k = int(round(xi * grid.length))
                 kvec = (k,) + (0,) * (grid.dim - 1)
                 with _in_section("linear"):
-                    res = run_pair_decay(grid, pair, kvec, params.visc, consts,
+                    res = run_pair_decay(grid, pair, kvec, params.visc,
                                          n_samples=lin["samples"],
-                                         horizon_efolds=lin["efolds"], fam=fam)
+                                         horizon_efolds=lin["efolds"])
                 rows.append((res["pair"], res["xi"], res["fitted"], res["oracle"],
                              res["rel_error"]))
                 if self.strict and res["rel_error"] > 0.02:
@@ -403,15 +400,14 @@ class Runner:
     def mode_scaling(self):
         sc = self.conf["scaling"]
         grid = self.grid()
-        fam = DyadicFamily(grid)
         quarter = (grid.n // 2 - 1) // 2 / grid.length
         f = random_field(grid, "scalar", self.rng, band=(1.0 / grid.length, quarter),
                          amplitude=sc["amplitude"])
         g = scale_dyadic(f)
         rows = []
         for s in sc["s_values"]:
-            base = besov_norm(f, s, fam)
-            scaled = besov_norm(g, s, fam)
+            base = besov_norm(f, s)
+            scaled = besov_norm(g, s)
             rows.append((s, base, scaled, scaled / base, 2.0 ** s,
                          abs(scaled / base - 2.0 ** s)))
             if self.strict and abs(scaled / base - 2.0 ** s) > 1e-10 * 2.0 ** s:

@@ -7,19 +7,22 @@ psi(xi) = chi(|xi|) - chi(2|xi|) is supported in the shell
 away from the origin.  Block q of a field keeps frequencies in
 2^q * [5/6, 12/5]; blocks at distance >= 2 have disjoint supports.
 
-A ``DyadicFamily`` holds the psi_q of its grid as one stack: row i is
+A ``DyadicFamily`` holds the psi_q of one grid as one stack: row i is
 psi(2^-q |xi|) on the stored half spectrum, q = q_lo + i, with the Nyquist
 planes zeroed, plus the elementwise square of that stack flattened to
 (rows, modes).  Both are built on the first call that needs them, once per
-family.  Since the psi_q are fixed per grid, a field's block profile
-(||block_q f||_L2 over the active range) is one matrix-vector product of the
-squared stack with the field's power spectrum, and a weighted block sum is
-one dot product with a weight vector cached per Besov index.
+family.  Every grid owns one family, ``Grid.dyadic``, built at its first
+use; every block operator and norm reads the family of its field's grid.
+The family keeps the grid's arrays it reads, not the grid, so a grid is
+freed by reference counting.  Since the psi_q are fixed per grid, a field's
+block profile (||block_q f||_L2 over the active range) is one matrix-vector
+product of the squared stack with the field's power spectrum, and a
+weighted block sum is one dot product with a weight vector cached per
+regularity index (s, t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,7 +64,8 @@ def psi(r):
 
 
 class DyadicFamily:
-    """Block multipliers psi(2^-q |xi|) bound to one grid.
+    """Block multipliers psi(2^-q |xi|) of one grid; ``grid.dyadic`` is the
+    grid's own, so callers never build one.
 
     The active index range [q_lo, q_hi] is fixed by the grid's frequency
     extent; blocks outside it are identically zero on the grid, so all
@@ -69,7 +73,9 @@ class DyadicFamily:
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
+        self.dim = grid.dim
+        self.xi_mag = grid.xi_mag
+        self.keep_mask = grid.keep_mask
         self.q_lo = int(np.floor(np.log2(grid.xi_min * 5.0 / 12.0)))
         self.q_hi = int(np.ceil(np.log2(grid.xi_max * 6.0 / 5.0)))
         self._chi = {}
@@ -82,8 +88,8 @@ class DyadicFamily:
     @cached_property
     def psi_stack(self) -> np.ndarray:
         """(rows, *spectral_shape) stack of psi_q over ``q_range``, built once."""
-        q = np.arange(self.q_lo, self.q_hi + 1.0).reshape((-1,) + (1,) * self.grid.dim)
-        return psi(self.grid.xi_mag * 2.0 ** (-q)) * self.grid.keep_mask
+        q = np.arange(self.q_lo, self.q_hi + 1.0).reshape((-1,) + (1,) * self.dim)
+        return psi(self.xi_mag * 2.0 ** (-q)) * self.keep_mask
 
     @cached_property
     def psi_sq(self) -> np.ndarray:
@@ -99,20 +105,24 @@ class DyadicFamily:
     def chi_array(self, q: int) -> np.ndarray:
         """Low-pass multiplier chi(2^-q |xi|) on retained modes, mean included."""
         if q not in self._chi:
-            self._chi[q] = chi(self.grid.xi_mag * 2.0 ** (-q)) * self.grid.keep_mask
+            self._chi[q] = chi(self.xi_mag * 2.0 ** (-q)) * self.keep_mask
         return self._chi[q]
 
-    def weights(self, index: BesovIndex) -> np.ndarray:
-        """Block weights 2^(q e(q)) over the active range, built once per index."""
-        if index not in self._weights:
-            self._weights[index] = np.array([2.0 ** (q * index.weight_exponent(q))
-                                             for q in self.q_range])
-        return self._weights[index]
+    def weighted_sum(self, profile: np.ndarray, s: float, t: float | None = None) -> float:
+        """sum_q 2^(q e(q)) profile[q] over the active range, with e(q) = s,
+        or (hybrid, t given) s for q <= 0 and t for q >= 1: the standard
+        low/high-frequency split.  ``profile`` is ``block_l2_profile(f)``, so
+        one profile serves every index a field is measured in.  One dot
+        product with a weight vector built once per (s, t)."""
+        if (s, t) not in self._weights:
+            self._weights[s, t] = np.array([2.0 ** (q * (s if t is None or q <= 0 else t))
+                                            for q in self.q_range])
+        return float(self._weights[s, t] @ profile)
 
     def partition_defect(self) -> float:
         """max over nonzero retained frequencies of |sum_q psi_q - 1|."""
         total = self.psi_stack.sum(axis=0)
-        mask = self.grid.keep_mask & (self.grid.xi_mag > 0)
+        mask = self.keep_mask & (self.xi_mag > 0)
         return float(np.max(np.abs(total[mask] - 1.0)))
 
     # -- block operators -----------------------------------------------
@@ -143,35 +153,11 @@ class DyadicFamily:
         return np.sqrt(self.psi_sq @ f.power_profile().ravel())
 
 
-@dataclass(frozen=True)
-class BesovIndex:
-    """Regularity index: homogeneous when t is None, hybrid otherwise.
-
-    The per-block weight exponent is s for q <= 0 and t for q >= 1, the
-    standard low/high-frequency split of hybrid spaces.
-    """
-    s: float
-    t: float | None = None
-
-    def weight_exponent(self, q: int) -> float:
-        if self.t is None or q <= 0:
-            return self.s
-        return self.t
-
-
-def weighted_block_sum(fam: DyadicFamily, profile: np.ndarray,
-                       index: BesovIndex) -> float:
-    """sum_q 2^(q e(q)) profile[q] over the active range, e the index's
-    per-block exponent; ``profile`` is ``fam.block_l2_profile(f)``, so one
-    profile serves every index a field is measured in.  One dot product with
-    ``fam.weights(index)``, the weight vector the family caches per index."""
-    return float(fam.weights(index) @ profile)
-
-
 def besov_norm(f: SpectralField, s: float, fam: DyadicFamily | None = None) -> float:
-    """Homogeneous Besov norm: sum_q 2^(sq) ||block_q f||_L2 (mean-zero f)."""
-    fam = fam or DyadicFamily(f.grid)
-    return weighted_block_sum(fam, fam.block_l2_profile(f), BesovIndex(s))
+    """Homogeneous Besov norm: sum_q 2^(sq) ||block_q f||_L2 (mean-zero f),
+    in ``fam`` or else in the family of f's grid."""
+    fam = fam or f.grid.dyadic
+    return fam.weighted_sum(fam.block_l2_profile(f), s)
 
 
 def hybrid_norm(f: SpectralField, s: float, t: float,
@@ -181,18 +167,17 @@ def hybrid_norm(f: SpectralField, s: float, t: float,
     hybrid_norm(f, s, s) reproduces besov_norm(f, s) bit for bit: both take
     the same profile and equal weight vectors, 2^(qs) on every block.
     """
-    fam = fam or DyadicFamily(f.grid)
-    return weighted_block_sum(fam, fam.block_l2_profile(f), BesovIndex(s, t))
+    fam = fam or f.grid.dyadic
+    return fam.weighted_sum(fam.block_l2_profile(f), s, t)
 
 
 # ----------------------------------------------------------------------
 # paraproducts
 # ----------------------------------------------------------------------
 
-def paraproduct(f: SpectralField, g: SpectralField,
-                fam: DyadicFamily | None = None) -> SpectralField:
+def paraproduct(f: SpectralField, g: SpectralField) -> SpectralField:
     """Low-high part of the product: sum_q (low_cutoff_{q-1} f) * (block_q g)."""
-    fam = fam or DyadicFamily(f.grid)
+    fam = f.grid.dyadic
     out = SpectralField.zeros(f.grid, g.rank)
     for q in fam.q_range:
         low = fam.low_cutoff(f, q - 1)  # blocks p <= q-2 of f
@@ -202,10 +187,9 @@ def paraproduct(f: SpectralField, g: SpectralField,
     return out
 
 
-def remainder(f: SpectralField, g: SpectralField,
-              fam: DyadicFamily | None = None) -> SpectralField:
+def remainder(f: SpectralField, g: SpectralField) -> SpectralField:
     """Diagonal part of the product: blocks of f against neighbor blocks of g."""
-    fam = fam or DyadicFamily(f.grid)
+    fam = f.grid.dyadic
     out = SpectralField.zeros(f.grid, g.rank)
     for q in fam.q_range:
         bf = fam.block(f, q)
@@ -214,13 +198,10 @@ def remainder(f: SpectralField, g: SpectralField,
     return out
 
 
-def bony_defect(f: SpectralField, g: SpectralField,
-                fam: DyadicFamily | None = None) -> float:
+def bony_defect(f: SpectralField, g: SpectralField) -> float:
     """Relative gap between T_f g + T_g f + R(f,g) and the dealiased product fg."""
-    fam = fam or DyadicFamily(f.grid)
     direct = dealiased_product(f, g).project_mean_zero()
-    recon = (paraproduct(f, g, fam) + paraproduct(g, f, fam)
-             + remainder(f, g, fam)).project_mean_zero()
+    recon = (paraproduct(f, g) + paraproduct(g, f) + remainder(f, g)).project_mean_zero()
     denom = direct.l2()
     if denom == 0.0:
         return (recon - direct).l2()

@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (BesovIndex, DyadicFamily, besov_norm, hybrid_norm,
-                     weighted_block_sum)
 from .errors import InputError, StabilityError
 from .grid import Grid, SpectralField
 from .model import (ModelParams, PrimitiveState, ReformState, assemble_sources,
@@ -94,13 +92,13 @@ class NormSeries:
     At index s = N/2: rho and E are measured in the hybrid (s-1, s) norm
     instantaneously and (s+1, s) under the integral; u in the homogeneous
     (s-1) and (s+1) norms.  Accumulation is by the trapezoid rule, so the
-    integrals are nondecreasing by construction.
+    integrals are nondecreasing by construction.  The blocks are the
+    grid's own dyadic family.
     """
 
-    def __init__(self, fam: DyadicFamily):
-        self.fam = fam
-        dim = fam.grid.dim
-        self.s = dim / 2.0
+    def __init__(self, grid: Grid):
+        self.fam = grid.dyadic
+        self.s = grid.dim / 2.0
         self.times: list[float] = []
         self.inst = {"rho": [], "u": [], "E": []}
         self.diss = {"rho": [], "u": [], "E": []}
@@ -113,8 +111,8 @@ class NormSeries:
         for key, f in (("rho", rho), ("u", u), ("E", E)):
             high = None if key == "u" else s    # homogeneous u, hybrid rho and E
             profile = self.fam.block_l2_profile(f)
-            inst[key] = weighted_block_sum(self.fam, profile, BesovIndex(s - 1.0, high))
-            diss[key] = weighted_block_sum(self.fam, profile, BesovIndex(s + 1.0, high))
+            inst[key] = self.fam.weighted_sum(profile, s - 1.0, high)
+            diss[key] = self.fam.weighted_sum(profile, s + 1.0, high)
         if self.times:
             dt = t - self.times[-1]
             if dt < 0:
@@ -154,12 +152,12 @@ class NormSeries:
                    self.acc["rho"][i], self.acc["u"][i], self.acc["E"][i])
 
 
-def initial_bnorm(prim: PrimitiveState, fam: DyadicFamily) -> float:
-    """Critical norm of the data: hybrid for rho and E, homogeneous for u."""
-    s = fam.grid.dim / 2.0
-    return (hybrid_norm(prim.rho, s - 1.0, s, fam)
-            + besov_norm(prim.u, s - 1.0, fam)
-            + hybrid_norm(prim.E, s - 1.0, s, fam))
+def initial_bnorm(prim: PrimitiveState) -> float:
+    """Critical norm of the data, hybrid for rho and E and homogeneous for
+    u: the instantaneous part of one ``NormSeries`` sample."""
+    norms = NormSeries(prim.rho.grid)
+    norms.record(0.0, prim.rho, prim.u, prim.E)
+    return norms.sup_instant()
 
 
 # ----------------------------------------------------------------------
@@ -276,13 +274,11 @@ class DirectResult:
         return self.norms.bnorm() / max(self.initial_norm, 1e-300)
 
 
-def direct_solve(prim0: PrimitiveState, config: RunConfig,
-                 fam: DyadicFamily | None = None) -> DirectResult:
+def direct_solve(prim0: PrimitiveState, config: RunConfig) -> DirectResult:
     """Advance the split nonlinear system from primitive initial data."""
     grid = prim0.rho.grid
-    fam = fam or DyadicFamily(grid)
-    norms = NormSeries(fam)
-    init = initial_bnorm(prim0, fam)
+    norms = NormSeries(grid)
+    init = initial_bnorm(prim0)
     final = _march(IFStepper(grid, config, direct_rhs(config)),
                    ReformState.from_primitive(prim0), config.n_steps,
                    (norms.record,))
@@ -293,9 +289,10 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig,
 # frozen-coefficient iteration
 # ----------------------------------------------------------------------
 
-def mollify(f: SpectralField, count: int, fam: DyadicFamily) -> SpectralField:
+def mollify(f: SpectralField, count: int) -> SpectralField:
     """Partial dyadic sum over |q| <= count; full data once count covers the
     active range, which matches the intended limit on a finite grid."""
+    fam = f.grid.dyadic
     rows = [abs(q) <= count for q in fam.q_range]
     return SpectralField(f.grid, f.coeff * fam.psi_stack[rows].sum(axis=0))
 
@@ -334,9 +331,9 @@ class _SweepRHS:
         return out
 
 
-def _difference_bnorm(a: Trajectory, b: Trajectory, fam: DyadicFamily) -> float:
+def _difference_bnorm(a: Trajectory, b: Trajectory) -> float:
     """Global-bound norm of the trajectory difference (same time nodes)."""
-    norms = NormSeries(fam)
+    norms = NormSeries(a.states[0].rho.grid)
     for t, x, y in zip(a.times, a.states, b.states, strict=True):
         diff = x - y
         norms.record(t, diff.rho, diff.u, diff.E)
@@ -357,8 +354,7 @@ class PicardResult:
                 for ns in self.iterate_norms]
 
 
-def picard_solve(prim0: PrimitiveState, config: RunConfig,
-                 fam: DyadicFamily | None = None) -> PicardResult:
+def picard_solve(prim0: PrimitiveState, config: RunConfig) -> PicardResult:
     """Run the frozen-coefficient iteration from small data.
 
     Sweep 0 is the zero trajectory; sweep n+1 solves the linear system with
@@ -369,8 +365,7 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
     is violated.  A StabilityError names the sweep.
     """
     grid = prim0.rho.grid
-    fam = fam or DyadicFamily(grid)
-    init_norm = initial_bnorm(prim0, fam)
+    init_norm = initial_bnorm(prim0)
     limit = DIVERGENCE_FACTOR * max(init_norm, 1e-300)
 
     prev: Trajectory | None = None
@@ -379,11 +374,11 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
     finals: list[PrimitiveState] = []
     for sweep in range(1, config.picard_iterations + 1):
         if config.init_mollified:
-            data = prim0.map(lambda f: mollify(f, sweep, fam))
+            data = prim0.map(lambda f: mollify(f, sweep))
         else:
             data = prim0.copy()
         rhs = _SweepRHS(config.params, prev)
-        norms = NormSeries(fam)
+        norms = NormSeries(grid)
         traj = Trajectory()
         try:
             _march(IFStepper(grid, config, rhs), ReformState.from_primitive(data),
@@ -395,7 +390,7 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig,
         except StabilityError as exc:
             raise StabilityError(f"sweep {sweep}: {exc}") from exc
         results.append(norms)
-        diffs.append(norms.bnorm() if prev is None else _difference_bnorm(traj, prev, fam))
+        diffs.append(norms.bnorm() if prev is None else _difference_bnorm(traj, prev))
         finals.append(traj.states[-1])
         prev = traj
 

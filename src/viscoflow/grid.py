@@ -44,6 +44,7 @@ and 93 (41 MiB at 3-D n=32).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,12 @@ class Grid:
         Domain scale L; the domain is [0, 2*pi*L)^dim and physical
         frequencies are k/L.  Must be finite and >= 1.
     dealias_frac : float
-        Fraction of the spectrum kept when dealiasing products (default 2/3).
+        Fraction of the spectrum kept when dealiasing products (default 2/3):
+        a dealiased product keeps the modes with every |k_i| < frac * n/2,
+        so a larger fraction never keeps fewer modes.
+
+    The grid owns its per-grid data: the wavevector arrays, ``xi_power(s)``,
+    the transform workspace and the dyadic family ``dyadic``.
     """
 
     def __init__(self, dim: int, n: int, length: float = 8.0,
@@ -111,7 +117,8 @@ class Grid:
         self.hermitian_weight[[0, -1]] = 1.0
         self._xi_power = {}
 
-        kc = (n - 1) // 3 if dealias_frac == 2.0 / 3.0 else int(dealias_frac * (n // 2)) - 1
+        # keep |k| < frac * n/2 per axis: (n-1)//3 at 2/3 for every power-of-two n
+        kc = math.ceil(dealias_frac * (n // 2)) - 1
         self.dealias_cut = kc
         mask = np.ones(self.spectral_shape, dtype=bool)
         for k in self.k_axes:
@@ -130,6 +137,13 @@ class Grid:
         """A pass over this grid's transform stacks: ``with grid.workspace()
         as ws``."""
         return Workspace(self)
+
+    @cached_property
+    def dyadic(self) -> "DyadicFamily":
+        """The grid's dyadic family, built at first use and kept; it holds
+        the grid's arrays, not the grid, so no reference cycle forms."""
+        from .dyadic import DyadicFamily
+        return DyadicFamily(self)
 
     def xi_power(self, s: float) -> np.ndarray:
         """|xi|^s with the mean mode set to 0, built once per grid and s."""

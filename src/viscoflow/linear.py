@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFamily, psi
+from .dyadic import psi
 from .errors import DiagnosticError, InputError, InvariantViolation
 from .grid import Grid, SpectralField, cosine_mode
 from .model import HelmholtzState
@@ -106,8 +106,7 @@ def linear_rhs(state: HelmholtzState, visc,
 # block energies
 # ----------------------------------------------------------------------
 
-def block_radicand(state: HelmholtzState, q: int, consts: EnergyConstants,
-                   fam: DyadicFamily | None = None) -> float:
+def block_radicand(state: HelmholtzState, q: int, consts: EnergyConstants) -> float:
     """Square of the block energy g_q before its weight 2^(q(N/2-1)).
 
     A real quadratic form in the blocks of the state.  The low form
@@ -118,7 +117,7 @@ def block_radicand(state: HelmholtzState, q: int, consts: EnergyConstants,
     weights 2*gamma and gamma on (d, Omega), and cross terms beta1, beta2,
     2*beta1; gamma makes it coercive for every state.
     """
-    fam = fam or DyadicFamily(state.rho.grid)
+    fam = state.rho.grid.dyadic
     b = {name: fam.block(getattr(state, name), q)
          for name in ("rho", "d", "omega", "skew", "potential")}
     lam = {name: fractional_power(b[name], 1.0) for name in ("rho", "skew", "potential")}
@@ -145,21 +144,19 @@ def _weighted_sqrt(sq: float, q: int, dim: int) -> float:
     return 2.0 ** (q * (dim / 2.0 - 1.0)) * math.sqrt(max(sq, 0.0))
 
 
-def block_energy(state: HelmholtzState, q: int, consts: EnergyConstants,
-                 fam: DyadicFamily | None = None) -> float:
+def block_energy(state: HelmholtzState, q: int, consts: EnergyConstants) -> float:
     """Block energy g_q in the low or high form, by q against block_split."""
-    return _weighted_sqrt(block_radicand(state, q, consts, fam), q, state.rho.grid.dim)
+    return _weighted_sqrt(block_radicand(state, q, consts), q, state.rho.grid.dim)
 
 
 def equivalence_ratio(state: HelmholtzState, E: SpectralField, q: int,
-                      consts: EnergyConstants,
-                      fam: DyadicFamily | None = None) -> float | None:
+                      consts: EnergyConstants) -> float | None:
     """Measured ratio of g_q to the weighted block norms of (rho, E, d, Omega).
 
     The denominator weights rho and E by the hybrid exponent (N/2-1 low,
     N/2 high) and d, Omega by N/2-1.  Returns None on an empty block.
     """
-    fam = fam or DyadicFamily(state.rho.grid)
+    fam = state.rho.grid.dyadic
     dim = state.rho.grid.dim
     w_re = dim / 2.0 - 1.0 if q <= 0 else dim / 2.0
     w_do = dim / 2.0 - 1.0
@@ -167,7 +164,7 @@ def equivalence_ratio(state: HelmholtzState, E: SpectralField, q: int,
              + 2.0 ** (q * w_do) * (fam.block(state.d, q).l2() + fam.block(state.omega, q).l2()))
     if denom < 1e-300:
         return None
-    return block_energy(state, q, consts, fam) / denom
+    return block_energy(state, q, consts) / denom
 
 
 # ----------------------------------------------------------------------
@@ -313,9 +310,7 @@ def _assemble_state(grid: Grid, pair: str, x: SpectralField, y: SpectralField) -
 
 
 def run_pair_decay(grid: Grid, pair: str, kvec, visc,
-                   consts: EnergyConstants | None = None,
-                   n_samples: int = 600, horizon_efolds: float = 96.0,
-                   fam: DyadicFamily | None = None) -> dict:
+                   n_samples: int = 600, horizon_efolds: float = 96.0) -> dict:
     """Free-decay run of one pair seeded at a single mode, with rate fit.
 
     The block energy at the seeded frequency is sampled in closed form and
@@ -326,14 +321,13 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     the pair into the five fields.  The block radicand is a quadratic form,
     so its 4x4 Gram matrix Q on these states (by polarization) gives every
     sample as c^T Q c; each sample is still checked for a negative or NaN
-    radicand.
+    radicand.  The energy constants are those of ``visc``.
 
     The fitted block is q = round(log2 |xi|), or q - 1 when |xi| 2^-q lies
     in [2^-1/2, 5/6], below block q's shell, where block q - 1 has psi = 1;
     so every representable frequency has a block.  A horizon that is not
     finite and positive, or too few samples for the rate fit, is rejected.
-    So is a zero wavevector (the mean) or one at or past Nyquist.  A caller
-    that fits several pairs on one grid passes one dyadic family ``fam``.
+    So is a zero wavevector (the mean) or one at or past Nyquist.
     """
     if not (math.isfinite(horizon_efolds) and horizon_efolds > 0.0):
         raise InputError(f"efolds = {horizon_efolds}: the horizon in e-folds must be "
@@ -350,8 +344,7 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     q_seed = int(np.round(np.log2(xi)))
     if not psi(xi * 2.0 ** -q_seed) > 0.0:
         q_seed -= 1
-    consts = consts or EnergyConstants(visc.nu, visc.mu)
-    fam = fam or DyadicFamily(grid)
+    consts = EnergyConstants(visc.nu, visc.mu)
     oracle = oracle_decay_rate(pair, xi, visc.nu, visc.mu)
     times = np.linspace(0.0, horizon_efolds / oracle, n_samples)
     # real generator: exp(t M) is real, its imaginary part exactly zero
@@ -362,9 +355,9 @@ def run_pair_decay(grid: Grid, pair: str, kvec, visc,
     zero = SpectralField.zeros(grid, "scalar")
     basis = [_assemble_state(grid, pair, x0, zero), _assemble_state(grid, pair, y0, zero),
              _assemble_state(grid, pair, zero, x0), _assemble_state(grid, pair, zero, y0)]
-    gram = np.diag([block_radicand(s, q_seed, consts, fam) for s in basis])
+    gram = np.diag([block_radicand(s, q_seed, consts) for s in basis])
     for i, j in itertools.combinations(range(4), 2):
-        both = block_radicand(basis[i] + basis[j], q_seed, consts, fam)
+        both = block_radicand(basis[i] + basis[j], q_seed, consts)
         gram[i, j] = gram[j, i] = (both - gram[i, i] - gram[j, j]) / 2.0
     radicands = np.einsum("it,ij,jt->t", c, gram, c)
     series = np.array([_weighted_sqrt(sq, q_seed, grid.dim) for sq in radicands])

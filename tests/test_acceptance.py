@@ -49,7 +49,6 @@ def _params():
 def _admissible_state(grid, target_norm, rng, u_band=(0.9, 2.1)):
     """Volume-preserving composed shears scaled to the requested data norm."""
     k = int(grid.length)
-    fam = DyadicFamily(grid)
 
     def build(eps):
         m1 = shear_map(grid, (k, 0), (0.0, 1.0), eps)
@@ -57,7 +56,7 @@ def _admissible_state(grid, target_norm, rng, u_band=(0.9, 2.1)):
         return generate_admissible(ComposedMap([m1, m2])).state
 
     probe = build(1e-3)
-    base = initial_bnorm(probe, fam)
+    base = initial_bnorm(probe)
     state = build(1e-3 * 0.5 * target_norm / base)
     state.u = random_field(grid, "vector", rng, band=u_band,
                            amplitude=0.5 * target_norm)
@@ -103,12 +102,11 @@ def test_c02_reconstruction_and_quasi_orthogonality():
 
 def test_c03_bony_decomposition():
     grid = Grid(2, 32, 8.0)
-    fam = DyadicFamily(grid)
     worst = 0.0
     for _ in range(50):
         f = random_field(grid, "scalar", RNG)
         g = random_field(grid, "scalar", RNG)
-        worst = max(worst, bony_defect(f, g, fam))
+        worst = max(worst, bony_defect(f, g))
     _report(3, worst <= 1e-10, f"worst Bony defect over 50 pairs {worst:.2e} <= 1e-10")
 
 
@@ -199,12 +197,12 @@ def test_c08_energy_coercivity_and_equivalence():
             state, E = _random_helmholtz(grid, RNG)
             states += 1
             for q in fam.q_range:
-                g = block_energy(state, q, consts, fam)  # raises if negative
+                g = block_energy(state, q, consts)  # raises if negative
                 if g < 0.0:
                     violations += 1
             if len(ratios) < 400:
                 for q in fam.q_range:
-                    r = equivalence_ratio(state, E, q, consts, fam)
+                    r = equivalence_ratio(state, E, q, consts)
                     if r is not None:
                         ratios.append(r)
         brackets[n] = (min(ratios), max(ratios))

@@ -117,6 +117,16 @@ def _write_config(path, body):
     return str(path)
 
 
+def _count_families(monkeypatch) -> list:
+    """Patch ``DyadicFamily.__init__`` to append to the returned list."""
+    from viscoflow.dyadic import DyadicFamily
+    built = []
+    init = DyadicFamily.__init__
+    monkeypatch.setattr(DyadicFamily, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    return built
+
+
 class TestCli:
     def test_unknown_key_is_input_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.ini", "[grid]\nbogus = 1\n")
@@ -203,17 +213,23 @@ class TestCli:
 
     def test_linear_run_builds_one_dyadic_family(self, tmp_path, monkeypatch):
         # every (pair, xi) fit reads the same grid, so one family serves all
-        from viscoflow.dyadic import DyadicFamily
-        built = []
-        init = DyadicFamily.__init__
-        monkeypatch.setattr(DyadicFamily, "__init__",
-                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        built = _count_families(monkeypatch)
         cfg = _write_config(tmp_path / "c.ini",
                             "[grid]\nn = 32\nlength = 1\n\n[linear]\n"
                             "xi_values = 1,2\nsamples = 100\n")
         out = tmp_path / "out"
         assert main(["linear", "--config", cfg, "--strict", "--out", str(out)]) == 0
         assert len((out / "decay.csv").read_text().strip().splitlines()[2:]) == 6
+        assert len(built) == 1
+
+    def test_simulate_run_builds_one_dyadic_family(self, tmp_path, monkeypatch):
+        # the data norm and every sample read the run grid's own family
+        built = _count_families(monkeypatch)
+        cfg = _write_config(tmp_path / "c.ini",
+                            "[grid]\nn = 16\nlength = 1\n\n[simulate]\n"
+                            "dt = 0.02\nt_final = 0.1\n")
+        assert main(["simulate", "--config", cfg, "--strict",
+                     "--out", str(tmp_path / "out")]) == 0
         assert len(built) == 1
 
     def test_linear_between_blocks_fits_the_block_below(self, tmp_path):

@@ -10,7 +10,9 @@ from viscoflow import (ComposedMap, DyadicFamily, Grid, ModelParams,
                        picard_solve, random_field, shear_map,
                        uniform_bound_monitor)
 from viscoflow.errors import InputError, StabilityError
-from viscoflow.evolve import IFStepper, NormSeries, Trajectory, _SweepRHS, direct_rhs
+from viscoflow.dyadic import besov_norm, hybrid_norm
+from viscoflow.evolve import (IFStepper, NormSeries, Trajectory, _SweepRHS, direct_rhs,
+                             initial_bnorm)
 from viscoflow.grid import cosine_mode
 from viscoflow.linear import evolve_pair_exact
 from viscoflow.model import ReformState, reformulated_rhs
@@ -42,8 +44,7 @@ def _small_state(grid, amplitude, rng, with_velocity=True):
 
 class TestNormSeries:
     def test_zero_trajectory(self, grid2d):
-        fam = DyadicFamily(grid2d)
-        ns = NormSeries(fam)
+        ns = NormSeries(grid2d)
         z = SpectralField.zeros(grid2d, "scalar")
         zu = SpectralField.zeros(grid2d, "vector")
         zE = SpectralField.zeros(grid2d, "matrix")
@@ -53,8 +54,7 @@ class TestNormSeries:
         assert ns.l1_tail_fraction() == 0.0
 
     def test_accumulators_nondecreasing(self, grid2d, rng):
-        fam = DyadicFamily(grid2d)
-        ns = NormSeries(fam)
+        ns = NormSeries(grid2d)
         for t in np.linspace(0.0, 1.0, 11):
             ns.record(float(t),
                       random_field(grid2d, "scalar", rng),
@@ -66,8 +66,7 @@ class TestNormSeries:
     def test_exponential_block_integral(self, grid2d):
         # a single decaying mode: the accumulated integral matches the
         # closed-form integral of the exponential within 0.5 percent
-        fam = DyadicFamily(grid2d)
-        ns = NormSeries(fam)
+        ns = NormSeries(grid2d)
         rate = 0.5
         zu = SpectralField.zeros(grid2d, "vector")
         zE = SpectralField.zeros(grid2d, "matrix")
@@ -77,14 +76,12 @@ class TestNormSeries:
         for i in range(int(T / dt) + 1):
             t = i * dt
             ns.record(t, np.exp(-rate * t) * base, zu, zE)
-        from viscoflow import hybrid_norm
-        c0 = hybrid_norm(base, 2.0, 1.0, fam)
+        c0 = hybrid_norm(base, 2.0, 1.0)
         expected = c0 * (1.0 - np.exp(-rate * T)) / rate
         assert ns.acc["rho"][-1] == pytest.approx(expected, rel=5e-3)
 
     def test_one_block_profile_per_field(self, grid2d, rng, monkeypatch):
         # both weightings of a sample read one profile per field
-        fam = DyadicFamily(grid2d)
         calls = []
         profile = DyadicFamily.block_l2_profile
 
@@ -93,20 +90,31 @@ class TestNormSeries:
             return profile(self, f)
 
         monkeypatch.setattr(DyadicFamily, "block_l2_profile", counted)
-        NormSeries(fam).record(0.0, random_field(grid2d, "scalar", rng),
-                               random_field(grid2d, "vector", rng),
-                               random_field(grid2d, "matrix", rng))
+        NormSeries(grid2d).record(0.0, random_field(grid2d, "scalar", rng),
+                                  random_field(grid2d, "vector", rng),
+                                  random_field(grid2d, "matrix", rng))
         assert calls == ["scalar", "vector", "matrix"]
 
     def test_monotone_times_required(self, grid2d):
-        fam = DyadicFamily(grid2d)
-        ns = NormSeries(fam)
+        ns = NormSeries(grid2d)
         z = SpectralField.zeros(grid2d, "scalar")
         zu = SpectralField.zeros(grid2d, "vector")
         zE = SpectralField.zeros(grid2d, "matrix")
         ns.record(1.0, z, zu, zE)
         with pytest.raises(InputError):
             ns.record(0.5, z, zu, zE)
+
+    @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
+    def test_initial_norm_equals_the_three_block_norms_bitwise(self, grid_name, rng,
+                                                               request):
+        # the data norm is one sample's instantaneous part: same weights and
+        # the same rho + u + E order as the hybrid and homogeneous norms
+        grid = request.getfixturevalue(grid_name)
+        prim = _random_prim(grid, rng)
+        s = grid.dim / 2.0
+        want = (hybrid_norm(prim.rho, s - 1.0, s) + besov_norm(prim.u, s - 1.0)
+                + hybrid_norm(prim.E, s - 1.0, s))
+        assert initial_bnorm(prim) == want
 
 
 class TestRunConfig:
@@ -330,12 +338,11 @@ class TestMollify:
         fam = DyadicFamily(grid2d)
         f = random_field(grid2d, "scalar", rng)
         count = max(abs(fam.q_lo), abs(fam.q_hi))
-        assert (mollify(f, count, fam) - f).l2() <= 1e-12 * f.l2()
+        assert (mollify(f, count) - f).l2() <= 1e-12 * f.l2()
 
     def test_zero_count_keeps_central_blocks(self, grid2d):
-        fam = DyadicFamily(grid2d)
         f = cosine_mode(grid2d, (8, 0))  # lives in blocks -1, 0
-        g = mollify(f, 0, fam)
+        g = mollify(f, 0)
         # only the q=0 share survives
         assert 0.0 < g.l2() < f.l2()
 

@@ -51,6 +51,34 @@ class TestGrid:
         assert grid2d.xi_min == pytest.approx(1.0 / 8.0)
         assert grid2d.xi_max == pytest.approx(np.sqrt(2) * 15 / 8.0)
 
+    def test_two_thirds_cut_is_n_minus_one_over_three(self):
+        for n in (8, 16, 32, 64, 128, 256, 512, 1024):
+            assert Grid(2, n, 1.0).dealias_cut == (n - 1) // 3
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_cut_never_falls_as_the_fraction_grows(self, n):
+        # 0.667 once kept fewer modes than 2/3 (cut 20 against 21 at n = 64)
+        fracs = sorted(set(np.linspace(0.01, 1.0, 100)) | {2.0 / 3.0, 0.667, 0.5, 0.75})
+        cuts = [Grid(2, n, 1.0, frac).dealias_cut for frac in fracs]
+        assert all(b >= a for a, b in zip(cuts, cuts[1:]))
+        for frac, cut in zip(fracs, cuts):
+            assert cut < frac * n / 2 <= cut + 1    # keeps exactly |k| < frac n/2
+
+
+class TestDyadicOwnership:
+    def test_one_family_per_grid(self, grid2d, rng):
+        f = random_field(grid2d, "scalar", rng)
+        assert grid2d.dyadic is grid2d.dyadic
+        assert besov_norm(f, 1.0) == besov_norm(f, 1.0, DyadicFamily(grid2d))
+
+    def test_grid_with_family_freed_by_reference_counting(self):
+        # the family holds the grid's arrays, not the grid: no cycle to collect
+        g = Grid(2, 32, 8.0)
+        g.dyadic.psi_sq
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+
 
 class TestTransforms:
     def test_constant_field_keeps_mean(self, grid2d):

@@ -8,6 +8,10 @@ string) somewhere in ``src/`` outside its own definition, or in
 here; an oracle that only tests call is listed in ``ORACLES`` with the
 reason it stays.  The check is by name, so a definition whose name is reused
 elsewhere passes; it guards against regrowth, it does not prove reachability.
+
+Every grid owns its dyadic family (``Grid.dyadic``), so no function takes
+one: a parameter named ``fam`` or annotated ``DyadicFamily`` fails here,
+except in the functions listed in ``FAMILY_PARAMETERS`` with their reason.
 """
 
 import ast
@@ -27,6 +31,11 @@ ORACLES = (
     ("fine_grid_product", "alias-free 2x-grid product that checks every dealiased product"),
     ("refine_field", "spectral interpolation for the grid-stability checks"),
     ("matrix_product", "a target of perfbench/tracer.py; deleted together with that target"),
+)
+
+FAMILY_PARAMETERS = (
+    ("besov_norm", "perfbench/workloads.py passes it a DyadicFamily"),
+    ("hybrid_norm", "perfbench/workloads.py passes it a DyadicFamily"),
 )
 
 
@@ -70,3 +79,20 @@ def test_every_definition_is_reached(path):
 @pytest.mark.parametrize("name", [name for name, _ in ORACLES])
 def test_every_oracle_is_defined(name):
     assert name in {node.name for tree in TREES.values() for _, node in _definitions(tree)}
+
+
+def _takes_family(fn: ast.FunctionDef) -> bool:
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+    return any(p.arg == "fam" or (p.annotation is not None
+                                  and "DyadicFamily" in ast.unparse(p.annotation))
+               for p in params)
+
+
+def test_no_function_takes_a_dyadic_family():
+    allowed = {name for name, _ in FAMILY_PARAMETERS}
+    takers = [f"{path.name}: {node.name}" for path, tree in TREES.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name not in allowed and _takes_family(node)]
+    assert takers == []
