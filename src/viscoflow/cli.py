@@ -70,6 +70,13 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """A finite number."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _choice(*names: str):
     def parse(text: str) -> str:
         if text not in names:
@@ -107,14 +114,14 @@ _SCHEMA = {
                "xi_values": (_list(float), (0.5, 1.0, 2.0)),
                "samples": (int, 600), "efolds": (float, 96.0)},
     "simulate": {"dt": (float, 0.02), "t_final": (float, 20.0),
-                 "amplitude": (float, 1e-2), "rotation_correction": (_boolean, True)},
+                 "amplitude": (_finite, 1e-2), "rotation_correction": (_boolean, True)},
     "iterate": {"dt": (float, 0.005), "t_final": (float, 2.0),
-                "amplitude": (float, 1e-2), "iterations": (int, 6),
+                "amplitude": (_finite, 1e-2), "iterations": (int, 6),
                 "init": (_choice("mollified", "full"), "mollified")},
-    "constraints": {"eps": (float, 0.05), "refine_levels": (_list(int), (16, 32, 64)),
+    "constraints": {"eps": (_finite, 0.05), "refine_levels": (_list(int), (16, 32, 64)),
                     "dt": (float, 0.02), "t_final": (float, 1.0),
-                    "u_amplitude": (float, 0.05)},
-    "scaling": {"s_values": (_list(float), (-1.0, 0.0, 1.0)), "amplitude": (float, 1.0)},
+                    "u_amplitude": (_finite, 0.05)},
+    "scaling": {"s_values": (_list(float), (-1.0, 0.0, 1.0)), "amplitude": (_finite, 1.0)},
 }
 
 
@@ -408,9 +415,11 @@ class Runner:
         for s in sc["s_values"]:
             base = besov_norm(f, s)
             scaled = besov_norm(g, s)
+            if not 0.0 < base < np.inf:  # a zero, underflowing or overflowing amplitude
+                raise InputError(f"[scaling] amplitude = {sc['amplitude']} gives norm {base}")
             rows.append((s, base, scaled, scaled / base, 2.0 ** s,
                          abs(scaled / base - 2.0 ** s)))
-            if self.strict and abs(scaled / base - 2.0 ** s) > 1e-10 * 2.0 ** s:
+            if self.strict and not abs(scaled / base - 2.0 ** s) <= 1e-10 * 2.0 ** s:
                 raise InvariantViolation(f"scaling law violated at s={s}")
         write_csv(self.artifacts[0], ["s", "norm", "scaled_norm", "ratio",
                                       "expected", "abs_error"], rows,

@@ -400,14 +400,14 @@ def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
         grow_div = r0sq * np.exp(0.5 * rep.gauge_integral[i]) * allowance
         margin = rep.div_res[i] ** 2 / max(grow_div + floor, 1e-300)
         rep.max_div_margin = max(rep.max_div_margin, margin)
-        if rep.div_res[i] ** 2 > grow_div + floor:
+        if not (rep.div_res[i] ** 2 <= grow_div + floor):  # a NaN residual violates
             rep.div_ok = False
         grow = np.exp(2.0 * rep.gauge_integral[i]) * allowance
         for series in (rep.curl_sq_l2, rep.curl_sq_point):
             bound = series[0] * grow + floor
             marginc = series[i] / max(bound, 1e-300)
             rep.max_curl_margin = max(rep.max_curl_margin, marginc)
-            if series[i] > bound:
+            if not (series[i] <= bound):
                 rep.curl_ok = False
     if strict and not (rep.div_ok and rep.curl_ok):
         raise InvariantViolation("constraint propagation majorant violated")

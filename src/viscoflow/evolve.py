@@ -18,10 +18,10 @@ The run loop samples the state at t = 0 and after every step into a
 ``NormSeries`` over the differences.
 
 Every state is one coefficient block (``model.FieldTuple``): the stepper
-damps with one multiply by a per-row factor block and writes each stage into
-a fresh block in place, and a trajectory keeps one ``PrimitiveState`` block
-per node, so a sweep's difference from the previous one is one subtraction
-per node.
+damps with one multiply by a per-row factor block, writes each stage into a
+fresh block in place and zeros its means (Omega is antisymmetric by layout),
+and a trajectory keeps one ``PrimitiveState`` block per node, so a sweep's
+difference from the previous one is one subtraction per node.
 The first sweep is measured against the zero trajectory, which is never
 built: its difference norm is its own norm.
 """
@@ -205,14 +205,7 @@ class IFStepper:
         new += x
         new *= self.damping
         new += k2 * (0.5 * dt)
-        return _hygiene(ReformState.of_block(self.grid, new))
-
-
-def _hygiene(state: ReformState) -> ReformState:
-    """Exact antisymmetry of Omega and zero means, in place."""
-    om = state.omega.coeff
-    om[...] = 0.5 * (om - om.swapaxes(0, 1))
-    return state._zero_means()
+        return ReformState.of_block(self.grid, new)._zero_means()
 
 
 def direct_rhs(config: RunConfig):

@@ -33,7 +33,7 @@ from .dyadic import psi
 from .errors import DiagnosticError, InputError, InvariantViolation
 from .grid import Grid, SpectralField, cosine_mode
 from .model import HelmholtzState
-from .operators import convect, fractional_power, laplacian
+from .operators import convect, fractional_power, laplacian, pair_rows, skew_l2
 
 PAIRS = ("rho_d", "omega_w", "potential_d")
 
@@ -88,8 +88,8 @@ def linear_rhs(state: HelmholtzState, visc,
     """Time derivative of the five-field linear system, the compressible
     equation driven by the density (coefficient 2).
 
-    Convection (when u is given) is dealiased; antisymmetry and mean-zero
-    are preserved by construction.
+    Convection (when u is given) is dealiased; mean-zero is preserved by
+    construction, antisymmetry by the layout of Omega and skew.
     """
     lam_d = fractional_power(state.d, 1.0)
     rhs = HelmholtzState(-1.0 * lam_d,
@@ -115,23 +115,25 @@ def block_radicand(state: HelmholtzState, q: int, consts: EnergyConstants) -> fl
     nu/eta; eta keeps it nonnegative for every state.  The high
     form (q > block_split) takes first-order norms of (rho, skew, potential),
     weights 2*gamma and gamma on (d, Omega), and cross terms beta1, beta2,
-    2*beta1; gamma makes it coercive for every state.
+    2*beta1; gamma makes it coercive for every state.  Omega and skew enter
+    by Frobenius norms and inner products: each stored entry counts twice.
     """
     fam = state.rho.grid.dyadic
     b = {name: fam.block(getattr(state, name), q)
          for name in ("rho", "d", "omega", "skew", "potential")}
     lam = {name: fractional_power(b[name], 1.0) for name in ("rho", "skew", "potential")}
+    skew_omega = 2.0 * lam["skew"].inner(b["omega"])
     if q <= consts.block_split:
         ce = consts.nu / consts.eta
         return (2.0 * b["rho"].l2() ** 2 + 2.0 * b["d"].l2() ** 2
-                + b["skew"].l2() ** 2 + b["potential"].l2() ** 2 + b["omega"].l2() ** 2
-                - ce * lam["skew"].inner(b["omega"])
+                + skew_l2(b["skew"]) ** 2 + b["potential"].l2() ** 2 + skew_l2(b["omega"]) ** 2
+                - ce * skew_omega
                 - ce * lam["rho"].inner(b["d"])
                 - ce * lam["potential"].inner(b["d"]))
-    return (lam["rho"].l2() ** 2 + lam["skew"].l2() ** 2 + lam["potential"].l2() ** 2
-            + 2.0 * consts.gamma * b["d"].l2() ** 2 + consts.gamma * b["omega"].l2() ** 2
+    return (lam["rho"].l2() ** 2 + skew_l2(lam["skew"]) ** 2 + lam["potential"].l2() ** 2
+            + 2.0 * consts.gamma * b["d"].l2() ** 2 + consts.gamma * skew_l2(b["omega"]) ** 2
             - consts.beta1 * lam["rho"].inner(b["d"])
-            - consts.beta2 * lam["skew"].inner(b["omega"])
+            - consts.beta2 * skew_omega
             - 2.0 * consts.beta1 * lam["potential"].inner(b["d"]))
 
 
@@ -161,7 +163,8 @@ def equivalence_ratio(state: HelmholtzState, E: SpectralField, q: int,
     w_re = dim / 2.0 - 1.0 if q <= 0 else dim / 2.0
     w_do = dim / 2.0 - 1.0
     denom = (2.0 ** (q * w_re) * (fam.block(state.rho, q).l2() + fam.block(E, q).l2())
-             + 2.0 ** (q * w_do) * (fam.block(state.d, q).l2() + fam.block(state.omega, q).l2()))
+             + 2.0 ** (q * w_do) * (fam.block(state.d, q).l2()
+                                    + skew_l2(fam.block(state.omega, q))))
     if denom < 1e-300:
         return None
     return block_energy(state, q, consts) / denom
@@ -304,8 +307,7 @@ def _assemble_state(grid: Grid, pair: str, x: SpectralField, y: SpectralField) -
     elif pair == "potential_d":
         state.d, state.potential = y, x
     else:
-        state.omega.coeff[0, 1], state.omega.coeff[1, 0] = x.coeff, -x.coeff
-        state.skew.coeff[0, 1], state.skew.coeff[1, 0] = y.coeff, -y.coeff
+        pair_rows(state.omega)[0], pair_rows(state.skew)[0] = x.coeff, y.coeff
     return state
 
 

@@ -19,9 +19,11 @@ usual normalization); the linear-system module always works at a = 1.
 
 Every state owns one coefficient block (``FieldTuple``): one complex array
 of shape ``(rows,) + grid.spectral_shape`` with the components of its
-fields stacked in field order, each field a view of its rows.  A
-``ReformState`` has 2 + 2 N^2 rows (rho, d, the N^2 of Omega, the N^2 of
-E), a ``PrimitiveState`` 1 + N + N^2.  ``reformulated_rhs``,
+fields stacked in field order, each field a view of its rows.  Omega and
+E^T - E (rank ``"skew"``) keep only their i < j entries: antisymmetric by
+layout, and measured by the Frobenius norm (``operators.skew_l2``).  A
+``ReformState`` has 7 rows in 2-D and 14 in 3-D, a ``HelmholtzState`` 5 and
+9, a ``PrimitiveState`` 1 + N + N^2.  ``reformulated_rhs``,
 ``assemble_sources`` and the iteration sweep write their results into the
 rows of one new block.
 
@@ -46,18 +48,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, StabilityError
 from .grid import Grid, SpectralField, Workspace, dealiased_product
-from .operators import (Convection, Viscosity, antisymmetric, curl_matrix, divergence,
+from .operators import (Convection, Viscosity, curl_matrix, divergence,
                         double_divergence, fractional_power, gradient,
                         helmholtz_reconstruct, helmholtz_split,
-                        jacobian, lame_operator, laplacian, symmetric_scalar,
-                        transport, transpose_gap, _pairs)
+                        jacobian, lame_operator, laplacian, SKEW_SHAPE, skew_field, skew_l2,
+                        symmetric_scalar, transport, transpose_gap, _pairs)
 
 RHO_SUP_LIMIT = 0.5  # composition terms need the density perturbation below this
 
@@ -138,7 +140,8 @@ def _rows(ranks: tuple[str, ...], dim: int) -> tuple:
     """(first row, end row, component shape) of each field of a block."""
     out, row = [], 0
     for rank in ranks:
-        comp = (dim,) * ("scalar", "vector", "matrix").index(rank)
+        comp = {"scalar": (), "vector": (dim,), "matrix": (dim, dim),
+                "skew": SKEW_SHAPE[dim]}[rank]
         out.append((row, row + math.prod(comp), comp))
         row += math.prod(comp)
     return tuple(out)
@@ -217,6 +220,11 @@ class FieldTuple:
     def __iter__(self):
         return (self.__dict__[name] for name in self.__dataclass_fields__)
 
+    def norms(self) -> dict[str, float]:
+        """Frobenius L2 norm of each field by name (``skew_l2`` on a skew field)."""
+        return {name: skew_l2(f) if rank == "skew" else f.l2()
+                for name, rank, f in zip(self.__dataclass_fields__, self.RANKS, self)}
+
     def map(self, fn, *others) -> "FieldTuple":
         """Same type; each field is ``fn`` of this state's field and the
         matching fields of ``others``."""
@@ -266,7 +274,7 @@ class PrimitiveState(FieldTuple):
 class HelmholtzState(FieldTuple):
     """Split variables: rho, compressible d, rotational Omega, the
     antisymmetric record E^T - E, and the symmetric-part scalar."""
-    RANKS = ("scalar", "scalar", "matrix", "matrix", "scalar")
+    RANKS = ("scalar", "scalar", "skew", "skew", "scalar")
     rho: SpectralField
     d: SpectralField
     omega: SpectralField
@@ -276,8 +284,7 @@ class HelmholtzState(FieldTuple):
 
 def split_state(prim: PrimitiveState) -> HelmholtzState:
     d, om = helmholtz_split(prim.u)
-    return HelmholtzState(prim.rho, d, om,
-                          transpose_gap(prim.E), symmetric_scalar(prim.E))
+    return HelmholtzState(prim.rho, d, om, transpose_gap(prim.E), symmetric_scalar(prim.E))
 
 
 # ----------------------------------------------------------------------
@@ -307,10 +314,6 @@ class PhysicalBundle:
     grad_E: np.ndarray
     convection: Convection | None = None
     grad_moved: np.ndarray | None = None
-
-    @property
-    def grid(self) -> Grid:
-        return self.ws.grid
 
     @classmethod
     def of(cls, prim: PrimitiveState | ReformState, visc: Viscosity, ws: Workspace,
@@ -356,7 +359,7 @@ def rotation_correction(ph: PhysicalBundle, out: np.ndarray):
     their dealiased coefficients after the pass's one forward transform.
     """
     E, dE = ph.E, ph.grad_E
-    for p, (i, j) in enumerate(_pairs(ph.grid.dim)):
+    for p, (i, j) in enumerate(_pairs(ph.ws.grid.dim)):
         np.einsum("lk...,l...->k...", E, dE[:, i, j] - dE[:, j, i], out=out[p])
         out[p] -= np.einsum("l...,lk...->k...", E[:, j], dE[:, i])
         out[p] += np.einsum("l...,lk...->k...", E[:, i], dE[:, j])
@@ -364,11 +367,10 @@ def rotation_correction(ph: PhysicalBundle, out: np.ndarray):
 
 def rotation_from_products(C: SpectralField) -> SpectralField:
     """The correction S from the dealiased coefficients of the products of
-    ``rotation_correction``: S_{ij} = |grad|^{-1} d_k C_{pk} for i < j and
-    S_{ji} = -S_{ij}, so the result is antisymmetric exactly."""
+    ``rotation_correction``: S_{ij} = |grad|^{-1} d_k C_{pk}, stored by its
+    i < j entries."""
     g = C.grid
-    upper = sum(C.coeff[:, k] * g.deriv[k] for k in range(g.dim)) * g.inv_xi
-    return antisymmetric(g, upper)
+    return skew_field(g, sum(C.coeff[:, k] * g.deriv[k] for k in range(g.dim)) * g.inv_xi)
 
 
 def _common_vector(ph: PhysicalBundle, params: ModelParams, out: np.ndarray):
@@ -420,7 +422,7 @@ class ReformState(FieldTuple):
     The antisymmetric record and the symmetric scalar are derived fields;
     their displayed evolutions follow identically from the E equation.
     """
-    RANKS = ("scalar", "scalar", "matrix", "matrix")
+    RANKS = ("scalar", "scalar", "skew", "matrix")
     rho: SpectralField
     d: SpectralField
     omega: SpectralField
@@ -495,8 +497,7 @@ def skew_couplings(state: ReformState, a: float, u: SpectralField) -> ReformStat
     np.negative(rho_dot, out=rho_dot)
     np.multiply(state.rho.coeff, g.xi_power(1.0), out=d_dot)
     d_dot *= 1.0 + a
-    np.subtract(state.E.coeff.swapaxes(0, 1), state.E.coeff, out=om_dot)
-    om_dot *= g.xi_power(1.0)
+    np.multiply(transpose_gap(state.E).coeff, g.xi_power(1.0), out=om_dot)
     om_dot *= a
     jacobian(u, out=E_dot)
     return out
@@ -524,7 +525,7 @@ def assemble_sources(prim: PrimitiveState,
     Omega: the compressible and rotational sources; E: the stretch
     (grad u) E), and the physical samples of the frozen velocity.  Every
     product is dealiased, compositions are evaluated pointwise in physical
-    space, and the rotational source is antisymmetric by construction.
+    space, and the rotational source is stored by its i < j entries.
     Requires the density perturbation below 1/2 in sup norm.
     """
     g = prim.rho.grid
@@ -568,9 +569,7 @@ def dual_path_gap(prim: PrimitiveState, params: ModelParams,
                             include_rotation_correction)
     dot_b = HelmholtzState(rdot.rho, rdot.d, rdot.omega,
                            transpose_gap(rdot.E), symmetric_scalar(rdot.E))
-    gap = dot_a - dot_b
-    gaps = {f.name: getattr(gap, f.name).l2() for f in fields(gap)}
-    scale = np.sqrt(sum(getattr(dot_a, f.name).l2() ** 2 for f in fields(dot_a)))
-    gaps["relative"] = float(np.sqrt(sum(v * v for v in gaps.values()))
-                             / max(scale, 1e-300))
+    gaps = (dot_a - dot_b).norms()
+    scale = np.sqrt(sum(v * v for v in dot_a.norms().values()))
+    gaps["relative"] = float(np.sqrt(sum(v * v for v in gaps.values())) / max(scale, 1e-300))
     return gaps

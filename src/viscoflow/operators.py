@@ -9,6 +9,8 @@ Conventions (fixed package-wide):
   the adjoint-type curl of an antisymmetric matrix is the vector
   (curl Om)_i = d_j Om_{ji}, so that split/reconstruct is an exact involution
   and div u = lam d, curl u = lam Om hold as identities (lam = |grad|).
+* An antisymmetric field is stored by its i < j entries (``_pairs`` order,
+  component shape ``SKEW_SHAPE[N]``); ``skew_l2`` is its Frobenius norm.
 
 All operators are diagonal in Fourier space, hence commute with each other
 and with dyadic blocks exactly.
@@ -64,33 +66,39 @@ def _pairs(dim: int):
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
-def antisymmetric(grid: Grid, upper, out=None) -> SpectralField:
-    """Antisymmetric matrix from its i < j coefficients, in ``_pairs`` order
-    (a stacked array or a list of arrays); written into ``out`` when given."""
-    if out is None:
-        out = np.empty((grid.dim, grid.dim) + upper[0].shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        out[i, i] = 0.0
-    for p, (i, j) in enumerate(_pairs(grid.dim)):
-        out[i, j] = upper[p]
-        out[j, i] = -upper[p]
-    return SpectralField(grid, out)
+# component shape of an antisymmetric field, by dimension: one entry in 2-D, three in 3-D
+SKEW_SHAPE = {2: (), 3: (3,)}
+
+
+def pair_rows(f: SpectralField) -> np.ndarray:
+    """A view of an antisymmetric field's coefficients with one row per pair."""
+    return f.coeff.reshape((-1,) + f.grid.spectral_shape)
+
+
+def skew_l2(f: SpectralField) -> float:
+    """Frobenius L2 norm of the antisymmetric matrix stored as ``f``: each entry counts twice."""
+    return float(np.sqrt(2.0 * np.sum(f.power_profile())))
+
+
+def skew_field(grid: Grid, upper) -> SpectralField:
+    """The antisymmetric field with the i < j entries ``upper``, one per pair."""
+    return SpectralField(grid, np.stack(upper).reshape(SKEW_SHAPE[grid.dim] + grid.spectral_shape))
 
 
 def curl_matrix(u: SpectralField) -> SpectralField:
     """Vector -> antisymmetric matrix C_{ij} = d_j u_i - d_i u_j."""
     g = u.grid
-    upper = [u.coeff[i] * g.deriv[j] - u.coeff[j] * g.deriv[i]
-             for i, j in _pairs(g.dim)]
-    return antisymmetric(g, upper)
+    return skew_field(g, [u.coeff[i] * g.deriv[j] - u.coeff[j] * g.deriv[i]
+                          for i, j in _pairs(g.dim)])
 
 
 def curl_vector(om: SpectralField) -> SpectralField:
     """Antisymmetric matrix -> vector v_i = d_j Om_{ji}."""
     g = om.grid
-    out = np.empty((g.dim,) + om.coeff.shape[2:], dtype=np.complex128)
-    for i in range(g.dim):
-        out[i] = sum(om.coeff[j, i] * g.deriv[j] for j in range(g.dim))
+    out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
+    for row, (i, j) in zip(pair_rows(om), _pairs(g.dim)):
+        out[i] -= row * g.deriv[j]  # Om_{ji} = -Om_{ij}
+        out[j] += row * g.deriv[i]
     return SpectralField(g, out)
 
 
@@ -218,8 +226,8 @@ def symmetric_scalar(E: SpectralField) -> SpectralField:
 
 
 def transpose_gap(E: SpectralField) -> SpectralField:
-    """Antisymmetric part record E^T - E."""
-    return SpectralField(E.grid, np.swapaxes(E.coeff, 0, 1) - E.coeff)
+    """Antisymmetric record E^T - E."""
+    return skew_field(E.grid, [E.coeff[j, i] - E.coeff[i, j] for i, j in _pairs(E.grid.dim)])
 
 
 # ----------------------------------------------------------------------
@@ -239,23 +247,18 @@ class Convection:
     """The components that u . grad f moves, for several fields of any rank,
     inside one workspace pass.
 
-    An exactly antisymmetric matrix moves only its i < j entries and is
-    mirrored back; negation is exact, so that equals moving every entry.  A
-    nonzero (0, 0) entry settles the test without negating the whole matrix.
-    Building one pushes the spectral rows d_l c of every moved component c,
-    shape ``(dim, count)``; after the inverse transform, ``transport`` of the
-    velocity samples and those rows' samples gives the moved components, and
-    ``fields_of`` rebuilds the fields from their dealiased coefficients.
+    Every field moves its stored components, an antisymmetric one its i < j
+    entries.  Building one pushes the spectral rows d_l c of every moved
+    component c, shape ``(dim, count)``; after the inverse transform,
+    ``transport`` of the velocity samples and those rows' samples gives the
+    moved components, and ``fields_of`` rebuilds the fields from their
+    dealiased coefficients.
     """
 
     def __init__(self, ws: Workspace, fields):
         g = ws.grid
         self.fields = fields
-        self.skew = [f.rank == "matrix" and not f.coeff[0, 0].any()
-                     and np.array_equal(f.coeff, -f.coeff.swapaxes(0, 1)) for f in fields]
-        comps = [c for f, s in zip(fields, self.skew)
-                 for c in ([f.coeff[i, j] for i, j in _pairs(g.dim)] if s
-                           else f.coeff.reshape((-1,) + f.coeff.shape[-g.dim:]))]
+        comps = [c for f in fields for c in f.coeff.reshape((-1,) + g.spectral_shape)]
         self.count = len(comps)
         (rows,) = ws.spectral((g.dim, self.count))
         for l, sym in enumerate(g.deriv):
@@ -267,18 +270,12 @@ class Convection:
         out of the workspace: into new arrays, or into ``out``, one array per
         field."""
         res, start = [], 0
-        for k, (f, s) in enumerate(zip(self.fields, self.skew)):
-            rows = len(_pairs(f.grid.dim)) if s else f.ncomp
-            m = moved[start:start + rows]
-            start += rows
-            dst = None if out is None else out[k]
-            if s:
-                res.append(antisymmetric(f.grid, m, dst))
-            elif dst is None:
-                res.append(SpectralField(f.grid, m.reshape(f.coeff.shape).copy()))
-            else:
-                dst[...] = m.reshape(dst.shape)
-                res.append(SpectralField(f.grid, dst))
+        for k, f in enumerate(self.fields):
+            m = moved[start:start + f.ncomp].reshape(f.coeff.shape)
+            start += f.ncomp
+            if out is not None:
+                out[k][...] = m
+            res.append(SpectralField(f.grid, m.copy() if out is None else out[k]))
         return res
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from viscoflow import Grid
+from viscoflow import Grid, random_field
+from viscoflow.operators import _pairs, skew_field
 
 try:
     from hypothesis import settings
@@ -12,6 +13,14 @@ else:
     settings.register_profile("viscoflow", derandomize=True, deadline=None,
                               max_examples=15, database=None)
     settings.load_profile("viscoflow")
+
+
+def random_skew(grid, rng, **kwargs):
+    """A random antisymmetric field in the stored layout: the i < j entries
+    of (M - M^T)/2 for a random matrix field M, drawn as ``random_field``
+    draws it (``kwargs`` go to that call)."""
+    M = random_field(grid, "matrix", rng, **kwargs).coeff
+    return skew_field(grid, [0.5 * (M[i, j] - M[j, i]) for i, j in _pairs(grid.dim)])
 
 
 @pytest.fixture

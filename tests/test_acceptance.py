@@ -29,6 +29,8 @@ from viscoflow.operators import (SplitViscosity, Viscosity, curl_matrix,
                                  divergence, fractional_power, symmetric_scalar,
                                  transpose_gap)
 
+from conftest import random_skew
+
 RNG = np.random.default_rng(42)
 
 
@@ -177,8 +179,7 @@ def test_c07_hybrid_regime_structure():
 
 def _random_helmholtz(grid, rng):
     E = random_field(grid, "matrix", rng)
-    om = random_field(grid, "matrix", rng)
-    om = SpectralField(grid, 0.5 * (om.coeff - np.swapaxes(om.coeff, 0, 1)))
+    om = random_skew(grid, rng)
     return HelmholtzState(random_field(grid, "scalar", rng),
                           random_field(grid, "scalar", rng),
                           om, transpose_gap(E), symmetric_scalar(E)), E

@@ -368,6 +368,19 @@ class TestCliErrorBoundary:
         code = main([mode, "--config", cfg, "--out", str(tmp_path / "o")])
         return code, capsys.readouterr().err.strip().splitlines()
 
+    def test_nan_majorant_residual_exits_2(self, tmp_path, capsys):
+        # an overflowing transport leaves NaN residuals, and NaN fails every
+        # comparison, so the majorant test is written to trip on it
+        cfg = _write_config(tmp_path / "c.ini",
+                            "[grid]\nn = 64\nlength = 1\n\n[constraints]\n"
+                            "refine_levels = 32,64\nt_final = 0.1\nu_amplitude = 1e160\n")
+        with np.errstate(all="ignore"):
+            code = main(["constraints", "--config", cfg, "--strict",
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err[-1] == "invariant violation: constraint propagation majorant violated"
+
     def test_stability_error_exits_3(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, "simulate",
                               "[grid]\nn = 32\nlength = 8\n"
@@ -453,6 +466,20 @@ _MISUSE = [
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\npressure = power\n"
      "gamma_gas = nan\n", None, "gas exponent must be positive, got nan"),
     ("scaling", "[run]\nseed = -1\n", None, "[run] seed = '-1'"),
+    ("scaling", "[scaling]\namplitude = 0\n", None, "[scaling] amplitude = 0.0 gives norm 0.0"),
+    # finite, but its block norms underflow to zero
+    ("scaling", "[grid]\nn = 16\nlength = 1\n[scaling]\namplitude = 1e-300\n", None,
+     "[scaling] amplitude = 1e-300 gives norm 0.0"),
+    ("scaling", "[scaling]\namplitude = nan\n", None, "[scaling] amplitude = 'nan'"),
+    ("scaling", "[scaling]\namplitude = inf\n", None, "[scaling] amplitude = 'inf'"),
+    ("simulate", "[grid]\nn = 16\nlength = 1\n[simulate]\namplitude = nan\n", None,
+     "[simulate] amplitude = 'nan'"),
+    ("iterate", "[grid]\nn = 16\nlength = 1\n[iterate]\namplitude = nan\n", None,
+     "[iterate] amplitude = 'nan'"),
+    ("constraints", "[grid]\nn = 16\nlength = 1\n[constraints]\neps = nan\n", None,
+     "[constraints] eps = 'nan'"),
+    ("constraints", "[grid]\nn = 16\nlength = 1\n[constraints]\nu_amplitude = nan\n",
+     None, "[constraints] u_amplitude = 'nan'"),
     ("scaling", "[grid]\nn = 16\nlength = inf\n", None, "length must be >= 1, got inf"),
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nalpha = nan\n", None,
      "alpha must be finite, got nan"),

@@ -12,7 +12,7 @@ from viscoflow import (ComposedMap, FlowMap, Grid, SpectralField,
                        transport_simulate)
 from viscoflow.constraints import (_largest_singular_value, constraint_residuals,
                                    transport_rhs)
-from viscoflow.errors import InputError
+from viscoflow.errors import InputError, InvariantViolation
 from viscoflow.grid import cosine_mode, dealias_physical, random_field
 from viscoflow.operators import divergence, gradient, jacobian, transport
 
@@ -263,6 +263,22 @@ class TestPropagation:
                                           sample_every=5)
         assert snaps[0][0] is data.rho_hat and snaps[0][1] is data.F
         assert check_trajectory(times, snaps, u).div_ok
+
+    def test_nan_residual_is_a_violation(self, grid2d):
+        # NaN fails every comparison, so each bound test is not (value <= bound)
+        data = generate_admissible(_two_mode_map(grid2d, 0.02, base_k=1))
+        u = _solenoidal_u(grid2d, 0.05, k=1)
+        times, snaps = transport_simulate(data.rho_hat, data.F, u, 0.02, 0.2,
+                                          sample_every=5)
+        rho, F = snaps[-1]
+        F = F.copy()
+        F.coeff[0, 0, 1, 0] = np.nan
+        snaps[-1] = (rho, F)
+        rep = check_trajectory(times, snaps, u)
+        assert np.isnan(rep.div_res[-1]) and np.isnan(rep.curl_sq_l2[-1])
+        assert not rep.div_ok and not rep.curl_ok
+        with pytest.raises(InvariantViolation, match="majorant"):
+            check_trajectory(times, snaps, u, strict=True)
 
     def test_gauge_evaluated_once_per_run(self, grid2d, monkeypatch):
         import viscoflow.constraints as constraints

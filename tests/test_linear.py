@@ -14,8 +14,13 @@ from viscoflow import (DyadicFamily, EnergyConstants, Grid, SpectralField,
 from viscoflow import linear
 from viscoflow.errors import DiagnosticError, InputError, InvariantViolation
 from viscoflow.linear import _assemble_state, block_radicand, expm2, pair_state
-from viscoflow.model import HelmholtzState
-from viscoflow.operators import SplitViscosity, symmetric_scalar, transpose_gap
+from viscoflow.model import (HelmholtzState, ModelParams, PrimitiveState, ReformState,
+                             dual_path_gap, primitive_rhs, reformulated_rhs, split_state)
+from viscoflow.operators import (SplitViscosity, Viscosity, fractional_power,
+                                 helmholtz_reconstruct, pair_rows, symmetric_scalar,
+                                 transpose_gap, _pairs)
+
+from conftest import random_skew
 
 
 def _visc(nu=1.0, mu=1.0):
@@ -84,10 +89,8 @@ class TestExpm2:
         x, y = pair_state(grid2d, (8, 0))
         eps = 1e-6
         x1, y1 = evolve_pair_exact(x, y, "rho_d", visc, eps)
-        state = HelmholtzState(x.copy(), y.copy(),
-                               SpectralField.zeros(grid2d, "matrix"),
-                               SpectralField.zeros(grid2d, "matrix"),
-                               SpectralField.zeros(grid2d, "scalar"))
+        state = HelmholtzState.zeros(grid2d)
+        state.rho, state.d = x, y
         dot = linear_rhs(state, visc)
         fd_rho = (x1 - x) * (1.0 / eps)
         fd_d = (y1 - y) * (1.0 / eps)
@@ -215,14 +218,10 @@ def _random_state(grid, rng, amplitude=1.0):
     return HelmholtzState(
         random_field(grid, "scalar", rng, amplitude=amplitude),
         random_field(grid, "scalar", rng, amplitude=amplitude),
-        _antisym(random_field(grid, "matrix", rng, amplitude=amplitude)),
+        random_skew(grid, rng, amplitude=amplitude),
         transpose_gap(E),
         symmetric_scalar(E),
     ), E
-
-
-def _antisym(M):
-    return SpectralField(M.grid, 0.5 * (M.coeff - np.swapaxes(M.coeff, 0, 1)))
 
 
 class TestBlockEnergies:
@@ -236,9 +235,7 @@ class TestBlockEnergies:
 
     def test_zero_state(self, grid2d_unit):
         c = EnergyConstants(1.0, 1.0)
-        z = SpectralField.zeros(grid2d_unit, "scalar")
-        zm = SpectralField.zeros(grid2d_unit, "matrix")
-        state = HelmholtzState(z, z.copy(), zm, zm.copy(), z.copy())
+        state = HelmholtzState.zeros(grid2d_unit)
         assert block_energy(state, 0, c) == 0.0
         assert block_energy(state, 5, c) == 0.0
 
@@ -247,9 +244,8 @@ class TestBlockEnergies:
         c = EnergyConstants(1.0, 1.0)
         fam = DyadicFamily(grid2d_unit)
         d = cosine_mode(grid2d_unit, (2, 0))
-        z = SpectralField.zeros(grid2d_unit, "scalar")
-        zm = SpectralField.zeros(grid2d_unit, "matrix")
-        state = HelmholtzState(z, d, zm, zm.copy(), z.copy())
+        state = HelmholtzState.zeros(grid2d_unit)
+        state.d = d
         q = 1
         expected = 2.0 ** (q * (2 / 2 - 1)) * math.sqrt(2.0) * fam.block(d, q).l2()
         assert block_energy(state, q, c) == pytest.approx(expected, rel=1e-13)
@@ -261,9 +257,8 @@ class TestBlockEnergies:
         c = EnergyConstants(4.0, 4.0)
         fam = DyadicFamily(grid2d_unit)
         d = random_field(grid2d_unit, "scalar", rng)
-        z = SpectralField.zeros(grid2d_unit, "scalar")
-        zm = SpectralField.zeros(grid2d_unit, "matrix")
-        state = HelmholtzState(z, d, zm, zm.copy(), z.copy())
+        state = HelmholtzState.zeros(grid2d_unit)
+        state.d = d
         for q, weight in ((c.block_split, 2.0), (c.block_split + 1, 2.0 * c.gamma)):
             norm_sq = fam.block(d, q).l2() ** 2
             assert norm_sq > 0.0
@@ -276,9 +271,8 @@ class TestBlockEnergies:
         c = EnergyConstants(4.0, 4.0)
         fam = DyadicFamily(grid2d_unit)
         rho = cosine_mode(grid2d_unit, (10, 0))
-        z = SpectralField.zeros(grid2d_unit, "scalar")
-        zm = SpectralField.zeros(grid2d_unit, "matrix")
-        state = HelmholtzState(rho, z, zm, zm.copy(), z.copy())
+        state = HelmholtzState.zeros(grid2d_unit)
+        state.rho = rho
         q = 3
         assert q > c.block_split
         assert fam.block(rho, q).l2() == pytest.approx(rho.l2(), rel=1e-13)
@@ -291,9 +285,8 @@ class TestBlockEnergies:
         c = EnergyConstants(1.0, 1.0)
         fam = DyadicFamily(grid2d_unit)
         b = cosine_mode(grid2d_unit, (5, 0))
-        z = SpectralField.zeros(grid2d_unit, "scalar")
-        zm = SpectralField.zeros(grid2d_unit, "matrix")
-        state = HelmholtzState(b, b.copy(), zm, zm.copy(), z)
+        state = HelmholtzState.zeros(grid2d_unit)
+        state.rho, state.d = b, b
         q = 2
         assert q <= c.block_split
         assert fam.block(b, q).l2() == pytest.approx(b.l2(), rel=1e-13)
@@ -304,9 +297,8 @@ class TestBlockEnergies:
         c = EnergyConstants(1.0, 1.0)
         d = cosine_mode(grid2d_unit, (2, 0))
         d.coeff[2, 0] = np.nan
-        z = SpectralField.zeros(grid2d_unit, "scalar")
-        zm = SpectralField.zeros(grid2d_unit, "matrix")
-        state = HelmholtzState(z, d, zm, zm.copy(), z.copy())
+        state = HelmholtzState.zeros(grid2d_unit)
+        state.d = d
         with pytest.raises(InvariantViolation, match="NaN"):
             block_energy(state, 1, c)
 
@@ -349,9 +341,7 @@ class TestBlockEnergies:
 
 class TestLinearRhs:
     def test_zero_state_zero_sources(self, grid2d):
-        z = SpectralField.zeros(grid2d, "scalar")
-        zm = SpectralField.zeros(grid2d, "matrix")
-        state = HelmholtzState(z, z.copy(), zm, zm.copy(), z.copy())
+        state = HelmholtzState.zeros(grid2d)
         dot = linear_rhs(state, _visc())
         assert dot.rho.l2() == dot.d.l2() == dot.omega.l2() == 0.0
 
@@ -362,9 +352,8 @@ class TestLinearRhs:
         u = SpectralField.zeros(grid2d, "vector")
         u.coeff[(0, 0, 0)] = 0.7
         rho = cosine_mode(grid2d, (3, 0))
-        z = SpectralField.zeros(grid2d, "scalar")
-        zm = SpectralField.zeros(grid2d, "matrix")
-        state = HelmholtzState(rho, z, zm, zm.copy(), z.copy())
+        state = HelmholtzState.zeros(grid2d)
+        state.rho = rho
         dot = linear_rhs(state, _visc(), u=u)
         expected = cosine_mode(grid2d, (3, 0), 0.7 * 3.0 / 8.0, phase="sin")
         assert (dot.rho - expected).l2() < 1e-13
@@ -373,8 +362,85 @@ class TestLinearRhs:
         state, _ = _random_state(grid2d, rng)
         u = random_field(grid2d, "vector", rng, amplitude=0.1)
         dot = linear_rhs(state, _visc(), u=u)
+        # Omega and W keep their one stored i < j entry through the convection
         for f in (dot.omega, dot.skew):
-            assert np.max(np.abs(f.coeff + np.swapaxes(f.coeff, 0, 1))) < 1e-15
+            assert f.coeff.shape == grid2d.spectral_shape
+            assert np.isfinite(f.coeff).all() and f.l2() > 0.0
+
+
+def _expanded(f):
+    """The full antisymmetric matrix field whose i < j entries ``f`` stores."""
+    g = f.grid
+    full = np.zeros((g.dim, g.dim) + g.spectral_shape, dtype=np.complex128)
+    for row, (i, j) in zip(pair_rows(f), _pairs(g.dim)):
+        full[i, j], full[j, i] = row, -row
+    return SpectralField(g, full)
+
+
+class TestFrobeniusWeights:
+    """Omega and W = E^T - E enter every norm as the Frobenius norm of the
+    expanded matrix, though only their i < j entries are stored."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_block_radicand_low_and_high(self, rng, dim):
+        grid = Grid(dim, 32 if dim == 2 else 16, length=1.0)
+        c = EnergyConstants(4.0, 4.0)  # block split 2
+        fam = grid.dyadic
+        om, w = random_skew(grid, rng), random_skew(grid, rng)
+        for q in (c.block_split, c.block_split + 1):
+            O, W = fam.block(_expanded(om), q), fam.block(_expanded(w), q)
+            LW = fractional_power(W, 1.0)
+            assert O.l2() > 0.0 and W.l2() > 0.0
+            if q <= c.block_split:
+                ce = c.nu / c.eta
+                want = {"omega": O.l2() ** 2, "skew": W.l2() ** 2,
+                        "both": O.l2() ** 2 + W.l2() ** 2 - ce * LW.inner(O)}
+            else:
+                want = {"omega": c.gamma * O.l2() ** 2, "skew": LW.l2() ** 2,
+                        "both": c.gamma * O.l2() ** 2 + LW.l2() ** 2
+                        - c.beta2 * LW.inner(O)}
+            for name, fields in (("omega", {"omega": om}), ("skew", {"skew": w}),
+                                 ("both", {"omega": om, "skew": w})):
+                state = HelmholtzState.zeros(grid)
+                for field, value in fields.items():
+                    setattr(state, field, value)
+                assert block_radicand(state, q, c) == pytest.approx(want[name], rel=1e-14), \
+                    (q, name)
+
+    def test_equivalence_ratio(self, rng):
+        # Omega alone in 2-D: g_q is the Frobenius norm of Omega_q in the low
+        # form and sqrt(gamma) times it in the high form, and the denominator
+        # is that norm
+        grid = Grid(2, 32, length=1.0)
+        c = EnergyConstants(4.0, 4.0)
+        state = HelmholtzState.zeros(grid)
+        state.omega = random_skew(grid, rng)
+        E = SpectralField.zeros(grid, "matrix")
+        for q, want in ((c.block_split, 1.0), (c.block_split + 1, math.sqrt(c.gamma))):
+            assert equivalence_ratio(state, E, q, c) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dual_path_gap(self, grid3d, rng, dim):
+        # data whose split state holds Omega alone (a solenoidal u) or W
+        # alone (an antisymmetric E); both paths take W's rate from the same
+        # E equation, so its gap is round-off, but a nonzero one
+        grid = Grid(2, 32, length=1.0) if dim == 2 else grid3d
+        params = ModelParams(Viscosity(1.0, 1.0, dim))
+        omega_only, skew_only = PrimitiveState.zeros(grid), PrimitiveState.zeros(grid)
+        omega_only.u = helmholtz_reconstruct(SpectralField.zeros(grid),
+                                             random_skew(grid, rng, amplitude=0.05))
+        skew_only.E = _expanded(random_skew(grid, rng, amplitude=0.05))
+        seen = {"omega": 0.0, "skew": 0.0}
+        for prim in (omega_only, skew_only):
+            dot_a = split_state(primitive_rhs(prim, params))
+            rdot = reformulated_rhs(ReformState.from_primitive(prim), params)
+            want = {"omega": _expanded(dot_a.omega - rdot.omega).l2(),
+                    "skew": _expanded(dot_a.skew - transpose_gap(rdot.E)).l2()}
+            gaps = dual_path_gap(prim, params)
+            for key in seen:
+                assert gaps[key] == pytest.approx(want[key], rel=1e-14), key
+                seen[key] = max(seen[key], want[key])
+        assert min(seen.values()) > 0.0
 
 
 class TestSmoothingIntegral:

@@ -11,8 +11,8 @@ from viscoflow.errors import ConfigurationError, InputError
 from viscoflow.dyadic import DyadicFamily
 from viscoflow.grid import cosine_mode, dealias_physical
 from viscoflow.operators import (SplitViscosity, Viscosity, convect, curl_matrix,
-                                 divergence, gradient, jacobian,
-                                 transpose_gap)
+                                 curl_vector, divergence, gradient, jacobian,
+                                 pair_rows, skew_l2, SKEW_SHAPE, transpose_gap, _pairs)
 
 
 class TestFractionalPower:
@@ -85,10 +85,15 @@ class TestHelmholtz:
         d, om = helmholtz_split(u)
         assert (helmholtz_reconstruct(d, om) - u).l2() <= 1e-12 * u.l2()
 
-    def test_omega_antisymmetric(self, grid2d, rng):
-        u = random_field(grid2d, "vector", rng)
-        _, om = helmholtz_split(u)
-        assert np.max(np.abs(om.coeff + np.swapaxes(om.coeff, 0, 1))) < 1e-15
+    def test_omega_antisymmetric(self, grid2d, grid3d, rng):
+        # Omega is stored by its i < j entries |grad|^-1 (d_j u_i - d_i u_j)
+        for grid in (grid2d, grid3d):
+            u = random_field(grid, "vector", rng)
+            _, om = helmholtz_split(u)
+            assert om.coeff.shape == SKEW_SHAPE[grid.dim] + grid.spectral_shape
+            for row, (i, j) in zip(pair_rows(om), _pairs(grid.dim)):
+                curl = u.coeff[i] * grid.deriv[j] - u.coeff[j] * grid.deriv[i]
+                assert np.array_equal(row, curl * grid.inv_xi)
 
 
 class TestLame:
@@ -235,5 +240,43 @@ class TestConvect:
             assert w.coeff.shape == f.coeff.shape
             assert np.array_equal(w.coeff, _convect_per_field(u_phys, f).coeff)
             assert np.array_equal(convect(u_phys, f)[0].coeff, w.coeff)
-        # the antisymmetric input moved its i < j part and came back mirrored
-        assert np.array_equal(moved[3].coeff, -moved[3].coeff.swapaxes(0, 1))
+        # the antisymmetric input is stored, and moved, by its i < j entries
+        assert moved[3].coeff.shape == SKEW_SHAPE[dim] + grid.spectral_shape
+
+
+class TestSkewLayout:
+    """An antisymmetric field is stored by its i < j entries in ``_pairs``
+    order: one component in 2-D, three in 3-D."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_curl_matrix_and_transpose_gap_store_the_upper_entries(
+            self, grid2d, grid3d, rng, dim):
+        grid = grid2d if dim == 2 else grid3d
+        u = random_field(grid, "vector", rng)
+        E = random_field(grid, "matrix", rng)
+        C, W = curl_matrix(u), transpose_gap(E)
+        J = jacobian(u).coeff
+        for f in (C, W):
+            assert f.coeff.shape == SKEW_SHAPE[dim] + grid.spectral_shape
+            assert f.ncomp == len(_pairs(dim))
+        for p, (i, j) in enumerate(_pairs(dim)):
+            assert np.array_equal(pair_rows(C)[p], J[i, j] - J[j, i])
+            assert np.array_equal(pair_rows(W)[p], E.coeff[j, i] - E.coeff[i, j])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_curl_vector_of_the_expanded_matrix(self, grid2d, grid3d, rng, dim):
+        # v_i = d_j Om_ji over the full matrix Om_ij = c_p, Om_ji = -c_p
+        grid = grid2d if dim == 2 else grid3d
+        om = curl_matrix(random_field(grid, "vector", rng))
+        full = np.zeros((dim, dim) + grid.spectral_shape, dtype=np.complex128)
+        for row, (i, j) in zip(pair_rows(om), _pairs(dim)):
+            full[i, j], full[j, i] = row, -row
+        want = [sum(full[j, i] * grid.deriv[j] for j in range(dim)) for i in range(dim)]
+        assert np.array_equal(curl_vector(om).coeff, np.stack(want))
+
+    def test_skew_l2_is_the_frobenius_norm(self, grid3d, rng):
+        om = curl_matrix(random_field(grid3d, "vector", rng))
+        full = np.zeros((3, 3) + grid3d.spectral_shape, dtype=np.complex128)
+        for row, (i, j) in zip(pair_rows(om), _pairs(3)):
+            full[i, j], full[j, i] = row, -row
+        assert skew_l2(om) == pytest.approx(SpectralField(grid3d, full).l2(), rel=1e-14)
