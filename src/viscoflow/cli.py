@@ -248,7 +248,8 @@ class Runner:
         self.out.mkdir(parents=True, exist_ok=True)
         self._plan()
         self.manifest(final=False)
-        getattr(self, f"mode_{self.mode}")()
+        with np.errstate(all="ignore"):  # the explicit checks report faults, once
+            getattr(self, f"mode_{self.mode}")()
         self.manifest(final=True)
         return 0
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, StabilityError
 from .evolve import step_count
 from .grid import Grid, SpectralField, dealias_physical
 from .model import PrimitiveState
@@ -299,7 +299,8 @@ def transport_simulate(rho_hat: SpectralField, F: SpectralField, u: SpectralFiel
     final step whether or not it falls on that stride.  Pure advection has
     no stiff part, so classical RK4 is appropriate.  Snapshots are kept, not
     copied: every step builds new fields, so neither a snapshot nor the
-    input is written again.
+    input is written again.  A step that leaves a non-finite coefficient
+    raises ``StabilityError`` naming the step and the field.
     """
     nsteps = step_count(dt, t_final)
     u_phys = u.to_physical()
@@ -313,6 +314,9 @@ def transport_simulate(rho_hat: SpectralField, F: SpectralField, u: SpectralFiel
         k4r, k4f = transport_rhs(rho + dt * k3r, Fc + dt * k3f, u_phys, grad_u)
         rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         Fc = Fc + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        for name, f in (("F", Fc), ("rho", rho)):
+            if not np.isfinite(f.coeff).all():
+                raise StabilityError(f"step {step}: non-finite coefficients in field {name}")
         if step % sample_every == 0 or step == nsteps:
             times.append(step * dt)
             snaps.append((rho, Fc))

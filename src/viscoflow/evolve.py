@@ -13,17 +13,19 @@ without its viscous diagonal; an iteration sweep's holds the linear
 couplings plus the sources frozen at the previous sweep.  The skew
 couplings are non-stiff (first-order symbols against second-order viscous
 ones), so no linear solves are needed anywhere.
-The run loop samples the state at t = 0 and after every step into a
-``NormSeries``; the consecutive-difference norms of the iteration are a
-``NormSeries`` over the differences.
+The run loop (``_march``) yields the nodes, which its consumers sample
+into ``NormSeries``.  The iteration's sweeps march together, each one node
+behind the one before and keeping two nodes (the staggered schedule of
+Christlieb, Macdonald & Ong, SIAM J. Sci. Comput. 32:818, 2010), so memory
+does not grow with the step count.  At each node one pass serves a sweep's
+stage-1 convection and its successor's sources; both read the stored d and
+Omega, so they cancel at the fixed point even where a 3-D Omega leaves the
+range of |grad|^-1 curl.
 
 Every state is one coefficient block (``model.FieldTuple``): the stepper
 damps with one multiply by a per-row factor block, writes each stage into a
 fresh block in place and zeros its means (Omega is antisymmetric by layout),
-and a trajectory keeps one ``PrimitiveState`` block per node, so a sweep's
-difference from the previous one is one subtraction per node.
-The first sweep is measured against the zero trajectory, which is never
-built: its difference norm is its own norm.
+and a sweep's difference from the previous one is one subtraction per node.
 """
 
 from __future__ import annotations
@@ -167,10 +169,10 @@ def initial_bnorm(prim: PrimitiveState) -> float:
 class IFStepper:
     """Integrating-factor Heun step (IFRK2) around a non-stiff right-hand side.
 
-    ``nonstiff(state, node, u)`` is evaluated at the step's two stage nodes,
-    ``node`` and ``node + 1``; the viscous factors exp(-nu|xi|^2 dt) on d and
-    exp(-mu|xi|^2 dt) on Omega are applied exactly, as one multiply by a
-    factor block cached here (1 on the rho and E rows).
+    ``nonstiff(state, node, u)`` is evaluated at the run loop's state and at
+    the predictor (with no ``u``), nodes ``node`` and ``node + 1``; the factors
+    exp(-nu|xi|^2 dt) on d and exp(-mu|xi|^2 dt) on Omega are applied
+    exactly, as one multiply by a factor block cached here (1 elsewhere).
     """
 
     def __init__(self, grid: Grid, config: RunConfig, nonstiff):
@@ -218,17 +220,14 @@ def direct_rhs(config: RunConfig):
     return nonstiff
 
 
-def _march(stepper: IFStepper, state: ReformState, n_steps: int,
-           recorders) -> ReformState:
-    """The run loop of both modes: hand the state to every
-    ``record(t, rho, u, E)`` at t = 0 and after each step, and check the CFL
-    number every CFL_CHECK_EVERY steps.  A StabilityError names the step."""
+def _march(stepper: IFStepper, state: ReformState, n_steps: int):
+    """The run loop of both modes: yields ``(t, state, velocity)`` per node and
+    checks the CFL number every CFL_CHECK_EVERY steps; errors name the step."""
     for k in range(n_steps + 1):
         u = state.velocity()
-        for record in recorders:
-            record(k * stepper.dt, state.rho, u, state.E)
+        yield k * stepper.dt, state, u
         if k == n_steps:
-            return state
+            return
         try:
             if k % CFL_CHECK_EVERY == 0:
                 stepper.check_cfl(u)
@@ -239,15 +238,18 @@ def _march(stepper: IFStepper, state: ReformState, n_steps: int,
 
 @dataclass
 class Trajectory:
-    """Primitive-variable snapshots at every accepted step, each copied
-    once into its own ``PrimitiveState`` block, which nothing writes again
-    (tested with the arrays set read-only)."""
+    """A sweep's primitive snapshots at its last two nodes, each copied once
+    into its own ``PrimitiveState`` block that nothing writes again."""
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
 
     def record(self, t, rho: SpectralField, u: SpectralField, E: SpectralField):
         self.times.append(t)
         self.states.append(PrimitiveState(rho, u, E))
+        del self.times[:-2], self.states[:-2]
+
+    def at(self, t: float) -> PrimitiveState:
+        return self.states[self.times.index(t)]
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +274,9 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig) -> DirectResult:
     grid = prim0.rho.grid
     norms = NormSeries(grid)
     init = initial_bnorm(prim0)
-    final = _march(IFStepper(grid, config, direct_rhs(config)),
-                   ReformState.from_primitive(prim0), config.n_steps,
-                   (norms.record,))
+    for t, final, u in _march(IFStepper(grid, config, direct_rhs(config)),
+                              ReformState.from_primitive(prim0), config.n_steps):
+        norms.record(t, final.rho, u, final.E)
     return DirectResult(norms, final, config.n_steps, init)
 
 
@@ -290,47 +292,60 @@ def mollify(f: SpectralField, count: int) -> SpectralField:
     return SpectralField(f.grid, f.coeff * fam.psi_stack[rows].sum(axis=0))
 
 
-class _SweepRHS:
-    """Non-stiff part of one iteration sweep.
+class _Sweep:
+    """One iteration sweep: its non-stiff right-hand side, and its nodes.  The
+    velocity and sources are frozen at the previous sweep's ``window`` (none
+    on the first sweep); at stage 1, given the run loop's ``u``, a sweep with
+    a successor (``hands_on``) assembles its own sources in the same pass."""
 
-    The couplings act on the current sweep's unknowns; the convecting
-    velocity and every quadratic source are frozen at the previous sweep's
-    trajectory (none on the first sweep), sampled at the stage nodes.
-    """
+    def __init__(self, number: int, grid: Grid, params: ModelParams,
+                 prev: _Sweep | None = None, hands_on: bool = False):
+        self.number, self.params, self.prev, self.hands_on = number, params, prev, hands_on
+        self.window: dict[int, tuple[ReformState, np.ndarray]] = {}
+        self.norms = NormSeries(grid)
+        self.diff = self.norms if prev is None else NormSeries(grid)
+        self.traj = Trajectory()
 
-    def __init__(self, params: ModelParams, prev: Trajectory | None):
-        self.params = params
-        self.prev = prev
-        self._cache: dict[int, tuple[ReformState, np.ndarray]] = {}
-
-    def _sources(self, idx: int) -> tuple[ReformState, np.ndarray]:
-        if idx not in self._cache:
-            self._cache[idx] = assemble_sources(self.prev.states[idx], self.params)
-            for old in [k for k in self._cache if k < idx - 1]:
-                del self._cache[old]
-        return self._cache[idx]
+    def _hand_on(self, node: int, sources: ReformState, u_phys: np.ndarray):
+        self.window[node] = (sources, u_phys)
+        self.window.pop(node - 2, None)
 
     def __call__(self, state: ReformState, node: int,
                  u: SpectralField | None = None) -> ReformState:
-        out = skew_couplings(state, self.params.coupling,
-                             state.velocity() if u is None else u)
-        if self.prev is None:
-            return out
-        sources, u_frozen = self._sources(node)
-        moved = ReformState.empty(state.grid)
-        convect(u_frozen, *state, out=[f.coeff for f in moved])
-        out.block -= moved.block
-        out.block += sources.block
+        out = skew_couplings(state, self.params.coupling, state.velocity() if u is None else u)
+        frozen = None if self.prev is None else self.prev.window[node]
+        if u is not None and self.hands_on:  # stage 1: the successor's source pass too
+            sources, u_phys, *terms = assemble_sources(state, self.params, u, frozen)
+            self._hand_on(node, sources, u_phys)
+            if terms:
+                out.block += terms[0].block
+        elif frozen is not None:
+            moved = ReformState.empty(state.grid)
+            convect(frozen[1], *state, out=[f.coeff for f in moved])
+            out.block += frozen[0].block - moved.block
         return out
 
-
-def _difference_bnorm(a: Trajectory, b: Trajectory) -> float:
-    """Global-bound norm of the trajectory difference (same time nodes)."""
-    norms = NormSeries(a.states[0].rho.grid)
-    for t, x, y in zip(a.times, a.states, b.states, strict=True):
-        diff = x - y
-        norms.record(t, diff.rho, diff.u, diff.E)
-    return norms.bnorm()
+    def nodes(self, prim0: PrimitiveState, config: RunConfig, limit: float):
+        """The sweep's nodes, then its divergence check and final source pass."""
+        data = prim0.map(lambda f: mollify(f, self.number)) if config.init_mollified else prim0
+        march = _march(IFStepper(prim0.rho.grid, config, self), ReformState.from_primitive(data),
+                       n := config.n_steps)
+        del data  # the start lives in the march alone, freed after its first step
+        for t, state, u in march:
+            self.norms.record(t, state.rho, u, state.E)
+            self.traj.record(t, state.rho, u, state.E)
+            if self.prev is not None:
+                self.diff.record(t, *(self.traj.states[-1] - self.prev.traj.at(t)))
+            yield
+        if not (self.norms.bnorm() <= limit):  # NaN-safe
+            raise StabilityError(
+                f"iterate norm {self.norms.bnorm():.3g} exceeds {DIVERGENCE_FACTOR} "
+                "x data norm; small-data hypothesis violated")
+        if self.hands_on:
+            try:
+                self._hand_on(n, *assemble_sources(state, self.params, u))
+            except StabilityError as exc:
+                raise StabilityError(f"step {n}: {exc}") from exc
 
 
 @dataclass
@@ -353,43 +368,38 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig) -> PicardResult:
     Sweep 0 is the zero trajectory; sweep n+1 solves the linear system with
     velocity and sources frozen at sweep n and data mollified to |q| <= n
     (or full data when ``init_mollified`` is off).  Sweep 1 has no frozen
-    terms, and its difference from sweep 0 is its own norm.  Divergence beyond
-    DIVERGENCE_FACTOR times the data norm aborts: the smallness hypothesis
-    is violated.  A StabilityError names the sweep.
+    terms, and its difference from sweep 0 is its own norm.  Divergence
+    beyond DIVERGENCE_FACTOR times the data norm at a sweep's end aborts.  A
+    failing sweep stops every later one, the earlier ones run on, and the
+    lowest failing sweep's StabilityError is raised, naming it.
     """
     grid = prim0.rho.grid
     init_norm = initial_bnorm(prim0)
     limit = DIVERGENCE_FACTOR * max(init_norm, 1e-300)
+    count = config.picard_iterations
 
-    prev: Trajectory | None = None
-    results: list[NormSeries] = []
-    diffs: list[float] = []
-    finals: list[PrimitiveState] = []
-    for sweep in range(1, config.picard_iterations + 1):
-        if config.init_mollified:
-            data = prim0.map(lambda f: mollify(f, sweep))
-        else:
-            data = prim0.copy()
-        rhs = _SweepRHS(config.params, prev)
-        norms = NormSeries(grid)
-        traj = Trajectory()
-        try:
-            _march(IFStepper(grid, config, rhs), ReformState.from_primitive(data),
-                   config.n_steps, (norms.record, traj.record))
-            if not (norms.bnorm() <= limit):  # NaN-safe
-                raise StabilityError(
-                    f"iterate norm {norms.bnorm():.3g} exceeds {DIVERGENCE_FACTOR} "
-                    "x data norm; small-data hypothesis violated")
-        except StabilityError as exc:
-            raise StabilityError(f"sweep {sweep}: {exc}") from exc
-        results.append(norms)
-        diffs.append(norms.bnorm() if prev is None else _difference_bnorm(traj, prev))
-        finals.append(traj.states[-1])
-        prev = traj
+    sweeps: list[_Sweep] = []
+    for number in range(1, count + 1):
+        sweeps.append(_Sweep(number, grid, config.params, sweeps[-1] if sweeps else None,
+                             hands_on=number < count))
+    marches = [sweep.nodes(prim0, config, limit) for sweep in sweeps]
+    failed: dict[int, StabilityError] = {}
+    for tick in range(config.n_steps + count + 1):
+        # sweep s starts at tick s - 1; a failed sweep stops every later one
+        for number, nodes in enumerate(marches[:min([tick + 1, *failed])], 1):
+            try:
+                next(nodes, None)
+            except StabilityError as exc:
+                failed[number] = exc
+                break
+    if failed:
+        number = min(failed)
+        raise StabilityError(f"sweep {number}: {failed[number]}") from failed[number]
 
-    ratios = [diffs[i + 1] / diffs[i] if diffs[i] > 0 else 0.0
-              for i in range(len(diffs) - 1)]
-    return PicardResult(results, diffs, ratios, finals, init_norm)
+    diffs = [sweep.diff.bnorm() for sweep in sweeps]
+    ratios = [b / a if a > 0 else 0.0 for a, b in zip(diffs, diffs[1:])]
+    return PicardResult([sweep.norms for sweep in sweeps], diffs, ratios,
+                        [sweep.traj.states[-1] for sweep in sweeps], init_norm)
 
 
 def uniform_bound_monitor(result: PicardResult, gamma_data: float) -> dict:

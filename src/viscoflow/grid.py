@@ -34,11 +34,7 @@ transformed on its own, so the batched transforms equal the per-field
 of the workspace is valid only inside its pass, until the transform that
 consumes its rows; whatever a right-hand side returns owns its memory.  A
 pass cannot be nested (that raises), and a workspace is not thread-safe:
-parameter sweeps fan out to processes, each with its own grids.  Size:
-a direct run's ``reformulated_rhs`` needs 23 spectral and 36 physical rows
-in 2-D (1.9 MiB at n=64) and 55 and 86 in 3-D (36 MiB at n=32); the
-largest pass, the source assembly, 27 and 40 (2.1 MiB at 2-D n=64) and 67
-and 93 (41 MiB at 3-D n=32).
+parameter sweeps fan out to processes, each with its own grids.
 """
 
 from __future__ import annotations

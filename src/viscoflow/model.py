@@ -41,7 +41,8 @@ u.grad f of whole fields to the same pass.  Scalar transforms and
     reformulated_rhs      36    86     2   (rotation correction in the same forward)
     primitive_rhs         30    68     2
     assemble_sources      40    93     2
-    evolve._SweepRHS      21    56     2   (frozen sources cached)
+      with a frozen pair  47   107     2   (and the state convected by the frozen velocity)
+    evolve._Sweep         21    56     2   (stage 2: ``convect`` of the predictor)
 """
 
 from __future__ import annotations
@@ -516,36 +517,49 @@ def _subtract_momentum(out: ReformState, G: SpectralField, rho_E: SpectralField,
 # frozen-state sources of the linear iteration
 # ----------------------------------------------------------------------
 
-def assemble_sources(prim: PrimitiveState,
-                     params: ModelParams) -> tuple[ReformState, np.ndarray]:
+def assemble_sources(state: ReformState, params: ModelParams,
+                     u: SpectralField | None = None, frozen=None):
     """Sources of the frozen-coefficient iteration at one frozen state.
 
     Returns the sources as a ``ReformState``, each in the slot of the
     unknown whose equation it drives (rho: the mass source -rho div u; d and
-    Omega: the compressible and rotational sources; E: the stretch
-    (grad u) E), and the physical samples of the frozen velocity.  Every
+    Omega: the compressible and rotational sources, which convect the stored
+    d and Omega; E: the stretch (grad u) E), and the physical samples of the
+    frozen velocity ``u`` (the state's, when the caller holds it).  Every
     product is dealiased, compositions are evaluated pointwise in physical
     space, and the rotational source is stored by its i < j entries.
     Requires the density perturbation below 1/2 in sup norm.
+    Given ``frozen``, the previous sweep's pair at this node, the pass also
+    convects every row of ``state`` by the frozen velocity (as ``convect``
+    does, bit for bit) and returns the frozen sources less that convection.
     """
-    g = prim.rho.grid
-    d, om = helmholtz_split(prim.u)
+    g = state.grid
+    u = state.velocity() if u is None else u
     out = ReformState.empty(g)
     with g.workspace() as ws:
-        ph = PhysicalBundle.of(prim, params.visc, ws, (d, om))
-        moved, G, rho_E, mass, stretch = ws.products(
-            (ph.convection.count,), (g.dim,), (g.dim, g.dim), (), (g.dim, g.dim))
+        ph = PhysicalBundle.of(state, params.visc, ws, (state.d, state.omega), u)
+        rows = [] if frozen is None else [ReformState.block_shape(g)[:1]]
+        moved, G, rho_E, mass, stretch, *drive = ws.products(
+            (ph.convection.count,), (g.dim,), (g.dim, g.dim), (), (g.dim, g.dim), *rows)
         transport(ph.u, ph.grad_moved, moved)
         _common_vector(ph, params, G)
         np.multiply(ph.rho, ph.E, out=rho_E)
         np.multiply(ph.rho, np.trace(ph.grad_u), out=mass)
         ph.stretch(stretch)
+        if frozen is not None:  # the state's rows in block order: rho, d and Omega, E
+            grads = (ph.grad_rho[:, None], ph.grad_moved,
+                     ph.grad_E.reshape(g.dim, -1, *ph.grad_E.shape[3:]))
+            for grad, rows in zip(grads, np.split(drive[0], [1, 1 + ph.convection.count])):
+                transport(frozen[1], grad, rows)
         u_phys = ph.u.copy()
-        moved, G, rho_E, mass, stretch = ws.forward()
+        moved, G, rho_E, mass, stretch, *drive = ws.forward()
         np.negative(mass.coeff, out=out.rho.coeff)
         ph.convection.fields_of(moved.coeff, out=[out.d.coeff, out.omega.coeff])
         _subtract_momentum(out, G, rho_E, params.coupling)
         out.E.coeff[...] = stretch.coeff
+        if frozen is not None:
+            terms = ReformState.of_block(g, frozen[0].block - drive[0].coeff)
+            return out._zero_means(), u_phys, terms
     return out._zero_means(), u_phys
 
 

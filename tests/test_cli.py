@@ -368,18 +368,22 @@ class TestCliErrorBoundary:
         code = main([mode, "--config", cfg, "--out", str(tmp_path / "o")])
         return code, capsys.readouterr().err.strip().splitlines()
 
-    def test_nan_majorant_residual_exits_2(self, tmp_path, capsys):
-        # an overflowing transport leaves NaN residuals, and NaN fails every
-        # comparison, so the majorant test is written to trip on it
+    def test_transport_blow_up_exits_3(self, tmp_path, capsys):
+        # an overflowing transport stops at the step that left finite values,
+        # with one stderr line and no floating-point warnings
         cfg = _write_config(tmp_path / "c.ini",
                             "[grid]\nn = 64\nlength = 1\n\n[constraints]\n"
-                            "refine_levels = 32,64\nt_final = 0.1\nu_amplitude = 1e160\n")
-        with np.errstate(all="ignore"):
-            code = main(["constraints", "--config", cfg, "--strict",
-                         "--out", str(tmp_path / "o")])
+                            "refine_levels = 32,64\ndt = 0.02\nt_final = 0.1\n"
+                            "u_amplitude = 1e160\n")
+        code = main(["constraints", "--config", cfg, "--strict", "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err.strip().splitlines()
-        assert code == 2
-        assert err[-1] == "invariant violation: constraint propagation majorant violated"
+        assert code == 3
+        assert err == ["run stopped: step 1: non-finite coefficients in field F"]
+
+    def test_overflowing_scaling_amplitude_prints_one_line(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "scaling", "[scaling]\namplitude = 1e300\n")
+        assert code == 1
+        assert err == ["input error: [scaling] amplitude = 1e+300 gives norm nan"]
 
     def test_stability_error_exits_3(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, "simulate",

@@ -1,6 +1,10 @@
 """Time evolution: stepper order and hygiene, norm accumulation, the direct
 small-data run, and the frozen-coefficient iteration."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,11 +15,11 @@ from viscoflow import (ComposedMap, DyadicFamily, Grid, ModelParams,
                        uniform_bound_monitor)
 from viscoflow.errors import InputError, StabilityError
 from viscoflow.dyadic import besov_norm, hybrid_norm
-from viscoflow.evolve import (IFStepper, NormSeries, Trajectory, _SweepRHS, direct_rhs,
+from viscoflow.evolve import (IFStepper, NormSeries, Trajectory, _Sweep, direct_rhs,
                              initial_bnorm)
 from viscoflow.grid import cosine_mode
 from viscoflow.linear import evolve_pair_exact
-from viscoflow.model import ReformState, reformulated_rhs
+from viscoflow.model import FieldTuple, ReformState, reformulated_rhs
 from viscoflow.operators import SplitViscosity, Viscosity, laplacian
 
 
@@ -282,11 +286,17 @@ class TestBlockStepper:
         assert len(calls) == (cfg.n_steps + 1) + cfg.n_steps
 
     def test_sweep_rhs_given_the_velocity_is_unchanged(self, grid2d, rng):
-        prev = Trajectory()
-        prev.record(0.0, *_random_prim(grid2d, rng))
-        rhs = _SweepRHS(_params(), prev)
+        # given the run loop's velocity, a middle sweep's stage-1 call is also
+        # its source pass for the next sweep, and its result keeps every bit
+        first = _Sweep(1, grid2d, _params(), hands_on=True)
+        frozen = ReformState.from_primitive(_random_prim(grid2d, rng))
+        first(frozen, 0, frozen.velocity())
+        rhs = _Sweep(2, grid2d, _params(), first, hands_on=True)
         state = ReformState.from_primitive(_random_prim(grid2d, rng))
-        assert rhs(state, 0, state.velocity()).block.tobytes() == rhs(state, 0).block.tobytes()
+        plain = rhs(state, 0)
+        assert rhs.window == {}
+        assert rhs(state, 0, state.velocity()).block.tobytes() == plain.block.tobytes()
+        assert list(rhs.window) == [0]
 
 
 class TestDirectRun:
@@ -449,3 +459,112 @@ class TestPicard:
         cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=3)
         with pytest.raises(StabilityError, match=r"^sweep 1: "):
             picard_solve(prim, cfg)
+
+    def test_picard_limit_matches_direct_3d(self):
+        # a 3-D sweep's Omega leaves the range of |grad|^-1 curl; the sources
+        # and the sweep's convection read the same stored Omega, so the two
+        # cancel at the fixed point as in 2-D
+        grid = Grid(3, 16, length=2.0)
+        params = ModelParams(Viscosity(1.0, 1.0, 3), 2.0, PressureLaw.quadratic())
+        rng = np.random.default_rng(5)
+        prim = PrimitiveState(*(random_field(grid, rank, rng, band=(0.9, 2.1), amplitude=1e-3)
+                                for rank in ("scalar", "vector", "matrix")))
+        pic = picard_solve(prim, RunConfig(params, dt=0.005, t_final=0.25, picard_iterations=6))
+        direct = direct_solve(prim, RunConfig(params, dt=0.005, t_final=0.25,
+                                              rotation_correction=False))
+        last, fin = pic.final_states[-1], direct.final.to_primitive()
+        num = np.sqrt(sum((a - b).l2() ** 2 for a, b in zip(last, fin)))
+        den = np.sqrt(sum(b.l2() ** 2 for b in fin))
+        assert num / den <= 1e-6
+
+
+class TestStreamedSweeps:
+    """The sweeps march together, each one node behind the one before, and
+    keep a window of nodes: memory does not grow with the step count."""
+
+    @staticmethod
+    def _run(steps, monkeypatch):
+        """Peak live state blocks and peak traced bytes of one 3-sweep run."""
+        grid = Grid(2, 64, length=8.0)
+        prim = _small_state(grid, 1e-2, np.random.default_rng(3))
+        cfg = RunConfig(_params(), dt=0.01, t_final=0.01 * steps, picard_iterations=3)
+        picard_solve(prim, cfg)  # the grid's caches and workspace at full size
+        live, peak = [0], [0]
+        bind = FieldTuple._bind
+
+        def release():
+            live[0] -= 1
+
+        def counted(self, grid, block):
+            bind(self, grid, block)
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            weakref.finalize(self, release)
+        monkeypatch.setattr(FieldTuple, "_bind", counted)
+        tracemalloc.start()
+        try:
+            picard_solve(prim, cfg)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        return peak[0], traced, ReformState.block_shape(grid)
+
+    def test_memory_does_not_grow_with_the_steps(self, monkeypatch):
+        blocks_10, traced_10, shape = self._run(10, monkeypatch)
+        blocks_40, traced_40, _ = self._run(40, monkeypatch)
+        assert blocks_40 <= blocks_10
+        # the norm series grow by a few floats a node; one state block is
+        # 7 rows of the spectrum, and the unstreamed sweeps kept 2 x 30 more
+        block_bytes = 16 * int(np.prod(shape))
+        assert traced_40 - traced_10 <= block_bytes
+
+    def test_memory_is_freed_without_the_cycle_collector(self, rng):
+        grid = Grid(2, 32, length=8.0)
+        prim = _small_state(grid, 1e-2, rng)
+        cfg = RunConfig(_params(), dt=0.01, t_final=0.1, picard_iterations=4)
+        picard_solve(prim, cfg)  # the grid's caches and workspace at full size
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = picard_solve(prim, cfg)
+            assert len(res.final_states) == 4
+            del res
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left <= 16 * int(np.prod(ReformState.block_shape(grid)))
+
+    def test_lowest_failing_sweep_is_reported(self, rng, monkeypatch):
+        # sweep 3 fails first in wall time, at its stage 1 of step 2; sweep 2
+        # fails later, in its final source pass, while sweep 1 runs to its end
+        # and sweep 4 stops with sweep 3
+        events = []
+        call, hand_on = _Sweep.__call__, _Sweep._hand_on
+
+        def failing_call(self, state, node, u=None):
+            events.append((self.number, node))
+            if self.number == 3 and node == 1 and u is not None:
+                events.append("sweep 3 failed")
+                raise StabilityError("early failure")
+            return call(self, state, node, u)
+
+        def failing_hand_on(self, node, sources, u_phys):
+            if node == 5:  # the final source pass
+                events.append(("final", self.number))
+                if self.number == 2:
+                    raise StabilityError("late failure")
+            return hand_on(self, node, sources, u_phys)
+        monkeypatch.setattr(_Sweep, "__call__", failing_call)
+        monkeypatch.setattr(_Sweep, "_hand_on", failing_hand_on)
+        grid = Grid(2, 16, length=2.0)
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=4)
+        with pytest.raises(StabilityError, match=r"^sweep 2: step 5: late failure$"):
+            picard_solve(_small_state(grid, 1e-2, rng), cfg)
+        failed = events.index("sweep 3 failed")
+        assert ("final", 1) in events[failed:]
+        assert events[-1] == ("final", 2)
+        assert not any(e[0] in (3, 4) for e in events[failed + 1:])

@@ -14,7 +14,7 @@ from viscoflow import (ComposedMap, Grid, ModelParams, PressureLaw,
                        reformulated_rhs, shear_map)
 from viscoflow.constraints import transport_rhs, transport_simulate
 from viscoflow.errors import InputError, StabilityError
-from viscoflow.evolve import RunConfig, Trajectory, _SweepRHS, direct_rhs
+from viscoflow.evolve import RunConfig, _Sweep, direct_rhs
 from viscoflow.grid import cosine_mode, dealiased_product, fine_grid_product, refine_field
 from viscoflow.linear import linear_rhs
 from viscoflow.model import (FieldTuple, HelmholtzState, PhysicalBundle, ReformState,
@@ -22,8 +22,8 @@ from viscoflow.model import (FieldTuple, HelmholtzState, PhysicalBundle, ReformS
 from viscoflow.operators import (SplitViscosity, Viscosity, convect,
                                  divergence, gradient, inverse_mag_times,
                                  jacobian, lame_operator, laplacian, helmholtz_split,
-                                 pair_rows, SKEW_SHAPE, transpose_gap, symmetric_scalar,
-                                 _pairs)
+                                 pair_rows, SKEW_SHAPE, skew_field, transpose_gap,
+                                 symmetric_scalar, _pairs)
 
 
 def _random_state(grid, rng, amplitude=0.05):
@@ -34,6 +34,14 @@ def _random_state(grid, rng, amplitude=0.05):
 
 def _params(dim=2, mu=1.0, lam=1.0, alpha=1.0, law=None):
     return ModelParams(Viscosity(mu, lam, dim), alpha, law or PressureLaw.quadratic())
+
+
+def _sweep_after(params, state):
+    """The right-hand side of a sweep whose previous sweep reached ``state``
+    at node 0: that sweep's stage-1 call there hands on its sources."""
+    prev = _Sweep(1, state.grid, params, hands_on=True)
+    prev(state, 0, state.velocity())
+    return _Sweep(2, state.grid, params, prev)
 
 
 def _admissible(grid, eps, u_amp=0.0, rng=None):
@@ -199,7 +207,7 @@ class TestSources:
         zero = PrimitiveState(SpectralField.zeros(grid2d, "scalar"),
                               SpectralField.zeros(grid2d, "vector"),
                               SpectralField.zeros(grid2d, "matrix"))
-        src, u = assemble_sources(zero, _params())
+        src, u = assemble_sources(ReformState.from_primitive(zero), _params())
         for f in src:
             assert f.l2() == 0.0
         assert not u.any()
@@ -208,7 +216,7 @@ class TestSources:
         prim = PrimitiveState(random_field(grid2d, "scalar", rng, amplitude=0.05),
                               random_field(grid2d, "vector", rng, amplitude=0.05),
                               random_field(grid2d, "matrix", rng, amplitude=0.05))
-        src, _ = assemble_sources(prim, _params())
+        src, _ = assemble_sources(ReformState.from_primitive(prim), _params())
         # the rotational source is stored by its one i < j entry
         assert src.omega.coeff.shape == grid2d.spectral_shape
         assert src.omega.l2() > 0.0
@@ -219,7 +227,7 @@ class TestSources:
         prim = PrimitiveState(big, SpectralField.zeros(grid2d, "vector"),
                               SpectralField.zeros(grid2d, "matrix"))
         with pytest.raises(StabilityError):
-            assemble_sources(prim, _params())
+            assemble_sources(ReformState.from_primitive(prim), _params())
 
     def test_pure_velocity_single_triad(self, grid2d_unit):
         # rho = 0, E = 0, u one mode: the mass and stretch sources vanish and
@@ -228,7 +236,7 @@ class TestSources:
         u = cosine_mode(grid, (0, 1), 0.3, rank="vector", component=(0,))
         prim = PrimitiveState(SpectralField.zeros(grid, "scalar"), u,
                               SpectralField.zeros(grid, "matrix"))
-        src, _ = assemble_sources(prim, _params())
+        src, _ = assemble_sources(ReformState.from_primitive(prim), _params())
         assert src.rho.l2() == 0.0
         assert src.E.l2() == 0.0
         # hand value: d = 0 (u is solenoidal), u.grad u = (0, 0) here since
@@ -239,7 +247,7 @@ class TestSources:
               + cosine_mode(grid, (1, 0), 0.2, rank="vector", component=(1,), phase="sin"))
         prim2 = PrimitiveState(SpectralField.zeros(grid, "scalar"), u2,
                                SpectralField.zeros(grid, "matrix"))
-        src2, _ = assemble_sources(prim2, _params())
+        src2, _ = assemble_sources(ReformState.from_primitive(prim2), _params())
         x = grid.meshgrid()
         # u.grad u = (u_1 d_y u_0, u_0 d_x u_1)
         #          = (-0.06 sin(x)sin(y), 0.06 cos(x)cos(y))
@@ -268,9 +276,16 @@ class TestSources:
         grid = grid2d if dim == 2 else grid3d
         params = _params(dim=dim, alpha=1.3)
         state = ReformState.from_primitive(_random_state(grid, rng))
-        prev = Trajectory()
-        prev.record(0.0, *state.to_primitive())
-        got = _SweepRHS(params, prev)(state, 0).project_mean_zero()
+        if dim == 3:
+            # an Omega with a gradient-type axial part w = |grad|^-1 grad phi,
+            # which the velocity never sees: a 3-D sweep's Omega drifts out of
+            # the range of |grad|^-1 curl this way
+            u = state.velocity()
+            w = inverse_mag_times(gradient(random_field(grid, "scalar", rng, amplitude=0.05)))
+            state.omega = SpectralField(grid, state.omega.coeff
+                                        + skew_field(grid, [w.coeff[2], -w.coeff[1], w.coeff[0]]).coeff)
+            assert (state.velocity() - u).l2() <= 1e-15 * u.l2()
+        got = _sweep_after(params, state)(state, 0).project_mean_zero()
         config = RunConfig(params, 0.01, 0.01, rotation_correction=False)
         want = direct_rhs(config)(state, 0)
         for g, w in zip(got, want, strict=True):
@@ -342,7 +357,7 @@ class TestDualPath:
         prim = _random_state(grid, rng)
         params = _params(dim=dim)
         rdot = reformulated_rhs(ReformState.from_primitive(prim), params)
-        src, _ = assemble_sources(prim, params)
+        src, _ = assemble_sources(ReformState.from_primitive(prim), params)
         for f in (rdot.omega, src.omega):
             assert f.coeff.shape == SKEW_SHAPE[dim] + grid.spectral_shape
             assert f.l2() > 0.0
@@ -434,7 +449,7 @@ class TestPhysicalBundle:
         with pytest.raises(StabilityError, match=rf"field {field}$"):
             reformulated_rhs(ReformState.from_primitive(prim), _params())
         with pytest.raises(StabilityError, match=rf"field {field}$"):
-            assemble_sources(prim, _params())
+            assemble_sources(ReformState.from_primitive(prim), _params())
 
 
 _FFT_ND = ("fftn", "ifftn", "rfftn", "irfftn")
@@ -512,9 +527,35 @@ class TestTransformCounts:
     def test_assemble_sources(self, grid2d, grid3d, rng, transform_count):
         # the unused potential convection and flux transform cost 47 (2-D) and 106 (3-D)
         for grid, cap in ((grid2d, 40), (grid3d, 93)):
-            prim = _random_state(grid, rng)
-            assert transform_count(assemble_sources, prim, _params(dim=grid.dim)) <= cap
+            state = ReformState.from_primitive(_random_state(grid, rng))
+            assert transform_count(assemble_sources, state, _params(dim=grid.dim)) <= cap
             assert transform_count.calls <= 2
+
+    def test_assemble_sources_with_a_frozen_pair(self, grid2d, grid3d, rng, transform_count):
+        # a sweep node's one pass: its sources and its convection by the
+        # frozen velocity; the sources and a convect call apart cost 61
+        # (2-D) and 149 (3-D) in 4 calls
+        for grid, cap in ((grid2d, 47), (grid3d, 107)):
+            params = _params(dim=grid.dim)
+            frozen = assemble_sources(ReformState.from_primitive(_random_state(grid, rng)), params)
+            state = ReformState.from_primitive(_random_state(grid, rng))
+            assert transform_count(assemble_sources, state, params, state.velocity(), frozen) <= cap
+            assert transform_count.calls <= 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shared_pass_convects_as_convect_does(self, grid2d, grid3d, rng, dim):
+        grid = grid2d if dim == 2 else grid3d
+        params = _params(dim=dim)
+        frozen = assemble_sources(ReformState.from_primitive(_random_state(grid, rng)), params)
+        state = ReformState.from_primitive(_random_state(grid, rng))
+        sources, u_phys, terms = assemble_sources(state, params, None, frozen)
+        moved = ReformState.empty(grid)
+        convect(frozen[1], *state, out=[f.coeff for f in moved])
+        assert np.array_equal(terms.block, frozen[0].block - moved.block)
+        # the sources themselves are the plain pass's, bit for bit
+        plain, plain_u = assemble_sources(state, params)
+        assert np.array_equal(sources.block, plain.block)
+        assert np.array_equal(u_phys, plain_u)
 
     def test_transport_rhs(self, grid2d, grid3d, rng, transform_count):
         # u and grad u come sampled; transforming them per call cost 29 (2-D)
@@ -546,11 +587,10 @@ class TestTransformCounts:
         # every field's convection in one batch, Omega by its i < j part; one
         # convect call per field cost 30 (2-D) and 80 (3-D)
         for grid, cap in ((grid2d, 21), (grid3d, 56)):
-            prev = Trajectory()
-            prev.record(0.0, *_random_state(grid, rng))
-            rhs = _SweepRHS(_params(dim=grid.dim), prev)
+            params = _params(dim=grid.dim)
+            rhs = _sweep_after(params, ReformState.from_primitive(_random_state(grid, rng)))
             state = ReformState.from_primitive(_random_state(grid, rng))
-            rhs(state, 0)  # assembles and caches the frozen sources
+            # stage 2: the predictor's convection by the frozen velocity
             assert transform_count(rhs, state, 0) <= cap
             assert transform_count.calls <= 2
 
@@ -606,12 +646,14 @@ class TestWorkspaceAliasing:
                     (ReformState.from_primitive(b), 0))
         self._check(grid, primitive_rhs, (a, params), (b, params))
         # the sources and the frozen velocity samples (a copy)
+        a, b = ReformState.from_primitive(a), ReformState.from_primitive(b)
         self._check(grid, assemble_sources, (a, params), (b, params))
+        # and with a frozen pair, the frozen terms of the sweep too
+        frozen = assemble_sources(b, params)
+        self._check(grid, assemble_sources, (a, params, None, frozen), (b, params, None, frozen))
 
     def test_sweep_right_hand_side(self, grid2d, rng):
-        prev = Trajectory()
-        prev.record(0.0, *_random_state(grid2d, rng))
-        rhs = _SweepRHS(_params(), prev)
+        rhs = _sweep_after(_params(), ReformState.from_primitive(_random_state(grid2d, rng)))
         self._check(grid2d, rhs, (ReformState.from_primitive(_random_state(grid2d, rng)), 0),
                     (ReformState.from_primitive(_random_state(grid2d, rng)), 0))
 
