@@ -380,23 +380,24 @@ class Runner:
         con = self.conf["constraints"]
         grid = self.grid()
         rows, data = [], None
-        for n in con["refine_levels"]:
-            # a level on the run grid is the transport's initial data too
-            level = grid if n == grid.n else Grid(grid.dim, n, grid.length, grid.dealias_frac)
-            level_data = generate_admissible(FlowMap(level, _default_modes(level), con["eps"]))
-            if level is grid:
-                data = level_data
-            div, curl, *_ = constraint_residuals(level_data.rho_hat, level_data.F)
-            rows.append((n, div, curl, level_data.det_defect))
+        with _in_section("constraints"):
+            for n in con["refine_levels"]:
+                # a level on the run grid is the transport's initial data too
+                level = grid if n == grid.n else Grid(grid.dim, n, grid.length, grid.dealias_frac)
+                level_data = generate_admissible(FlowMap(level, _default_modes(level), con["eps"]))
+                if level is grid:
+                    data = level_data
+                div, curl, *_ = constraint_residuals(level_data.rho_hat, level_data.F)
+                rows.append((n, div, curl, level_data.det_defect))
         write_csv(self.artifacts[0], ["n", "div_residual", "curl_residual",
                                       "det_defect"], rows,
                   "flow-map data residuals under grid refinement")
 
-        if data is None:
-            data = generate_admissible(FlowMap(grid, _default_modes(grid), con["eps"]))
         k = max(1, int(round(grid.length)))
         u = _solenoidal_velocity(grid, k, con["u_amplitude"])
         with _in_section("constraints"):
+            if data is None:
+                data = generate_admissible(FlowMap(grid, _default_modes(grid), con["eps"]))
             times, snaps = transport_simulate(data.rho_hat, data.F, u, con["dt"],
                                               con["t_final"], sample_every=5)
         rep = check_trajectory(times, snaps, u, strict=self.strict)

@@ -24,13 +24,17 @@ import numpy as np
 from .errors import InputError, InvariantViolation, StabilityError
 from .evolve import step_count
 from .grid import Grid, SpectralField, dealias_physical
-from .model import PrimitiveState
-from .operators import divergence, gradient, jacobian, transport
+from .model import PrimitiveState, deformation_flux
+from .operators import derivative_rows, divergence, gradient, jacobian
 
 
 # ----------------------------------------------------------------------
 # flow maps
 # ----------------------------------------------------------------------
+
+INVERSE_TOL = 1e-12     # sup-norm step at which the inverse map's fixed point stops
+INVERSE_MAX_ITER = 200  # fixed-point steps before the inverse map gives up
+
 
 @dataclass
 class FlowMap:
@@ -92,16 +96,17 @@ class FlowMap:
     def forward(self, y: np.ndarray) -> np.ndarray:
         return y + self.eps * self.displacement(y)
 
-    def inverse(self, x: np.ndarray, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
-        """Solve y + eps*phi(y) = x by damped fixed point y <- x - eps*phi(y)."""
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        """Solve y + eps*phi(y) = x by damped fixed point y <- x - eps*phi(y),
+        to ``INVERSE_TOL`` in at most ``INVERSE_MAX_ITER`` steps."""
         y = x.copy()
-        for _ in range(max_iter):
+        for _ in range(INVERSE_MAX_ITER):
             y_new = x - self.eps * self.displacement(y)
             err = np.max(np.abs(y_new - y))
             y = y_new
-            if err < tol:
+            if err < INVERSE_TOL:
                 return y
-        raise InputError(f"inverse map did not converge below {tol}")
+        raise InputError(f"inverse map did not converge below {INVERSE_TOL}")
 
     def deformation_at(self, y: np.ndarray) -> np.ndarray:
         """I + eps * grad phi evaluated at y; shape (dim, dim, ...)."""
@@ -129,9 +134,9 @@ class ComposedMap:
             y = m.forward(y)
         return y
 
-    def inverse(self, x, tol: float = 1e-12):
+    def inverse(self, x):
         for m in reversed(self.maps):
-            x = m.inverse(x, tol)
+            x = m.inverse(x)
         return x
 
     def deformation_at(self, y):
@@ -276,16 +281,14 @@ def transport_rhs(rho_hat: SpectralField, F: SpectralField, u_phys: np.ndarray,
     g = rho_hat.grid
     d = g.dim
     with g.workspace() as ws:
-        rho_s, F_s, grad_F = ws.spectral((), (d, d), (d, d, d))
+        rho_s, F_s, grad_F = ws.spectral((), (d, d), (d, d * d))
         rho_s[...] = rho_hat.coeff
         F_s[...] = F.coeff
-        for l, sym in enumerate(g.deriv):
-            np.multiply(F.coeff, sym, out=grad_F[l])
+        derivative_rows(g, [F.coeff], grad_F)
         rho_p, F_p, grad_F = ws.inverse()
         flux, F_dot = ws.products((d,), (d, d))
         np.multiply(rho_p, u_phys, out=flux)
-        np.einsum("ik...,kj...->ij...", grad_u, F_p, out=F_dot)
-        F_dot -= transport(u_phys, grad_F)
+        deformation_flux(u_phys, grad_u, F_p, grad_F.reshape((d,) + F_p.shape), F_dot)
         flux, F_dot = ws.forward()
         return -divergence(flux), F_dot.copy()
 

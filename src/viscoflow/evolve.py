@@ -320,9 +320,7 @@ class _Sweep:
             if terms:
                 out.block += terms[0].block
         elif frozen is not None:
-            moved = ReformState.empty(state.grid)
-            convect(frozen[1], *state, out=[f.coeff for f in moved])
-            out.block += frozen[0].block - moved.block
+            out.block += frozen[0].block - convect(state.grid, frozen[1], state.block)
         return out
 
     def nodes(self, prim0: PrimitiveState, config: RunConfig, limit: float):

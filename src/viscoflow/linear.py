@@ -88,8 +88,9 @@ def linear_rhs(state: HelmholtzState, visc,
     """Time derivative of the five-field linear system, the compressible
     equation driven by the density (coefficient 2).
 
-    Convection (when u is given) is dealiased; mean-zero is preserved by
-    construction, antisymmetry by the layout of Omega and skew.
+    Convection (when u is given) moves the whole state block in one
+    ``convect`` call, dealiased; mean-zero is preserved by construction,
+    antisymmetry by the layout of Omega and skew.
     """
     lam_d = fractional_power(state.d, 1.0)
     rhs = HelmholtzState(-1.0 * lam_d,
@@ -98,7 +99,8 @@ def linear_rhs(state: HelmholtzState, visc,
                          -1.0 * fractional_power(state.omega, 1.0),
                          -2.0 * lam_d)
     if u is not None:
-        rhs = rhs - HelmholtzState(*convect(u.to_physical(), *state))
+        rhs = rhs - HelmholtzState.of_block(state.grid, convect(state.grid, u.to_physical(),
+                                                                state.block))
     return rhs.project_mean_zero()
 
 
@@ -269,22 +271,22 @@ FIT_START_FRAC = 0.5    # leading share of the samples left out of the rate fit
 MIN_FIT_SAMPLES = 20    # fewest usable samples the rate fit accepts
 
 
-def measure_block_decay(times, values, fit_start_frac: float = FIT_START_FRAC,
-                        min_samples: int = MIN_FIT_SAMPLES) -> float:
+def measure_block_decay(times, values) -> float:
     """Fitted exponential decay rate from a positive time series.
 
     Least-squares slope of log(values) over the trailing window; the
-    leading part is skipped so slave modes and defective-root transients do
-    not bias the fit.  Raises if fewer than ``min_samples`` usable points
-    remain or they span less than one e-fold.
+    leading ``FIT_START_FRAC`` is skipped so slave modes and defective-root
+    transients do not bias the fit.  Raises if fewer than
+    ``MIN_FIT_SAMPLES`` usable points remain or they span less than one
+    e-fold.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    start = int(len(times) * fit_start_frac)
+    start = int(len(times) * FIT_START_FRAC)
     t, v = times[start:], values[start:]
     ok = v > 1e-290
     t, v = t[ok], v[ok]
-    if len(t) < min_samples:
+    if len(t) < MIN_FIT_SAMPLES:
         raise DiagnosticError(f"only {len(t)} usable samples for the rate fit")
     logv = np.log(v)
     if logv.max() - logv.min() < 1.0:

@@ -28,14 +28,16 @@ layout, and measured by the Frobenius norm (``operators.skew_l2``).  A
 rows of one new block.
 
 Every right-hand side evaluates its state in physical space once
-(``PhysicalBundle``: rho, grad rho, u, grad u, A u, E and grad E), in one
-pass over the grid's transform workspace: all families are written into
-its spectral stack and take one inverse transform, and all products are
+(``PhysicalBundle``: rho, u, A u, E and the derivative rows), in one pass
+over the grid's transform workspace: all families are written into its
+spectral stack and take one inverse transform, and all products are
 written into its physical stack and take one dealiased forward transform.
-Products that share a destination are summed there; by linearity that
-equals dealiasing each product alone.  ``operators.Convection`` adds the
-u.grad f of whole fields to the same pass.  Scalar transforms and
-``rfftn``/``irfftn`` calls per call:
+Every derivative is a row of one ``(dim, count)`` stack
+(``operators.derivative_rows``) over [u | rho | E], or [u | the state's
+block] when the pass also convects the state, so grad u, grad rho, grad E
+and the rows u.grad moves are slices of it.  Products that share a
+destination are summed there; by linearity that equals dealiasing each
+product alone.  Scalar transforms and ``rfftn``/``irfftn`` calls per call:
 
     call                 2-D   3-D   calls
     reformulated_rhs      36    86     2   (rotation correction in the same forward)
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, StabilityError
 from .grid import Grid, SpectralField, Workspace, dealiased_product
-from .operators import (Convection, Viscosity, curl_matrix, divergence,
+from .operators import (Viscosity, curl_matrix, derivative_rows, divergence,
                         double_divergence, fractional_power, gradient,
                         helmholtz_reconstruct, helmholtz_split,
                         jacobian, lame_operator, laplacian, SKEW_SHAPE, skew_field, skew_l2,
@@ -297,13 +299,15 @@ class PhysicalBundle:
     """Physical samples of one state, every family in one inverse transform.
 
     Index conventions follow the operator layer: grad_u[i, j] = d_j u_i (the
-    Jacobian) and grad_E[l, i, j] = d_l E_{ij}.  The samples are views of the
-    workspace ``ws`` and valid only inside its pass.  Building the bundle
-    raises ``StabilityError`` naming the first family (in field order) that
-    holds a non-finite sample, and when the density perturbation leaves the
-    small-data regime.  ``convection`` holds the fields whose u . grad f the
-    caller needs: their derivative rows are sampled in the same transform.
-    ``prim`` supplies rho and E, and the velocity unless ``u`` is given.
+    Jacobian) and grad_E[l, i, j] = d_l E_{ij}, slices of one derivative
+    stack ``grads`` (``operators.derivative_rows``) over [u | rho | E], or
+    over [u | the state's block] with ``whole_state``, for a pass that also
+    convects the state.  The samples are views of the workspace ``ws`` and
+    valid only inside its pass.  Building the bundle raises
+    ``StabilityError`` naming the first family (in field order) that holds
+    a non-finite sample, and when the density perturbation leaves the
+    small-data regime.  ``prim`` supplies rho and E, and the velocity unless
+    ``u`` is given.
     """
     ws: Workspace
     rho: np.ndarray
@@ -313,39 +317,33 @@ class PhysicalBundle:
     lame: np.ndarray
     E: np.ndarray
     grad_E: np.ndarray
-    convection: Convection | None = None
-    grad_moved: np.ndarray | None = None
+    grads: np.ndarray
 
     @classmethod
     def of(cls, prim: PrimitiveState | ReformState, visc: Viscosity, ws: Workspace,
-           convected=(), u: SpectralField | None = None) -> "PhysicalBundle":
-        d = ws.grid.dim
+           u: SpectralField | None = None, whole_state: bool = False) -> "PhysicalBundle":
+        g = ws.grid
+        d = g.dim
         vel = prim.u if u is None else u
-        rho, grad_rho, u, grad_u, lame, E, grad_E = ws.spectral(
-            (), (d,), (d,), (d, d), (d,), (d, d), (d, d, d))
+        coeffs = [vel.coeff] + ([prim.block] if whole_state else [prim.rho.coeff, prim.E.coeff])
+        count = sum(c.size for c in coeffs) // math.prod(g.spectral_shape)
+        rho, u, lame, E, grads = ws.spectral((), (d,), (d,), (d, d), (d, count))
         rho[...] = prim.rho.coeff
         u[...] = vel.coeff
         E[...] = prim.E.coeff
-        for l, sym in enumerate(ws.grid.deriv):
-            np.multiply(prim.rho.coeff, sym, out=grad_rho[l])
-            np.multiply(vel.coeff, sym, out=grad_u[:, l])
-            np.multiply(prim.E.coeff, sym, out=grad_E[l])
         lame_operator(vel, visc, out=lame)
-        conv = Convection(ws, convected) if convected else None
-        samples = ws.inverse()
-        names = ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E")
-        for name, vals in zip(names, samples):
-            if not np.isfinite(vals).all():
+        derivative_rows(g, coeffs, grads)
+        rho, u, lame, E, grads = ws.inverse()
+        ph = cls(ws, rho, grads[:, d], u, grads[:, :d].swapaxes(0, 1), lame, E,
+                 grads[:, -d * d:].reshape((d,) + E.shape), grads)
+        for name in ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E"):
+            if not np.isfinite(getattr(ph, name)).all():
                 raise StabilityError(f"non-finite samples in field {name}")
-        sup = float(np.max(np.abs(samples[0])))
+        sup = float(np.max(np.abs(rho)))
         if not (sup <= RHO_SUP_LIMIT):  # NaN-safe: comparisons with NaN are False
             raise StabilityError(
                 f"density perturbation sup {sup:.3g} > {RHO_SUP_LIMIT}; left the small-data regime")
-        return cls(ws, *samples[:7], conv, samples[7] if conv else None)
-
-    def stretch(self, out=None) -> np.ndarray:
-        """Samples of (grad u) E, written into ``out`` when given."""
-        return np.einsum("ik...,kj...->ij...", self.grad_u, self.E, out=out)
+        return ph
 
 
 def rotation_correction(ph: PhysicalBundle, out: np.ndarray):
@@ -388,10 +386,17 @@ def _mass_flux(ph: PhysicalBundle, out: np.ndarray):
     out += transport(ph.u, ph.grad_rho)
 
 
-def _deformation_flux(ph: PhysicalBundle, out: np.ndarray):
-    """(grad u) E - u.grad E."""
-    ph.stretch(out)
-    out -= transport(ph.u, ph.grad_E)
+def _stretch(grad_u: np.ndarray, E: np.ndarray, out: np.ndarray):
+    """Samples of (grad u) E, written into ``out``."""
+    np.einsum("ik...,kj...->ij...", grad_u, E, out=out)
+
+
+def deformation_flux(u: np.ndarray, grad_u: np.ndarray, E: np.ndarray, grad_E: np.ndarray,
+                     out: np.ndarray):
+    """Samples of (grad u) E - u.grad E, written into ``out``: the flux of the
+    deformation equation, and of the transported F (``constraints``)."""
+    _stretch(grad_u, E, out)
+    out -= transport(u, grad_E)
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +412,7 @@ def primitive_rhs(prim: PrimitiveState, params: ModelParams) -> PrimitiveState:
         mass, G, flux = ws.products((), (d,), (d, d))
         _mass_flux(ph, mass)
         _common_vector(ph, params, G)
-        _deformation_flux(ph, flux)
+        deformation_flux(ph.u, ph.grad_u, ph.E, ph.grad_E, flux)
         mass, G, flux = ws.forward()
         rho_dot = -divergence(prim.u) - mass
         u_dot = (lame_operator(prim.u, params.visc) - gradient(prim.rho)
@@ -471,7 +476,7 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
         # rho E is its own dealiased product: folding its divergence into G by
         # the product rule is exact only on band-limited data
         np.multiply(ph.rho, ph.E, out=rho_E)
-        _deformation_flux(ph, flux)
+        deformation_flux(ph.u, ph.grad_u, ph.E, ph.grad_E, flux)
         if rot:
             rotation_correction(ph, rot[0])
         mass, G, rho_E, flux, *rot = ws.forward()
@@ -534,27 +539,28 @@ def assemble_sources(state: ReformState, params: ModelParams,
     does, bit for bit) and returns the frozen sources less that convection.
     """
     g = state.grid
+    d = g.dim
     u = state.velocity() if u is None else u
     out = ReformState.empty(g)
+    n_moved = len(state.block) - 1 - d * d
+    split = slice(1, 1 + n_moved)  # the d and Omega rows of a block, between rho and E
     with g.workspace() as ws:
-        ph = PhysicalBundle.of(state, params.visc, ws, (state.d, state.omega), u)
-        rows = [] if frozen is None else [ReformState.block_shape(g)[:1]]
+        ph = PhysicalBundle.of(state, params.visc, ws, u, whole_state=True)
+        rows = [] if frozen is None else [(len(state.block),)]
         moved, G, rho_E, mass, stretch, *drive = ws.products(
-            (ph.convection.count,), (g.dim,), (g.dim, g.dim), (), (g.dim, g.dim), *rows)
-        transport(ph.u, ph.grad_moved, moved)
+            (n_moved,), (d,), (d, d), (), (d, d), *rows)
+        grads = ph.grads[:, d:]  # the state's rows, in block order
+        transport(ph.u, grads[:, split], moved)
         _common_vector(ph, params, G)
         np.multiply(ph.rho, ph.E, out=rho_E)
         np.multiply(ph.rho, np.trace(ph.grad_u), out=mass)
-        ph.stretch(stretch)
-        if frozen is not None:  # the state's rows in block order: rho, d and Omega, E
-            grads = (ph.grad_rho[:, None], ph.grad_moved,
-                     ph.grad_E.reshape(g.dim, -1, *ph.grad_E.shape[3:]))
-            for grad, rows in zip(grads, np.split(drive[0], [1, 1 + ph.convection.count])):
-                transport(frozen[1], grad, rows)
+        _stretch(ph.grad_u, ph.E, stretch)
+        if frozen is not None:
+            transport(frozen[1], grads, drive[0])
         u_phys = ph.u.copy()
         moved, G, rho_E, mass, stretch, *drive = ws.forward()
         np.negative(mass.coeff, out=out.rho.coeff)
-        ph.convection.fields_of(moved.coeff, out=[out.d.coeff, out.omega.coeff])
+        out.block[split] = moved.coeff
         _subtract_momentum(out, G, rho_E, params.coupling)
         out.E.coeff[...] = stretch.coeff
         if frozen is not None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grid import Grid, SpectralField, Workspace, dealias_physical
+from .grid import Grid, SpectralField, dealias_physical
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -236,65 +236,41 @@ def transpose_gap(E: SpectralField) -> SpectralField:
 
 def transport(u_phys: np.ndarray, grad_phys, out=None) -> np.ndarray:
     """Samples of u . grad f, given grad_phys[l] = d_l f for f of any rank
-    (a stacked array or a list of arrays); written into ``out`` when given."""
+    (or a stack of such f); written into ``out`` when given."""
     out = np.multiply(u_phys[0], grad_phys[0], out=out)
     for l in range(1, len(u_phys)):
         out += u_phys[l] * grad_phys[l]
     return out
 
 
-class Convection:
-    """The components that u . grad f moves, for several fields of any rank,
-    inside one workspace pass.
-
-    Every field moves its stored components, an antisymmetric one its i < j
-    entries.  Building one pushes the spectral rows d_l c of every moved
-    component c, shape ``(dim, count)``; after the inverse transform,
-    ``transport`` of the velocity samples and those rows' samples gives the
-    moved components, and ``fields_of`` rebuilds the fields from their
-    dealiased coefficients.
-    """
-
-    def __init__(self, ws: Workspace, fields):
-        g = ws.grid
-        self.fields = fields
-        comps = [c for f in fields for c in f.coeff.reshape((-1,) + g.spectral_shape)]
-        self.count = len(comps)
-        (rows,) = ws.spectral((g.dim, self.count))
-        for l, sym in enumerate(g.deriv):
-            for r, c in enumerate(comps):
-                np.multiply(c, sym, out=rows[l, r])
-
-    def fields_of(self, moved: np.ndarray, out=None) -> list[SpectralField]:
-        """The moved fields from the coefficients of their components, copied
-        out of the workspace: into new arrays, or into ``out``, one array per
-        field."""
-        res, start = [], 0
-        for k, f in enumerate(self.fields):
-            m = moved[start:start + f.ncomp].reshape(f.coeff.shape)
-            start += f.ncomp
-            if out is not None:
-                out[k][...] = m
-            res.append(SpectralField(f.grid, m.copy() if out is None else out[k]))
-        return res
+def derivative_rows(grid: Grid, coeffs, out: np.ndarray):
+    """Write out[l, r] = d_l c_r into a pass's derivative rows, shape
+    ``(dim, count) + grid.spectral_shape``, c_r running over the stored
+    components of the coefficient arrays ``coeffs`` in order (a field's
+    ``coeff``, a state's ``block``; an antisymmetric field's i < j entries)."""
+    start = 0
+    for c in coeffs:
+        c = c.reshape((-1,) + grid.spectral_shape)
+        for l, sym in enumerate(grid.deriv):
+            np.multiply(c, sym, out=out[l, start:start + len(c)])
+        start += len(c)
 
 
-def convect(u_phys: np.ndarray, *fields: SpectralField, out=None) -> list[SpectralField]:
-    """Dealiased u . grad f for each field, fields of any rank.
-
-    ``u_phys`` holds the velocity's physical samples.  Every moved component
-    (see ``Convection``) is differentiated in every direction, and the whole
-    stack takes one inverse and one dealiased forward transform.  ``out``
-    (one array per field) receives the results when given.
-    """
-    g = fields[0].grid
-    with g.workspace() as ws:
-        conv = Convection(ws, fields)
+def convect(grid: Grid, u_phys: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Dealiased u . grad c, given the velocity's samples ``u_phys``, for every
+    component of ``coeff``: a coefficient array of any leading shape (a
+    field's ``coeff``, a state's ``block``).  One inverse transform of the
+    derivative rows, one forward transform of the products; the result has
+    ``coeff``'s shape and owns its memory."""
+    rows = coeff.reshape((-1,) + grid.spectral_shape)
+    with grid.workspace() as ws:
+        (grads,) = ws.spectral((grid.dim, len(rows)))
+        derivative_rows(grid, [rows], grads)
         (grads,) = ws.inverse()
-        (moved,) = ws.products((conv.count,))
+        (moved,) = ws.products((len(rows),))
         transport(u_phys, grads, moved)
         (moved,) = ws.forward()
-        return conv.fields_of(moved.coeff, out)
+        return moved.coeff.reshape(coeff.shape).copy()
 
 
 def matrix_product(A: SpectralField, B: SpectralField) -> SpectralField:

@@ -462,6 +462,14 @@ _MISUSE = [
      None, "[simulate] t_final = 0.25"),
     ("constraints", "[grid]\nn = 16\nlength = 1\n[constraints]\nrefine_levels = 16\n"
      "t_final = 0.25\n", None, "[constraints] t_final = 0.25"),
+    # a refinement level is a grid size, but not the [grid] n
+    ("constraints", "[constraints]\nrefine_levels = 12, 16\n", None,
+     "[constraints] n must be a power of two >= 8, got 12"),
+    ("constraints", "[grid]\nn = 16\nlength = 1\n[constraints]\neps = 5\n"
+     "refine_levels = 16\n", None, "[constraints] flow map too strong"),
+    # no level on the run grid: its own pullback is built after the levels'
+    ("constraints", "[grid]\nn = 8\nlength = 4\n[constraints]\nrefine_levels = 32\n", None,
+     "[constraints] flow map is degenerate on this grid"),
     ("linear", "[grid]\nn = 64\nlength = 8\n[linear]\npairs = rho_d\nxi_values = 4\n",
      None, "[linear] |xi| = 4"),
     # NaN fails every comparison, so each domain check is written to trip on it

@@ -251,7 +251,7 @@ class TestProductHandValues:
         grid = grid2d_unit
         u = cosine_mode(grid, (0, 1), rank="vector", component=(0,))
         f = cosine_mode(grid, (2, 0))
-        w = convect(u.to_physical(), f)[0]
+        w = SpectralField(grid, convect(grid, u.to_physical(), f.coeff))
         x = grid.meshgrid()
         expected = SpectralField.from_physical(
             grid, -(np.sin(2 * x[0] + x[1]) + np.sin(2 * x[0] - x[1])))

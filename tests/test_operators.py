@@ -10,8 +10,9 @@ from viscoflow import (SpectralField, besov_norm, double_divergence, fractional_
 from viscoflow.errors import ConfigurationError, InputError
 from viscoflow.dyadic import DyadicFamily
 from viscoflow.grid import cosine_mode, dealias_physical
+from viscoflow.model import PrimitiveState, ReformState
 from viscoflow.operators import (SplitViscosity, Viscosity, convect, curl_matrix,
-                                 curl_vector, divergence, gradient, jacobian,
+                                 curl_vector, derivative_rows, divergence, gradient, jacobian,
                                  pair_rows, skew_l2, SKEW_SHAPE, transpose_gap, _pairs)
 
 
@@ -227,21 +228,57 @@ def _convect_per_field(u_phys, f):
     return dealias_physical(f.grid, acc)
 
 
+def _fields_of_every_rank(grid, rng):
+    """A scalar, a vector, a matrix and an antisymmetric field."""
+    full = random_field(grid, "matrix", rng)
+    return [random_field(grid, "scalar", rng), random_field(grid, "vector", rng),
+            full, transpose_gap(full)]
+
+
 class TestConvect:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batch_equals_per_field_loop(self, grid2d, grid3d, rng, dim):
+        # one block of every field's components moves each component as the
+        # per-field loop and a convect call of the field alone do, bit for bit
         grid = grid2d if dim == 2 else grid3d
         u_phys = random_field(grid, "vector", rng).to_physical()
-        full = random_field(grid, "matrix", rng)
-        fields = [random_field(grid, "scalar", rng), random_field(grid, "vector", rng),
-                  full, transpose_gap(full)]
-        moved = convect(u_phys, *fields)
+        fields = _fields_of_every_rank(grid, rng)
+        rows = [f.coeff.reshape((-1,) + grid.spectral_shape) for f in fields]
+        block = np.concatenate(rows)
+        moved = np.split(convect(grid, u_phys, block), np.cumsum([len(r) for r in rows])[:-1])
         for f, w in zip(fields, moved, strict=True):
-            assert w.coeff.shape == f.coeff.shape
-            assert np.array_equal(w.coeff, _convect_per_field(u_phys, f).coeff)
-            assert np.array_equal(convect(u_phys, f)[0].coeff, w.coeff)
+            alone = convect(grid, u_phys, f.coeff)
+            assert alone.shape == f.coeff.shape
+            assert np.array_equal(w.reshape(f.coeff.shape), _convect_per_field(u_phys, f).coeff)
+            assert np.array_equal(alone, w.reshape(f.coeff.shape))
         # the antisymmetric input is stored, and moved, by its i < j entries
-        assert moved[3].coeff.shape == SKEW_SHAPE[dim] + grid.spectral_shape
+        assert convect(grid, u_phys, fields[3].coeff).shape == SKEW_SHAPE[dim] + grid.spectral_shape
+
+
+class TestDerivativeRows:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_are_the_gradients_of_every_component(self, grid2d, grid3d, rng, dim):
+        # one (dim, count) stack for fields of every rank and a whole state
+        # block: after the inverse, row r of direction l is d_l of component r
+        grid = grid2d if dim == 2 else grid3d
+        fields = _fields_of_every_rank(grid, rng)
+        prim = PrimitiveState(*(random_field(grid, rank, rng, amplitude=0.05)
+                                for rank in ("scalar", "vector", "matrix")))
+        state = ReformState.from_primitive(prim)
+        coeffs = [f.coeff for f in fields] + [state.block]
+        count = sum(c.size for c in coeffs) // np.prod(grid.spectral_shape)
+        with grid.workspace() as ws:
+            (rows,) = ws.spectral((dim, count))
+            derivative_rows(grid, coeffs, rows)
+            (grads,) = ws.inverse()
+            r = 0
+            for f in fields + list(state):
+                want = gradient(f).to_physical().reshape((dim, -1) + grads.shape[2:])
+                for c in range(want.shape[1]):
+                    for l in range(dim):
+                        assert grads[l, r + c].tobytes() == want[l, c].tobytes(), (f, l, c)
+                r += want.shape[1]
+            assert r == count
 
 
 class TestSkewLayout:

@@ -12,6 +12,11 @@ elsewhere passes; it guards against regrowth, it does not prove reachability.
 Every grid owns its dyadic family (``Grid.dyadic``), so no function takes
 one: a parameter named ``fam`` or annotated ``DyadicFamily`` fails here,
 except in the functions listed in ``FAMILY_PARAMETERS`` with their reason.
+
+Every Fourier transform goes through ``grid.py``, so the transform counts
+and the two ``numpy.fft`` calls of a workspace pass hold by construction:
+an ``np.fft``/``numpy.fft`` attribute, or an import of ``numpy.fft``,
+anywhere else in ``src/`` fails here.
 """
 
 import ast
@@ -96,3 +101,36 @@ def test_no_function_takes_a_dyadic_family():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and node.name not in allowed and _takes_family(node)]
     assert takers == []
+
+
+def _fft_uses(tree: ast.Module) -> list[int]:
+    """Lines that reach ``numpy.fft``: an ``np.fft``/``numpy.fft`` attribute,
+    ``import numpy.fft`` or ``from numpy(.fft) import ...`` of it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_numpy_fft_only_in_grid():
+    assert _fft_uses(TREES[SRC / "grid.py"]), "the check no longer sees grid.py's transforms"
+    outside = [f"{path.name}:{line}" for path, tree in TREES.items() if path.name != "grid.py"
+               for line in _fft_uses(tree)]
+    assert outside == []
+
+
+@pytest.mark.parametrize("code", ["np.fft.rfftn(a)", "numpy.fft.irfftn(a)", "import numpy.fft",
+                                  "from numpy.fft import rfftn", "from numpy import fft"])
+def test_numpy_fft_check_sees_each_form(code):
+    assert _fft_uses(ast.parse(code)) == [1]
