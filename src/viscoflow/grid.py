@@ -11,7 +11,7 @@ Storage layout.  Every field is real, so its spectrum is Hermitian,
 c(-k) = conj(c(k)), and only the ``rfftn`` half is stored: the coefficient
 array has shape ``comp_shape + (n,)*(N-1) + (n//2+1,)``, the first N-1 axes
 in FFT order (0..n/2-1, -n/2..-1) and the last axis k_N = 0..n/2.  Every
-transform is real-to-complex (``rfftn``/``irfftn`` with ``norm="forward"``),
+transform is real-to-complex (with ``norm="forward"``, see "Transforms"),
 and every multiplier of ``Grid`` (wavevectors, |xi|, masks) has the stored
 shape.  A mode with 0 < k_N < n/2 stands for itself and its mirror -k, so
 sums over the full spectrum are weighted sums over the half: the Hermitian
@@ -25,16 +25,33 @@ Workspace.  Every right-hand side transforms through ``Grid.workspace()``,
 a spectral stack and a physical stack that the grid owns: built at the
 first use, grown to the largest pass seen, reused by every later pass and
 freed with the grid.  A pass writes every spectral family it samples into
-the spectral stack, inverse-transforms them all with one ``irfftn`` into
-the physical stack, writes its products after the samples and
-forward-transforms those with one ``rfftn`` (the dealias mask applied in
-place) into the spectral rows the inverse consumed.  Each stack line is
+the spectral stack, inverse-transforms them all in one batch into the
+physical stack, writes its products after the samples and
+forward-transforms those in one batch (the dealias mask applied in place)
+into the spectral rows the inverse consumed.  Each stack line is
 transformed on its own, so the batched transforms equal the per-field
 ``to_physical``/``dealias_physical`` bit for bit.  Aliasing rule: a view
 of the workspace is valid only inside its pass, until the transform that
 consumes its rows; whatever a right-hand side returns owns its memory.  A
 pass cannot be nested (that raises), and a workspace is not thread-safe:
 parameter sweeps fan out to processes, each with its own grids.
+
+Transforms.  Two kernels make every transform of the workspace,
+``to_physical`` and ``dealias_physical``, and neither allocates a
+temporary: each writes into the array it is given.  The inverse
+(``_inverse``) runs ``ifft`` in place over each leading spatial axis of
+the coefficients it consumes, then ``irfft`` along the last axis into the
+samples: the passes of ``irfftn``, in its order, without the complex
+temporary it allocates for every leading axis.  The forward (``_forward``)
+runs ``rfft`` along the last axis into its output, then the leading-axis
+``fft`` passes only on the kept columns k_N <= ``dealias_cut`` (in 3-D,
+the first-axis pass only on the two slabs of kept rows of the second
+axis), zeroes the pruned columns and masks the kept block: the passes of
+``rfftn`` in its order, pruned of the lines the dealias mask zeroes (FFT
+pruning), so on finite input it equals the masked ``rfftn`` (the masked
+entries may differ in the sign of zero).  ``from_physical`` keeps one
+``rfftn`` call (it masks only the Nyquist planes), and
+``fine_grid_product`` its own complex path.
 """
 
 from __future__ import annotations
@@ -234,8 +251,7 @@ class Workspace:
         g = self.grid
         coeff, shapes = self._pop("spec")
         samples, views = self._push("phys", shapes, False)
-        np.fft.irfftn(coeff, s=(g.n,) * g.dim, axes=tuple(range(1, 1 + g.dim)),
-                      norm="forward", out=samples)
+        _inverse(g, coeff, samples)
         return views
 
     def forward(self) -> list[SpectralField]:
@@ -244,8 +260,7 @@ class Workspace:
         g = self.grid
         values, shapes = self._pop("phys")
         coeff, views = self._push("spec", shapes, False)
-        np.fft.rfftn(values, axes=tuple(range(1, 1 + g.dim)), norm="forward", out=coeff)
-        coeff *= g.dealias_mask
+        _forward(g, values, coeff)
         return [SpectralField(g, c) for c in views]
 
 
@@ -287,10 +302,12 @@ class SpectralField:
         return cls(grid, coeff)
 
     def to_physical(self) -> np.ndarray:
-        """Inverse transform; returns the real samples."""
+        """Inverse transform; returns the real samples.  The kernel consumes
+        a copy, so ``coeff`` is never written."""
         g = self.grid
-        axes = tuple(range(self.coeff.ndim - g.dim, self.coeff.ndim))
-        return np.fft.irfftn(self.coeff, s=(g.n,) * g.dim, axes=axes, norm="forward")
+        out = np.empty(self.coeff.shape[:-g.dim] + (g.n,) * g.dim)
+        _inverse(g, self.coeff.copy(), out)
+        return out
 
     @staticmethod
     def _comp_shape(grid: Grid, rank: str):
@@ -395,10 +412,32 @@ def dealias_physical(grid: Grid, values: np.ndarray) -> SpectralField:
     destination are summed first and cost one transform: by linearity that
     equals dealiasing each product on its own.
     """
-    axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    coeff = np.fft.rfftn(values, axes=axes, norm="forward")
-    coeff *= grid.dealias_mask
+    coeff = np.empty(values.shape[:-grid.dim] + grid.spectral_shape, dtype=np.complex128)
+    _forward(grid, values, coeff)
     return SpectralField(grid, coeff)
+
+
+def _inverse(grid: Grid, coeff: np.ndarray, out: np.ndarray) -> None:
+    """Samples of ``coeff`` into ``out``, equal to ``irfftn`` byte for byte;
+    ``coeff`` is consumed (see "Transforms" in the module docstring)."""
+    for ax in range(-grid.dim, -1):
+        np.fft.ifft(coeff, axis=ax, norm="forward", out=coeff)
+    np.fft.irfft(coeff, n=grid.n, axis=-1, norm="forward", out=out)
+
+
+def _forward(grid: Grid, values: np.ndarray, out: np.ndarray) -> None:
+    """Dealiased coefficients of ``values`` into ``out``, equal to the masked
+    ``rfftn`` (see "Transforms" in the module docstring)."""
+    n, kc = grid.n, grid.dealias_cut
+    np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    kept = out[..., :kc + 1]
+    np.fft.fft(kept, axis=-2, norm="forward", out=kept)
+    if grid.dim == 3:
+        for rows in (slice(0, kc + 1), slice(n - kc, n)):
+            slab = kept[..., rows, :]
+            np.fft.fft(slab, axis=-3, norm="forward", out=slab)
+    out[..., kc + 1:] = 0.0
+    kept *= grid.dealias_mask[..., :kc + 1]
 
 
 def full_spectrum(f: SpectralField) -> np.ndarray:

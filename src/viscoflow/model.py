@@ -37,7 +37,9 @@ Every derivative is a row of one ``(dim, count)`` stack
 block] when the pass also convects the state, so grad u, grad rho, grad E
 and the rows u.grad moves are slices of it.  Products that share a
 destination are summed there; by linearity that equals dealiasing each
-product alone.  Scalar transforms and ``rfftn``/``irfftn`` calls per call:
+product alone.  Scalar transforms (one per field component, whatever the
+number of one-dimensional passes) and real-axis passes (an inverse's
+``irfft``, a forward's ``rfft``) per call:
 
     call                 2-D   3-D   calls
     reformulated_rhs      36    86     2   (rotation correction in the same forward)

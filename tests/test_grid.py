@@ -10,8 +10,8 @@ import pytest
 from viscoflow import Grid, SpectralField, dealiased_product, random_field, scale_dyadic
 from viscoflow.dyadic import DyadicFamily, besov_norm
 from viscoflow.errors import InputError
-from viscoflow.grid import (cosine_mode, dealias_physical, fine_grid_product, full_spectrum,
-                            refine_field)
+from viscoflow.grid import (_forward, _inverse, cosine_mode, dealias_physical, fine_grid_product,
+                            full_spectrum, refine_field)
 from viscoflow.operators import convect
 
 
@@ -125,6 +125,48 @@ class TestTransforms:
     def test_size_mismatch_rejected(self, grid2d):
         with pytest.raises(InputError):
             SpectralField.from_physical(grid2d, np.ones((16, 16)))
+
+
+class TestTransformKernels:
+    """The two transform kernels against the numpy N-D transforms they
+    replace, on random stacks with no band limit: leading shapes (), (d,)
+    and (d, d), every power-of-two n from 8 to 64, and dealias fractions
+    down to 0.1, where the cut is 0 at n = 8."""
+
+    @pytest.mark.parametrize("rank", ["scalar", "vector", "matrix"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inverse_is_irfftn_bytewise(self, dim, n, rank, rng):
+        grid = Grid(dim, n, 1.0)
+        shape = SpectralField._comp_shape(grid, rank) + grid.spectral_shape
+        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.fft.irfftn(coeff, s=(n,) * dim, axes=tuple(range(-dim, 0)), norm="forward")
+        got = np.empty(want.shape)
+        _inverse(grid, coeff, got)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 2.0 / 3.0, 0.75, 1.0])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_forward_is_the_masked_rfftn(self, dim, n, frac, rng):
+        grid = Grid(dim, n, 1.0, dealias_frac=frac)
+        for rank in ("scalar", "vector", "matrix"):
+            values = rng.standard_normal(SpectralField._comp_shape(grid, rank) + (n,) * dim)
+            want = np.fft.rfftn(values, axes=tuple(range(-dim, 0)), norm="forward")
+            want *= grid.dealias_mask
+            # every entry is written, the pruned columns too
+            got = np.full(want.shape, np.nan, dtype=np.complex128)
+            _forward(grid, values, got)
+            assert np.array_equal(got, want)
+
+    def test_to_physical_leaves_a_read_only_coeff_unchanged(self, grid3d, rng):
+        f = random_field(grid3d, "matrix", rng, band=(0.0, grid3d.xi_max))
+        kept = f.coeff.copy()
+        f.coeff.flags.writeable = False
+        samples = f.to_physical()
+        assert np.array_equal(f.coeff, kept)
+        assert samples.tobytes() == np.fft.irfftn(kept, s=(grid3d.n,) * 3, axes=(-3, -2, -1),
+                                                  norm="forward").tobytes()
 
 
 class TestWorkspace:
