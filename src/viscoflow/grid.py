@@ -83,8 +83,10 @@ class Grid:
         a dealiased product keeps the modes with every |k_i| < frac * n/2,
         so a larger fraction never keeps fewer modes.
 
-    The grid owns its per-grid data: the wavevector arrays, ``xi_power(s)``,
-    the transform workspace and the dyadic family ``dyadic``.
+    The grid owns its per-grid data: the wavevector arrays, the derivative
+    symbol stack ``nabla`` (``nabla[l] = 1j * xi_l``, every differential map
+    of ``operators`` is one contraction with it), ``xi_power(s)``, the
+    transform workspace and the dyadic family ``dyadic``.
     """
 
     def __init__(self, dim: int, n: int, length: float = 8.0,
@@ -112,8 +114,8 @@ class Grid:
             k = k1 if ax < dim - 1 else np.fft.rfftfreq(n, 1.0 / n)
             self.k_axes.append(k.reshape(s))
         self.xi_axes = [k / self.length for k in self.k_axes]
-        # derivative symbols 1j*xi_l, in the broadcast shape of xi_axes
-        self.deriv = [1j * x for x in self.xi_axes]
+        # the derivative symbols 1j*xi_l as one stack, shape (dim,) + spectral_shape
+        self.nabla = 1j * np.stack(np.broadcast_arrays(*self.xi_axes))
 
         self.xi_sq = sum(x * x for x in self.xi_axes)
         self.xi_mag = np.sqrt(self.xi_sq)

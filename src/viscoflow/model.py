@@ -370,8 +370,7 @@ def rotation_from_products(C: SpectralField) -> SpectralField:
     """The correction S from the dealiased coefficients of the products of
     ``rotation_correction``: S_{ij} = |grad|^{-1} d_k C_{pk}, stored by its
     i < j entries."""
-    g = C.grid
-    return skew_field(g, sum(C.coeff[:, k] * g.deriv[k] for k in range(g.dim)) * g.inv_xi)
+    return skew_field(C.grid, divergence(C).coeff * C.grid.inv_xi)
 
 
 def _common_vector(ph: PhysicalBundle, params: ModelParams, out: np.ndarray):

@@ -13,7 +13,12 @@ Conventions (fixed package-wide):
   component shape ``SKEW_SHAPE[N]``); ``skew_l2`` is its Frobenius norm.
 
 All operators are diagonal in Fourier space, hence commute with each other
-and with dyadic blocks exactly.
+and with dyadic blocks exactly.  Each differential map is one contraction
+with the grid's symbol stack ``Grid.nabla`` (``nabla[l] = 1j * xi_l``, shape
+``(dim,) + spectral_shape``): ``gradient`` puts the direction on a new
+leading axis, ``jacobian`` on a new last component axis, ``divergence``
+contracts it with the last component axis; the coefficients are always the
+left factor of a product with the symbols.
 """
 
 from __future__ import annotations
@@ -30,35 +35,22 @@ def gradient(f: SpectralField) -> SpectralField:
     """Partial derivatives stacked on a new leading axis: scalar -> vector,
     and for any rank out[l] = d_l f."""
     g = f.grid
-    out = np.empty((g.dim,) + f.coeff.shape, dtype=np.complex128)
-    for ax in range(g.dim):
-        out[ax] = f.coeff * g.deriv[ax]
-    return SpectralField(g, out)
+    nabla = g.nabla.reshape((g.dim,) + (1,) * (f.coeff.ndim - g.dim) + g.spectral_shape)
+    return SpectralField(g, f.coeff * nabla)
 
 
 def jacobian(u: SpectralField, out=None) -> SpectralField:
     """Vector -> matrix J_{ij} = d_j u_i, written into ``out`` when given."""
-    g = u.grid
-    if out is None:
-        out = np.empty((g.dim, g.dim) + u.coeff.shape[1:], dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            np.multiply(u.coeff[i], g.deriv[j], out=out[i, j])
-    return SpectralField(g, out)
+    return SpectralField(u.grid, np.multiply(u.coeff[:, None], u.grid.nabla, out=out))
 
 
 def divergence(f: SpectralField) -> SpectralField:
-    """Vector -> scalar, or matrix -> vector (row divergence)."""
+    """Contraction of the last component axis: vector -> scalar, matrix ->
+    vector (row divergence), and a ``(pairs, dim)`` stack -> one row per pair."""
     g = f.grid
-    if f.rank == "vector":
-        out = sum(f.coeff[j] * g.deriv[j] for j in range(g.dim))
-        return SpectralField(g, out)
-    if f.rank == "matrix":
-        out = np.empty((g.dim,) + f.coeff.shape[2:], dtype=np.complex128)
-        for i in range(g.dim):
-            out[i] = sum(f.coeff[i, j] * g.deriv[j] for j in range(g.dim))
-        return SpectralField(g, out)
-    raise InputError("divergence needs a vector or matrix field")
+    if f.coeff.ndim == g.dim:
+        raise InputError("divergence needs a vector or matrix field")
+    return SpectralField(g, np.add.reduce(f.coeff * g.nabla, axis=f.coeff.ndim - g.dim - 1))
 
 
 def _pairs(dim: int):
@@ -86,10 +78,9 @@ def skew_field(grid: Grid, upper) -> SpectralField:
 
 
 def curl_matrix(u: SpectralField) -> SpectralField:
-    """Vector -> antisymmetric matrix C_{ij} = d_j u_i - d_i u_j."""
-    g = u.grid
-    return skew_field(g, [u.coeff[i] * g.deriv[j] - u.coeff[j] * g.deriv[i]
-                          for i, j in _pairs(g.dim)])
+    """Vector -> antisymmetric matrix C_{ij} = d_j u_i - d_i u_j, the
+    antisymmetric part J - J^T of the Jacobian: ``gradient(u)`` is J^T."""
+    return transpose_gap(gradient(u))
 
 
 def curl_vector(om: SpectralField) -> SpectralField:
@@ -97,8 +88,8 @@ def curl_vector(om: SpectralField) -> SpectralField:
     g = om.grid
     out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
     for row, (i, j) in zip(pair_rows(om), _pairs(g.dim)):
-        out[i] -= row * g.deriv[j]  # Om_{ji} = -Om_{ij}
-        out[j] += row * g.deriv[i]
+        out[i] -= row * g.nabla[j]  # Om_{ji} = -Om_{ij}
+        out[j] += row * g.nabla[i]
     return SpectralField(g, out)
 
 
@@ -191,21 +182,15 @@ def lame_operator(u: SpectralField, visc: Viscosity, out=None) -> SpectralField:
     """Elliptic viscosity operator mu*Lap + (lambda+mu)*grad div on vectors;
     the coefficients are written into ``out`` when it is given."""
     g = u.grid
-    div_u = sum(u.coeff[j] * g.deriv[j] for j in range(g.dim))
-    out = np.empty_like(u.coeff) if out is None else out
-    for i in range(g.dim):
-        out[i] = -visc.mu * g.xi_sq * u.coeff[i] + (visc.lam + visc.mu) * g.deriv[i] * div_u
-    return SpectralField(g, out)
+    return SpectralField(g, np.add(-visc.mu * g.xi_sq * u.coeff,
+                                   (visc.lam + visc.mu) * g.nabla * divergence(u).coeff,
+                                   out=out))
 
 
 def _contract_dd(g: Grid, c: np.ndarray) -> np.ndarray:
     """sum_ij c_ij (i xi_i)(i xi_j): the symbol of d_i d_j contracted with
-    matrix coefficients c."""
-    acc = np.zeros(c.shape[2:], dtype=np.complex128)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            acc += c[i, j] * g.deriv[i] * g.deriv[j]
-    return acc
+    matrix coefficients c, summed in row-major (i, j) order."""
+    return np.add.reduce(c * g.nabla[:, None] * g.nabla, axis=(0, 1))
 
 
 def double_divergence(E: SpectralField) -> SpectralField:
@@ -251,8 +236,7 @@ def derivative_rows(grid: Grid, coeffs, out: np.ndarray):
     start = 0
     for c in coeffs:
         c = c.reshape((-1,) + grid.spectral_shape)
-        for l, sym in enumerate(grid.deriv):
-            np.multiply(c, sym, out=out[l, start:start + len(c)])
+        np.multiply(c, grid.nabla[:, None], out=out[:, start:start + len(c)])
         start += len(c)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,24 @@ class TestCli:
         rows = (out / "contraction.csv").read_text().strip().splitlines()[2:]
         assert len(rows) == 4  # one row per sweep
 
+    @pytest.mark.parametrize("ratios,code", [
+        ([0.5, 0.95, 0.3], 2),   # one ratio beyond sweep 2 above 0.9
+        ([0.95, 0.9, 0.3], 0),   # the first ratio is exempt; 0.9 itself passes
+    ])
+    def test_iterate_strict_tests_each_ratio(self, tmp_path, capsys, monkeypatch,
+                                             ratios, code):
+        solve = cli.picard_solve
+        monkeypatch.setattr(cli, "picard_solve",
+                            lambda prim0, config: replace(solve(prim0, config), ratios=ratios))
+        cfg = _write_config(
+            tmp_path / "c.ini",
+            "[grid]\nn = 16\nlength = 2\n\n[iterate]\ndt = 0.02\nt_final = 0.04\n"
+            "iterations = 4\n")
+        assert main(["iterate", "--config", cfg, "--strict", "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ([] if code == 0 else
+                       ["invariant violation: iteration failed to contract below 0.9"])
+
     def test_sweep_fans_out(self, tmp_path):
         cfg = _write_config(tmp_path / "c.ini",
                             "[run]\nseed = 5\n\n[grid]\nn = 32\n\n[scaling]\n")
@@ -484,6 +503,18 @@ _MISUSE = [
      "[scaling] amplitude = 1e-300 gives norm 0.0"),
     ("scaling", "[scaling]\namplitude = nan\n", None, "[scaling] amplitude = 'nan'"),
     ("scaling", "[scaling]\namplitude = inf\n", None, "[scaling] amplitude = 'inf'"),
+    ("scaling", "[scaling]\ns_values = nan\n", None, "[scaling] s_values = 'nan'"),
+    ("scaling", "[scaling]\ns_values = 0, inf\n", None, "[scaling] s_values = '0, inf'"),
+    ("linear", "[linear]\nxi_values = nan\n", None, "[linear] xi_values = 'nan'"),
+    ("linear", "[linear]\nxi_values = 1, inf\n", None, "[linear] xi_values = '1, inf'"),
+    ("analyze", "[analyze]\ninput = f.vfs\ns_values = nan\n", None,
+     "[analyze] s_values = 'nan'"),
+    ("analyze", "[analyze]\ninput = f.vfs\ns_values = -inf\n", None,
+     "[analyze] s_values = '-inf'"),
+    ("analyze", "[analyze]\ninput = f.vfs\nhybrid_pairs = 0,nan\n", None,
+     "[analyze] hybrid_pairs = '0,nan'"),
+    ("analyze", "[analyze]\ninput = f.vfs\nhybrid_pairs = 0,1;inf,1\n", None,
+     "[analyze] hybrid_pairs = '0,1;inf,1'"),
     ("simulate", "[grid]\nn = 16\nlength = 1\n[simulate]\namplitude = nan\n", None,
      "[simulate] amplitude = 'nan'"),
     ("iterate", "[grid]\nn = 16\nlength = 1\n[iterate]\namplitude = nan\n", None,

@@ -202,7 +202,7 @@ class TestWorkspace:
         # a fresh grid's stacks are empty, so every request below grows them
         grid = Grid(2, 16, 1.0)
         f, g = (random_field(grid, "matrix", rng) for _ in range(2))
-        dg = SpectralField(grid, g.coeff * grid.deriv[0])
+        dg = SpectralField(grid, g.coeff * (1j * grid.xi_axes[0]))
         with grid.workspace() as ws:
             (a,) = ws.spectral((2, 2))
             a[...] = f.coeff
@@ -253,8 +253,10 @@ class TestWorkspace:
         assert ref() is None
 
     def test_derivative_symbols_built_once(self, grid2d):
+        assert grid2d.nabla.shape == (2,) + grid2d.spectral_shape
         for ax in range(2):
-            assert np.array_equal(grid2d.deriv[ax], 1j * grid2d.xi_axes[ax])
+            assert np.array_equal(grid2d.nabla[ax], np.broadcast_to(1j * grid2d.xi_axes[ax],
+                                                                    grid2d.spectral_shape))
 
 
 class TestDealiasedProduct:

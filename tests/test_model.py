@@ -413,8 +413,8 @@ class TestPhysicalBundle:
         grid = Grid(dim, 16, length=4.0)
         E = random_field(grid, "matrix", rng, amplitude=0.1)
         comp = [[SpectralField(grid, E.coeff[i, j]) for j in range(dim)] for i in range(dim)]
-        grad = [[[SpectralField(grid, comp[i][j].coeff * grid.deriv[l]) for j in range(dim)]
-                 for i in range(dim)] for l in range(dim)]
+        grad = [[[SpectralField(grid, comp[i][j].coeff * (1j * grid.xi_axes[l]))
+                  for j in range(dim)] for i in range(dim)] for l in range(dim)]
 
         def B(i, j, k):  # E_lk d_l E_ij - E_lj d_l E_ik
             acc = SpectralField.zeros(grid)
@@ -423,7 +423,7 @@ class TestPhysicalBundle:
                        - fine_grid_product(comp[l][j], grad[l][i][k]))
             return acc
 
-        expected = np.stack([sum((B(i, j, k) - B(j, i, k)).coeff * grid.deriv[k]
+        expected = np.stack([sum((B(i, j, k) - B(j, i, k)).coeff * (1j * grid.xi_axes[k])
                                  for k in range(dim)) * grid.inv_xi
                              for i, j in _pairs(dim)])
         zero = PrimitiveState(SpectralField.zeros(grid), SpectralField.zeros(grid, "vector"), E)

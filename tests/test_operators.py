@@ -93,7 +93,7 @@ class TestHelmholtz:
             _, om = helmholtz_split(u)
             assert om.coeff.shape == SKEW_SHAPE[grid.dim] + grid.spectral_shape
             for row, (i, j) in zip(pair_rows(om), _pairs(grid.dim)):
-                curl = u.coeff[i] * grid.deriv[j] - u.coeff[j] * grid.deriv[i]
+                curl = u.coeff[i] * (1j * grid.xi_axes[j]) - u.coeff[j] * (1j * grid.xi_axes[i])
                 assert np.array_equal(row, curl * grid.inv_xi)
 
 
@@ -223,7 +223,7 @@ def _convect_per_field(u_phys, f):
     forward transform per field, each field on its own."""
     acc = None
     for j in range(f.grid.dim):
-        dj = SpectralField(f.grid, f.coeff * f.grid.deriv[j]).to_physical()
+        dj = SpectralField(f.grid, f.coeff * (1j * f.grid.xi_axes[j])).to_physical()
         acc = u_phys[j] * dj if acc is None else acc + u_phys[j] * dj
     return dealias_physical(f.grid, acc)
 
@@ -281,6 +281,53 @@ class TestDerivativeRows:
             assert r == count
 
 
+def _per_index_cases(grid, rng):
+    """Each differential map, and its definition as a loop over the symbols
+    d_l = 1j * xi_l, the directions and the components."""
+    dim, idx = grid.dim, range(grid.dim)
+    d = [1j * x for x in grid.xi_axes]
+    s, u, E = (random_field(grid, rank, rng, mean_zero=False)
+               for rank in ("scalar", "vector", "matrix"))
+    C = SpectralField(grid, np.stack([random_field(grid, "vector", rng).coeff
+                                      for _ in _pairs(dim)]))
+    visc = Viscosity(1.0, 0.5, dim)
+    div_u = sum(u.coeff[j] * d[j] for j in idx)
+    rows = np.concatenate([c.reshape((-1,) + grid.spectral_shape)
+                           for c in (u.coeff, s.coeff, E.coeff)])
+    got_rows = np.empty((dim, len(rows)) + grid.spectral_shape, dtype=np.complex128)
+    derivative_rows(grid, [u.coeff, s.coeff, E.coeff], got_rows)
+    return {
+        "gradient-scalar": (gradient(s).coeff, [s.coeff * d[l] for l in idx]),
+        "gradient-vector": (gradient(u).coeff, [[u.coeff[i] * d[l] for i in idx] for l in idx]),
+        "gradient-matrix": (gradient(E).coeff, [[[E.coeff[i, j] * d[l] for j in idx]
+                                                 for i in idx] for l in idx]),
+        "jacobian": (jacobian(u).coeff, [[u.coeff[i] * d[j] for j in idx] for i in idx]),
+        "divergence-vector": (divergence(u).coeff, div_u),
+        "divergence-matrix": (divergence(E).coeff,
+                              [sum(E.coeff[i, j] * d[j] for j in idx) for i in idx]),
+        "divergence-pairs": (divergence(C).coeff,
+                             [sum(C.coeff[p, k] * d[k] for k in idx) for p in range(len(C.coeff))]),
+        "curl_matrix": (pair_rows(curl_matrix(u)),
+                        [u.coeff[i] * d[j] - u.coeff[j] * d[i] for i, j in _pairs(dim)]),
+        "lame_operator": (lame_operator(u, visc).coeff,
+                          [-visc.mu * grid.xi_sq * u.coeff[i] + (visc.lam + visc.mu) * d[i] * div_u
+                           for i in idx]),
+        "derivative_rows": (got_rows, [[row * d[l] for row in rows] for l in idx]),
+    }
+
+
+@pytest.mark.parametrize("name", ["gradient-scalar", "gradient-vector", "gradient-matrix",
+                                  "jacobian", "divergence-vector", "divergence-matrix",
+                                  "divergence-pairs", "curl_matrix", "lame_operator",
+                                  "derivative_rows"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_map_equals_its_per_index_definition(grid2d, grid3d, rng, dim, name):
+    # every map is one contraction with Grid.nabla; it equals the loop over
+    # directions and components that defines it, value for value
+    got, want = _per_index_cases(grid2d if dim == 2 else grid3d, rng)[name]
+    assert np.array_equal(got, np.array(want))
+
+
 class TestSkewLayout:
     """An antisymmetric field is stored by its i < j entries in ``_pairs``
     order: one component in 2-D, three in 3-D."""
@@ -308,7 +355,7 @@ class TestSkewLayout:
         full = np.zeros((dim, dim) + grid.spectral_shape, dtype=np.complex128)
         for row, (i, j) in zip(pair_rows(om), _pairs(dim)):
             full[i, j], full[j, i] = row, -row
-        want = [sum(full[j, i] * grid.deriv[j] for j in range(dim)) for i in range(dim)]
+        want = [sum(full[j, i] * (1j * grid.xi_axes[j]) for j in range(dim)) for i in range(dim)]
         assert np.array_equal(curl_vector(om).coeff, np.stack(want))
 
     def test_skew_l2_is_the_frobenius_norm(self, grid3d, rng):

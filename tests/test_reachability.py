@@ -17,6 +17,11 @@ Every Fourier transform goes through ``grid.py``, so the transform counts
 and the two ``numpy.fft`` calls of a workspace pass hold by construction:
 an ``np.fft``/``numpy.fft`` attribute, or an import of ``numpy.fft``,
 anywhere else in ``src/`` fails here.
+
+Every differential map is one contraction with the grid's derivative symbol
+stack ``Grid.nabla``, defined in ``operators.py``: a ``.nabla`` attribute
+anywhere in ``src/`` outside ``grid.py`` and ``operators.py`` fails here, so
+no module writes its own contraction with the symbols.
 """
 
 import ast
@@ -134,3 +139,24 @@ def test_numpy_fft_only_in_grid():
                                   "from numpy.fft import rfftn", "from numpy import fft"])
 def test_numpy_fft_check_sees_each_form(code):
     assert _fft_uses(ast.parse(code)) == [1]
+
+
+NABLA_OWNERS = ("grid.py", "operators.py")
+
+
+def _nabla_uses(tree: ast.Module) -> list[int]:
+    """Lines that use a ``.nabla`` attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "nabla"]
+
+
+def test_nabla_read_only_in_grid_and_operators():
+    assert _nabla_uses(TREES[SRC / "operators.py"]), "the check no longer sees operators.py's reads"
+    outside = [f"{path.name}:{line}" for path, tree in TREES.items()
+               if path.name not in NABLA_OWNERS for line in _nabla_uses(tree)]
+    assert outside == []
+
+
+@pytest.mark.parametrize("code", ["g.nabla", "grid.nabla[0]"])
+def test_nabla_check_sees_each_form(code):
+    assert _nabla_uses(ast.parse(code)) == [1]
