@@ -77,6 +77,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """A positive finite number."""
+    if not 0.0 < (value := float(text)) < np.inf:
+        raise ValueError("expected a positive finite number")
+    return value
+
+
 def _choice(*names: str):
     def parse(text: str) -> str:
         if text not in names:
@@ -111,7 +118,7 @@ _SCHEMA = {
     "analyze": {"input": (str, None), "s_values": (_list(_finite), (0.0, 1.0)),
                 "hybrid_pairs": (_hybrid_pairs, ())},
     "linear": {"pairs": (_list(_choice(*PAIRS)), PAIRS),
-               "xi_values": (_list(_finite), (0.5, 1.0, 2.0)),
+               "xi_values": (_list(_positive), (0.5, 1.0, 2.0)),
                "samples": (int, 600), "efolds": (float, 96.0)},
     "simulate": {"dt": (float, 0.02), "t_final": (float, 20.0),
                  "amplitude": (_finite, 1e-2), "rotation_correction": (_boolean, True)},
@@ -168,12 +175,20 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
 
 
 @contextmanager
-def _in_section(section: str):
-    """Name the config section behind a domain check that fails inside."""
+def _in_section(section: str, key: str | None = None):
+    """Name the config section, and the key when given, behind a domain
+    check that fails inside."""
     try:
         yield
     except InputError as exc:
-        raise InputError(f"[{section}] {exc}") from None
+        raise InputError(f"[{section}] {key}: {exc}" if key else f"[{section}] {exc}") from None
+
+
+def _finite_norm(norm: float, index) -> float:
+    """``norm``, or an InputError naming the index when it is not finite."""
+    if not np.isfinite(norm):
+        raise InputError(f"index {index} gives the non-finite norm {norm}")
+    return norm
 
 
 def _fmt(x) -> str:
@@ -272,10 +287,13 @@ class Runner:
         field = load_field(an["input"])
         rows = []
         for s in an["s_values"]:
-            rows.append(("homogeneous", s, "", besov_norm(field.project_mean_zero(), s)))
+            with _in_section("analyze", "s_values"):
+                rows.append(("homogeneous", s, "",
+                             _finite_norm(besov_norm(field.project_mean_zero(), s), s)))
         for s, t in an["hybrid_pairs"]:
-            rows.append(("hybrid", s, t,
-                         hybrid_norm(field.project_mean_zero(), s, t)))
+            with _in_section("analyze", "hybrid_pairs"):
+                rows.append(("hybrid", s, t,
+                             _finite_norm(hybrid_norm(field.project_mean_zero(), s, t), (s, t))))
         write_csv(self.artifacts[0], ["kind", "s", "t", "norm"], rows,
                   "frequency-block norms of one field snapshot")
 
@@ -415,8 +433,9 @@ class Runner:
         g = scale_dyadic(f)
         rows = []
         for s in sc["s_values"]:
-            base = besov_norm(f, s)
-            scaled = besov_norm(g, s)
+            with _in_section("scaling", "s_values"):
+                base = besov_norm(f, s)
+                scaled = besov_norm(g, s)
             if not 0.0 < base < np.inf:  # a zero, underflowing or overflowing amplitude
                 raise InputError(f"[scaling] amplitude = {sc['amplitude']} gives norm {base}")
             rows.append((s, base, scaled, scaled / base, 2.0 ** s,

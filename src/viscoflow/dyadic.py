@@ -18,7 +18,7 @@ freed by reference counting.  Since the psi_q are fixed per grid, a field's
 block profile (||block_q f||_L2 over the active range) is one matrix-vector
 product of the squared stack with the field's power spectrum, and a
 weighted block sum is one dot product with a weight vector cached per
-regularity index (s, t).
+regularity index (s, t) (``DyadicFamily.weights``).
 """
 
 from __future__ import annotations
@@ -108,16 +108,29 @@ class DyadicFamily:
             self._chi[q] = chi(self.xi_mag * 2.0 ** (-q)) * self.keep_mask
         return self._chi[q]
 
-    def weighted_sum(self, profile: np.ndarray, s: float, t: float | None = None) -> float:
-        """sum_q 2^(q e(q)) profile[q] over the active range, with e(q) = s,
-        or (hybrid, t given) s for q <= 0 and t for q >= 1: the standard
-        low/high-frequency split.  ``profile`` is ``block_l2_profile(f)``, so
-        one profile serves every index a field is measured in.  One dot
-        product with a weight vector built once per (s, t)."""
+    def weights(self, s: float, t: float | None = None) -> np.ndarray:
+        """2^(q e(q)) over the active range, with e(q) = s, or (hybrid, t
+        given) s for q <= 0 and t for q >= 1: the standard low/high-frequency
+        split.  Built once per (s, t); an index whose weights overflow raises
+        ``InputError``."""
         if (s, t) not in self._weights:
-            self._weights[s, t] = np.array([2.0 ** (q * (s if t is None or q <= 0 else t))
-                                            for q in self.q_range])
-        return float(self._weights[s, t] @ profile)
+            # float64 scalar powers: libm pow, as Python's, where the array
+            # power may take a vector path that differs in the last bit
+            with np.errstate(over="ignore"):
+                w = np.array([np.float64(2.0) ** (q * (s if t is None or q <= 0 else t))
+                              for q in self.q_range])
+            if not np.isfinite(w).all():
+                raise InputError(f"index {s if t is None else (s, t)} overflows the block "
+                                 f"weights 2^(q s) for q in [{self.q_lo}, {self.q_hi}]")
+            self._weights[s, t] = w
+        return self._weights[s, t]
+
+    def weighted_sum(self, profile: np.ndarray, s: float, t: float | None = None) -> float:
+        """sum_q 2^(q e(q)) profile[q] over the active range, with the
+        exponents of ``weights(s, t)``.  ``profile`` is
+        ``block_l2_profile(f)``, so one profile serves every index a field is
+        measured in: one dot product with the cached weight vector."""
+        return float(self.weights(s, t) @ profile)
 
     def partition_defect(self) -> float:
         """max over nonzero retained frequencies of |sum_q psi_q - 1|."""

@@ -24,8 +24,11 @@ range of |grad|^-1 curl.
 
 Every state is one coefficient block (``model.FieldTuple``): the stepper
 damps with one multiply by a per-row factor block, writes each stage into a
-fresh block in place and zeros its means (Omega is antisymmetric by layout),
-and a sweep's difference from the previous one is one subtraction per node.
+fresh block in place and zeros its means (Omega is antisymmetric by layout).
+The ledger works on blocks too: ``NormSeries.record`` samples one
+``PrimitiveState`` block (a sweep's trajectory snapshot, or the direct
+run's rho, velocity and E), and a sweep's difference from the previous one
+is one block subtraction per node.
 """
 
 from __future__ import annotations
@@ -95,36 +98,52 @@ class NormSeries:
     instantaneously and (s+1, s) under the integral; u in the homogeneous
     (s-1) and (s+1) norms.  Accumulation is by the trapezoid rule, so the
     integrals are nondecreasing by construction.  The blocks are the
-    grid's own dyadic family.
+    grid's own dyadic family.  A sample is one ``PrimitiveState`` block:
+    one power pass over its rows, one component sum and one matrix-vector
+    product with the squared psi stack per field, bit for bit the block
+    profiles (``DyadicFamily.block_l2_profile``) of its three fields.
     """
 
+    KEYS = ("rho", "u", "E")
+
     def __init__(self, grid: Grid):
+        self.grid = grid
         self.fam = grid.dyadic
-        self.s = grid.dim / 2.0
+        s = grid.dim / 2.0
+        # per field: its block rows, and its instantaneous and smoothing
+        # weights (homogeneous u, hybrid rho and E)
+        self._fields = [(PrimitiveState.field_rows(grid, key),
+                         self.fam.weights(s - 1.0, None if key == "u" else s),
+                         self.fam.weights(s + 1.0, None if key == "u" else s))
+                        for key in self.KEYS]
         self.times: list[float] = []
         self.inst = {"rho": [], "u": [], "E": []}
         self.diss = {"rho": [], "u": [], "E": []}
         self.acc = {"rho": [0.0], "u": [0.0], "E": [0.0]}
 
-    def record(self, t: float, rho: SpectralField, u: SpectralField,
-               E: SpectralField):
-        s = self.s
-        inst, diss = {}, {}
-        for key, f in (("rho", rho), ("u", u), ("E", E)):
-            high = None if key == "u" else s    # homogeneous u, hybrid rho and E
-            profile = self.fam.block_l2_profile(f)
-            inst[key] = self.fam.weighted_sum(profile, s - 1.0, high)
-            diss[key] = self.fam.weighted_sum(profile, s + 1.0, high)
+    def record(self, t: float, block: np.ndarray):
+        """Sample the ``PrimitiveState`` block ``block`` at time ``t``."""
+        g, psi_sq = self.grid, self.fam.psi_sq
+        power = np.abs(block) ** 2
+        spectra = np.empty((3,) + g.spectral_shape)
+        for spectrum, (rows, *_) in zip(spectra, self._fields):
+            np.add.reduce(power[rows], axis=0, out=spectrum)
+        spectra *= g.hermitian_weight
+        profiles = np.empty((3, len(psi_sq)))
+        for profile, spectrum in zip(profiles, spectra):
+            np.matmul(psi_sq, spectrum.ravel(), out=profile)
+        np.sqrt(profiles, out=profiles)
+        inst = [float(w @ p) for p, (_, w, _) in zip(profiles, self._fields)]
+        diss = [float(w @ p) for p, (_, _, w) in zip(profiles, self._fields)]
         if self.times:
             dt = t - self.times[-1]
             if dt < 0:
                 raise InputError("sample times must be monotone")
-            for key in ("rho", "u", "E"):
-                self.acc[key].append(self.acc[key][-1]
-                                     + 0.5 * dt * (self.diss[key][-1] + diss[key]))
-        for key in ("rho", "u", "E"):
-            self.inst[key].append(inst[key])
-            self.diss[key].append(diss[key])
+            for key, value in zip(self.KEYS, diss):
+                self.acc[key].append(self.acc[key][-1] + 0.5 * dt * (self.diss[key][-1] + value))
+        for key, i, d in zip(self.KEYS, inst, diss):
+            self.inst[key].append(i)
+            self.diss[key].append(d)
         self.times.append(t)
 
     def sup_instant(self) -> float:
@@ -157,8 +176,8 @@ class NormSeries:
 def initial_bnorm(prim: PrimitiveState) -> float:
     """Critical norm of the data, hybrid for rho and E and homogeneous for
     u: the instantaneous part of one ``NormSeries`` sample."""
-    norms = NormSeries(prim.rho.grid)
-    norms.record(0.0, prim.rho, prim.u, prim.E)
+    norms = NormSeries(prim.grid)
+    norms.record(0.0, prim.block)
     return norms.sup_instant()
 
 
@@ -276,7 +295,7 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig) -> DirectResult:
     init = initial_bnorm(prim0)
     for t, final, u in _march(IFStepper(grid, config, direct_rhs(config)),
                               ReformState.from_primitive(prim0), config.n_steps):
-        norms.record(t, final.rho, u, final.E)
+        norms.record(t, PrimitiveState(final.rho, u, final.E).block)
     return DirectResult(norms, final, config.n_steps, init)
 
 
@@ -330,10 +349,11 @@ class _Sweep:
                        n := config.n_steps)
         del data  # the start lives in the march alone, freed after its first step
         for t, state, u in march:
-            self.norms.record(t, state.rho, u, state.E)
             self.traj.record(t, state.rho, u, state.E)
+            snapshot = self.traj.states[-1].block
+            self.norms.record(t, snapshot)
             if self.prev is not None:
-                self.diff.record(t, *(self.traj.states[-1] - self.prev.traj.at(t)))
+                self.diff.record(t, snapshot - self.prev.traj.at(t).block)
             yield
         if not (self.norms.bnorm() <= limit):  # NaN-safe
             raise StabilityError(

@@ -27,7 +27,7 @@ first use, grown to the largest pass seen, reused by every later pass and
 freed with the grid.  A pass writes every spectral family it samples into
 the spectral stack, inverse-transforms them all in one batch into the
 physical stack, writes its products after the samples and
-forward-transforms those in one batch (the dealias mask applied in place)
+forward-transforms those in one batch (dealiased in place)
 into the spectral rows the inverse consumed.  Each stack line is
 transformed on its own, so the batched transforms equal the per-field
 ``to_physical``/``dealias_physical`` bit for bit.  Aliasing rule: a view
@@ -46,10 +46,11 @@ temporary it allocates for every leading axis.  The forward (``_forward``)
 runs ``rfft`` along the last axis into its output, then the leading-axis
 ``fft`` passes only on the kept columns k_N <= ``dealias_cut`` (in 3-D,
 the first-axis pass only on the two slabs of kept rows of the second
-axis), zeroes the pruned columns and masks the kept block: the passes of
-``rfftn`` in its order, pruned of the lines the dealias mask zeroes (FFT
-pruning), so on finite input it equals the masked ``rfftn`` (the masked
-entries may differ in the sign of zero).  ``from_physical`` keeps one
+axis), and zeroes by slicing the pruned columns and the rows of the kept
+columns outside the dealias box: the passes of ``rfftn`` in its order,
+pruned of the lines the dealias mask zeroes (FFT pruning), so on finite
+input it equals the masked ``rfftn`` (the masked entries may differ in the
+sign of zero).  ``from_physical`` keeps one
 ``rfftn`` call (it masks only the Nyquist planes), and
 ``fine_grid_product`` its own complex path.
 """
@@ -249,11 +250,12 @@ class Workspace:
         return self._push("phys", shapes, True)[1]
 
     def inverse(self) -> list[np.ndarray]:
-        """Samples of every spectral row pushed since the last transform."""
+        """Samples of every spectral row pushed since the last transform; the
+        views are rows of one contiguous slab, kept as ``samples``."""
         g = self.grid
         coeff, shapes = self._pop("spec")
-        samples, views = self._push("phys", shapes, False)
-        _inverse(g, coeff, samples)
+        self.samples, views = self._push("phys", shapes, False)
+        _inverse(g, coeff, self.samples)
         return views
 
     def forward(self) -> list[SpectralField]:
@@ -439,7 +441,9 @@ def _forward(grid: Grid, values: np.ndarray, out: np.ndarray) -> None:
             slab = kept[..., rows, :]
             np.fft.fft(slab, axis=-3, norm="forward", out=slab)
     out[..., kc + 1:] = 0.0
-    kept *= grid.dealias_mask[..., :kc + 1]
+    kept[..., kc + 1:n - kc, :] = 0.0  # the rows |k| > kc of each leading axis
+    if grid.dim == 3:
+        kept[..., kc + 1:n - kc, :, :] = 0.0
 
 
 def full_spectrum(f: SpectralField) -> np.ndarray:

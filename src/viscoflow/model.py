@@ -19,13 +19,17 @@ usual normalization); the linear-system module always works at a = 1.
 
 Every state owns one coefficient block (``FieldTuple``): one complex array
 of shape ``(rows,) + grid.spectral_shape`` with the components of its
-fields stacked in field order, each field a view of its rows.  Omega and
+fields stacked in field order, each field a view of its rows built at its
+first access.  Omega and
 E^T - E (rank ``"skew"``) keep only their i < j entries: antisymmetric by
 layout, and measured by the Frobenius norm (``operators.skew_l2``).  A
 ``ReformState`` has 7 rows in 2-D and 14 in 3-D, a ``HelmholtzState`` 5 and
 9, a ``PrimitiveState`` 1 + N + N^2.  ``reformulated_rhs``,
 ``assemble_sources`` and the iteration sweep write their results into the
-rows of one new block.
+rows of one new block.  The linear part works on block rows: the velocity
+(``ReformState.velocity``, ``operators.helmholtz_velocity``) reads the d and
+Omega rows, and ``skew_couplings`` fills each row range of a new block with
+one operation per coupling.
 
 Every right-hand side evaluates its state in physical space once
 (``PhysicalBundle``: rho, u, A u, E and the derivative rows), in one pass
@@ -39,7 +43,8 @@ and the rows u.grad moves are slices of it.  Products that share a
 destination are summed there; by linearity that equals dealiasing each
 product alone.  Scalar transforms (one per field component, whatever the
 number of one-dimensional passes) and real-axis passes (an inverse's
-``irfft``, a forward's ``rfft``) per call:
+``irfft``, a forward's ``rfft``) per call; a pass tests its samples for
+finiteness in one scan:
 
     call                 2-D   3-D   calls
     reformulated_rhs      36    86     2   (rotation correction in the same forward)
@@ -62,7 +67,7 @@ from .errors import ConfigurationError, InputError, StabilityError
 from .grid import Grid, SpectralField, Workspace, dealiased_product
 from .operators import (Viscosity, curl_matrix, derivative_rows, divergence,
                         double_divergence, fractional_power, gradient,
-                        helmholtz_reconstruct, helmholtz_split,
+                        helmholtz_split, helmholtz_velocity,
                         jacobian, lame_operator, laplacian, SKEW_SHAPE, skew_field, skew_l2,
                         symmetric_scalar, transport, transpose_gap, _pairs)
 
@@ -141,15 +146,16 @@ class ModelParams:
 # scalar *, copy and project_mean_zero.
 
 @functools.cache
-def _rows(ranks: tuple[str, ...], dim: int) -> tuple:
-    """(first row, end row, component shape) of each field of a block."""
-    out, row = [], 0
-    for rank in ranks:
+def _layout(cls: type, dim: int) -> tuple[int, dict]:
+    """The row count of a state type's block, and each field's (row slice,
+    component shape), in field order."""
+    fields, row = {}, 0
+    for name, rank in zip(cls.__dataclass_fields__, cls.RANKS, strict=True):
         comp = {"scalar": (), "vector": (dim,), "matrix": (dim, dim),
                 "skew": SKEW_SHAPE[dim]}[rank]
-        out.append((row, row + math.prod(comp), comp))
+        fields[name] = (slice(row, row + math.prod(comp)), comp)
         row += math.prod(comp)
-    return tuple(out)
+    return row, fields
 
 
 class FieldTuple:
@@ -157,19 +163,21 @@ class FieldTuple:
 
     The block is one complex array of shape ``(rows,) + grid.spectral_shape``
     holding the fields' components in field order (ranks in ``RANKS``), and
-    each field is a ``SpectralField`` view of its rows.  Building a state
-    from fields copies them into a new block once, so a state never aliases
-    its inputs.  Assigning a field copies its values into the rows, and
-    ``dataclasses.replace`` builds a new block, so no field comes apart from
-    its block.  The arithmetic is one numpy operation on the blocks and
-    returns the same subclass, so a state update reads ``state + a * delta``.
+    each field is a ``SpectralField`` view of its rows, built at its first
+    access and kept, so a state made from a block costs no view it does not
+    use.  Building a state from fields copies them into a new block once, so
+    a state never aliases its inputs.  Assigning a field copies its values
+    into the rows, and ``dataclasses.replace`` builds a new block, so no field
+    comes apart from its block.  The arithmetic is one numpy operation on the
+    blocks and returns the same subclass, so a state update reads
+    ``state + a * delta``.
     """
 
     RANKS: ClassVar[tuple[str, ...]]
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
     def __post_init__(self):
-        given = list(self)
+        given = [self.__dict__.pop(name) for name in self.__dataclass_fields__]
         grid = given[0].grid
         self._bind(grid, np.empty(self.block_shape(grid), dtype=np.complex128))
         for name, value in zip(self.__dataclass_fields__, given):
@@ -180,7 +188,7 @@ class FieldTuple:
 
     @classmethod
     def block_shape(cls, grid: Grid) -> tuple:
-        return (_rows(cls.RANKS, grid.dim)[-1][1],) + grid.spectral_shape
+        return (_layout(cls, grid.dim)[0],) + grid.spectral_shape
 
     @classmethod
     def of_block(cls, grid: Grid, block: np.ndarray):
@@ -200,12 +208,24 @@ class FieldTuple:
     def zeros(cls, grid: Grid):
         return cls.of_block(grid, np.zeros(cls.block_shape(grid), dtype=np.complex128))
 
+    @classmethod
+    def field_rows(cls, grid: Grid, name: str) -> slice:
+        """The rows of field ``name`` in a block on ``grid``."""
+        return _layout(cls, grid.dim)[1][name][0]
+
     def _bind(self, grid: Grid, block: np.ndarray):
+        self.__dict__["grid"], self.__dict__["block"] = grid, block
+
+    def __getattr__(self, name):
+        """A field's view of its rows, built at the first access and kept."""
         attrs = self.__dict__
-        attrs["grid"], attrs["block"] = grid, block
-        for name, (start, end, comp) in zip(self.__dataclass_fields__,
-                                            _rows(self.RANKS, grid.dim), strict=True):
-            attrs[name] = SpectralField(grid, block[start:end].reshape(comp + grid.spectral_shape))
+        if "block" not in attrs or name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grid = attrs["grid"]
+        rows, comp = _layout(type(self), grid.dim)[1][name]
+        view = attrs[name] = SpectralField(
+            grid, attrs["block"][rows].reshape(comp + grid.spectral_shape))
+        return view
 
     def __setattr__(self, name, value):
         if "block" not in self.__dict__:  # the dataclass __init__, before the block exists
@@ -215,7 +235,7 @@ class FieldTuple:
             return
         if name not in self.__dataclass_fields__:
             raise AttributeError(f"{type(self).__name__} has no field {name!r}")
-        rows = self.__dict__[name].coeff
+        rows = getattr(self, name).coeff
         if not (isinstance(value, SpectralField) and value.coeff.shape == rows.shape
                 and value.grid.compatible(self.grid)):
             raise InputError(f"{type(self).__name__}.{name} needs a field of shape "
@@ -223,7 +243,7 @@ class FieldTuple:
         rows[...] = value.coeff
 
     def __iter__(self):
-        return (self.__dict__[name] for name in self.__dataclass_fields__)
+        return (getattr(self, name) for name in self.__dataclass_fields__)
 
     def norms(self) -> dict[str, float]:
         """Frobenius L2 norm of each field by name (``skew_l2`` on a skew field)."""
@@ -305,9 +325,10 @@ class PhysicalBundle:
     stack ``grads`` (``operators.derivative_rows``) over [u | rho | E], or
     over [u | the state's block] with ``whole_state``, for a pass that also
     convects the state.  The samples are views of the workspace ``ws`` and
-    valid only inside its pass.  Building the bundle raises
-    ``StabilityError`` naming the first family (in field order) that holds
-    a non-finite sample, and when the density perturbation leaves the
+    valid only inside its pass.  Building the bundle scans the pass's
+    samples once and raises ``StabilityError`` naming the first family (in
+    field order; ``grads`` for the d and Omega rows of a whole state) that
+    holds a non-finite sample, and when the density perturbation leaves the
     small-data regime.  ``prim`` supplies rho and E, and the velocity unless
     ``u`` is given.
     """
@@ -338,9 +359,10 @@ class PhysicalBundle:
         rho, u, lame, E, grads = ws.inverse()
         ph = cls(ws, rho, grads[:, d], u, grads[:, :d].swapaxes(0, 1), lame, E,
                  grads[:, -d * d:].reshape((d,) + E.shape), grads)
-        for name in ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E"):
-            if not np.isfinite(getattr(ph, name)).all():
-                raise StabilityError(f"non-finite samples in field {name}")
+        if not np.isfinite(ws.samples).all():  # one scan; the families only name the fault
+            for name in ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E", "grads"):
+                if not np.isfinite(getattr(ph, name)).all():
+                    raise StabilityError(f"non-finite samples in field {name}")
         sup = float(np.max(np.abs(rho)))
         if not (sup <= RHO_SUP_LIMIT):  # NaN-safe: comparisons with NaN are False
             raise StabilityError(
@@ -441,7 +463,10 @@ class ReformState(FieldTuple):
         return cls(prim.rho, d, om, prim.E)
 
     def velocity(self) -> SpectralField:
-        return helmholtz_reconstruct(self.d, self.omega)
+        """u = -|grad|^{-1} grad d + |grad|^{-1} curl Omega, from the block's rows."""
+        g, x = self.grid, self.block
+        return SpectralField(g, helmholtz_velocity(g, x[self.field_rows(g, "d")],
+                                                   x[self.field_rows(g, "omega")]))
 
     def to_primitive(self) -> PrimitiveState:
         return PrimitiveState(self.rho, self.velocity(), self.E)
@@ -496,18 +521,20 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
 def skew_couplings(state: ReformState, a: float, u: SpectralField) -> ReformState:
     """The first-order couplings of the split system in one new block:
     -|grad| d, (1+a) |grad| rho, a |grad| (E^T - E) and grad u, with u the
-    state's velocity."""
+    state's velocity; each is one operation on whole rows of the blocks."""
     g = state.grid
-    out = ReformState.empty(g)
-    rho_dot, d_dot, om_dot, E_dot = (f.coeff for f in out)
-    np.multiply(state.d.coeff, g.xi_power(1.0), out=rho_dot)
+    x, out = state.block, np.empty_like(state.block)
+    lam = g.xi_power(1.0)
+    omega, E = ReformState.field_rows(g, "omega"), ReformState.field_rows(g, "E")
+    rho_dot, d_dot, om_dot = out[0], out[1], out[omega]
+    np.multiply(x[1::-1], lam, out=out[:2])  # rows 0, 1 are rho, d: |grad| d, |grad| rho
     np.negative(rho_dot, out=rho_dot)
-    np.multiply(state.rho.coeff, g.xi_power(1.0), out=d_dot)
     d_dot *= 1.0 + a
-    np.multiply(transpose_gap(state.E).coeff, g.xi_power(1.0), out=om_dot)
+    transpose_gap(state.E, out=om_dot)
+    om_dot *= lam
     om_dot *= a
-    jacobian(u, out=E_dot)
-    return out
+    jacobian(u, out=out[E].reshape((g.dim, g.dim) + g.spectral_shape))
+    return ReformState.of_block(g, out)
 
 
 def _subtract_momentum(out: ReformState, G: SpectralField, rho_E: SpectralField,

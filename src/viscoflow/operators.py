@@ -23,6 +23,7 @@ left factor of a product with the symbols.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,9 +136,22 @@ def helmholtz_split(u: SpectralField):
 
 def helmholtz_reconstruct(d: SpectralField, om: SpectralField) -> SpectralField:
     """Inverse of the split: u = -|grad|^{-1} grad d + |grad|^{-1} curl Om."""
-    grad_part = inverse_mag_times(gradient(d))
-    curl_part = inverse_mag_times(curl_vector(om))
-    return SpectralField(d.grid, -grad_part.coeff + curl_part.coeff)
+    return SpectralField(d.grid, helmholtz_velocity(d.grid, d.coeff, pair_rows(om)))
+
+
+def helmholtz_velocity(grid: Grid, d: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """The coefficients of ``helmholtz_reconstruct`` from coefficient rows:
+    ``d`` of the compressible scalar, ``om`` of Omega's i < j entries (a
+    state block's rows).  The gradient part is one operation per step on
+    all rows; the curl part is ``curl_vector``'s accumulation, in the
+    operand order of the field-by-field definition."""
+    u = np.multiply(d, grid.nabla)
+    u *= grid.inv_xi
+    np.negative(u, out=u)
+    curl = curl_vector(SpectralField(grid, om)).coeff
+    curl *= grid.inv_xi
+    u += curl
+    return u
 
 
 # ----------------------------------------------------------------------
@@ -210,9 +224,21 @@ def symmetric_scalar(E: SpectralField) -> SpectralField:
     return SpectralField(g, acc * g.inv_xi ** 2)
 
 
-def transpose_gap(E: SpectralField) -> SpectralField:
-    """Antisymmetric record E^T - E."""
-    return skew_field(E.grid, [E.coeff[j, i] - E.coeff[i, j] for i, j in _pairs(E.grid.dim)])
+@functools.cache
+def _gap_rows(dim: int):
+    """Flat (i, j) indices of E_ji and of E_ij, one per pair i < j."""
+    pairs = _pairs(dim)
+    return np.array([j * dim + i for i, j in pairs]), np.array([i * dim + j for i, j in pairs])
+
+
+def transpose_gap(E: SpectralField, out=None) -> SpectralField:
+    """Antisymmetric record E^T - E, one subtraction of gathered rows; written
+    into ``out`` (one row per pair) when it is given."""
+    g = E.grid
+    lower, upper = _gap_rows(g.dim)
+    rows = E.coeff.reshape((-1,) + g.spectral_shape)
+    gap = np.subtract(rows.take(lower, axis=0), rows.take(upper, axis=0), out=out)
+    return SpectralField(g, gap.reshape(SKEW_SHAPE[g.dim] + g.spectral_shape))
 
 
 # ----------------------------------------------------------------------

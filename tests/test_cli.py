@@ -542,6 +542,18 @@ _MISUSE = [
     # the refinement level n = 32 cannot hold the default mode k = (0, 2L) = (0, 16)
     ("constraints", "[grid]\nn = 64\nlength = 8\n[constraints]\nrefine_levels = 32\n",
      None, "mode k = (0, 16)"),
+    # a finite index whose block weights 2^(q s) overflow on the grid (q up to 4)
+    ("scaling", "[grid]\nn = 16\nlength = 1\n[scaling]\ns_values = 0, 400\n", None,
+     "[scaling] s_values: index 400.0 overflows the block weights"),
+    ("analyze", "[analyze]\ninput = f.vfs\ns_values = 0, 400\n", None,
+     "[analyze] s_values: index 400.0 overflows the block weights"),
+    ("analyze", "[analyze]\ninput = f.vfs\nhybrid_pairs = 0,1;0,400\n", None,
+     "[analyze] hybrid_pairs: index (0.0, 400.0) overflows the block weights"),
+    ("analyze", "[analyze]\ninput = huge.vfs\ns_values = 0\n", None,
+     "[analyze] s_values: index 0.0 gives the non-finite norm"),
+    # a frequency is a magnitude: a negative one is not read as its absolute value
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nxi_values = 1, -2\n", None,
+     "[linear] xi_values = '1, -2'"),
 ]
 
 
@@ -550,7 +562,13 @@ class TestConfigMisuse:
     names the section and key, the sweep spec or the file."""
 
     @pytest.mark.parametrize("mode,body,sweep,names", _MISUSE)
-    def test_exits_1_with_one_line(self, tmp_path, capsys, mode, body, sweep, names):
+    def test_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, mode, body, sweep,
+                                   names):
+        # the analyze rows read these snapshots (2-D n=16, L=1) from the working directory
+        monkeypatch.chdir(tmp_path)
+        for name, amplitude in (("f.vfs", 1.0), ("huge.vfs", 1e300)):
+            save_field(tmp_path / name, random_field(Grid(2, 16, 1.0), "scalar",
+                                                     np.random.default_rng(3), amplitude=amplitude))
         cfg = _write_config(tmp_path / "c.ini", body)
         argv = [mode, "--config", cfg, "--out", str(tmp_path / "o")]
         assert main(argv + (["--sweep", sweep] if sweep else [])) == 1

@@ -49,21 +49,15 @@ def _small_state(grid, amplitude, rng, with_velocity=True):
 class TestNormSeries:
     def test_zero_trajectory(self, grid2d):
         ns = NormSeries(grid2d)
-        z = SpectralField.zeros(grid2d, "scalar")
-        zu = SpectralField.zeros(grid2d, "vector")
-        zE = SpectralField.zeros(grid2d, "matrix")
         for t in (0.0, 0.5, 1.0):
-            ns.record(t, z, zu, zE)
+            ns.record(t, PrimitiveState.zeros(grid2d).block)
         assert ns.bnorm() == 0.0
         assert ns.l1_tail_fraction() == 0.0
 
     def test_accumulators_nondecreasing(self, grid2d, rng):
         ns = NormSeries(grid2d)
         for t in np.linspace(0.0, 1.0, 11):
-            ns.record(float(t),
-                      random_field(grid2d, "scalar", rng),
-                      random_field(grid2d, "vector", rng),
-                      random_field(grid2d, "matrix", rng))
+            ns.record(float(t), _random_prim(grid2d, rng, amplitude=1.0).block)
         for key in ("rho", "u", "E"):
             assert np.all(np.diff(ns.acc[key]) >= 0.0)
 
@@ -79,34 +73,51 @@ class TestNormSeries:
         T = 4.0
         for i in range(int(T / dt) + 1):
             t = i * dt
-            ns.record(t, np.exp(-rate * t) * base, zu, zE)
+            ns.record(t, PrimitiveState(np.exp(-rate * t) * base, zu, zE).block)
         c0 = hybrid_norm(base, 2.0, 1.0)
         expected = c0 * (1.0 - np.exp(-rate * T)) / rate
         assert ns.acc["rho"][-1] == pytest.approx(expected, rel=5e-3)
 
     def test_one_block_profile_per_field(self, grid2d, rng, monkeypatch):
-        # both weightings of a sample read one profile per field
+        # both weightings of a sample read one profile per field: one
+        # matrix-vector product with the squared psi stack each
         calls = []
-        profile = DyadicFamily.block_l2_profile
+        matmul = np.matmul
 
-        def counted(self, f):
-            calls.append(f.rank)
-            return profile(self, f)
+        def counted(a, b, *args, **kwargs):
+            calls.append(a is grid2d.dyadic.psi_sq and b.ndim == 1)
+            return matmul(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(DyadicFamily, "block_l2_profile", counted)
-        NormSeries(grid2d).record(0.0, random_field(grid2d, "scalar", rng),
-                                  random_field(grid2d, "vector", rng),
-                                  random_field(grid2d, "matrix", rng))
-        assert calls == ["scalar", "vector", "matrix"]
+        monkeypatch.setattr(np, "matmul", counted)
+        NormSeries(grid2d).record(0.0, _random_prim(grid2d, rng, amplitude=1.0).block)
+        assert calls == [True, True, True]
+
+    @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
+    def test_block_ledger_equals_the_per_field_profiles_bitwise(self, grid_name, rng,
+                                                                request):
+        # one power pass, one component sum and one matrix-vector product per
+        # field give the per-field block profiles bit for bit, at every scale
+        grid = request.getfixturevalue(grid_name)
+        fam, s = grid.dyadic, grid.dim / 2.0
+        ns = NormSeries(grid)
+        for t, exponents in enumerate([(-20, -20, -20), (0, 0, 0), (-20, -10, 0),
+                                       (0, -7, -20), (-3, -15, -1)]):
+            prim = PrimitiveState(*(random_field(grid, rank, rng, amplitude=10.0 ** e)
+                                    for rank, e in zip(("scalar", "vector", "matrix"),
+                                                       exponents)))
+            ns.record(float(t), prim.block)
+            for key, f in zip(("rho", "u", "E"), prim):
+                high = None if key == "u" else s
+                profile = fam.block_l2_profile(f)
+                assert ns.inst[key][-1] == fam.weighted_sum(profile, s - 1.0, high)
+                assert ns.diss[key][-1] == fam.weighted_sum(profile, s + 1.0, high)
 
     def test_monotone_times_required(self, grid2d):
         ns = NormSeries(grid2d)
-        z = SpectralField.zeros(grid2d, "scalar")
-        zu = SpectralField.zeros(grid2d, "vector")
-        zE = SpectralField.zeros(grid2d, "matrix")
-        ns.record(1.0, z, zu, zE)
+        zeros = PrimitiveState.zeros(grid2d).block
+        ns.record(1.0, zeros)
         with pytest.raises(InputError):
-            ns.record(0.5, z, zu, zE)
+            ns.record(0.5, zeros)
 
     @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
     def test_initial_norm_equals_the_three_block_norms_bitwise(self, grid_name, rng,
@@ -275,12 +286,12 @@ class TestBlockStepper:
         # stage-1 right-hand side takes the velocity the run loop holds
         import viscoflow.model as model
         calls = []
-        reconstruct = model.helmholtz_reconstruct
+        reconstruct = model.helmholtz_velocity
 
-        def counted(d, om):
+        def counted(grid, d, om):
             calls.append(1)
-            return reconstruct(d, om)
-        monkeypatch.setattr(model, "helmholtz_reconstruct", counted)
+            return reconstruct(grid, d, om)
+        monkeypatch.setattr(model, "helmholtz_velocity", counted)
         cfg = RunConfig(_params(), dt=0.02, t_final=0.06)
         direct_solve(_small_state(grid2d, 1e-2, rng), cfg)
         assert len(calls) == (cfg.n_steps + 1) + cfg.n_steps

@@ -3,11 +3,15 @@ and split evolution paths on admissible data."""
 
 import copy
 import dataclasses
+import pickle
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viscoflow
 from viscoflow import (ComposedMap, Grid, ModelParams, PressureLaw,
                        PrimitiveState, SpectralField, assemble_sources,
                        deformation_identity_gap,
@@ -160,6 +164,35 @@ class TestFieldTuple:
         assert not np.shares_memory(twin.block, state.block)
         assert all(np.shares_memory(f.coeff, twin.block) for f in twin)
         assert twin.block.tobytes() == state.block.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_views_are_built_on_demand_and_alias_the_block(self, grid2d, grid3d, rng, dim):
+        grid = grid2d if dim == 2 else grid3d
+        block = ReformState.from_primitive(_random_state(grid, rng)).block.copy()
+        state = ReformState.of_block(grid, block)
+        assert set(vars(state)) == {"grid", "block"}
+        early = state.E  # built before the in-place updates below, and kept
+        assert state.E is early and set(vars(state)) == {"grid", "block", "E"}
+        state.block *= 2.0
+        state.block += 1.0
+        assert early.coeff.tobytes() == block[ReformState.field_rows(grid, "E")].tobytes()
+        # assignment writes the rows, whether or not the view was built yet
+        new_om = transpose_gap(random_field(grid, "matrix", rng))
+        state.omega = new_om
+        assert np.array_equal(block[ReformState.field_rows(grid, "omega")],
+                              pair_rows(new_om))
+        assert np.array_equal(state.omega.coeff, new_om.coeff)
+        # copies and pickles keep every field a view of their block (a
+        # shallow copy shares the block, a deep copy or a pickle owns one)
+        for twin, own in ((copy.copy(state), False), (copy.deepcopy(state), True),
+                          (pickle.loads(pickle.dumps(state)), True)):
+            assert type(twin) is ReformState
+            assert np.shares_memory(twin.block, block) is not own
+            for f, g in zip(twin, state):
+                assert np.shares_memory(f.coeff, twin.block)
+                assert f.coeff.tobytes() == g.coeff.tobytes()
+        with pytest.raises(AttributeError, match="no attribute 'u'"):
+            state.u
 
     def test_project_mean_zero_on_every_field(self, grid2d, rng):
         prim = _random_state(grid2d, rng)
@@ -455,6 +488,36 @@ class TestPhysicalBundle:
         with pytest.raises(StabilityError, match=rf"field {field}$"):
             assemble_sources(ReformState.from_primitive(prim), _params())
 
+    @pytest.mark.parametrize("family", ["rho", "grad_rho", "u", "grad_u", "lame", "E",
+                                        "grad_E", "grads"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_finite_family_of_a_whole_state_pass_is_named(
+            self, grid2d, grid3d, rng, monkeypatch, dim, family):
+        # the pass scans its samples once; a NaN planted in one family's
+        # samples names that family ("grads" for the d rows, which only the
+        # derivative rows of a whole state sample)
+        import viscoflow.grid as grid_module
+        grid = grid2d if dim == 2 else grid3d
+        state, params = ReformState.from_primitive(_random_state(grid, rng)), _params(dim)
+        inverse, slabs = grid_module._inverse, []
+
+        def recording(g, coeff, out):
+            inverse(g, coeff, out)
+            slabs.append(out)
+        monkeypatch.setattr(grid_module, "_inverse", recording)
+        with grid.workspace() as ws:
+            ph = PhysicalBundle.of(state, params.visc, ws, state.velocity(), whole_state=True)
+            target = ph.grads[:, dim + 1] if family == "grads" else getattr(ph, family)
+            at = ((target.__array_interface__["data"][0]
+                   - slabs[0].__array_interface__["data"][0]) // target.itemsize)
+
+        def planting(g, coeff, out):
+            inverse(g, coeff, out)
+            out.reshape(-1)[at] = np.nan
+        monkeypatch.setattr(grid_module, "_inverse", planting)
+        with pytest.raises(StabilityError, match=rf"field {family}$"):
+            assemble_sources(state, params)
+
 
 _FFT_ND = ("fftn", "ifftn", "rfftn", "irfftn")
 _FFT_2D = ("fft2", "ifft2", "rfft2", "irfft2")
@@ -635,6 +698,67 @@ class TestTransformCounts:
             assert transform_count(linear_rhs, state, SplitViscosity(1.0, 1.0), prim.u) <= cap
             # the oracle samples its spectral velocity with a call of its own
             assert transform_count.calls <= 3
+
+
+def _calls_into_src(fn, *args) -> int:
+    """Calls into functions defined under ``src/viscoflow`` while ``fn(*args)``
+    runs: the profiler's ``call`` events of their code (generator resumptions
+    included), so the count does not move with numpy's own Python code."""
+    root = str(Path(viscoflow.__file__).resolve().parent)
+    count, outer = [0], sys.getprofile()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count[0] += 1
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(outer)
+    return count[0]
+
+
+class TestFixedCost:
+    """The Python-level fixed cost of the calls a sweep node makes, counted
+    as calls into the package's own functions, in 2-D and 3-D alike.  At the
+    parent of the block maps (views on demand, the velocity and coupling
+    maps on block rows, one finiteness scan) the counts were 161, 103, 139
+    and 78."""
+
+    @pytest.fixture(params=[2, 3])
+    def setup(self, request, grid2d, grid3d, rng):
+        grid = grid2d if request.param == 2 else grid3d
+        params = _params(dim=grid.dim)
+        return grid, params, lambda: ReformState.from_primitive(_random_state(grid, rng))
+
+    def test_reformulated_rhs(self, setup):
+        grid, params, new_state = setup
+        state = new_state()
+        reformulated_rhs(state, params)  # the per-grid multipliers and caches
+        assert _calls_into_src(reformulated_rhs, state, params) <= 141
+
+    def test_assemble_sources_with_a_frozen_pair(self, setup):
+        grid, params, new_state = setup
+        frozen = assemble_sources(new_state(), params)
+        state = new_state()
+        u = state.velocity()
+        assemble_sources(state, params, u, frozen)
+        assert _calls_into_src(assemble_sources, state, params, u, frozen) <= 99
+
+    def test_sweep_stages(self, setup):
+        grid, params, new_state = setup
+        prev = _Sweep(1, grid, params, hands_on=True)
+        start = new_state()
+        prev(start, 0, start.velocity())
+        rhs = _Sweep(2, grid, params, prev, hands_on=True)
+        state = new_state()
+        u = state.velocity()
+        rhs(state, 0, u)
+        rhs(state, 0)
+        # stage 1: the couplings and the pass of its own sources and the
+        # frozen convection; stage 2: the predictor's couplings and convection
+        assert _calls_into_src(rhs, state, 0, u) <= 114
+        assert _calls_into_src(rhs, state, 0) <= 54
 
 
 @pytest.mark.parametrize("dim, n", [(3, 16), (2, 64)])
