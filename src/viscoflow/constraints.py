@@ -372,8 +372,12 @@ class ConstraintReport:
     max_curl_margin: float = 0.0
 
 
+# check_trajectory's floor on each bound: (ERROR_FLOOR * max(|F(0)|, 1) * (1 + t))^2
+ERROR_FLOOR = 1e-10
+
+
 def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
-                     error_floor: float = 1e-10, strict: bool = False) -> ConstraintReport:
+                     strict: bool = False) -> ConstraintReport:
     """Verify the divergence Gronwall bound and the curl majorant sample-wise.
 
     div:  r(t)^2   <= r(0)^2   * exp( (1/2) int gauge ) * allowance + floor
@@ -403,7 +407,7 @@ def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
     r0sq = rep.div_res[0] ** 2
     scale = max(snaps[0][1].l2(), 1.0)
     for i, t in enumerate(rep.times):
-        floor = (error_floor * scale * (1.0 + t)) ** 2
+        floor = (ERROR_FLOOR * scale * (1.0 + t)) ** 2
         grow_div = r0sq * np.exp(0.5 * rep.gauge_integral[i]) * allowance
         margin = rep.div_res[i] ** 2 / max(grow_div + floor, 1e-300)
         rep.max_div_margin = max(rep.max_div_margin, margin)

@@ -21,19 +21,21 @@ apply it, so the coefficient L2 equals the grid-averaged L2 norm of the
 physical values (Parseval).  ``full_spectrum`` rebuilds the full FFT layout
 for the snapshot file and the fine-grid oracle.
 
-Workspace.  Every right-hand side transforms through ``Grid.workspace()``,
-a spectral stack and a physical stack that the grid owns: built at the
-first use, grown to the largest pass seen, reused by every later pass and
-freed with the grid.  A pass writes every spectral family it samples into
-the spectral stack, inverse-transforms them all in one batch into the
-physical stack, writes its products after the samples and
-forward-transforms those in one batch (dealiased in place)
-into the spectral rows the inverse consumed.  Each stack line is
+Workspace.  Every right-hand side transforms in one pass of
+``Grid.workspace()`` over three slabs the grid owns, each grown at first
+use to the largest request seen and reused by every later pass:
+``spectral`` hands out rows of ``spec`` for the families a pass samples,
+``inverse`` transforms them in one batch into ``samples``, ``products``
+hands out rows of ``products``, and ``forward`` transforms those in one
+batch (dealiased in place) into ``spec`` again.  The steps run in that
+order (a step out of order raises) and a pass may end after any of them.
+Every request starts at row 0 of its own slab, so a slab grows only while
+it holds no live rows and nothing is ever copied.  Each slab line is
 transformed on its own, so the batched transforms equal the per-field
 ``to_physical``/``dealias_physical`` bit for bit.  Aliasing rule: a view
-of the workspace is valid only inside its pass, until the transform that
-consumes its rows; whatever a right-hand side returns owns its memory.  A
-pass cannot be nested (that raises), and a workspace is not thread-safe:
+is valid only inside its pass, a spectral row only until ``inverse``
+consumes it; whatever a right-hand side returns owns its memory.  A pass
+cannot be nested (that raises), and a workspace is not thread-safe:
 parameter sweeps fan out to processes, each with its own grids.
 
 Transforms.  Two kernels make every transform of the workspace,
@@ -143,14 +145,15 @@ class Grid:
 
         self.xi_max = float(self.xi_mag[self.keep_mask].max())
         self.xi_min = 1.0 / self.length
-        # the workspace stacks, grown at first use; a pass holds the grid, the
+        # the workspace slabs, grown at first use; a pass holds the grid, the
         # grid never holds a pass, so no reference cycle keeps a grid alive
         self._stacks = {"spec": np.empty((0,) + self.spectral_shape, dtype=np.complex128),
-                        "phys": np.empty((0,) + (n,) * dim)}
+                        "samples": np.empty((0,) + (n,) * dim),
+                        "products": np.empty((0,) + (n,) * dim)}
         self._in_pass = False
 
     def workspace(self) -> "Workspace":
-        """A pass over this grid's transform stacks: ``with grid.workspace()
+        """A pass over this grid's transform slabs: ``with grid.workspace()
         as ws``."""
         return Workspace(self)
 
@@ -186,86 +189,73 @@ class Grid:
 
 
 class Workspace:
-    """One pass over a grid's transform stacks (see "Workspace" in the module
-    docstring).  Rows are handed out in stack order: ``spectral`` and
-    ``products`` push rows for the caller to fill, one view per component
-    shape (shaped ``comp_shape + spatial shape``); ``inverse`` and ``forward``
-    pop every row pushed since the last transform and push its result.  Fill
-    a view before the next request: a stack that has to grow is reallocated,
-    and only the rows waiting for a transform move with it.
+    """One pass over a grid's transform slabs (see "Workspace" in the module
+    docstring).  ``spectral`` and ``products`` hand out rows for the caller
+    to fill, one view per component shape (shaped ``comp_shape + spatial
+    shape``); ``inverse`` and ``forward`` return their transforms in the
+    same shapes.  A step out of order raises and leaves the pass as it was.
     """
+
+    _STEPS = ("spectral", "inverse", "products", "forward", None)
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._stack = grid._stacks
 
     def __enter__(self) -> "Workspace":
         if self.grid._in_pass:
             raise RuntimeError(f"the transform workspace of {self.grid} is already in use")
         self.grid._in_pass = True
-        self._top = {"spec": 0, "phys": 0}       # first free row
-        self._mark = {"spec": 0, "phys": 0}      # first row waiting for a transform
-        self._waiting = {"spec": [], "phys": []}  # component shapes of those rows
+        self._done = 0  # steps taken
         return self
 
     def __exit__(self, *exc):
         self.grid._in_pass = False
 
-    def _push(self, kind: str, shapes, waiting: bool):
-        """Rows for ``shapes`` on top of a stack: the block and one view per
-        shape.  ``waiting`` rows are left for the next transform; the others
-        are a transform's output and start the rows after it."""
-        start = self._top[kind]
-        end = start + sum(math.prod(s) for s in shapes)
-        stack = self._stack[kind]
-        if len(stack) < end:
-            grown = np.empty((end,) + stack.shape[1:], dtype=stack.dtype)
-            mark = self._mark[kind]
-            grown[mark:start] = stack[mark:start]
-            stack = self._stack[kind] = grown
-        self._top[kind] = end
-        if waiting:
-            self._waiting[kind].extend(shapes)
-        else:
-            self._mark[kind] = end
-        views, row = [], start
-        for s in shapes:
-            views.append(stack[row:row + math.prod(s)].reshape(s + stack.shape[1:]))
-            row += math.prod(s)
-        return stack[start:end], views
-
-    def _pop(self, kind: str):
-        """The rows waiting for a transform, and their component shapes."""
-        mark, top = self._mark[kind], self._top[kind]
-        shapes, self._waiting[kind] = self._waiting[kind], []
-        self._top[kind] = mark
-        return self._stack[kind][mark:top], shapes
+    def _take(self, step: str, name: str, shapes=None):
+        """Rows from row 0 of the slab ``name`` at the pass's ``step``: the
+        block and one view per component shape, of ``shapes`` for a request
+        and of the request's shapes for a transform.  The slab holds no live
+        rows, so one too small is replaced, not copied."""
+        expected = self._STEPS[self._done]
+        if step != expected:
+            raise RuntimeError(f"workspace step {step} out of order on {self.grid}: "
+                               f"the pass expects {expected or 'no further step'}")
+        self._done += 1
+        if shapes is not None:
+            self._layout = shapes, list(map(math.prod, shapes))
+        shapes, counts = self._layout
+        slab = self.grid._stacks[name]
+        end = sum(counts)
+        if len(slab) < end:
+            slab = self.grid._stacks[name] = np.empty((end,) + slab.shape[1:], slab.dtype)
+        views, row = [], 0
+        for s, c in zip(shapes, counts):
+            views.append(slab[row:row + c].reshape(s + slab.shape[1:]))
+            row += c
+        return slab[:end], views
 
     def spectral(self, *shapes) -> list[np.ndarray]:
         """Spectral rows for the caller to fill, one view per component shape."""
-        return self._push("spec", shapes, True)[1]
+        self._coeff, views = self._take("spectral", "spec", shapes)
+        return views
+
+    def inverse(self) -> list[np.ndarray]:
+        """Samples of the spectral rows; the views are rows of one contiguous
+        slab, kept as ``samples``."""
+        self.samples, views = self._take("inverse", "samples")
+        _inverse(self.grid, self._coeff, self.samples)
+        return views
 
     def products(self, *shapes) -> list[np.ndarray]:
         """Physical rows for the caller to fill, one view per component shape."""
-        return self._push("phys", shapes, True)[1]
-
-    def inverse(self) -> list[np.ndarray]:
-        """Samples of every spectral row pushed since the last transform; the
-        views are rows of one contiguous slab, kept as ``samples``."""
-        g = self.grid
-        coeff, shapes = self._pop("spec")
-        self.samples, views = self._push("phys", shapes, False)
-        _inverse(g, coeff, self.samples)
+        self._values, views = self._take("products", "products", shapes)
         return views
 
     def forward(self) -> list[SpectralField]:
-        """Dealiased coefficients of every product row pushed since the last
-        transform."""
-        g = self.grid
-        values, shapes = self._pop("phys")
-        coeff, views = self._push("spec", shapes, False)
-        _forward(g, values, coeff)
-        return [SpectralField(g, c) for c in views]
+        """Dealiased coefficients of the product rows."""
+        coeff, views = self._take("forward", "spec")
+        _forward(self.grid, self._values, coeff)
+        return [SpectralField(self.grid, c) for c in views]
 
 
 class SpectralField:

@@ -295,11 +295,10 @@ def measure_block_decay(times, values) -> float:
     return -float(slope)
 
 
-def pair_state(grid: Grid, kvec, amplitude: float = 1.0):
-    """Seed (x, y) scalar coefficient fields for one pair at a single mode."""
-    x = cosine_mode(grid, kvec, amplitude)
-    y = cosine_mode(grid, kvec, amplitude, phase="sin")
-    return x, y
+def pair_state(grid: Grid, kvec):
+    """Seed (x, y) scalar coefficient fields of unit amplitude for one pair
+    at a single mode."""
+    return cosine_mode(grid, kvec), cosine_mode(grid, kvec, phase="sin")
 
 
 def _assemble_state(grid: Grid, pair: str, x: SpectralField, y: SpectralField) -> HelmholtzState:

@@ -34,8 +34,8 @@ one operation per coupling.
 Every right-hand side evaluates its state in physical space once
 (``PhysicalBundle``: rho, u, A u, E and the derivative rows), in one pass
 over the grid's transform workspace: all families are written into its
-spectral stack and take one inverse transform, and all products are
-written into its physical stack and take one dealiased forward transform.
+spectral slab and take one inverse transform, and all products are
+written into its products slab and take one dealiased forward transform.
 Every derivative is a row of one ``(dim, count)`` stack
 (``operators.derivative_rows``) over [u | rho | E], or [u | the state's
 block] when the pass also convects the state, so grad u, grad rho, grad E
@@ -605,16 +605,15 @@ def deformation_identity_gap(prim: PrimitiveState) -> SpectralField:
             + double_divergence(rho_E))
 
 
-def dual_path_gap(prim: PrimitiveState, params: ModelParams,
-                  include_rotation_correction: bool = True) -> dict:
-    """Compare d/dt of (rho, d, Omega, skew, potential) between the two paths.
+def dual_path_gap(prim: PrimitiveState, params: ModelParams) -> dict:
+    """Compare d/dt of (rho, d, Omega, skew, potential) between the two paths
+    (the split path with its rotation correction).
 
     Returns absolute gaps and the relative gap against the primitive-path
     derivative magnitudes.  Small only on constraint-satisfying data.
     """
     dot_a = split_state(primitive_rhs(prim, params))
-    rdot = reformulated_rhs(ReformState.from_primitive(prim), params,
-                            include_rotation_correction)
+    rdot = reformulated_rhs(ReformState.from_primitive(prim), params)
     dot_b = HelmholtzState(rdot.rho, rdot.d, rdot.omega,
                            transpose_gap(rdot.E), symmetric_scalar(rdot.E))
     gaps = (dot_a - dot_b).norms()

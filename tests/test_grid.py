@@ -170,7 +170,7 @@ class TestTransformKernels:
 
 
 class TestWorkspace:
-    """One spectral and one physical stack per grid, reused by every pass."""
+    """Three slabs per grid (spec, samples, products), reused by every pass."""
 
     @staticmethod
     def _fields(grid, rng):
@@ -182,10 +182,8 @@ class TestWorkspace:
     def _comp(f):
         return f.coeff.shape[:f.coeff.ndim - f.grid.dim]
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_batched_transforms_equal_per_field_bitwise(self, dim, rng):
-        grid = Grid(dim, 32 if dim == 2 else 16, 4.0)
-        fields = self._fields(grid, rng)
+    def _pass(self, grid, fields):
+        """One whole pass over ``fields``, checked against the per-field transforms."""
         with grid.workspace() as ws:
             for row, f in zip(ws.spectral(*map(self._comp, fields)), fields):
                 row[...] = f.coeff
@@ -198,19 +196,38 @@ class TestWorkspace:
             for got, v in zip(ws.forward(), values):
                 assert got.coeff.tobytes() == dealias_physical(grid, v).coeff.tobytes()
 
-    def test_growth_keeps_the_rows_already_filled(self, rng):
-        # a fresh grid's stacks are empty, so every request below grows them
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_transforms_equal_per_field_bitwise(self, dim, rng):
+        grid = Grid(dim, 32 if dim == 2 else 16, 4.0)
+        self._pass(grid, self._fields(grid, rng))
+
+    def test_a_larger_pass_grows_every_slab(self, rng):
+        # a fresh grid's slabs are empty; each grows to the larger pass, and
+        # each request starts at row 0, so growing copies nothing
         grid = Grid(2, 16, 1.0)
-        f, g = (random_field(grid, "matrix", rng) for _ in range(2))
-        dg = SpectralField(grid, g.coeff * (1j * grid.xi_axes[0]))
+        small, large = self._fields(grid, rng)[:1], self._fields(grid, rng)
+        for fields in (small, large):
+            self._pass(grid, fields)
+        rows = sum(f.ncomp for f in large)
+        assert {k: len(v) for k, v in grid._stacks.items()} == \
+            {"spec": rows, "samples": rows, "products": rows}
+
+    @pytest.mark.parametrize("steps, step", [
+        (["spectral"], "spectral"), ([], "inverse"), (["spectral"], "products"),
+        (["spectral", "inverse"], "forward"),
+        (["spectral", "inverse", "products", "forward"], "spectral")])
+    def test_a_step_out_of_order_raises(self, steps, step, rng):
+        def take(ws, name):  # a request asks for one vector's rows
+            return getattr(ws, name)(*[(2,)] * (name in ("spectral", "products")))
+
+        grid = Grid(2, 16, 1.0)
         with grid.workspace() as ws:
-            (a,) = ws.spectral((2, 2))
-            a[...] = f.coeff
-            (b,) = ws.spectral((3, 2, 2))
-            b[...] = dg.coeff
-            fa, fb = ws.inverse()
-        assert np.array_equal(fa, f.to_physical())
-        assert np.array_equal(fb[2], dg.to_physical())
+            for name in steps:
+                take(ws, name)
+            with pytest.raises(RuntimeError, match=f"step {step} out of order"):
+                take(ws, step)
+        # the with statement closed the pass; the next one on the grid runs
+        self._pass(grid, self._fields(grid, rng))
 
     def test_passes_reuse_the_stacks(self, grid2d, rng):
         f = random_field(grid2d, "vector", rng)

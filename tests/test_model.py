@@ -723,7 +723,8 @@ class TestFixedCost:
     as calls into the package's own functions, in 2-D and 3-D alike.  At the
     parent of the block maps (views on demand, the velocity and coupling
     maps on block rows, one finiteness scan) the counts were 161, 103, 139
-    and 78."""
+    and 78, and with the workspace's two-stack push/pop machine 141, 99,
+    114 and 54."""
 
     @pytest.fixture(params=[2, 3])
     def setup(self, request, grid2d, grid3d, rng):
@@ -735,7 +736,7 @@ class TestFixedCost:
         grid, params, new_state = setup
         state = new_state()
         reformulated_rhs(state, params)  # the per-grid multipliers and caches
-        assert _calls_into_src(reformulated_rhs, state, params) <= 141
+        assert _calls_into_src(reformulated_rhs, state, params) <= 115
 
     def test_assemble_sources_with_a_frozen_pair(self, setup):
         grid, params, new_state = setup
@@ -743,7 +744,7 @@ class TestFixedCost:
         state = new_state()
         u = state.velocity()
         assemble_sources(state, params, u, frozen)
-        assert _calls_into_src(assemble_sources, state, params, u, frozen) <= 99
+        assert _calls_into_src(assemble_sources, state, params, u, frozen) <= 71
 
     def test_sweep_stages(self, setup):
         grid, params, new_state = setup
@@ -757,8 +758,8 @@ class TestFixedCost:
         rhs(state, 0)
         # stage 1: the couplings and the pass of its own sources and the
         # frozen convection; stage 2: the predictor's couplings and convection
-        assert _calls_into_src(rhs, state, 0, u) <= 114
-        assert _calls_into_src(rhs, state, 0) <= 54
+        assert _calls_into_src(rhs, state, 0, u) <= 86
+        assert _calls_into_src(rhs, state, 0) <= 44
 
 
 @pytest.mark.parametrize("dim, n", [(3, 16), (2, 64)])
@@ -777,6 +778,25 @@ def test_rhs_allocates_less_than_its_spectral_stack(dim, n, rng):
     finally:
         tracemalloc.stop()
     assert peak < grid._stacks["spec"].nbytes
+
+
+@pytest.mark.parametrize("dim, n, spec, samples, products",
+                         [(2, 32, 27, 27, 20), (3, 16, 67, 67, 40)])
+def test_slabs_hold_the_rows_of_the_largest_pass(dim, n, spec, samples, products, rng):
+    # the rows the two stacks of the push/pop workspace held: spec, and
+    # samples + products on one physical stack (47 in 2-D, 107 in 3-D); the
+    # largest samples and products both come from the frozen-pair source pass
+    grid = Grid(dim, n, 4.0)
+    params = _params(dim=dim)
+    prim = _random_state(grid, rng)
+    state = ReformState.from_primitive(prim)
+    reformulated_rhs(state, params)
+    primitive_rhs(prim, params)
+    frozen = assemble_sources(state, params)
+    assemble_sources(state, params, None, frozen)
+    convect(grid, frozen[1], state.block)
+    assert {k: len(v) for k, v in grid._stacks.items()} == \
+        {"spec": spec, "samples": samples, "products": products}
 
 
 class TestWorkspaceAliasing:
