@@ -302,6 +302,11 @@ class Runner:
         grid = self.grid()
         params = self.params(grid.dim)
         rows = []
+        for xi in lin["xi_values"]:
+            # a seed is one grid mode k = xi * length, never moved to the nearest
+            if abs(round(xi * grid.length) - xi * grid.length) > 1e-9 * xi * grid.length:
+                raise InputError(f"[linear] xi_values: xi = {xi:g} times length = "
+                                 f"{grid.length:g} is not a whole number")
         for pair in lin["pairs"]:
             for xi in lin["xi_values"]:
                 k = int(round(xi * grid.length))
@@ -344,7 +349,7 @@ class Runner:
         write_csv(self.artifacts[0],
                   ["t", "inst_rho", "inst_u", "inst_E", "diss_rho", "diss_u",
                    "diss_E", "acc_rho", "acc_u", "acc_E"],
-                  result.norms.rows(), "instantaneous and accumulated norms")
+                  result.norms.table, "instantaneous and accumulated norms")
         final = result.final
         rho_hat = final.rho.copy()
         rho_hat.coeff[(0,) * grid.dim] += 1.0

@@ -359,7 +359,7 @@ def _largest_singular_value(J: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConstraintReport:
-    """Residual history with the Gronwall/curl majorants and their margins."""
+    """Residual history and whether it stays under the Gronwall/curl majorants."""
     times: list = field(default_factory=list)
     div_res: list = field(default_factory=list)
     curl_res: list = field(default_factory=list)
@@ -368,8 +368,6 @@ class ConstraintReport:
     gauge_integral: list = field(default_factory=list)
     div_ok: bool = True
     curl_ok: bool = True
-    max_div_margin: float = 0.0
-    max_curl_margin: float = 0.0
 
 
 # check_trajectory's floor on each bound: (ERROR_FLOOR * max(|F(0)|, 1) * (1 + t))^2
@@ -409,15 +407,11 @@ def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
     for i, t in enumerate(rep.times):
         floor = (ERROR_FLOOR * scale * (1.0 + t)) ** 2
         grow_div = r0sq * np.exp(0.5 * rep.gauge_integral[i]) * allowance
-        margin = rep.div_res[i] ** 2 / max(grow_div + floor, 1e-300)
-        rep.max_div_margin = max(rep.max_div_margin, margin)
         if not (rep.div_res[i] ** 2 <= grow_div + floor):  # a NaN residual violates
             rep.div_ok = False
         grow = np.exp(2.0 * rep.gauge_integral[i]) * allowance
         for series in (rep.curl_sq_l2, rep.curl_sq_point):
             bound = series[0] * grow + floor
-            marginc = series[i] / max(bound, 1e-300)
-            rep.max_curl_margin = max(rep.max_curl_margin, marginc)
             if not (series[i] <= bound):
                 rep.curl_ok = False
     if strict and not (rep.div_ok and rep.curl_ok):

@@ -18,7 +18,10 @@ freed by reference counting.  Since the psi_q are fixed per grid, a field's
 block profile (||block_q f||_L2 over the active range) is one matrix-vector
 product of the squared stack with the field's power spectrum, and a
 weighted block sum is one dot product with a weight vector cached per
-regularity index (s, t) (``DyadicFamily.weights``).
+regularity index (s, t) (``DyadicFamily.weights``).  These two are the one
+norm kernel: ``besov_norm``, ``hybrid_norm`` and the run ledger
+``evolve.NormSeries`` all measure through ``block_l2_profile`` and
+``weighted_sum``, and no other module reads the squared stack.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ range of |grad|^-1 curl.
 Every state is one coefficient block (``model.FieldTuple``): the stepper
 damps with one multiply by a per-row factor block, writes each stage into a
 fresh block in place and zeros its means (Omega is antisymmetric by layout).
-The ledger works on blocks too: ``NormSeries.record`` samples one
-``PrimitiveState`` block (a sweep's trajectory snapshot, or the direct
-run's rho, velocity and E), and a sweep's difference from the previous one
-is one block subtraction per node.
+The ledger samples fields: ``NormSeries.record`` measures rho, u and E (a
+sweep's trajectory snapshot, or the direct run's rho, velocity and E) with
+the dyadic family's block-profile kernel, and a sweep's difference from the
+previous one is one block subtraction per node.
 """
 
 from __future__ import annotations
@@ -97,60 +97,41 @@ class NormSeries:
     At index s = N/2: rho and E are measured in the hybrid (s-1, s) norm
     instantaneously and (s+1, s) under the integral; u in the homogeneous
     (s-1) and (s+1) norms.  Accumulation is by the trapezoid rule, so the
-    integrals are nondecreasing by construction.  The blocks are the
-    grid's own dyadic family.  A sample is one ``PrimitiveState`` block:
-    one power pass over its rows, one component sum and one matrix-vector
-    product with the squared psi stack per field, bit for bit the block
-    profiles (``DyadicFamily.block_l2_profile``) of its three fields.
+    integrals are nondecreasing by construction.  Each field of a sample is
+    measured by one block profile (``DyadicFamily.block_l2_profile``) of the
+    grid's own dyadic family, weighted twice (``weighted_sum``): the kernel
+    of ``besov_norm`` and ``hybrid_norm``.  ``table`` holds one row per
+    sample, the columns of ``norms.csv``: t, the instantaneous, smoothing and
+    accumulated norms of rho, u and E.
     """
 
-    KEYS = ("rho", "u", "E")
-
     def __init__(self, grid: Grid):
-        self.grid = grid
         self.fam = grid.dyadic
-        s = grid.dim / 2.0
-        # per field: its block rows, and its instantaneous and smoothing
-        # weights (homogeneous u, hybrid rho and E)
-        self._fields = [(PrimitiveState.field_rows(grid, key),
-                         self.fam.weights(s - 1.0, None if key == "u" else s),
-                         self.fam.weights(s + 1.0, None if key == "u" else s))
-                        for key in self.KEYS]
-        self.times: list[float] = []
-        self.inst = {"rho": [], "u": [], "E": []}
-        self.diss = {"rho": [], "u": [], "E": []}
-        self.acc = {"rho": [0.0], "u": [0.0], "E": [0.0]}
+        self.s = grid.dim / 2.0
+        self.table: list[tuple[float, ...]] = []
 
-    def record(self, t: float, block: np.ndarray):
-        """Sample the ``PrimitiveState`` block ``block`` at time ``t``."""
-        g, psi_sq = self.grid, self.fam.psi_sq
-        power = np.abs(block) ** 2
-        spectra = np.empty((3,) + g.spectral_shape)
-        for spectrum, (rows, *_) in zip(spectra, self._fields):
-            np.add.reduce(power[rows], axis=0, out=spectrum)
-        spectra *= g.hermitian_weight
-        profiles = np.empty((3, len(psi_sq)))
-        for profile, spectrum in zip(profiles, spectra):
-            np.matmul(psi_sq, spectrum.ravel(), out=profile)
-        np.sqrt(profiles, out=profiles)
-        inst = [float(w @ p) for p, (_, w, _) in zip(profiles, self._fields)]
-        diss = [float(w @ p) for p, (_, _, w) in zip(profiles, self._fields)]
-        if self.times:
-            dt = t - self.times[-1]
+    def record(self, t: float, rho: SpectralField, u: SpectralField, E: SpectralField):
+        """Sample the fields ``rho``, ``u`` and ``E`` at time ``t``."""
+        fam, s = self.fam, self.s
+        inst, diss = [], []
+        for f, high in ((rho, s), (u, None), (E, s)):  # homogeneous u, hybrid rho and E
+            profile = fam.block_l2_profile(f)
+            inst.append(fam.weighted_sum(profile, s - 1.0, high))
+            diss.append(fam.weighted_sum(profile, s + 1.0, high))
+        acc = [0.0, 0.0, 0.0]
+        if self.table:
+            last = self.table[-1]
+            dt = t - last[0]
             if dt < 0:
                 raise InputError("sample times must be monotone")
-            for key, value in zip(self.KEYS, diss):
-                self.acc[key].append(self.acc[key][-1] + 0.5 * dt * (self.diss[key][-1] + value))
-        for key, i, d in zip(self.KEYS, inst, diss):
-            self.inst[key].append(i)
-            self.diss[key].append(d)
-        self.times.append(t)
+            acc = [a + 0.5 * dt * (d0 + d) for a, d0, d in zip(last[7:], last[4:7], diss)]
+        self.table.append((t, *inst, *diss, *acc))
 
     def sup_instant(self) -> float:
-        return sum(max(self.inst[k]) for k in ("rho", "u", "E"))
+        return sum(max(row[i] for row in self.table) for i in (1, 2, 3))
 
     def final_l1(self) -> float:
-        return sum(self.acc[k][-1] for k in ("rho", "u", "E"))
+        return sum(self.table[-1][7:])
 
     def bnorm(self) -> float:
         """Sum of the three sup-in-time norms and the three L1 integrals."""
@@ -162,22 +143,15 @@ class NormSeries:
         total = self.final_l1()
         if total == 0.0:
             return 0.0
-        idx = int(len(self.times) * (1.0 - window))
-        early = sum(self.acc[k][idx] for k in ("rho", "u", "E"))
+        early = sum(self.table[int(len(self.table) * (1.0 - window))][7:])
         return (total - early) / total
-
-    def rows(self):
-        for i, t in enumerate(self.times):
-            yield (t, self.inst["rho"][i], self.inst["u"][i], self.inst["E"][i],
-                   self.diss["rho"][i], self.diss["u"][i], self.diss["E"][i],
-                   self.acc["rho"][i], self.acc["u"][i], self.acc["E"][i])
 
 
 def initial_bnorm(prim: PrimitiveState) -> float:
     """Critical norm of the data, hybrid for rho and E and homogeneous for
     u: the instantaneous part of one ``NormSeries`` sample."""
     norms = NormSeries(prim.grid)
-    norms.record(0.0, prim.block)
+    norms.record(0.0, *prim)
     return norms.sup_instant()
 
 
@@ -295,7 +269,7 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig) -> DirectResult:
     init = initial_bnorm(prim0)
     for t, final, u in _march(IFStepper(grid, config, direct_rhs(config)),
                               ReformState.from_primitive(prim0), config.n_steps):
-        norms.record(t, PrimitiveState(final.rho, u, final.E).block)
+        norms.record(t, final.rho, u, final.E)
     return DirectResult(norms, final, config.n_steps, init)
 
 
@@ -350,10 +324,10 @@ class _Sweep:
         del data  # the start lives in the march alone, freed after its first step
         for t, state, u in march:
             self.traj.record(t, state.rho, u, state.E)
-            snapshot = self.traj.states[-1].block
-            self.norms.record(t, snapshot)
+            snapshot = self.traj.states[-1]
+            self.norms.record(t, *snapshot)
             if self.prev is not None:
-                self.diff.record(t, snapshot - self.prev.traj.at(t).block)
+                self.diff.record(t, *(snapshot - self.prev.traj.at(t)))
             yield
         if not (self.norms.bnorm() <= limit):  # NaN-safe
             raise StabilityError(

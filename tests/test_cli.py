@@ -310,6 +310,26 @@ class TestCli:
         rows = (out / "norms.csv").read_text().strip().splitlines()[2:]
         assert len(rows) == 11  # a sample at every accepted step incl. t=0
 
+    def test_simulate_summary_sums_its_norm_table(self, tmp_path):
+        # consistency: the summary's l1_total is the sum of the last norms.csv
+        # row's acc_* values and sup_instant the sum of the inst_* column
+        # maxima, exactly (both files print floats that read back exactly)
+        cfg = _write_config(
+            tmp_path / "c.ini",
+            "[run]\nseed = 5\n\n[grid]\nn = 16\nlength = 4.0\n"
+            "\n[physics]\nalpha = 2.0\n\n[simulate]\ndt = 0.05\nt_final = 0.5\n"
+            "amplitude = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        lines = (out / "norms.csv").read_text().strip().splitlines()[1:]
+        header = lines[0].split(",")
+        columns = dict(zip(header, zip(*([float(v) for v in line.split(",")]
+                                         for line in lines[1:]))))
+        assert summary["l1_total"] == sum(columns[f"acc_{k}"][-1] for k in ("rho", "u", "E"))
+        assert summary["sup_instant"] == sum(max(columns[f"inst_{k}"]) for k in ("rho", "u", "E"))
+        assert summary["l1_total"] > 0.0
+
     def test_iterate_mode_quick(self, tmp_path):
         cfg = _write_config(
             tmp_path / "c.ini",
@@ -491,6 +511,9 @@ _MISUSE = [
      "[constraints] flow map is degenerate on this grid"),
     ("linear", "[grid]\nn = 64\nlength = 8\n[linear]\npairs = rho_d\nxi_values = 4\n",
      None, "[linear] |xi| = 4"),
+    # a seed is the grid mode xi * length, never moved to the nearest one
+    ("linear", "[grid]\nn = 32\nlength = 8\n[linear]\nxi_values = 0.5, 0.3\n", None,
+     "[linear] xi_values: xi = 0.3"),
     # NaN fails every comparison, so each domain check is written to trip on it
     ("scaling", "[grid]\nn = 16\nlength = nan\n", None, "length must be >= 1, got nan"),
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nmu = nan\n", None, "mu=nan"),
@@ -527,17 +550,17 @@ _MISUSE = [
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nalpha = nan\n", None,
      "alpha must be finite, got nan"),
     # the rate fit needs 20 samples in the trailing half of the series
-    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nsamples = -1\n", None,
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nxi_values = 1\nsamples = -1\n", None,
      "[linear] samples = -1"),
-    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nsamples = 38\n", None,
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nxi_values = 1\nsamples = 38\n", None,
      "[linear] samples = 38"),
-    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = 0\n", None,
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nxi_values = 1\nefolds = 0\n", None,
      "[linear] efolds = 0.0"),
-    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = -5\n", None,
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nxi_values = 1\nefolds = -5\n", None,
      "[linear] efolds = -5.0"),
-    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = nan\n", None,
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nxi_values = 1\nefolds = nan\n", None,
      "[linear] efolds = nan"),
-    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nefolds = inf\n", None,
+    ("linear", "[grid]\nn = 16\nlength = 1\n[linear]\nxi_values = 1\nefolds = inf\n", None,
      "[linear] efolds = inf"),
     # the refinement level n = 32 cannot hold the default mode k = (0, 2L) = (0, 16)
     ("constraints", "[grid]\nn = 64\nlength = 8\n[constraints]\nrefine_levels = 32\n",

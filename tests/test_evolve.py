@@ -50,16 +50,16 @@ class TestNormSeries:
     def test_zero_trajectory(self, grid2d):
         ns = NormSeries(grid2d)
         for t in (0.0, 0.5, 1.0):
-            ns.record(t, PrimitiveState.zeros(grid2d).block)
+            ns.record(t, *PrimitiveState.zeros(grid2d))
         assert ns.bnorm() == 0.0
         assert ns.l1_tail_fraction() == 0.0
 
     def test_accumulators_nondecreasing(self, grid2d, rng):
         ns = NormSeries(grid2d)
         for t in np.linspace(0.0, 1.0, 11):
-            ns.record(float(t), _random_prim(grid2d, rng, amplitude=1.0).block)
-        for key in ("rho", "u", "E"):
-            assert np.all(np.diff(ns.acc[key]) >= 0.0)
+            ns.record(float(t), *_random_prim(grid2d, rng, amplitude=1.0))
+        for acc in list(zip(*ns.table))[7:]:  # acc_rho, acc_u, acc_E
+            assert np.all(np.diff(acc) >= 0.0)
 
     def test_exponential_block_integral(self, grid2d):
         # a single decaying mode: the accumulated integral matches the
@@ -73,30 +73,31 @@ class TestNormSeries:
         T = 4.0
         for i in range(int(T / dt) + 1):
             t = i * dt
-            ns.record(t, PrimitiveState(np.exp(-rate * t) * base, zu, zE).block)
+            ns.record(t, np.exp(-rate * t) * base, zu, zE)
         c0 = hybrid_norm(base, 2.0, 1.0)
         expected = c0 * (1.0 - np.exp(-rate * T)) / rate
-        assert ns.acc["rho"][-1] == pytest.approx(expected, rel=5e-3)
+        assert ns.table[-1][7] == pytest.approx(expected, rel=5e-3)  # acc_rho
 
     def test_one_block_profile_per_field(self, grid2d, rng, monkeypatch):
         # both weightings of a sample read one profile per field: one
-        # matrix-vector product with the squared psi stack each
+        # block_l2_profile call each, on the field itself
         calls = []
-        matmul = np.matmul
+        profile = DyadicFamily.block_l2_profile
 
-        def counted(a, b, *args, **kwargs):
-            calls.append(a is grid2d.dyadic.psi_sq and b.ndim == 1)
-            return matmul(a, b, *args, **kwargs)
+        def counted(fam, f):
+            calls.append(f)
+            return profile(fam, f)
 
-        monkeypatch.setattr(np, "matmul", counted)
-        NormSeries(grid2d).record(0.0, _random_prim(grid2d, rng, amplitude=1.0).block)
-        assert calls == [True, True, True]
+        monkeypatch.setattr(DyadicFamily, "block_l2_profile", counted)
+        prim = _random_prim(grid2d, rng, amplitude=1.0)
+        NormSeries(grid2d).record(0.0, *prim)
+        assert len(calls) == 3 and all(a is b for a, b in zip(calls, prim))
 
     @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
     def test_block_ledger_equals_the_per_field_profiles_bitwise(self, grid_name, rng,
                                                                 request):
-        # one power pass, one component sum and one matrix-vector product per
-        # field give the per-field block profiles bit for bit, at every scale
+        # each table entry is the weighted sum of its field's block profile,
+        # bit for bit, at every scale
         grid = request.getfixturevalue(grid_name)
         fam, s = grid.dyadic, grid.dim / 2.0
         ns = NormSeries(grid)
@@ -105,19 +106,19 @@ class TestNormSeries:
             prim = PrimitiveState(*(random_field(grid, rank, rng, amplitude=10.0 ** e)
                                     for rank, e in zip(("scalar", "vector", "matrix"),
                                                        exponents)))
-            ns.record(float(t), prim.block)
-            for key, f in zip(("rho", "u", "E"), prim):
+            ns.record(float(t), *prim)
+            for i, (key, f) in enumerate(zip(("rho", "u", "E"), prim)):
                 high = None if key == "u" else s
                 profile = fam.block_l2_profile(f)
-                assert ns.inst[key][-1] == fam.weighted_sum(profile, s - 1.0, high)
-                assert ns.diss[key][-1] == fam.weighted_sum(profile, s + 1.0, high)
+                assert ns.table[-1][1 + i] == fam.weighted_sum(profile, s - 1.0, high)
+                assert ns.table[-1][4 + i] == fam.weighted_sum(profile, s + 1.0, high)
 
     def test_monotone_times_required(self, grid2d):
         ns = NormSeries(grid2d)
-        zeros = PrimitiveState.zeros(grid2d).block
-        ns.record(1.0, zeros)
+        zeros = PrimitiveState.zeros(grid2d)
+        ns.record(1.0, *zeros)
         with pytest.raises(InputError):
-            ns.record(0.5, zeros)
+            ns.record(0.5, *zeros)
 
     @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
     def test_initial_norm_equals_the_three_block_norms_bitwise(self, grid_name, rng,

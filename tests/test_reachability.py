@@ -160,3 +160,29 @@ def test_nabla_read_only_in_grid_and_operators():
 @pytest.mark.parametrize("code", ["g.nabla", "grid.nabla[0]"])
 def test_nabla_check_sees_each_form(code):
     assert _nabla_uses(ast.parse(code)) == [1]
+
+
+# Every block profile is ``DyadicFamily.block_l2_profile``: the squared psi
+# stack ``psi_sq`` is read only in ``dyadic.py``, so no module (the norm
+# ledger included) regrows a second profile kernel.
+PSI_SQ_OWNER = "dyadic.py"
+
+
+def _psi_sq_uses(tree: ast.Module) -> list[int]:
+    """Lines that use a ``psi_sq`` attribute or name, each once."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute) and node.attr == "psi_sq")
+                   or (isinstance(node, ast.Name) and node.id == "psi_sq")})
+
+
+def test_psi_sq_read_only_in_dyadic():
+    assert _psi_sq_uses(TREES[SRC / PSI_SQ_OWNER]), "the check no longer sees dyadic.py's reads"
+    outside = [f"{path.name}:{line}" for path, tree in TREES.items()
+               if path.name != PSI_SQ_OWNER for line in _psi_sq_uses(tree)]
+    assert outside == []
+
+
+@pytest.mark.parametrize("code", ["fam.psi_sq", "grid.dyadic.psi_sq @ p",
+                                  "psi_sq = g.dyadic.psi_sq"])
+def test_psi_sq_check_sees_each_form(code):
+    assert _psi_sq_uses(ast.parse(code)) == [1]
