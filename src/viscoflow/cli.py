@@ -260,9 +260,12 @@ class Runner:
     # -- modes ----------------------------------------------------------
 
     def run(self) -> int:
-        self.out.mkdir(parents=True, exist_ok=True)
         self._plan()
-        self.manifest(final=False)
+        try:  # the first writes: a file on the path, or no permission, stops here
+            self.out.mkdir(parents=True, exist_ok=True)
+            self.manifest(final=False)
+        except OSError as exc:
+            raise InputError(f"cannot write {exc.filename or self.out}: {exc.strerror}") from None
         with np.errstate(all="ignore"):  # the explicit checks report faults, once
             getattr(self, f"mode_{self.mode}")()
         self.manifest(final=True)

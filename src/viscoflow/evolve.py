@@ -2,20 +2,21 @@
 system, and the frozen-coefficient iteration that solves a linear system per
 sweep and contracts to the same solution for small data.
 
-Both modes share one stepper, one run loop and one norm ledger.  The stepper
-is the integrating-factor Heun rule (IFRK2, Cox & Matthews, J. Comput. Phys.
-176:430, 2002): the viscous diagonal (nu on d, mu on Omega) is integrated
-exactly per mode, and a non-stiff right-hand side, a callable
-``(state, node, u=None) -> ReformState``, advances with the explicit
-second-order two-stage rule (``u`` is the state's velocity when the run loop
-already holds it).  The direct mode's callable is the reformulated system
-without its viscous diagonal; an iteration sweep's holds the linear
-couplings plus the sources frozen at the previous sweep.  The skew
-couplings are non-stiff (first-order symbols against second-order viscous
-ones), so no linear solves are needed anywhere.
+Both modes share one stepper, one run loop and one norm ledger, and each run
+builds one stepper.  The stepper is the integrating-factor Heun rule (IFRK2,
+Cox & Matthews, J. Comput. Phys. 176:430, 2002): the viscous diagonal (nu
+on d, mu on Omega) is integrated exactly per mode, and a non-stiff
+right-hand side, a callable ``(state, node, u=None) -> ReformState`` handed
+to each step, advances with the explicit second-order two-stage rule (``u``
+is the state's velocity when the run loop already holds it).  The direct
+mode's callable is the reformulated system without its viscous diagonal; an
+iteration sweep's holds the linear couplings plus the sources frozen at the
+previous sweep.  The skew couplings are non-stiff (first-order symbols
+against second-order viscous ones), so no linear solves are needed anywhere.
 The run loop (``_march``) yields the nodes, which its consumers sample
-into ``NormSeries``.  The iteration's sweeps march together, each one node
-behind the one before and keeping two nodes (the staggered schedule of
+into ``NormSeries``.  The iteration's sweeps march together with the run's
+one stepper, each one node behind the one before and keeping the run loop's
+own states and velocities at its last two nodes (the staggered schedule of
 Christlieb, Macdonald & Ong, SIAM J. Sci. Comput. 32:818, 2010), so memory
 does not grow with the step count.  At each node one pass serves a sweep's
 stage-1 convection and its successor's sources; both read the stored d and
@@ -25,16 +26,16 @@ range of |grad|^-1 curl.
 Every state is one coefficient block (``model.FieldTuple``): the stepper
 damps with one multiply by a per-row factor block, writes each stage into a
 fresh block in place and zeros its means (Omega is antisymmetric by layout).
-The ledger samples fields: ``NormSeries.record`` measures rho, u and E (a
-sweep's trajectory snapshot, or the direct run's rho, velocity and E) with
-the dyadic family's block-profile kernel, and a sweep's difference from the
-previous one is one block subtraction per node.
+The ledger samples fields: ``NormSeries.record`` measures the state's rho
+and E rows and the velocity the run loop holds with the dyadic family's
+block-profile kernel, and a sweep's difference from the previous one is one
+state-block and one velocity subtraction per node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,16 +163,16 @@ def initial_bnorm(prim: PrimitiveState) -> float:
 class IFStepper:
     """Integrating-factor Heun step (IFRK2) around a non-stiff right-hand side.
 
+    A run builds one stepper, and each step is handed its right-hand side:
     ``nonstiff(state, node, u)`` is evaluated at the run loop's state and at
-    the predictor (with no ``u``), nodes ``node`` and ``node + 1``; the factors
-    exp(-nu|xi|^2 dt) on d and exp(-mu|xi|^2 dt) on Omega are applied
+    the predictor (with no ``u``), nodes ``node`` and ``node + 1``.  The
+    factors exp(-nu|xi|^2 dt) on d and exp(-mu|xi|^2 dt) on Omega are applied
     exactly, as one multiply by a factor block cached here (1 elsewhere).
     """
 
-    def __init__(self, grid: Grid, config: RunConfig, nonstiff):
+    def __init__(self, grid: Grid, config: RunConfig):
         self.grid = grid
         self.dt = config.dt
-        self.nonstiff = nonstiff
         p = config.params
         self.damping = np.ones(ReformState.block_shape(grid))
         rows = ReformState.of_block(grid, self.damping)
@@ -182,20 +183,20 @@ class IFStepper:
         umax = float(np.max(np.abs(u.to_physical())))
         number = self.dt * umax * self.grid.xi_max
         if not (number <= CFL_LIMIT):
-            raise StabilityError(f"CFL number {number:.3g} exceeds limit {CFL_LIMIT}")
+            raise StabilityError(f"CFL number {number:.3g} exceeds limit {CFL_LIMIT} in field u")
 
-    def step(self, state: ReformState, node: int,
+    def step(self, nonstiff, state: ReformState, node: int,
              u: SpectralField | None = None) -> ReformState:
-        """One step from ``state``, whose velocity ``u`` the caller may hold.
-        The predictor and the Heun sum are fresh blocks, written in place;
-        ``state`` and the right-hand sides' results are only read, since
-        recorders keep states."""
+        """One step of ``nonstiff`` from ``state``, whose velocity ``u`` the
+        caller may hold.  The predictor and the Heun sum are fresh blocks,
+        written in place; ``state`` and the right-hand sides' results are only
+        read, since the sweeps keep the run loop's states."""
         dt, x = self.dt, state.block
-        k1 = self.nonstiff(state, node, u).block
+        k1 = nonstiff(state, node, u).block
         pred = np.multiply(k1, dt)
         pred += x
         pred *= self.damping
-        k2 = self.nonstiff(ReformState.of_block(self.grid, pred), node + 1).block
+        k2 = nonstiff(ReformState.of_block(self.grid, pred), node + 1).block
         new = np.multiply(k1, 0.5 * dt)
         new += x
         new *= self.damping
@@ -213,9 +214,10 @@ def direct_rhs(config: RunConfig):
     return nonstiff
 
 
-def _march(stepper: IFStepper, state: ReformState, n_steps: int):
-    """The run loop of both modes: yields ``(t, state, velocity)`` per node and
-    checks the CFL number every CFL_CHECK_EVERY steps; errors name the step."""
+def _march(stepper: IFStepper, nonstiff, state: ReformState, n_steps: int):
+    """The run loop of both modes: steps with ``nonstiff``, yields
+    ``(t, state, velocity)`` per node and checks the CFL number every
+    CFL_CHECK_EVERY steps; errors name the step."""
     for k in range(n_steps + 1):
         u = state.velocity()
         yield k * stepper.dt, state, u
@@ -224,25 +226,9 @@ def _march(stepper: IFStepper, state: ReformState, n_steps: int):
         try:
             if k % CFL_CHECK_EVERY == 0:
                 stepper.check_cfl(u)
-            state = stepper.step(state, k, u)
+            state = stepper.step(nonstiff, state, k, u)
         except StabilityError as exc:
             raise StabilityError(f"step {k + 1}: {exc}") from exc
-
-
-@dataclass
-class Trajectory:
-    """A sweep's primitive snapshots at its last two nodes, each copied once
-    into its own ``PrimitiveState`` block that nothing writes again."""
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-
-    def record(self, t, rho: SpectralField, u: SpectralField, E: SpectralField):
-        self.times.append(t)
-        self.states.append(PrimitiveState(rho, u, E))
-        del self.times[:-2], self.states[:-2]
-
-    def at(self, t: float) -> PrimitiveState:
-        return self.states[self.times.index(t)]
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +253,7 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig) -> DirectResult:
     grid = prim0.rho.grid
     norms = NormSeries(grid)
     init = initial_bnorm(prim0)
-    for t, final, u in _march(IFStepper(grid, config, direct_rhs(config)),
+    for t, final, u in _march(IFStepper(grid, config), direct_rhs(config),
                               ReformState.from_primitive(prim0), config.n_steps):
         norms.record(t, final.rho, u, final.E)
     return DirectResult(norms, final, config.n_steps, init)
@@ -289,15 +275,17 @@ class _Sweep:
     """One iteration sweep: its non-stiff right-hand side, and its nodes.  The
     velocity and sources are frozen at the previous sweep's ``window`` (none
     on the first sweep); at stage 1, given the run loop's ``u``, a sweep with
-    a successor (``hands_on``) assembles its own sources in the same pass."""
+    a successor (``hands_on``) assembles its own sources in the same pass.
+    ``kept`` holds the run loop's own ``(state, velocity)`` at the last two
+    nodes, which the successor's difference reads."""
 
     def __init__(self, number: int, grid: Grid, params: ModelParams,
                  prev: _Sweep | None = None, hands_on: bool = False):
         self.number, self.params, self.prev, self.hands_on = number, params, prev, hands_on
         self.window: dict[int, tuple[ReformState, np.ndarray]] = {}
+        self.kept: dict[int, tuple[ReformState, SpectralField]] = {}
         self.norms = NormSeries(grid)
         self.diff = self.norms if prev is None else NormSeries(grid)
-        self.traj = Trajectory()
 
     def _hand_on(self, node: int, sources: ReformState, u_phys: np.ndarray):
         self.window[node] = (sources, u_phys)
@@ -316,18 +304,20 @@ class _Sweep:
             out.block += frozen[0].block - convect(state.grid, frozen[1], state.block)
         return out
 
-    def nodes(self, prim0: PrimitiveState, config: RunConfig, limit: float):
+    def nodes(self, stepper: IFStepper, prim0: PrimitiveState, config: RunConfig,
+              limit: float):
         """The sweep's nodes, then its divergence check and final source pass."""
         data = prim0.map(lambda f: mollify(f, self.number)) if config.init_mollified else prim0
-        march = _march(IFStepper(prim0.rho.grid, config, self), ReformState.from_primitive(data),
-                       n := config.n_steps)
-        del data  # the start lives in the march alone, freed after its first step
-        for t, state, u in march:
-            self.traj.record(t, state.rho, u, state.E)
-            snapshot = self.traj.states[-1]
-            self.norms.record(t, *snapshot)
+        march = _march(stepper, self, ReformState.from_primitive(data), n := config.n_steps)
+        del data  # the start lives on only as the march's first state
+        for k, (t, state, u) in enumerate(march):
+            self.kept[k] = (state, u)
+            self.kept.pop(k - 2, None)
+            self.norms.record(t, state.rho, u, state.E)
             if self.prev is not None:
-                self.diff.record(t, *(snapshot - self.prev.traj.at(t)))
+                prev_state, prev_u = self.prev.kept[k]
+                delta = state - prev_state
+                self.diff.record(t, delta.rho, u - prev_u, delta.E)
             yield
         if not (self.norms.bnorm() <= limit):  # NaN-safe
             raise StabilityError(
@@ -374,7 +364,8 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig) -> PicardResult:
     for number in range(1, count + 1):
         sweeps.append(_Sweep(number, grid, config.params, sweeps[-1] if sweeps else None,
                              hands_on=number < count))
-    marches = [sweep.nodes(prim0, config, limit) for sweep in sweeps]
+    stepper = IFStepper(grid, config)  # one damping block for every sweep
+    marches = [sweep.nodes(stepper, prim0, config, limit) for sweep in sweeps]
     failed: dict[int, StabilityError] = {}
     for tick in range(config.n_steps + count + 1):
         # sweep s starts at tick s - 1; a failed sweep stops every later one
@@ -390,8 +381,9 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig) -> PicardResult:
 
     diffs = [sweep.diff.bnorm() for sweep in sweeps]
     ratios = [b / a if a > 0 else 0.0 for a, b in zip(diffs, diffs[1:])]
-    return PicardResult([sweep.norms for sweep in sweeps], diffs, ratios,
-                        [sweep.traj.states[-1] for sweep in sweeps], init_norm)
+    finals = [PrimitiveState(state.rho, u, state.E)
+              for state, u in (sweep.kept[config.n_steps] for sweep in sweeps)]
+    return PicardResult([sweep.norms for sweep in sweeps], diffs, ratios, finals, init_norm)
 
 
 def uniform_bound_monitor(result: PicardResult, gamma_data: float) -> dict:

@@ -366,7 +366,7 @@ class PhysicalBundle:
         sup = float(np.max(np.abs(rho)))
         if not (sup <= RHO_SUP_LIMIT):  # NaN-safe: comparisons with NaN are False
             raise StabilityError(
-                f"density perturbation sup {sup:.3g} > {RHO_SUP_LIMIT}; left the small-data regime")
+                f"density perturbation sup {sup:.3g} exceeds limit {RHO_SUP_LIMIT} in field rho")
         return ph
 
 

@@ -429,7 +429,7 @@ class TestCliErrorBoundary:
                               "[grid]\nn = 32\nlength = 8\n"
                               "\n[simulate]\ndt = 50\nt_final = 50\n")
         assert code == 3
-        assert err == ["run stopped: step 1: CFL number 3.17 exceeds limit 0.5"]
+        assert err == ["run stopped: step 1: CFL number 3.17 exceeds limit 0.5 in field u"]
 
     def test_configuration_error_exits_1(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, "simulate", "[physics]\nmu = -1\n")
@@ -600,6 +600,22 @@ class TestConfigMisuse:
         if sweep:
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("out,sweep,names", [
+        ("taken", None, "taken: File exists"),
+        ("taken/sub", "grid.length=1,2", "taken/sub/grid_length=1: Not a directory"),
+        ("made", None, "made/manifest.json: Is a directory"),
+    ])
+    def test_unusable_out_exits_1_with_one_line(self, tmp_path, capsys, out, sweep, names):
+        # an existing file, a path through one, or a directory where the
+        # manifest goes: the first write names the path it could not write
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "made" / "manifest.json").mkdir(parents=True)
+        cfg = _write_config(tmp_path / "c.ini", "[grid]\nn = 16\nlength = 1\n")
+        argv = ["scaling", "--config", cfg, "--out", str(tmp_path / out)]
+        assert main(argv + (["--sweep", sweep] if sweep else [])) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"input error: cannot write {tmp_path / names}"], err
+
     def test_thread_cap_must_be_an_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VISCOFLOW_THREADS", "abc")
         cfg = _write_config(tmp_path / "c.ini", "[grid]\nn = 16\nlength = 1\n")
@@ -680,3 +696,47 @@ def _readme_keys():
 
 def test_readme_lists_every_config_key():
     assert _readme_keys() == {(s, k) for s, keys in cli._SCHEMA.items() for k in keys}
+
+
+def _readme_mode_sections():
+    """mode -> the config sections the README's per-mode table lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| mode | sections read |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        mode, sections = (cell.strip() for cell in row.strip("|").split("|")[:2])
+        table[mode.strip("`")] = {s.strip().strip("`[]") for s in sections.split(",")}
+    return table
+
+
+# a short run of each mode on a 16-point grid of length 1
+_MODE_RUNS = {
+    "analyze": "[analyze]\ninput = f.vfs\n",
+    "linear": "[grid]\nn = 16\nlength = 1\n[linear]\npairs = rho_d\nxi_values = 1\n",
+    "simulate": "[grid]\nn = 16\nlength = 1\n[simulate]\ndt = 0.02\nt_final = 0.02\n",
+    "iterate": "[grid]\nn = 16\nlength = 1\n[iterate]\ndt = 0.02\nt_final = 0.02\n"
+               "iterations = 2\n",
+    "constraints": "[grid]\nn = 16\nlength = 1\n[constraints]\nrefine_levels = 16\n"
+                   "t_final = 0.02\n",
+    "scaling": "[grid]\nn = 16\nlength = 1\n",
+}
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_readme_lists_the_sections_each_mode_reads(mode, tmp_path, monkeypatch):
+    # every section is accepted in every mode's file; the table says which
+    # ones the mode reads
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, section):
+            read.add(section)
+            return super().__getitem__(section)
+    parse = cli.read_config
+    monkeypatch.setattr(cli, "read_config", lambda raw: Recording(parse(raw)))
+    monkeypatch.chdir(tmp_path)
+    save_field(tmp_path / "f.vfs", random_field(Grid(2, 16, 1.0), "scalar",
+                                                np.random.default_rng(3)))
+    cfg = _write_config(tmp_path / "c.ini", _MODE_RUNS[mode])
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert _readme_mode_sections()[mode] == read

@@ -15,8 +15,8 @@ from viscoflow import (ComposedMap, DyadicFamily, Grid, ModelParams,
                        uniform_bound_monitor)
 from viscoflow.errors import InputError, StabilityError
 from viscoflow.dyadic import besov_norm, hybrid_norm
-from viscoflow.evolve import (IFStepper, NormSeries, Trajectory, _Sweep, direct_rhs,
-                             initial_bnorm)
+import viscoflow.evolve as evolve
+from viscoflow.evolve import IFStepper, NormSeries, _Sweep, direct_rhs, initial_bnorm
 from viscoflow.grid import cosine_mode
 from viscoflow.linear import evolve_pair_exact
 from viscoflow.model import FieldTuple, ReformState, reformulated_rhs
@@ -155,8 +155,7 @@ class TestRunConfig:
 class TestStepper:
     def test_zero_state_fixed_point(self, grid2d):
         cfg = RunConfig(_params(), dt=0.05, t_final=0.5)
-        stepper = IFStepper(grid2d, cfg, direct_rhs(cfg))
-        out = stepper.step(ReformState.zeros(grid2d), 0)
+        out = IFStepper(grid2d, cfg).step(direct_rhs(cfg), ReformState.zeros(grid2d), 0)
         assert out.rho.l2() == out.d.l2() == out.omega.l2() == out.E.l2() == 0.0
 
     def test_linear_regime_local_order(self, grid2d):
@@ -169,10 +168,9 @@ class TestStepper:
         errs = []
         for dt in (0.1, 0.05):
             cfg = RunConfig(_params(), dt=dt, t_final=1.0)
-            stepper = IFStepper(grid2d, cfg, direct_rhs(cfg))
             state = ReformState.zeros(grid2d)
             state.rho, state.d = rho, d
-            out = stepper.step(state, 0)
+            out = IFStepper(grid2d, cfg).step(direct_rhs(cfg), state, 0)
             ex_rho, ex_d = evolve_pair_exact(rho, d, "rho_d",
                                              SplitViscosity(3.0, 1.0), dt)
             err = np.sqrt((out.rho - ex_rho).l2() ** 2 + (out.d - ex_d).l2() ** 2)
@@ -255,7 +253,7 @@ class TestBlockStepper:
 
         cfg = RunConfig(_params(), dt=0.05, t_final=0.5)
         u = state.velocity()
-        out = IFStepper(grid, cfg, fixed).step(state, 0, u)
+        out = IFStepper(grid, cfg).step(fixed, state, 0, u)
         pred, new = self._reference_step(state, k1, k2, cfg, grid)
         for name in ("rho", "d", "omega", "E"):
             assert np.array_equal(getattr(out, name).coeff, new[name]), name
@@ -327,7 +325,8 @@ class TestDirectRun:
                               SpectralField.zeros(grid2d, "vector"),
                               SpectralField.zeros(grid2d, "matrix"))
         cfg = RunConfig(_params(), dt=0.02, t_final=0.2)
-        with pytest.raises(StabilityError):
+        with pytest.raises(StabilityError,
+                           match=r"^step 1: density perturbation sup .* in field rho$"):
             direct_solve(prim, cfg)
 
     @pytest.mark.parametrize("field", ["rho", "E"])
@@ -343,9 +342,8 @@ class TestDirectRun:
         state = ReformState.from_primitive(_small_state(grid2d, 1e-3, rng))
         state.d.coeff[1, 1] = np.nan
         cfg = RunConfig(_params(), dt=0.02, t_final=0.2)
-        stepper = IFStepper(grid2d, cfg, direct_rhs(cfg))
-        with pytest.raises(StabilityError, match="CFL"):
-            stepper.check_cfl(state.velocity())
+        with pytest.raises(StabilityError, match="CFL.* in field u$"):
+            IFStepper(grid2d, cfg).check_cfl(state.velocity())
 
 
 class TestMollify:
@@ -382,21 +380,60 @@ class TestPicard:
         assert res.differences[0] == res.iterate_norms[0].bnorm() > 0.0
 
     def test_recorded_states_are_never_written(self, rng, monkeypatch):
-        # the trajectory keeps the march's own arrays, not copies: set each
-        # recorded array read-only, so any later in-place write raises
-        record = Trajectory.record
-
-        def frozen(self, t, rho, u, E):
-            record(self, t, rho, u, E)
-            for f in self.states[-1]:
-                f.coeff.setflags(write=False)
-        monkeypatch.setattr(Trajectory, "record", frozen)
+        # the sweeps keep the run loop's own states and velocities, not
+        # copies: set each node's arrays read-only as the loop yields them, so
+        # any later in-place write raises, and the run is unchanged
         grid = Grid(2, 16, length=2.0)
         prim = _small_state(grid, 1e-2, rng)
         cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=3)
-        res = picard_solve(prim, cfg)
-        assert not res.final_states[-1].rho.coeff.flags.writeable
-        assert len(res.differences) == 3
+        want = picard_solve(prim, cfg)
+        march = evolve._march
+
+        def frozen(*args):
+            for t, state, u in march(*args):
+                state.block.setflags(write=False)
+                u.coeff.setflags(write=False)
+                yield t, state, u
+        monkeypatch.setattr(evolve, "_march", frozen)
+        got = picard_solve(prim, cfg)
+        assert got.differences == want.differences and len(got.differences) == 3
+        for a, b in zip(got.final_states, want.final_states, strict=True):
+            assert a.block.tobytes() == b.block.tobytes()
+
+    @pytest.mark.parametrize("solve", [direct_solve, picard_solve])
+    def test_one_stepper_per_run(self, rng, monkeypatch, solve):
+        # every sweep marches with the run's one stepper and its damping block
+        built = []
+        init = IFStepper.__init__
+
+        def counted(self, grid, config):
+            built.append(self)
+            init(self, grid, config)
+        monkeypatch.setattr(IFStepper, "__init__", counted)
+        grid = Grid(2, 16, length=2.0)
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=4)
+        solve(_small_state(grid, 1e-2, rng), cfg)
+        assert len(built) == 1
+
+    def test_primitive_states_do_not_grow_with_the_steps(self, rng, monkeypatch):
+        # the sweeps copy no node into a PrimitiveState: one mollified start
+        # and one final state per sweep, whatever the step count
+        grid = Grid(2, 16, length=2.0)
+        prim = _small_state(grid, 1e-2, rng)
+        built = []
+        bind = FieldTuple._bind
+
+        def counted(self, grid, block):
+            built.append(type(self))
+            bind(self, grid, block)
+        monkeypatch.setattr(FieldTuple, "_bind", counted)
+        counts = []
+        for steps in (5, 20):
+            built.clear()
+            picard_solve(prim, RunConfig(_params(), dt=0.02, t_final=0.02 * steps,
+                                         picard_iterations=3))
+            counts.append(built.count(PrimitiveState))
+        assert counts == [6, 6]
 
     def test_linear_regime_rapid_settling(self, rng):
         # tiny data: quadratic sources are negligible, so successive sweeps
