@@ -394,7 +394,7 @@ class Runner:
         write_csv(self.artifacts[0], ["sweep", "difference_norm", "ratio",
                                       "iterate_norm"], rows,
                   "consecutive-difference contraction report")
-        monitor = uniform_bound_monitor(result, it["amplitude"])
+        monitor = uniform_bound_monitor(result)
         monitor["contraction_ratios"] = result.ratios
         with open(self.artifacts[1], "w") as fh:
             json.dump(monitor, fh, indent=2, sort_keys=True)
@@ -503,9 +503,11 @@ def main(argv=None) -> int:
                    for sub, name in _sweep_configs(args.sweep, base.raw)]
         threads = os.environ.get("VISCOFLOW_THREADS", "1")
         try:
-            cap = max(1, int(threads))
+            cap = int(threads)
         except ValueError:
-            raise InputError(f"VISCOFLOW_THREADS = {threads!r}: expected an integer") from None
+            cap = 0
+        if cap < 1:
+            raise InputError(f"VISCOFLOW_THREADS = {threads!r}: expected a positive integer")
         if cap == 1:
             return max(runner.run() for runner in runners)
         import concurrent.futures

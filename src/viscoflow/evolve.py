@@ -386,26 +386,12 @@ def picard_solve(prim0: PrimitiveState, config: RunConfig) -> PicardResult:
     return PicardResult([sweep.norms for sweep in sweeps], diffs, ratios, finals, init_norm)
 
 
-def uniform_bound_monitor(result: PicardResult, gamma_data: float) -> dict:
-    """Uniformity report across sweeps: measured gain constants, the
-    smallness-ledger products, and a growth flag.
-
-    Flags when the per-sweep gains trend upward (latest above 1.5x the
-    median of the earlier sweeps); the smallness products are reported with
-    the measured constant, never asserted.
+def uniform_bound_monitor(result: PicardResult) -> dict:
+    """Uniformity report across sweeps: the measured gain constants and a
+    growth flag, set when the per-sweep gains trend upward (latest above
+    1.5x the median of the earlier sweeps).
     """
     gains = result.measured_gains
     med = float(np.median(gains[:-1])) if len(gains) > 1 else gains[0]
     flagged = len(gains) > 1 and gains[-1] > 1.5 * med
-    gain = max(gains)
-    c_measured = gain / 4.0
-    return {
-        "gains": gains,
-        "gain": gain,
-        "gamma_data": gamma_data,
-        "smallness_product": gain ** 2 * gamma_data,
-        "exp_product": math.exp(c_measured * gain * gamma_data),
-        "smallness_ok": gain ** 2 * gamma_data <= 1.0
-                        and math.exp(c_measured * gain * gamma_data) <= 2.0,
-        "flagged": bool(flagged),
-    }
+    return {"gains": gains, "gain": max(gains), "flagged": bool(flagged)}

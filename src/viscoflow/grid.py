@@ -54,7 +54,12 @@ pruned of the lines the dealias mask zeroes (FFT pruning), so on finite
 input it equals the masked ``rfftn`` (the masked entries may differ in the
 sign of zero).  ``from_physical`` keeps one
 ``rfftn`` call (it masks only the Nyquist planes), and
-``fine_grid_product`` its own complex path.
+``fine_grid_product`` its own complex path, which is not counted.  The
+grid counts the others: each call of ``_inverse``, ``_forward`` or
+``from_physical`` adds one scalar transform per field component to
+``Grid.transforms``, whatever the number of one-dimensional passes, and one
+real-axis pass (its ``irfft``, ``rfft`` or ``rfftn``) to
+``Grid.transform_passes``.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ class Grid:
     The grid owns its per-grid data: the wavevector arrays, the derivative
     symbol stack ``nabla`` (``nabla[l] = 1j * xi_l``, every differential map
     of ``operators`` is one contraction with it), ``xi_power(s)``, the
-    transform workspace and the dyadic family ``dyadic``.
+    transform workspace, the transform counters ``transforms`` and
+    ``transform_passes`` and the dyadic family ``dyadic``.
     """
 
     def __init__(self, dim: int, n: int, length: float = 8.0,
@@ -151,6 +157,7 @@ class Grid:
                         "samples": np.empty((0,) + (n,) * dim),
                         "products": np.empty((0,) + (n,) * dim)}
         self._in_pass = False
+        self.transforms = self.transform_passes = 0  # see "Transforms"
 
     def workspace(self) -> "Workspace":
         """A pass over this grid's transform slabs: ``with grid.workspace()
@@ -292,6 +299,8 @@ class SpectralField:
             raise InputError("component shape must be (), (dim,), or (dim, dim)")
         axes = tuple(range(values.ndim - grid.dim, values.ndim))
         coeff = np.fft.rfftn(values, axes=axes, norm="forward")
+        grid.transforms += values.size // grid.n ** grid.dim
+        grid.transform_passes += 1
         coeff *= grid.keep_mask
         return cls(grid, coeff)
 
@@ -417,6 +426,8 @@ def _inverse(grid: Grid, coeff: np.ndarray, out: np.ndarray) -> None:
     for ax in range(-grid.dim, -1):
         np.fft.ifft(coeff, axis=ax, norm="forward", out=coeff)
     np.fft.irfft(coeff, n=grid.n, axis=-1, norm="forward", out=out)
+    grid.transforms += out.size // grid.n ** grid.dim
+    grid.transform_passes += 1
 
 
 def _forward(grid: Grid, values: np.ndarray, out: np.ndarray) -> None:
@@ -424,6 +435,8 @@ def _forward(grid: Grid, values: np.ndarray, out: np.ndarray) -> None:
     ``rfftn`` (see "Transforms" in the module docstring)."""
     n, kc = grid.n, grid.dealias_cut
     np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    grid.transforms += values.size // n ** grid.dim
+    grid.transform_passes += 1
     kept = out[..., :kc + 1]
     np.fft.fft(kept, axis=-2, norm="forward", out=kept)
     if grid.dim == 3:

@@ -41,17 +41,9 @@ Every derivative is a row of one ``(dim, count)`` stack
 block] when the pass also convects the state, so grad u, grad rho, grad E
 and the rows u.grad moves are slices of it.  Products that share a
 destination are summed there; by linearity that equals dealiasing each
-product alone.  Scalar transforms (one per field component, whatever the
-number of one-dimensional passes) and real-axis passes (an inverse's
-``irfft``, a forward's ``rfft``) per call; a pass tests its samples for
-finiteness in one scan:
-
-    call                 2-D   3-D   calls
-    reformulated_rhs      36    86     2   (rotation correction in the same forward)
-    primitive_rhs         30    68     2
-    assemble_sources      40    93     2
-      with a frozen pair  47   107     2   (and the state convected by the frozen velocity)
-    evolve._Sweep         21    56     2   (stage 2: ``convect`` of the predictor)
+product alone.  A pass tests its samples for finiteness in one scan.  The
+transforms per call are the README's table ("Right-hand sides"), read from
+``Grid.transforms``.
 """
 
 from __future__ import annotations

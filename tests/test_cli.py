@@ -339,6 +339,8 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["iterate", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
+        # exactly these keys: none restates the config
+        assert sorted(summary) == ["contraction_ratios", "flagged", "gain", "gains"]
         assert not summary["flagged"]
         rows = (out / "contraction.csv").read_text().strip().splitlines()[2:]
         assert len(rows) == 4  # one row per sweep
@@ -616,13 +618,16 @@ class TestConfigMisuse:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"input error: cannot write {tmp_path / names}"], err
 
-    def test_thread_cap_must_be_an_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VISCOFLOW_THREADS", "abc")
+    @pytest.mark.parametrize("threads", ["abc", "0", "-4"])
+    def test_thread_cap_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch,
+                                                   threads):
+        monkeypatch.setenv("VISCOFLOW_THREADS", threads)
         cfg = _write_config(tmp_path / "c.ini", "[grid]\nn = 16\nlength = 1\n")
         assert main(["scaling", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--sweep", "grid.length=1,2"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["input error: VISCOFLOW_THREADS = 'abc': expected an integer"]
+        assert err == [f"input error: VISCOFLOW_THREADS = '{threads}': "
+                       "expected a positive integer"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", _CORRUPTIONS + ["missing file"])

@@ -4,8 +4,10 @@ and split evolution paths on admissible data."""
 import copy
 import dataclasses
 import pickle
+import re
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from viscoflow import (ComposedMap, Grid, ModelParams, PressureLaw,
 from viscoflow.constraints import transport_rhs, transport_simulate
 from viscoflow.errors import InputError, StabilityError
 from viscoflow.evolve import RunConfig, _Sweep, direct_rhs
-from viscoflow.grid import cosine_mode, dealiased_product, fine_grid_product, refine_field
+from viscoflow.grid import cosine_mode, dealias_physical, fine_grid_product, refine_field
 from viscoflow.linear import linear_rhs
 from viscoflow.model import (FieldTuple, HelmholtzState, PhysicalBundle, ReformState,
                              rotation_correction, rotation_from_products, split_state)
@@ -519,67 +521,43 @@ class TestPhysicalBundle:
             assemble_sources(state, params)
 
 
-_FFT_ND = ("fftn", "ifftn", "rfftn", "irfftn")
-_FFT_2D = ("fft2", "ifft2", "rfft2", "irfft2")
-_FFT_1D = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
+def transform_count(fn, *args):
+    """(scalar transforms, real-axis passes) of ``fn(*args)``, read from the
+    grid of its first argument (see "Transforms" in ``viscoflow.grid``)."""
+    grid = args[0] if isinstance(args[0], Grid) else args[0].grid
+    before = grid.transforms, grid.transform_passes
+    fn(*args)
+    return grid.transforms - before[0], grid.transform_passes - before[1]
 
 
-_FFT_REAL = ("rfftn", "irfftn", "rfft2", "irfft2", "rfft", "irfft")
+def _readme_transform_table() -> dict:
+    """{call: (2-D, 3-D, passes)}, the rows of README's table of transforms
+    per call."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("| call | 2-D | 3-D | passes |"):].split("\n\n")[0]
+    rows = re.findall(r"^\| (.+) \| (\d+) \| (\d+) \| (\d+) \|$", table, re.MULTILINE)
+    return {call: tuple(map(int, counts)) for call, *counts in rows}
 
 
-@pytest.fixture
-def transform_count(monkeypatch):
-    """Counts scalar transforms through every numpy.fft entry point by the
-    lines each call transforms along the last of its axes, keyed by entry
-    point, axis (counted from the end) and transform length.  A scalar
-    transform on the grid of the run's first argument is n**(dim-1) lines
-    along the real (last) axis, whichever call made them.  Complex passes
-    may run only along a leading axis of the half spectrum: a complex
-    transform along the last axis or over the full layout (only the
-    fine-grid oracle product runs those) fails the run.  After a run,
-    ``transform_count.calls`` holds the number of real-axis passes and
-    ``transform_count.lines`` the tally."""
-    lines = {}
-    complex_calls = []
-    calls = [0]
-
-    def wrap(name, orig):
-        def counted(a, *args, **kwargs):
-            a = np.asarray(a)
-            if name in _FFT_1D:
-                axes = (kwargs.get("axis", -1),)
-            elif name in _FFT_2D:
-                axes = kwargs.get("axes", (-2, -1))
-            else:
-                axes = kwargs.get("axes") or range(a.ndim)
-            axis = axes[-1] % a.ndim - a.ndim
-            length = 2 * (a.shape[axis] - 1) if name.startswith("irfft") else a.shape[axis]
-            key = (name, axis, length)
-            lines[key] = lines.get(key, 0) + a.size // a.shape[axis]
-            if name in _FFT_REAL:
-                calls[0] += 1
-            elif name not in ("fft", "ifft") or axis == -1:
-                complex_calls.append(name)
-            return orig(a, *args, **kwargs)
-        return counted
-
-    for name in _FFT_ND + _FFT_2D + _FFT_1D:
-        monkeypatch.setattr(np.fft, name, wrap(name, getattr(np.fft, name)))
-
-    def run(fn, *args):
-        lines.clear()
-        complex_calls.clear()
-        calls[0] = 0
-        fn(*args)
-        assert complex_calls == [], f"complex transforms ran: {complex_calls}"
-        grid = args[0].grid
-        real = sum(count for key, count in lines.items() if key[0] in _FFT_REAL)
-        scalar, rest = divmod(real, grid.n ** (grid.dim - 1))
-        assert rest == 0, f"{real} real-axis lines are not whole scalar transforms"
-        run.calls = calls[0]
-        run.lines = dict(lines)
-        return scalar
-    return run
+def _counted_calls(grid, rng) -> dict:
+    """``(fn, *args)`` on ``grid`` for each row of README's table."""
+    params = _params(dim=grid.dim)
+    prim = _random_state(grid, rng)
+    state = ReformState.from_primitive(prim)
+    frozen = assemble_sources(ReformState.from_primitive(_random_state(grid, rng)), params)
+    rho, F, u = (random_field(grid, rank, rng) for rank in ("scalar", "matrix", "vector"))
+    return {
+        "`reformulated_rhs`": (reformulated_rhs, state, params),
+        "`primitive_rhs`": (primitive_rhs, prim, params),
+        "`assemble_sources`": (assemble_sources, state, params),
+        "`assemble_sources` with a frozen pair": (assemble_sources, state, params,
+                                                   state.velocity(), frozen),
+        "iteration sweep right-hand side, stage 2": (_sweep_after(params, state), state, 0),
+        "`linear_rhs` with a velocity": (linear_rhs, split_state(prim),
+                                         SplitViscosity(1.0, 1.0), prim.u),
+        "`transport_rhs` (u and grad u sampled)": (transport_rhs, rho, F, u.to_physical(),
+                                                    jacobian(u).to_physical()),
+    }
 
 
 class TestTransformCounts:
@@ -592,52 +570,98 @@ class TestTransformCounts:
     (one pass per family and product cost about 12 per 2-D split RHS, and a
     rotation correction with a forward transform of its own one more)."""
 
-    def test_fine_grid_oracle_is_the_complex_path(self, grid2d, rng, transform_count):
-        f, g = (random_field(grid2d, "scalar", rng) for _ in range(2))
-        with pytest.raises(AssertionError, match="complex transforms ran"):
-            transform_count(fine_grid_product, f, g)
-
-    def test_forward_transforms_only_the_kept_columns(self, grid2d, grid3d, rng,
-                                                      transform_count):
-        # the forward's leading-axis passes run on the cut + 1 kept columns,
-        # and in 3-D its first-axis pass only on the kept rows of the second
-        for grid in (grid2d, grid3d):
-            n, kept = grid.n, grid.dealias_cut + 1
-            state = ReformState.from_primitive(_random_state(grid, rng))
-            transform_count(reformulated_rhs, state, _params(dim=grid.dim))
-            lines = transform_count.lines
-            rows = lines[("rfft", -1, n)] // n ** (grid.dim - 1)
-            assert lines[("fft", -2, n)] == rows * n ** (grid.dim - 2) * kept
-            if grid.dim == 3:
-                assert lines[("fft", -3, n)] == rows * (2 * kept - 1) * kept
-
-    def test_reformulated_rhs(self, grid2d, grid3d, rng, transform_count):
-        for grid, cap in ((grid2d, 36), (grid3d, 86)):
-            state = ReformState.from_primitive(_random_state(grid, rng))
-            assert transform_count(reformulated_rhs, state, _params(dim=grid.dim)) <= cap
-            assert transform_count.calls <= 2
-
-    def test_primitive_rhs(self, grid2d, rng, transform_count):
-        assert transform_count(primitive_rhs, _random_state(grid2d, rng), _params()) <= 30
-        assert transform_count.calls <= 2
-
-    def test_assemble_sources(self, grid2d, grid3d, rng, transform_count):
-        # the unused potential convection and flux transform cost 47 (2-D) and 106 (3-D)
-        for grid, cap in ((grid2d, 40), (grid3d, 93)):
-            state = ReformState.from_primitive(_random_state(grid, rng))
-            assert transform_count(assemble_sources, state, _params(dim=grid.dim)) <= cap
-            assert transform_count.calls <= 2
-
-    def test_assemble_sources_with_a_frozen_pair(self, grid2d, grid3d, rng, transform_count):
+    # (2-D, 3-D, passes) caps of each call of README's table, and what it cost before
+    CAPS = {
+        "`reformulated_rhs`": (36, 86, 2),
+        "`primitive_rhs`": (30, 68, 2),
+        # the unused potential convection and flux transform cost 47 and 106
+        "`assemble_sources`": (40, 93, 2),
         # a sweep node's one pass: its sources and its convection by the
-        # frozen velocity; the sources and a convect call apart cost 61
-        # (2-D) and 149 (3-D) in 4 calls
-        for grid, cap in ((grid2d, 47), (grid3d, 107)):
-            params = _params(dim=grid.dim)
-            frozen = assemble_sources(ReformState.from_primitive(_random_state(grid, rng)), params)
-            state = ReformState.from_primitive(_random_state(grid, rng))
-            assert transform_count(assemble_sources, state, params, state.velocity(), frozen) <= cap
-            assert transform_count.calls <= 2
+        # frozen velocity; the sources and a convect call apart cost 61 and
+        # 149 in 4 passes
+        "`assemble_sources` with a frozen pair": (47, 107, 2),
+        # the predictor's convection by the frozen velocity, every field's in
+        # one batch and Omega by its i < j part; a convect call per field cost
+        # 30 and 80
+        "iteration sweep right-hand side, stage 2": (21, 56, 2),
+        # a convect call per field cost 35 and 87; the oracle samples its
+        # spectral velocity in a pass of its own
+        "`linear_rhs` with a velocity": (17, 39, 3),
+        # u and grad u come sampled; transforming them per call cost 29 and
+        # 70, and twice per call 31 and 73; a forward transform of (grad u) F
+        # and of u.grad F each, not of their sum, 23 and 58
+        "`transport_rhs` (u and grad u sampled)": (19, 49, 2),
+    }
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_call_is_its_readme_row_within_its_cap(self, grid2d, grid3d, rng, dim):
+        # the counter reads what README documents, so neither can drift
+        table, caps = _readme_transform_table(), self.CAPS
+        calls = _counted_calls(grid2d if dim == 2 else grid3d, rng)
+        assert calls.keys() == table.keys() == caps.keys()
+        for call, (fn, *args) in calls.items():
+            count, passes = transform_count(fn, *args)
+            assert (count, passes) == (table[call][dim - 2], table[call][2]), call
+            assert count <= caps[call][dim - 2] and passes <= caps[call][2], call
+
+    def test_fine_grid_oracle_is_the_complex_path(self, grid2d, rng, monkeypatch):
+        import viscoflow.grid as grid_module
+        f, g = (random_field(grid2d, "scalar", rng) for _ in range(2))
+
+        def counted_kernel(*args):
+            raise AssertionError("the oracle product reached a counted kernel")
+        monkeypatch.setattr(grid_module, "_inverse", counted_kernel)
+        monkeypatch.setattr(grid_module, "_forward", counted_kernel)
+        assert transform_count(fine_grid_product, f, g) == (0, 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grid_counts_what_numpy_fft_transforms(self, grid2d, grid3d, rng, dim,
+                                                   monkeypatch):
+        # the one check of the counter against numpy.fft itself: a wrapper on
+        # each function grid.py calls tallies the lines each call transforms,
+        # by function and axis; a scalar transform is n**(dim-1) lines along
+        # the real (last) axis, and a real-axis call is one pass
+        grid = grid2d if dim == 2 else grid3d
+        n, kept = grid.n, grid.dealias_cut + 1
+        lines, calls = Counter(), Counter()
+
+        def wrap(name, orig):
+            def counted(a, *args, **kwargs):
+                axis = kwargs.get("axis", -1)
+                lines[name, axis] += a.size // a.shape[axis]
+                calls[name] += 1
+                return orig(a, *args, **kwargs)
+            return counted
+        for name in ("rfft", "irfft", "fft", "ifft", "rfftn"):
+            monkeypatch.setattr(np.fft, name, wrap(name, getattr(np.fft, name)))
+
+        table = _counted_calls(grid, rng)
+        rhs, frozen_pass, transport = (table[call] for call in (
+            "`reformulated_rhs`", "`assemble_sources` with a frozen pair",
+            "`transport_rhs` (u and grad u sampled)"))
+        state, F, u_phys = rhs[1], transport[2], transport[3]
+        values = F.to_physical()
+        for fn, *args in (rhs, frozen_pass, transport,
+                          (convect, grid, u_phys, state.block),
+                          (SpectralField.to_physical, F),
+                          (dealias_physical, grid, values),
+                          (SpectralField.from_physical, grid, values)):
+            lines.clear()
+            calls.clear()
+            count, passes = transform_count(fn, *args)
+            real = lines["rfft", -1] + lines["irfft", -1] + lines["rfftn", -1]
+            assert divmod(real, n ** (dim - 1)) == (count, 0), fn.__name__
+            assert calls["rfft"] + calls["irfft"] + calls["rfftn"] == passes, fn.__name__
+            # complex transforms run only along the leading axes
+            assert lines["fft", -1] == lines["ifft", -1] == 0, fn.__name__
+            if fn is reformulated_rhs:
+                # the forward's leading-axis passes run on the cut + 1 kept
+                # columns, and in 3-D its first-axis pass only on the kept
+                # rows of the second
+                rows = lines["rfft", -1] // n ** (dim - 1)
+                assert lines["fft", -2] == rows * n ** (dim - 2) * kept
+                if dim == 3:
+                    assert lines["fft", -3] == rows * (2 * kept - 1) * kept
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_shared_pass_convects_as_convect_does(self, grid2d, grid3d, rng, dim):
@@ -653,21 +677,7 @@ class TestTransformCounts:
         assert np.array_equal(sources.block, plain.block)
         assert np.array_equal(u_phys, plain_u)
 
-    def test_transport_rhs(self, grid2d, grid3d, rng, transform_count):
-        # u and grad u come sampled; transforming them per call cost 29 (2-D)
-        # and 70 (3-D), and twice per call 31 and 73; a forward transform of
-        # (grad u) F and of u.grad F each, not of their sum, 23 and 58
-        for grid, cap in ((grid2d, 19), (grid3d, 49)):
-            rho, F, u = (random_field(grid, rank, rng)
-                         for rank in ("scalar", "matrix", "vector"))
-            samples = (u.to_physical(), jacobian(u).to_physical())
-            assert transform_count(transport_rhs, rho, F, *samples) <= cap
-            assert transform_count.calls <= 2
-            rho_dot, _ = transport_rhs(rho, F, *samples)
-            assert np.array_equal(rho_dot.coeff,
-                                  -divergence(dealiased_product(rho, u)).coeff)
-
-    def test_transport_run(self, grid2d, grid3d, rng, transform_count):
+    def test_transport_run(self, grid2d, grid3d, rng):
         # the steady velocity is sampled once per run, then four RHS calls a
         # step; sampling it at every stage cost 6 more (2-D) and 12 more (3-D)
         # per RHS call
@@ -675,29 +685,9 @@ class TestTransformCounts:
         for grid, samples, per_rhs in ((grid2d, 6, 19), (grid3d, 12, 49)):
             rho, F, u = (random_field(grid, rank, rng, amplitude=0.05)
                          for rank in ("scalar", "matrix", "vector"))
-            count = transform_count(transport_simulate, rho, F, u, 0.05, 0.05 * steps)
+            count, passes = transform_count(transport_simulate, rho, F, u, 0.05, 0.05 * steps)
             assert count <= samples + 4 * per_rhs * steps
-            assert transform_count.calls <= 2 + 4 * 2 * steps
-
-    def test_sweep_rhs(self, grid2d, grid3d, rng, transform_count):
-        # every field's convection in one batch, Omega by its i < j part; one
-        # convect call per field cost 30 (2-D) and 80 (3-D)
-        for grid, cap in ((grid2d, 21), (grid3d, 56)):
-            params = _params(dim=grid.dim)
-            rhs = _sweep_after(params, ReformState.from_primitive(_random_state(grid, rng)))
-            state = ReformState.from_primitive(_random_state(grid, rng))
-            # stage 2: the predictor's convection by the frozen velocity
-            assert transform_count(rhs, state, 0) <= cap
-            assert transform_count.calls <= 2
-
-    def test_linear_rhs_with_velocity(self, grid2d, grid3d, rng, transform_count):
-        # one convect call per field cost 35 (2-D) and 87 (3-D)
-        for grid, cap in ((grid2d, 17), (grid3d, 39)):
-            prim = _random_state(grid, rng)
-            state = split_state(prim)
-            assert transform_count(linear_rhs, state, SplitViscosity(1.0, 1.0), prim.u) <= cap
-            # the oracle samples its spectral velocity with a call of its own
-            assert transform_count.calls <= 3
+            assert passes <= 2 + 4 * 2 * steps
 
 
 def _calls_into_src(fn, *args) -> int:

@@ -16,7 +16,8 @@ except in the functions listed in ``FAMILY_PARAMETERS`` with their reason.
 Every Fourier transform goes through ``grid.py``, so the transform counts
 and the two ``numpy.fft`` calls of a workspace pass hold by construction:
 an ``np.fft``/``numpy.fft`` attribute, or an import of ``numpy.fft``,
-anywhere else in ``src/`` fails here.
+anywhere in ``src/`` outside the kernels the grid's transform counter counts
+and the oracle product fails here.
 
 Every differential map is one contraction with the grid's derivative symbol
 stack ``Grid.nabla``, defined in ``operators.py``: a ``.nabla`` attribute
@@ -108,37 +109,66 @@ def test_no_function_takes_a_dyadic_family():
     assert takers == []
 
 
-def _fft_uses(tree: ast.Module) -> list[int]:
-    """Lines that reach ``numpy.fft``: an ``np.fft``/``numpy.fft`` attribute,
-    ``import numpy.fft`` or ``from numpy(.fft) import ...`` of it."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
-                   and node.value.id in ("np", "numpy"))
-        elif isinstance(node, ast.Import):
-            hit = any(a.name.startswith("numpy.fft") for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            hit = (node.module or "").startswith("numpy.fft") or (
-                node.module == "numpy" and any(a.name == "fft" for a in node.names))
-        else:
-            hit = False
-        if hit:
-            lines.append(node.lineno)
-    return lines
+# Every Fourier transform is one the grid counts (``Grid.transforms``): it lies
+# in a counted kernel of grid.py or in its uncounted oracle product.  The
+# frequency tables of ``Grid.__init__`` are not transforms.
+COUNTED = ("grid._inverse", "grid._forward", "grid.SpectralField.from_physical",
+           "grid.fine_grid_product")
+FREQUENCIES = {"grid.Grid.__init__": ("fftfreq", "rfftfreq")}
+
+
+def _reaches_fft(node: ast.AST) -> bool:
+    """Whether ``node`` reaches ``numpy.fft``: an ``np.fft``/``numpy.fft``
+    attribute, ``import numpy.fft`` or ``from numpy(.fft) import ...`` of it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.fft") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.fft") or (
+            node.module == "numpy" and any(a.name == "fft" for a in node.names))
+    return False
+
+
+def _uncounted_fft_uses(tree: ast.AST, scope: str) -> list[str]:
+    """``scope:line`` of each use of ``numpy.fft`` outside ``COUNTED``, the
+    scopes dotted from the module's name to the innermost definition."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _uncounted_fft_uses(node, f"{scope}.{node.name}")
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in FREQUENCIES.get(scope, ())
+                and _reaches_fft(node.value)):
+            continue
+        if _reaches_fft(node) and scope not in COUNTED:
+            found.append(f"{scope}:{node.lineno}")
+        found += _uncounted_fft_uses(node, scope)
+    return found
 
 
 def test_numpy_fft_only_in_grid():
-    assert _fft_uses(TREES[SRC / "grid.py"]), "the check no longer sees grid.py's transforms"
-    outside = [f"{path.name}:{line}" for path, tree in TREES.items() if path.name != "grid.py"
-               for line in _fft_uses(tree)]
-    assert outside == []
+    assert _uncounted_fft_uses(TREES[SRC / "grid.py"], "elsewhere"), \
+        "the check no longer sees grid.py's transforms"
+    assert [use for path, tree in TREES.items()
+            for use in _uncounted_fft_uses(tree, path.stem)] == []
 
 
 @pytest.mark.parametrize("code", ["np.fft.rfftn(a)", "numpy.fft.irfftn(a)", "import numpy.fft",
                                   "from numpy.fft import rfftn", "from numpy import fft"])
 def test_numpy_fft_check_sees_each_form(code):
-    assert _fft_uses(ast.parse(code)) == [1]
+    assert _uncounted_fft_uses(ast.parse(code), "model") == ["model:1"]
+
+
+@pytest.mark.parametrize("code, found", [
+    ("def _inverse(c):\n    np.fft.irfft(c)", []),
+    ("class Grid:\n    def __init__(self):\n        np.fft.rfftfreq(8)", []),
+    ("class Grid:\n    def workspace(self):\n        np.fft.fftfreq(8)", ["grid.Grid.workspace:3"]),
+    ("def _forward(v):\n    def inner():\n        np.fft.rfft(v)", ["grid._forward.inner:3"]),
+], ids=["counted kernel", "frequency table", "other method", "nested function"])
+def test_numpy_fft_check_sees_each_scope_of_grid(code, found):
+    assert _uncounted_fft_uses(ast.parse(code), "grid") == found
 
 
 NABLA_OWNERS = ("grid.py", "operators.py")
