@@ -178,6 +178,21 @@ class TestStepper:
         ratio = errs[0] / errs[1]
         assert 6.0 <= ratio <= 10.0
 
+    def test_self_convergence_second_order(self, grid2d, rng):
+        # small data: halving dt reduces the final-state error by ~4
+        prim = _small_state(grid2d, 1e-2, rng)
+        finals = {}
+        for dt in (0.04, 0.02, 0.01):
+            cfg = RunConfig(_params(), dt=dt, t_final=0.4)
+            finals[dt] = direct_solve(prim, cfg).final
+        def dist(a, b):
+            return np.sqrt((a.rho - b.rho).l2() ** 2 + (a.d - b.d).l2() ** 2
+                           + (a.omega - b.omega).l2() ** 2 + (a.E - b.E).l2() ** 2)
+        e1 = dist(finals[0.04], finals[0.01])
+        e2 = dist(finals[0.02], finals[0.01])
+        # with the dt/4 run as reference, second order gives a factor ~4.8
+        assert e1 / e2 > 3.0
+
     def test_hygiene_preserved_many_steps(self, grid2d, rng):
         prim = _small_state(grid2d, 1e-2, rng)
         cfg = RunConfig(_params(), dt=0.02, t_final=1.0)

@@ -1,6 +1,8 @@
 """Spectral substrate: transforms, Parseval, dealiased products, dyadic scaling."""
 
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +358,12 @@ class TestCosineMode:
         got = cosine_mode(grid2d, k, phase=phase).to_physical()
         assert np.max(np.abs(got - want)) < 1e-14
         assert cosine_mode(grid2d, k, phase=phase).l2() == pytest.approx(np.sqrt(0.5))
+
+
+def test_fft_only_in_grid():
+    """Every transform of the package goes through grid.py: the choke point
+    where the storage layout is decided."""
+    src = Path(__file__).resolve().parent.parent / "src" / "viscoflow"
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name != "grid.py" and re.search(r"np\.fft|numpy\.fft", p.read_text())]
+    assert offenders == []

@@ -570,26 +570,19 @@ class TestTransformCounts:
     (one pass per family and product cost about 12 per 2-D split RHS, and a
     rotation correction with a forward transform of its own one more)."""
 
-    # (2-D, 3-D, passes) caps of each call of README's table, and what it cost before
+    # (2-D, 3-D, passes) caps of each call of README's table
     CAPS = {
         "`reformulated_rhs`": (36, 86, 2),
         "`primitive_rhs`": (30, 68, 2),
-        # the unused potential convection and flux transform cost 47 and 106
+        # no potential convection and no flux transform that nothing reads
         "`assemble_sources`": (40, 93, 2),
-        # a sweep node's one pass: its sources and its convection by the
-        # frozen velocity; the sources and a convect call apart cost 61 and
-        # 149 in 4 passes
+        # a sweep node's sources and its convection by the frozen velocity in one pass
         "`assemble_sources` with a frozen pair": (47, 107, 2),
-        # the predictor's convection by the frozen velocity, every field's in
-        # one batch and Omega by its i < j part; a convect call per field cost
-        # 30 and 80
+        # every field's convection in one batch, Omega by its i < j part
         "iteration sweep right-hand side, stage 2": (21, 56, 2),
-        # a convect call per field cost 35 and 87; the oracle samples its
-        # spectral velocity in a pass of its own
+        # one batched convection; the oracle samples its velocity in a pass of its own
         "`linear_rhs` with a velocity": (17, 39, 3),
-        # u and grad u come sampled; transforming them per call cost 29 and
-        # 70, and twice per call 31 and 73; a forward transform of (grad u) F
-        # and of u.grad F each, not of their sum, 23 and 58
+        # u and grad u come sampled; (grad u) F + u.grad F is one forward transform
         "`transport_rhs` (u and grad u sampled)": (19, 49, 2),
     }
 

@@ -155,20 +155,21 @@ def test_numpy_fft_only_in_grid():
             for use in _uncounted_fft_uses(tree, path.stem)] == []
 
 
-@pytest.mark.parametrize("code", ["np.fft.rfftn(a)", "numpy.fft.irfftn(a)", "import numpy.fft",
-                                  "from numpy.fft import rfftn", "from numpy import fft"])
-def test_numpy_fft_check_sees_each_form(code):
-    assert _uncounted_fft_uses(ast.parse(code), "model") == ["model:1"]
+FFT_FORMS = ["np.fft.rfftn(a)", "numpy.fft.irfftn(a)", "import numpy.fft",
+             "from numpy.fft import rfftn", "from numpy import fft"]
 
 
-@pytest.mark.parametrize("code, found", [
-    ("def _inverse(c):\n    np.fft.irfft(c)", []),
-    ("class Grid:\n    def __init__(self):\n        np.fft.rfftfreq(8)", []),
-    ("class Grid:\n    def workspace(self):\n        np.fft.fftfreq(8)", ["grid.Grid.workspace:3"]),
-    ("def _forward(v):\n    def inner():\n        np.fft.rfft(v)", ["grid._forward.inner:3"]),
-], ids=["counted kernel", "frequency table", "other method", "nested function"])
-def test_numpy_fft_check_sees_each_scope_of_grid(code, found):
-    assert _uncounted_fft_uses(ast.parse(code), "grid") == found
+@pytest.mark.parametrize("code, scope, found", [
+    *((code, "model", ["model:1"]) for code in FFT_FORMS),
+    ("def _inverse(c):\n    np.fft.irfft(c)", "grid", []),
+    ("class Grid:\n    def __init__(self):\n        np.fft.rfftfreq(8)", "grid", []),
+    ("class Grid:\n    def workspace(self):\n        np.fft.fftfreq(8)", "grid",
+     ["grid.Grid.workspace:3"]),
+    ("def _forward(v):\n    def inner():\n        np.fft.rfft(v)", "grid",
+     ["grid._forward.inner:3"]),
+], ids=[*FFT_FORMS, "counted kernel", "frequency table", "other method", "nested function"])
+def test_numpy_fft_check_sees_each_form(code, scope, found):
+    assert _uncounted_fft_uses(ast.parse(code), scope) == found
 
 
 NABLA_OWNERS = ("grid.py", "operators.py")
