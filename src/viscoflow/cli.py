@@ -478,7 +478,12 @@ def _sweep_configs(spec: str, raw: dict[str, dict[str, str]]):
     section, dot, name = key.partition(".")
     if not (eq and dot and section and name and values):
         raise InputError(f"--sweep {spec!r}: expected section.key=v1,v2,...")
-    for v in values.split(","):
+    if key == "run.out":  # each job's directory replaces [run] out
+        raise InputError(f"--sweep {spec!r}: each job writes its own directory; set --out")
+    values = values.split(",")
+    if len(set(values)) < len(values):
+        raise InputError(f"--sweep {spec!r}: a repeated value runs two jobs into one directory")
+    for v in values:
         sub = {s: dict(keys) for s, keys in raw.items()}
         sub.setdefault(section, {})[name] = v
         yield sub, f"{key.replace('.', '_')}={v}"

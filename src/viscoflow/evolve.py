@@ -263,12 +263,12 @@ def direct_solve(prim0: PrimitiveState, config: RunConfig) -> DirectResult:
 # frozen-coefficient iteration
 # ----------------------------------------------------------------------
 
-def mollify(f: SpectralField, count: int) -> SpectralField:
-    """Partial dyadic sum over |q| <= count; full data once count covers the
-    active range, which matches the intended limit on a finite grid."""
-    fam = f.grid.dyadic
+def mollify(prim: PrimitiveState, count: int) -> PrimitiveState:
+    """Partial dyadic sum over |q| <= count, one multiply of the block; full
+    data once count covers the active range, the intended limit on a finite grid."""
+    fam = prim.grid.dyadic
     rows = [abs(q) <= count for q in fam.q_range]
-    return SpectralField(f.grid, f.coeff * fam.psi_stack[rows].sum(axis=0))
+    return PrimitiveState.of_block(prim.grid, prim.block * fam.psi_stack[rows].sum(axis=0))
 
 
 class _Sweep:
@@ -307,7 +307,7 @@ class _Sweep:
     def nodes(self, stepper: IFStepper, prim0: PrimitiveState, config: RunConfig,
               limit: float):
         """The sweep's nodes, then its divergence check and final source pass."""
-        data = prim0.map(lambda f: mollify(f, self.number)) if config.init_mollified else prim0
+        data = mollify(prim0, self.number) if config.init_mollified else prim0
         march = _march(stepper, self, ReformState.from_primitive(data), n := config.n_steps)
         del data  # the start lives on only as the march's first state
         for k, (t, state, u) in enumerate(march):

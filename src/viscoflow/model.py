@@ -134,15 +134,15 @@ class ModelParams:
 # ----------------------------------------------------------------------
 # PrimitiveState (rho, u, E), ReformState (rho, d, Omega, E) and
 # HelmholtzState (rho, d, Omega, E^T - E, potential) declare their fields and
-# the fields' ranks; FieldTuple stores them in one block and supplies +, -,
-# scalar *, copy and project_mean_zero.
+# ranks in one table, ``FIELDS``; FieldTuple stores them in one block and
+# supplies +, -, scalar *, copy and project_mean_zero.
 
 @functools.cache
 def _layout(cls: type, dim: int) -> tuple[int, dict]:
     """The row count of a state type's block, and each field's (row slice,
     component shape), in field order."""
     fields, row = {}, 0
-    for name, rank in zip(cls.__dataclass_fields__, cls.RANKS, strict=True):
+    for name, rank in cls.FIELDS.items():
         comp = {"scalar": (), "vector": (dim,), "matrix": (dim, dim),
                 "skew": SKEW_SHAPE[dim]}[rank]
         fields[name] = (slice(row, row + math.prod(comp)), comp)
@@ -151,28 +151,28 @@ def _layout(cls: type, dim: int) -> tuple[int, dict]:
 
 
 class FieldTuple:
-    """Base of the state dataclasses: every state owns one coefficient block.
+    """Base of the state types: every state owns one coefficient block.
 
-    The block is one complex array of shape ``(rows,) + grid.spectral_shape``
-    holding the fields' components in field order (ranks in ``RANKS``), and
-    each field is a ``SpectralField`` view of its rows, built at its first
-    access and kept, so a state made from a block costs no view it does not
-    use.  Building a state from fields copies them into a new block once, so
-    a state never aliases its inputs.  Assigning a field copies its values
-    into the rows, and ``dataclasses.replace`` builds a new block, so no field
-    comes apart from its block.  The arithmetic is one numpy operation on the
-    blocks and returns the same subclass, so a state update reads
-    ``state + a * delta``.
+    Each type declares its fields once, in ``FIELDS`` (name to rank, in block
+    order).  The block, of shape ``(rows,) + grid.spectral_shape``, holds the
+    fields' components in that order; each field is a ``SpectralField`` view
+    of its rows, built at its first access and kept.  Building a state from
+    its fields copies them into a new block, and assigning a field copies
+    into its rows, so no field aliases an input or leaves the block; copies
+    and pickles rebuild the state from its block (``__reduce__``) for the
+    same reason.  States have no value equality.  The arithmetic is one numpy
+    operation on the blocks and returns the same type.
     """
 
-    RANKS: ClassVar[tuple[str, ...]]
+    FIELDS: ClassVar[dict[str, str]]
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
-    def __post_init__(self):
-        given = [self.__dict__.pop(name) for name in self.__dataclass_fields__]
-        grid = given[0].grid
+    def __init__(self, *fields: SpectralField):
+        if len(fields) != len(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes the fields {tuple(self.FIELDS)}")
+        grid = fields[0].grid
         self._bind(grid, np.empty(self.block_shape(grid), dtype=np.complex128))
-        for name, value in zip(self.__dataclass_fields__, given):
+        for name, value in zip(self.FIELDS, fields):
             setattr(self, name, value)
 
     def __reduce__(self):  # copies and pickles keep every field a view of the block
@@ -211,7 +211,7 @@ class FieldTuple:
     def __getattr__(self, name):
         """A field's view of its rows, built at the first access and kept."""
         attrs = self.__dict__
-        if "block" not in attrs or name not in self.__dataclass_fields__:
+        if "block" not in attrs or name not in self.FIELDS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         grid = attrs["grid"]
         rows, comp = _layout(type(self), grid.dim)[1][name]
@@ -220,12 +220,9 @@ class FieldTuple:
         return view
 
     def __setattr__(self, name, value):
-        if "block" not in self.__dict__:  # the dataclass __init__, before the block exists
-            object.__setattr__(self, name, value)
-            return
         if name == "block" and value is self.block:  # ``state.block += x`` wrote in place
             return
-        if name not in self.__dataclass_fields__:
+        if name not in self.FIELDS:
             raise AttributeError(f"{type(self).__name__} has no field {name!r}")
         rows = getattr(self, name).coeff
         if not (isinstance(value, SpectralField) and value.coeff.shape == rows.shape
@@ -235,17 +232,12 @@ class FieldTuple:
         rows[...] = value.coeff
 
     def __iter__(self):
-        return (getattr(self, name) for name in self.__dataclass_fields__)
+        return (getattr(self, name) for name in self.FIELDS)
 
     def norms(self) -> dict[str, float]:
         """Frobenius L2 norm of each field by name (``skew_l2`` on a skew field)."""
         return {name: skew_l2(f) if rank == "skew" else f.l2()
-                for name, rank, f in zip(self.__dataclass_fields__, self.RANKS, self)}
-
-    def map(self, fn, *others) -> "FieldTuple":
-        """Same type; each field is ``fn`` of this state's field and the
-        matching fields of ``others``."""
-        return type(self)(*(fn(*fs) for fs in zip(self, *others, strict=True)))
+                for (name, rank), f in zip(self.FIELDS.items(), self)}
 
     def _like(self, block: np.ndarray) -> "FieldTuple":
         return self.of_block(self.grid, block)
@@ -278,25 +270,16 @@ class FieldTuple:
         return self
 
 
-@dataclass
 class PrimitiveState(FieldTuple):
     """Perturbation variables (density - 1, velocity, deformation - I)."""
-    RANKS = ("scalar", "vector", "matrix")
-    rho: SpectralField
-    u: SpectralField
-    E: SpectralField
+    FIELDS = {"rho": "scalar", "u": "vector", "E": "matrix"}
 
 
-@dataclass
 class HelmholtzState(FieldTuple):
     """Split variables: rho, compressible d, rotational Omega, the
     antisymmetric record E^T - E, and the symmetric-part scalar."""
-    RANKS = ("scalar", "scalar", "skew", "skew", "scalar")
-    rho: SpectralField
-    d: SpectralField
-    omega: SpectralField
-    skew: SpectralField
-    potential: SpectralField
+    FIELDS = {"rho": "scalar", "d": "scalar", "omega": "skew", "skew": "skew",
+              "potential": "scalar"}
 
 
 def split_state(prim: PrimitiveState) -> HelmholtzState:
@@ -436,18 +419,13 @@ def primitive_rhs(prim: PrimitiveState, params: ModelParams) -> PrimitiveState:
     return PrimitiveState(rho_dot, u_dot, E_dot).project_mean_zero()
 
 
-@dataclass
 class ReformState(FieldTuple):
     """State advanced by the split path: (rho, d, Omega, E).
 
     The antisymmetric record and the symmetric scalar are derived fields;
     their displayed evolutions follow identically from the E equation.
     """
-    RANKS = ("scalar", "scalar", "skew", "matrix")
-    rho: SpectralField
-    d: SpectralField
-    omega: SpectralField
-    E: SpectralField
+    FIELDS = {"rho": "scalar", "d": "scalar", "omega": "skew", "E": "matrix"}
 
     @classmethod
     def from_primitive(cls, prim: PrimitiveState) -> "ReformState":

@@ -344,6 +344,11 @@ class TestCli:
         assert not summary["flagged"]
         rows = (out / "contraction.csv").read_text().strip().splitlines()[2:]
         assert len(rows) == 4  # one row per sweep
+        # consistency: each summary ratio is the CSV's ratio column and the
+        # quotient of its consecutive difference norms, exactly (.17g reads back)
+        diffs = [float(row.split(",")[1]) for row in rows]
+        ratios = [float(row.split(",")[2]) for row in rows[1:]]
+        assert summary["contraction_ratios"] == ratios == [b / a for a, b in zip(diffs, diffs[1:])]
 
     @pytest.mark.parametrize("ratios,code", [
         ([0.5, 0.95, 0.3], 2),   # one ratio beyond sweep 2 above 0.9
@@ -493,6 +498,9 @@ _MISUSE = [
     ("scaling", "", "simulate.foo=1,2", "[simulate] foo"),
     ("scaling", "", "nosuch=1", "--sweep 'nosuch=1'"),
     ("scaling", "", "bogus", "--sweep 'bogus'"),
+    # two jobs would write one directory; a swept [run] out would be ignored
+    ("scaling", "", "scaling.amplitude=1,1", "--sweep 'scaling.amplitude=1,1'"),
+    ("scaling", "", "run.out=a,b", "--sweep 'run.out=a,b'"),
     ("simulate", "", "simulate.t_final=0.02,abc", "[simulate] t_final = 'abc'"),
     ("scaling", "n = 32\n", None, "c.ini"),
     ("scaling", "[grid]\nn = 32\nn = 16\n", None, "c.ini"),

@@ -218,30 +218,70 @@ class TestManufacturedSolution:
     inside the dealias band, solves dX/dt = F(X) + f(t) with f = X' - F(X)
     and F the full split system (``reformulated_rhs`` with its viscous
     diagonal).  So the run loop marching ``direct_rhs`` plus f at each
-    stage's node time ends at X(T) up to its time error."""
+    stage's node time ends at X(T) up to its time error.  The Picard sweeps
+    add f the same way, with F less the rotation correction their sources
+    leave out, so the iteration's limit is X itself."""
 
     @staticmethod
-    def _error(grid, amplitude, dt, t_final):
-        """Relative error of the final block against X(t_final)."""
+    def _problem(grid, amplitude, dt, rotation_correction=True):
+        """The parameters, the primitive data of X(0), X(t) and the forcing
+        at a node (built once per node)."""
         rng = np.random.default_rng(5)  # the same A and B at every dt and amplitude
         params = ModelParams(Viscosity(1.0, 1.0, grid.dim), 2.0, PressureLaw.quadratic())
-        cfg = RunConfig(params, dt, t_final)
-        A, B = (ReformState.from_primitive(_random_prim(grid, rng, amplitude)).block
-                for _ in range(2))
-        direct, forcing = direct_rhs(cfg), {}
+        data = _random_prim(grid, rng, amplitude)
+        A = ReformState.from_primitive(data).block
+        B = ReformState.from_primitive(_random_prim(grid, rng, amplitude)).block
+        forcing = {}
 
         def exact(t):
             return ReformState.of_block(grid, np.cos(t) * A + np.sin(t) * B)
 
-        def nonstiff(state, node, u=None):
+        def force(node):
             if node not in forcing:
                 t = node * dt
-                F = reformulated_rhs(exact(t), params).block
+                F = reformulated_rhs(exact(t), params, rotation_correction).block
                 forcing[node] = np.cos(t) * B - np.sin(t) * A - F
-            return ReformState.of_block(grid, direct(state, node, u).block + forcing[node])
-        *_, (_, final, _) = evolve._march(IFStepper(grid, cfg), nonstiff, exact(0.0), cfg.n_steps)
+            return forcing[node]
+        return params, data, exact, force
+
+    @staticmethod
+    def _relative_error(final, exact, t_final):
         want = exact(t_final).block
         return np.linalg.norm(final.block - want) / np.linalg.norm(want)
+
+    @classmethod
+    def _error(cls, grid, amplitude, dt, t_final):
+        """Relative error of the direct run's final block against X(t_final)."""
+        params, data, exact, force = cls._problem(grid, amplitude, dt)
+        cfg = RunConfig(params, dt, t_final)
+        direct = direct_rhs(cfg)
+
+        def nonstiff(state, node, u=None):
+            return ReformState.of_block(grid, direct(state, node, u).block + force(node))
+        *_, (_, final, _) = evolve._march(IFStepper(grid, cfg), nonstiff, exact(0.0), cfg.n_steps)
+        return cls._relative_error(final, exact, t_final)
+
+    @classmethod
+    def _picard_error(cls, grid, dt, t_final, monkeypatch):
+        """Relative error of the last sweep's final block against X(t_final),
+        every sweep starting from X(0) (no mollified data)."""
+        params, data, exact, force = cls._problem(grid, 1e-2, dt, rotation_correction=False)
+        sweeps = []
+
+        class Forced(_Sweep):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sweeps.append(self)
+
+            def __call__(self, state, node, u=None):
+                out = super().__call__(state, node, u)
+                out.block += force(node)
+                return out
+        monkeypatch.setattr(evolve, "_Sweep", Forced)
+        cfg = RunConfig(params, dt, t_final, picard_iterations=4, init_mollified=False)
+        picard_solve(data, cfg)
+        assert len(sweeps) == 4
+        return cls._relative_error(sweeps[-1].kept[cfg.n_steps][0], exact, t_final)
 
     @pytest.mark.parametrize("dim, t_final, dts, bound", [
         (2, 1.0, (0.04, 0.02, 0.01), 5e-3),   # 2-D n=32: 4.24e-3, ratios 3.71 and 3.85
@@ -258,6 +298,14 @@ class TestManufacturedSolution:
         # the linear couplings make the whole time error: 4.238e-3 and 4.266e-3
         small, large = (self._error(grid2d, amp, 0.04, 1.0) for amp in (1e-2, 1e-1))
         assert abs(large / small - 1.0) <= 0.02
+
+    def test_picard_limit_is_the_exact_trajectory(self, grid2d, monkeypatch):
+        # 2-D n=32, 4 sweeps: 4.24e-3, ratios 3.71 and 3.85, the direct run's
+        # time error; sweeps 3 and 4 end about 1e-8 apart, far below it
+        errors = [self._picard_error(grid2d, dt, 1.0, monkeypatch) for dt in (0.04, 0.02, 0.01)]
+        assert errors[0] <= 5e-3
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
 
 
 class TestBlockStepper:
@@ -395,17 +443,24 @@ class TestDirectRun:
 
 
 class TestMollify:
-    def test_full_range_recovers_field(self, grid2d, rng):
+    def test_full_range_recovers_the_state(self, grid2d, rng):
         fam = DyadicFamily(grid2d)
-        f = random_field(grid2d, "scalar", rng)
+        prim = _random_prim(grid2d, rng)
         count = max(abs(fam.q_lo), abs(fam.q_hi))
-        assert (mollify(f, count) - f).l2() <= 1e-12 * f.l2()
+        out = mollify(prim, count)
+        assert type(out) is PrimitiveState
+        assert np.linalg.norm(out.block - prim.block) <= 1e-12 * np.linalg.norm(prim.block)
 
     def test_zero_count_keeps_central_blocks(self, grid2d):
         f = cosine_mode(grid2d, (8, 0))  # lives in blocks -1, 0
-        g = mollify(f, 0)
-        # only the q=0 share survives
-        assert 0.0 < g.l2() < f.l2()
+        prim = PrimitiveState.zeros(grid2d)
+        prim.rho = f
+        prim.u.coeff[0] = f.coeff
+        g = mollify(prim, 0)
+        # only the q=0 share survives, by the same multiplier in every field
+        assert 0.0 < g.rho.l2() < f.l2()
+        assert g.u.coeff[0].tobytes() == g.rho.coeff.tobytes()
+        assert not g.u.coeff[1].any() and not g.E.coeff.any()
 
 
 class TestPicard:

@@ -2,7 +2,6 @@
 and split evolution paths on admissible data."""
 
 import copy
-import dataclasses
 import pickle
 import re
 import sys
@@ -77,11 +76,10 @@ class TestFieldTuple:
             assert f.coeff.shape == SKEW_SHAPE[dim] + grid.spectral_shape
             assert SpectralField.zeros(grid, f.rank).coeff.shape == f.coeff.shape
 
-    def test_map_keeps_the_type(self, grid2d, rng):
+    def test_operations_keep_the_type(self, grid2d, rng):
         for state in self._states(grid2d, rng):
-            for out in (state.map(lambda f: f), state + state, state - state,
-                        2.0 * state, state * 2.0, state.copy(),
-                        state.project_mean_zero()):
+            for out in (state + state, state - state, 2.0 * state, state * 2.0,
+                        state.copy(), state.project_mean_zero()):
                 assert type(out) is type(state)
 
     def test_copy_is_independent(self, grid2d, rng):
@@ -136,18 +134,6 @@ class TestFieldTuple:
         for name in ("rho", "omega", "E"):
             assert not getattr(diff, name).coeff.any()
 
-    def test_replace_builds_a_new_block(self, grid2d, rng):
-        state = ReformState.from_primitive(_random_state(grid2d, rng))
-        new_E = random_field(grid2d, "matrix", rng)
-        out = dataclasses.replace(state, E=new_E)
-        assert type(out) is ReformState
-        assert not np.shares_memory(out.block, state.block)
-        assert all(np.shares_memory(f.coeff, out.block) for f in out)
-        diff = out - state
-        assert np.array_equal(diff.E.coeff, new_E.coeff - state.E.coeff)
-        for name in ("rho", "d", "omega"):
-            assert not getattr(diff, name).coeff.any()
-
     def test_a_field_cannot_leave_its_block(self, grid2d, rng):
         state = ReformState.from_primitive(_random_state(grid2d, rng))
         with pytest.raises(InputError, match="ReformState.rho"):
@@ -158,6 +144,10 @@ class TestFieldTuple:
             state.u = random_field(grid2d, "vector", rng)
         with pytest.raises(AttributeError, match="no field 'block'"):
             state.block = state.block.copy()
+        with pytest.raises(TypeError, match=r"takes the fields \('rho', 'd', 'omega', 'E'\)"):
+            ReformState(state.rho, state.d, state.omega)
+        with pytest.raises(InputError, match="ReformState.E"):
+            ReformState(state.rho, state.d, state.omega, state.rho)
         with pytest.raises(InputError, match="needs a block of shape"):
             ReformState.of_block(grid2d, np.zeros((3,) + grid2d.spectral_shape, complex))
         with pytest.raises(TypeError):

@@ -23,6 +23,10 @@ Every differential map is one contraction with the grid's derivative symbol
 stack ``Grid.nabla``, defined in ``operators.py``: a ``.nabla`` attribute
 anywhere in ``src/`` outside ``grid.py`` and ``operators.py`` fails here, so
 no module writes its own contraction with the symbols.
+
+Every benchmark target in ``perfbench/tracer.py``'s ``TARGETS`` names a
+definition in ``src/``, except those listed in ``STALE_TARGETS`` with their
+reason.
 """
 
 import ast
@@ -217,3 +221,45 @@ def test_psi_sq_read_only_in_dyadic():
                                   "psi_sq = g.dyadic.psi_sq"])
 def test_psi_sq_check_sees_each_form(code):
     assert _psi_sq_uses(ast.parse(code)) == [1]
+
+
+# Benchmark targets that no longer resolve, with the reason; perfbench/ is
+# mended apart from src/, so this list changes only with perfbench/tracer.py.
+STALE_TARGETS = {
+    ("viscoflow.evolve", "_difference_bnorm"):
+        "the sweeps' ledger replaced it; its metric evolve.difference_norm_s reads 0",
+    ("viscoflow.evolve", "Trajectory.record"):
+        "the sweeps keep the march's states; evolve.trajectory_mb_computed reads 0",
+}
+
+
+def _tracer_targets() -> tuple:
+    """``TARGETS`` of perfbench/tracer.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def _defines(module: str, qualname: str) -> bool:
+    """Whether ``module`` in src/ defines ``qualname``: a top-level function
+    or class, or a method of a top-level class."""
+    path = SRC / f"{module.removeprefix('viscoflow.')}.py"
+    body = TREES[path].body if path in TREES else []
+    for part in qualname.split("."):
+        node = next((n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == part), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def test_benchmark_targets_resolve():
+    # a src/ change that renames a traced function fails here, and so does a
+    # benchmark change that mends a stale target without updating the list
+    targets = _tracer_targets()
+    assert {t for t in targets if not _defines(*t)} == set(STALE_TARGETS)
+    assert len(targets) > len(STALE_TARGETS)
