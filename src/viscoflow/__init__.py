@@ -25,8 +25,6 @@ from .linear import (EnergyConstants, linear_rhs, block_energy, equivalence_rati
                      run_pair_decay, measure_block_decay, evolve_pair_exact)
 from .evolve import (RunConfig, NormSeries, direct_solve, picard_solve,
                      uniform_bound_monitor, initial_bnorm, mollify)
-from .constraints import (FlowMap, ComposedMap, shear_map, generate_admissible,
-                          div_residual, curl_residual, constraint_residuals,
-                          transport_simulate,
-                          check_trajectory, convection_gauge)
+from .constraints import (FlowMap, shear_map, generate_admissible, constraint_residuals,
+                          transport_simulate, check_trajectory, convection_gauge)
 from .snapshots import save_field, load_field

@@ -39,8 +39,7 @@ import numpy as np
 
 from . import __version__
 from .constraints import (check_trajectory, constraint_residuals,
-                          generate_admissible, shear_map, transport_simulate,
-                          ComposedMap, FlowMap)
+                          generate_admissible, shear_map, transport_simulate, FlowMap)
 from .dyadic import besov_norm, hybrid_norm
 from .errors import (ConfigurationError, DiagnosticError, InputError,
                      InvariantViolation, StabilityError)
@@ -334,7 +333,7 @@ class Runner:
         m2 = shear_map(grid, (0, k) + (0,) * (grid.dim - 2), (1, 0) + (0,) * (grid.dim - 2), 1.0)
         for m in (m1, m2):
             m.eps = amplitude / max(m.grad_sup(), 1e-300)
-        data = generate_admissible(ComposedMap([m1, m2]))
+        data = generate_admissible(m1, m2)
         u0 = random_field(grid, "vector", self.rng,
                           band=(1.0, 2.0), amplitude=amplitude)
         data.state.u = u0

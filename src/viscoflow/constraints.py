@@ -116,42 +116,6 @@ class FlowMap:
         return g
 
 
-@dataclass
-class ComposedMap:
-    """Composition of flow maps, applied left to right: X = X_last o ... o X_first.
-
-    Composing volume-preserving shears keeps det F identically one while
-    producing deformations with genuinely nonlinear constraint structure.
-    """
-    maps: list
-
-    @property
-    def grid(self) -> Grid:
-        return self.maps[0].grid
-
-    def forward(self, y):
-        for m in self.maps:
-            y = m.forward(y)
-        return y
-
-    def inverse(self, x):
-        for m in reversed(self.maps):
-            x = m.inverse(x)
-        return x
-
-    def deformation_at(self, y):
-        F = self.maps[0].deformation_at(y)
-        z = self.maps[0].forward(y)
-        for m in self.maps[1:]:
-            F = np.einsum("ij...,jk...->ik...", m.deformation_at(z), F)
-            z = m.forward(z)
-        return F
-
-    def check_invertible(self):
-        for m in self.maps:
-            m.check_invertible()
-
-
 def shear_map(grid: Grid, kvec, direction, eps: float) -> FlowMap:
     """Single-mode solenoidal shear: displacement along ``direction`` with
     phase k.y, direction orthogonal to k, hence volume preserving exactly."""
@@ -175,47 +139,29 @@ def _det(F: np.ndarray, dim: int) -> np.ndarray:
             + F[0, 2] * (F[1, 0] * F[2, 1] - F[1, 1] * F[2, 0]))
 
 
-def div_residual(rho_hat: SpectralField, F: SpectralField) -> float:
-    """L2 norm of div(rho F^T), componentwise d_j(rho F_{ji})."""
-    return _div_measure(rho_hat, F.to_physical(), F.grid)
+def constraint_residuals(rho_hat: SpectralField, F: SpectralField):
+    """(div, curl, L2 form, pointwise form) of (rho_hat, F) from one sampling
+    of F.
 
-
-def _div_measure(rho_hat: SpectralField, F_phys: np.ndarray, g: Grid) -> float:
-    prod = dealias_physical(g, rho_hat.to_physical() * F_phys)
-    return divergence(SpectralField(g, prod.coeff.swapaxes(0, 1))).l2()
-
-
-def _curl_measures(F: SpectralField, F_phys: np.ndarray):
-    """(curl_residual, L2 form, pointwise form) from one evaluation of the
-    mismatch T_{ijk} = F_{lk} d_l F_{ij} - F_{lj} d_l F_{ik} at the grid
-    points, given F's samples ``F_phys``."""
+    div is the L2 norm of div(rho F^T), componentwise d_j(rho F_{ji}).  The
+    other three measure the curl mismatch T_{ijk} = F_{lk} d_l F_{ij} -
+    F_{lj} d_l F_{ik} at the grid points: curl is the max over index triples
+    of its grid-averaged L2 norm, and the two majorant-tracked forms of its
+    square contract the first index, sum_i T_{ijk}^2, and take the max over
+    (j,k) after grid averaging (L2 form) or over (j,k) and x (pointwise
+    form).  Contracting over i is what the transport derivation controls at
+    rate exactly 2*gauge, with no dimensional slack.
+    """
     g = F.grid
+    F_phys = F.to_physical()
+    prod = dealias_physical(g, rho_hat.to_physical() * F_phys)
+    div = divergence(SpectralField(g, prod.coeff.swapaxes(0, 1))).l2()
     dF = gradient(F).to_physical()
     T2 = (np.einsum("lk...,lij...->ijk...", F_phys, dF)
           - np.einsum("lj...,lik...->ijk...", F_phys, dF)) ** 2
     sq = T2.sum(axis=0)                             # (j, k, grid)
-    return (float(np.sqrt(T2.mean(axis=tuple(range(3, 3 + g.dim))).max())),
+    return (div, float(np.sqrt(T2.mean(axis=tuple(range(3, 3 + g.dim))).max())),
             float(sq.mean(axis=tuple(range(2, 2 + g.dim))).max()), float(sq.max()))
-
-
-def curl_residual(F: SpectralField) -> float:
-    """max over index triples of the grid-averaged L2 mismatch norm."""
-    return _curl_measures(F, F.to_physical())[0]
-
-
-def constraint_residuals(rho_hat: SpectralField, F: SpectralField):
-    """(div_residual, curl_residual, L2 form, pointwise form of the squared
-    curl mismatch) from one sampling of F; the first two are the values of
-    the single functions.
-
-    The two majorant-tracked forms contract the first index, sum_i
-    T_{ijk}^2, and take the max over (j,k) after grid averaging (L2 form)
-    or over (j,k) and x (pointwise form).  Contracting over i is what the
-    transport derivation controls at rate exactly 2*gauge, with no
-    dimensional slack.
-    """
-    F_phys = F.to_physical()
-    return (_div_measure(rho_hat, F_phys, F.grid),) + _curl_measures(F, F_phys)
 
 
 # ----------------------------------------------------------------------
@@ -231,19 +177,30 @@ class AdmissibleData:
     det_defect: float   # sup |det F * rho_hat - 1|, a construction identity
 
 
-def generate_admissible(flow) -> AdmissibleData:
-    """Build constraint-satisfying (density, deformation) from a flow map.
+def generate_admissible(*maps: FlowMap) -> AdmissibleData:
+    """Build constraint-satisfying (density, deformation) from flow maps.
 
-    F(x) is the pullback of the map's Jacobian through the inverse map and
-    rho_hat = 1/det F, so both constraint residuals sit at interpolation
+    The maps compose left to right, X = X_last o ... o X_first, so F is the
+    product of their Jacobians, each taken where the maps before it have
+    carried the point.  Composing volume-preserving shears keeps det F
+    identically one while producing deformations with genuinely nonlinear
+    constraint structure.
+
+    F(x) is the pullback of the composed Jacobian through the inverse maps
+    and rho_hat = 1/det F, so both constraint residuals sit at interpolation
     error and det F * rho_hat = 1 holds pointwise by construction.  The
     state's velocity is zero; the constraints do not involve it.
     """
-    grid = flow.grid
-    flow.check_invertible()
-    x = grid.meshgrid()
-    y = flow.inverse(x)
-    F_phys = flow.deformation_at(y)
+    grid = maps[0].grid
+    for m in maps:
+        m.check_invertible()
+    y = grid.meshgrid()
+    for m in reversed(maps):
+        y = m.inverse(y)
+    F_phys = maps[0].deformation_at(y)
+    for before, m in zip(maps, maps[1:]):
+        y = before.forward(y)
+        F_phys = np.einsum("ij...,jk...->ik...", m.deformation_at(y), F_phys)
     det = _det(F_phys, grid.dim)
     if not np.all(det > 0.0):  # NaN-safe: comparisons with NaN are False
         raise InputError("flow map is degenerate on this grid: "
@@ -370,23 +327,25 @@ class ConstraintReport:
     curl_ok: bool = True
 
 
-# check_trajectory's floor on each bound: (ERROR_FLOOR * max(|F(0)|, 1) * (1 + t))^2
+# check_trajectory's floor on each bound and factor on each majorant's growth
 ERROR_FLOOR = 1e-10
+ALLOWANCE = 1.1
 
 
-def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
-                     strict: bool = False) -> ConstraintReport:
+def check_trajectory(times, snaps, u: SpectralField, strict: bool = False) -> ConstraintReport:
     """Verify the divergence Gronwall bound and the curl majorant sample-wise.
 
-    div:  r(t)^2   <= r(0)^2   * exp( (1/2) int gauge ) * allowance + floor
-    curl: M(t)     <= M(0)     * exp(  2   int gauge ) * allowance + floor
+    div:  r(t)^2   <= r(0)^2   * exp( (1/2) int gauge ) * ALLOWANCE + floor
+    curl: M(t)     <= M(0)     * exp(  2   int gauge ) * ALLOWANCE + floor
 
     where M runs over both tracked forms of the squared curl mismatch (the
-    grid-averaged and the pointwise one).  The floor absorbs integrator
-    error when the initial residual is at round-off.  Violations raise in
-    strict mode.  ``snaps`` are the (rho_hat, F) pairs of
-    ``transport_simulate`` under the steady velocity u, so the gauge is
-    evaluated once and integrated sample by sample.
+    grid-averaged and the pointwise one) and floor = (ERROR_FLOOR *
+    max(|F(0)|, 1) * (1 + t))^2.  The floor absorbs integrator error when
+    the initial residual is at round-off; ``ALLOWANCE`` (1.1) is the one
+    factor on the growth.  Violations raise in strict mode.  ``snaps`` are
+    the (rho_hat, F) pairs of ``transport_simulate`` under the steady
+    velocity u, so the gauge is evaluated once and integrated sample by
+    sample.
     """
     rep = ConstraintReport()
     gauge = convection_gauge(u)
@@ -406,10 +365,10 @@ def check_trajectory(times, snaps, u: SpectralField, allowance: float = 1.1,
     scale = max(snaps[0][1].l2(), 1.0)
     for i, t in enumerate(rep.times):
         floor = (ERROR_FLOOR * scale * (1.0 + t)) ** 2
-        grow_div = r0sq * np.exp(0.5 * rep.gauge_integral[i]) * allowance
+        grow_div = r0sq * np.exp(0.5 * rep.gauge_integral[i]) * ALLOWANCE
         if not (rep.div_res[i] ** 2 <= grow_div + floor):  # a NaN residual violates
             rep.div_ok = False
-        grow = np.exp(2.0 * rep.gauge_integral[i]) * allowance
+        grow = np.exp(2.0 * rep.gauge_integral[i]) * ALLOWANCE
         for series in (rep.curl_sq_l2, rep.curl_sq_point):
             bound = series[0] * grow + floor
             if not (series[i] <= bound):

@@ -106,6 +106,9 @@ class Grid:
             raise InputError(f"n must be a power of two >= 8, got {n}")
         if not (1.0 <= length < np.inf):  # NaN-safe
             raise InputError(f"length must be >= 1, got {length} (finite values only)")
+        if (1.0 / length) ** 2 < np.finfo(float).tiny:  # (k/L)^2 must stay a normal float
+            raise InputError(f"length must be below 6.7e153, where (1/length)^2 underflows, "
+                             f"got {length}")
         if not 0.0 < dealias_frac <= 1.0:
             raise InputError(f"dealias_frac must lie in (0, 1], got {dealias_frac}")
         self.dim = dim

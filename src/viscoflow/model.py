@@ -82,8 +82,8 @@ class PressureLaw:
     def __init__(self, dp):
         self.dp = dp
         dp1 = float(dp(1.0))
-        if dp1 <= 0.0:
-            raise InputError("pressure law must have P'(1) > 0")
+        if not (0.0 < dp1 < np.inf):  # NaN-safe
+            raise InputError(f"pressure law must have P'(1) > 0 and finite, got P'(1) = {dp1}")
         self.dp1 = dp1
 
     @classmethod

@@ -166,9 +166,9 @@ class Viscosity:
     dim: int
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and 2.0 * self.mu + self.dim * self.lam > 0.0):  # NaN-safe
-            raise ConfigurationError(
-                f"need mu > 0 and 2*mu + N*lambda > 0, got mu={self.mu}, lambda={self.lam}")
+        if not (0.0 < self.mu < np.inf and 0.0 < 2.0 * self.mu + self.dim * self.lam < np.inf):
+            raise ConfigurationError(  # NaN-safe; both finite makes lambda finite
+                f"need finite mu > 0 and 2*mu + N*lambda > 0, got mu={self.mu}, lambda={self.lam}")
 
     @property
     def nu(self) -> float:
@@ -188,8 +188,9 @@ class SplitViscosity:
     mu: float
 
     def __post_init__(self):
-        if not (self.nu > 0.0 and self.mu > 0.0):  # NaN-safe
-            raise ConfigurationError("both damping coefficients must be positive")
+        if not (0.0 < self.nu < np.inf and 0.0 < self.mu < np.inf):  # NaN-safe
+            raise ConfigurationError("both damping coefficients must be positive and finite, "
+                                     f"got nu={self.nu}, mu={self.mu}")
 
 
 def lame_operator(u: SpectralField, visc: Viscosity, out=None) -> SpectralField:

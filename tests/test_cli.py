@@ -156,6 +156,11 @@ class TestCli:
         body = (out / "scaling.csv").read_text()
         assert body.startswith("# viscoflow csv schema v1")
 
+    def test_scaling_runs_at_a_large_finite_length(self, tmp_path):
+        # every (k/L)^2 is still a normal float; length = 1e200 is a misuse row
+        cfg = _write_config(tmp_path / "c.ini", "[grid]\nn = 16\nlength = 1e150\n")
+        assert main(["scaling", "--config", cfg, "--strict", "--out", str(tmp_path / "o")]) == 0
+
     def test_determinism(self, tmp_path):
         cfg = _write_config(tmp_path / "c.ini",
                             "[run]\nseed = 11\n\n[grid]\nn = 32\n\n[scaling]\n")
@@ -557,6 +562,13 @@ _MISUSE = [
     ("constraints", "[grid]\nn = 16\nlength = 1\n[constraints]\nu_amplitude = nan\n",
      None, "[constraints] u_amplitude = 'nan'"),
     ("scaling", "[grid]\nn = 16\nlength = inf\n", None, "length must be >= 1, got inf"),
+    # finite, but every (k/L)^2 underflows to zero
+    ("scaling", "[grid]\nn = 16\nlength = 1e200\n", None,
+     "length must be below 6.7e153, where (1/length)^2 underflows, got 1e+200"),
+    ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nmu = inf\n", None, "mu=inf"),
+    ("linear", "[grid]\nn = 16\nlength = 1\n[physics]\nlambda = inf\n", None, "lambda=inf"),
+    ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\npressure = power\n"
+     "gamma_gas = inf\n", None, "P'(1) = inf"),
     ("simulate", "[grid]\nn = 16\nlength = 1\n[physics]\nalpha = nan\n", None,
      "alpha must be finite, got nan"),
     # the rate fit needs 20 samples in the trailing half of the series

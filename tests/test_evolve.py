@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from viscoflow import (ComposedMap, DyadicFamily, Grid, ModelParams,
+from viscoflow import (DyadicFamily, Grid, ModelParams,
                        PressureLaw, PrimitiveState, RunConfig, SpectralField,
                        direct_solve, generate_admissible, mollify,
                        picard_solve, random_field, shear_map,
@@ -39,7 +39,7 @@ def _small_state(grid, amplitude, rng, with_velocity=True):
     m2 = shear_map(grid, (0, k), (1.0, 0.0), 1.0)
     for m in (m1, m2):
         m.eps = amplitude / max(m.grad_sup(), 1e-300)
-    data = generate_admissible(ComposedMap([m1, m2]))
+    data = generate_admissible(m1, m2)
     if with_velocity:
         data.state.u = random_field(grid, "vector", rng, band=(0.9, 2.1),
                                     amplitude=amplitude)

@@ -24,6 +24,13 @@ class TestGrid:
         with pytest.raises(InputError):
             Grid(2, 32, length=0.5)
 
+    def test_largest_length_keeps_wavenumbers_squared_normal(self):
+        # (1/L)^2 is a normal float up to L of about 6.7e153; above it every
+        # (k/L)^2 underflows to zero or to a subnormal
+        assert Grid(2, 16, length=6.7e153).xi_sq[0, 1] > 0.0
+        with pytest.raises(InputError, match=r"got 6\.8e\+153"):
+            Grid(2, 16, length=6.8e153)
+
     def test_nyquist_excluded(self, grid2d):
         f = SpectralField.from_physical(grid2d, np.cos(np.arange(32) * np.pi)[:, None]
                                         * np.ones((32, 32)))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import viscoflow
-from viscoflow import (ComposedMap, Grid, ModelParams, PressureLaw,
+from viscoflow import (Grid, ModelParams, PressureLaw,
                        PrimitiveState, SpectralField, assemble_sources,
                        deformation_identity_gap,
                        dual_path_gap, generate_admissible, primitive_rhs, random_field,
@@ -53,7 +53,7 @@ def _sweep_after(params, state):
 def _admissible(grid, eps, u_amp=0.0, rng=None):
     m1 = shear_map(grid, (int(grid.length), 0), (0.0, 1.0), eps)
     m2 = shear_map(grid, (0, int(grid.length)), (1.0, 0.0), 0.8 * eps)
-    data = generate_admissible(ComposedMap([m1, m2]))
+    data = generate_admissible(m1, m2)
     if u_amp and rng is not None:
         data.state.u = random_field(grid, "vector", rng, band=(0.9, 2.1),
                                     amplitude=u_amp)
@@ -408,7 +408,7 @@ class TestDualPath:
         shears = [shear_map(grid, (4, 0, 0), (0.0, 1.0, 0.0), 1e-3),
                   shear_map(grid, (0, 4, 0), (0.0, 0.0, 1.0), 8e-4),
                   shear_map(grid, (0, 0, 4), (1.0, 0.0, 0.0), 6e-4)]
-        state = generate_admissible(ComposedMap(shears)).state
+        state = generate_admissible(*shears).state
         state.u = random_field(grid, "vector", rng, band=(0.25, 1.0), amplitude=1e-3)
         gaps = dual_path_gap(state, _params(dim=3))
         assert gaps["relative"] <= 1e-10
