@@ -24,12 +24,13 @@ first access.  Omega and
 E^T - E (rank ``"skew"``) keep only their i < j entries: antisymmetric by
 layout, and measured by the Frobenius norm (``operators.skew_l2``).  A
 ``ReformState`` has 7 rows in 2-D and 14 in 3-D, a ``HelmholtzState`` 5 and
-9, a ``PrimitiveState`` 1 + N + N^2.  ``reformulated_rhs``,
-``assemble_sources`` and the iteration sweep write their results into the
-rows of one new block.  The linear part works on block rows: the velocity
+9, a ``PrimitiveState`` 1 + N + N^2.  ``reformulated_rhs`` and
+``assemble_sources`` write their results into the rows of one new block.
+The linear part works on block rows: the velocity
 (``ReformState.velocity``, ``operators.helmholtz_velocity``) reads the d and
 Omega rows, and ``skew_couplings`` fills each row range of a new block with
-one operation per coupling.
+one operation per coupling; both also take a stack of blocks with a
+leading member axis, as the iteration's lock-step sweeps hold them.
 
 Every right-hand side evaluates its state in physical space once
 (``PhysicalBundle``: rho, u, A u, E and the derivative rows), in one pass
@@ -37,9 +38,10 @@ over the grid's transform workspace: all families are written into its
 spectral slab and take one inverse transform, and all products are
 written into its products slab and take one dealiased forward transform.
 Every derivative is a row of one ``(dim, count)`` stack
-(``operators.derivative_rows``) over [u | rho | E], or [u | the state's
-block] when the pass also convects the state, so grad u, grad rho, grad E
-and the rows u.grad moves are slices of it.  Products that share a
+(``operators.derivative_rows``) over [u | rho | E], or of the state's block
+when the pass also convects the state (the sweeps' ``sweep_pass``, with
+grad u apart), so grad u, grad rho, grad E and the rows u.grad moves are
+slices of it.  Products that share a
 destination are summed there; by linearity that equals dealiasing each
 product alone.  A pass tests its samples for finiteness in one scan.  The
 transforms per call are the README's table ("Right-hand sides"), read from
@@ -57,11 +59,12 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, StabilityError
 from .grid import Grid, SpectralField, Workspace, dealiased_product
-from .operators import (Viscosity, curl_matrix, derivative_rows, divergence,
+from .operators import (Viscosity, curl_rows, derivative_rows, divergence, divergence_rows,
                         double_divergence, fractional_power, gradient,
-                        helmholtz_split, helmholtz_velocity,
-                        jacobian, lame_operator, laplacian, SKEW_SHAPE, skew_field, skew_l2,
-                        symmetric_scalar, transport, transpose_gap, _pairs)
+                        helmholtz_split, helmholtz_velocity, jacobian, jacobian_rows,
+                        lame_operator, lame_rows,
+                        laplacian, SKEW_SHAPE, skew_field, skew_l2,
+                        symmetric_scalar, transport, transpose_gap, _gap_rows, _pairs)
 
 RHO_SUP_LIMIT = 0.5  # composition terms need the density perturbation below this
 
@@ -297,15 +300,14 @@ class PhysicalBundle:
 
     Index conventions follow the operator layer: grad_u[i, j] = d_j u_i (the
     Jacobian) and grad_E[l, i, j] = d_l E_{ij}, slices of one derivative
-    stack ``grads`` (``operators.derivative_rows``) over [u | rho | E], or
-    over [u | the state's block] with ``whole_state``, for a pass that also
-    convects the state.  The samples are views of the workspace ``ws`` and
-    valid only inside its pass.  Building the bundle scans the pass's
-    samples once and raises ``StabilityError`` naming the first family (in
-    field order; ``grads`` for the d and Omega rows of a whole state) that
-    holds a non-finite sample, and when the density perturbation leaves the
-    small-data regime.  ``prim`` supplies rho and E, and the velocity unless
-    ``u`` is given.
+    stack ``grads`` (``operators.derivative_rows``) over [u | rho | E].  A
+    source pass (``sweep_pass``) builds its bundle from its own rows: a
+    member axis before the spatial axes, grad u apart, and ``grads`` over
+    the whole state's block, whose d and Omega rows it also convects.  The
+    samples are views of the workspace ``ws`` and valid only inside its
+    pass.  ``of`` scans the pass's samples once and raises
+    ``StabilityError`` with the bundle's first ``fault``.  ``prim``
+    supplies rho and E, and the velocity unless ``u`` is given.
     """
     ws: Workspace
     rho: np.ndarray
@@ -319,11 +321,11 @@ class PhysicalBundle:
 
     @classmethod
     def of(cls, prim: PrimitiveState | ReformState, visc: Viscosity, ws: Workspace,
-           u: SpectralField | None = None, whole_state: bool = False) -> "PhysicalBundle":
+           u: SpectralField | None = None) -> "PhysicalBundle":
         g = ws.grid
         d = g.dim
         vel = prim.u if u is None else u
-        coeffs = [vel.coeff] + ([prim.block] if whole_state else [prim.rho.coeff, prim.E.coeff])
+        coeffs = [vel.coeff, prim.rho.coeff, prim.E.coeff]
         count = sum(c.size for c in coeffs) // math.prod(g.spectral_shape)
         rho, u, lame, E, grads = ws.spectral((), (d,), (d,), (d, d), (d, count))
         rho[...] = prim.rho.coeff
@@ -334,15 +336,27 @@ class PhysicalBundle:
         rho, u, lame, E, grads = ws.inverse()
         ph = cls(ws, rho, grads[:, d], u, grads[:, :d].swapaxes(0, 1), lame, E,
                  grads[:, -d * d:].reshape((d,) + E.shape), grads)
-        if not np.isfinite(ws.samples).all():  # one scan; the families only name the fault
-            for name in ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E", "grads"):
-                if not np.isfinite(getattr(ph, name)).all():
-                    raise StabilityError(f"non-finite samples in field {name}")
-        sup = float(np.max(np.abs(rho)))
-        if not (sup <= RHO_SUP_LIMIT):  # NaN-safe: comparisons with NaN are False
-            raise StabilityError(
-                f"density perturbation sup {sup:.3g} exceeds limit {RHO_SUP_LIMIT} in field rho")
+        fault = ph.fault(np.isfinite(ws.samples).all())
+        if fault:
+            raise StabilityError(fault)
         return ph
+
+    def fault(self, finite: bool, member: int | None = None) -> str | None:
+        """The first check the samples fail, or None: a family (in field
+        order; ``grads`` for the d and Omega rows of a source pass) with a
+        non-finite sample, then a density perturbation outside the small-data
+        regime.  ``finite`` is the pass's one scan of its
+        samples; the families only name the fault.  Given ``member``, only
+        that member of a group pass (``sweep_pass``) is checked."""
+        at = Ellipsis if member is None else (Ellipsis, member) + (slice(None),) * self.ws.grid.dim
+        if not finite:
+            for name in ("rho", "grad_rho", "u", "grad_u", "lame", "E", "grad_E", "grads"):
+                if not np.isfinite(getattr(self, name)[at]).all():
+                    return f"non-finite samples in field {name}"
+        sup = float(np.max(np.abs(self.rho[at])))
+        if not (sup <= RHO_SUP_LIMIT):  # NaN-safe: comparisons with NaN are False
+            return f"density perturbation sup {sup:.3g} exceeds limit {RHO_SUP_LIMIT} in field rho"
+        return None
 
 
 def rotation_correction(ph: PhysicalBundle, out: np.ndarray):
@@ -435,8 +449,7 @@ class ReformState(FieldTuple):
     def velocity(self) -> SpectralField:
         """u = -|grad|^{-1} grad d + |grad|^{-1} curl Omega, from the block's rows."""
         g, x = self.grid, self.block
-        return SpectralField(g, helmholtz_velocity(g, x[self.field_rows(g, "d")],
-                                                   x[self.field_rows(g, "omega")]))
+        return SpectralField(g, helmholtz_velocity(g, x[1], x[self.field_rows(g, "omega")]))
 
     def to_primitive(self) -> PrimitiveState:
         return PrimitiveState(self.rho, self.velocity(), self.E)
@@ -461,7 +474,7 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
     a = params.coupling
     d = g.dim
     u = state.velocity() if u is None else u
-    out = skew_couplings(state, a, u)
+    out = ReformState.of_block(g, skew_couplings(g, state.block, a, u.coeff))
     rho_dot, d_dot, om_dot, E_dot = (f.coeff for f in out)
     rotation = [(len(_pairs(d)), d)] if include_rotation_correction else []
     with g.workspace() as ws:
@@ -481,39 +494,46 @@ def reformulated_rhs(state: ReformState, params: ModelParams,
         if viscous:
             d_dot += params.nu * laplacian(state.d).coeff
             om_dot += params.mu * laplacian(state.omega).coeff
-        _subtract_momentum(out, G, rho_E, a)
+        _subtract_momentum(g, out.block, G.coeff, rho_E.coeff, a)
         if rot:
             om_dot += a * rotation_from_products(rot[0]).coeff
         E_dot += flux.coeff
     return out._zero_means()
 
 
-def skew_couplings(state: ReformState, a: float, u: SpectralField) -> ReformState:
+def skew_couplings(grid: Grid, x: np.ndarray, a: float, u: np.ndarray) -> np.ndarray:
     """The first-order couplings of the split system in one new block:
-    -|grad| d, (1+a) |grad| rho, a |grad| (E^T - E) and grad u, with u the
-    state's velocity; each is one operation on whole rows of the blocks."""
-    g = state.grid
-    x, out = state.block, np.empty_like(state.block)
-    lam = g.xi_power(1.0)
-    omega, E = ReformState.field_rows(g, "omega"), ReformState.field_rows(g, "E")
-    rho_dot, d_dot, om_dot = out[0], out[1], out[omega]
-    np.multiply(x[1::-1], lam, out=out[:2])  # rows 0, 1 are rho, d: |grad| d, |grad| rho
-    np.negative(rho_dot, out=rho_dot)
-    d_dot *= 1.0 + a
-    transpose_gap(state.E, out=om_dot)
-    om_dot *= lam
-    om_dot *= a
-    jacobian(u, out=out[E].reshape((g.dim, g.dim) + g.spectral_shape))
-    return ReformState.of_block(g, out)
+    -|grad| d, (1+a) |grad| rho, a |grad| (E^T - E) and grad u, with ``u``
+    the velocity coefficients of the state block ``x``.  Both may carry one
+    leading member axis (a stack of blocks and its velocities); each
+    coupling is one operation on whole rows of the blocks."""
+    d = grid.dim
+    out = np.empty_like(x)
+    # rows (and velocity components) first, then the member axis if any
+    x_rows, rows, u = (y.swapaxes(0, y.ndim - d - 1) for y in (x, out, u))
+    lam = grid.xi_power(1.0)
+    omega, E = ReformState.field_rows(grid, "omega"), ReformState.field_rows(grid, "E")
+    np.multiply(x_rows[1::-1], lam, out=rows[:2])  # rows 0, 1 are rho, d: |grad| d, |grad| rho
+    np.negative(rows[0], out=rows[0])
+    rows[1] *= 1.0 + a
+    lower, upper = _gap_rows(d)  # E^T - E, as ``transpose_gap``
+    np.subtract(x_rows[E].take(lower, axis=0), x_rows[E].take(upper, axis=0), out=rows[omega])
+    rows[omega] *= lam
+    rows[omega] *= a
+    jacobian_rows(grid, u, out=rows[E].reshape((d, d) + rows.shape[1:]))  # grad u
+    return out
 
 
-def _subtract_momentum(out: ReformState, G: SpectralField, rho_E: SpectralField,
+def _subtract_momentum(grid: Grid, rows: np.ndarray, G: np.ndarray, rho_E: np.ndarray,
                        a: float):
-    """Subtract |grad|^{-1} div(G + a div(rho E)) from the d row of ``out``
-    and |grad|^{-1} curl G from its Omega rows."""
-    inv = out.grid.inv_xi
-    out.d.coeff -= divergence(G + a * divergence(rho_E)).coeff * inv
-    out.omega.coeff -= curl_matrix(G).coeff * inv
+    """Subtract |grad|^{-1} div(G + a div(rho E)) from the d row of the block
+    ``rows`` and |grad|^{-1} curl G from its Omega rows, given the
+    coefficients of G and rho E.  ``rows`` is row-first: a state's block, or
+    the rows of a group's blocks with G and rho E on the group's member axis
+    before the spectral axes."""
+    lead, inv = G.ndim - 1 - grid.dim, grid.inv_xi
+    rows[1] -= divergence_rows(grid, G + divergence_rows(grid, rho_E, lead) * a, lead) * inv
+    rows[ReformState.field_rows(grid, "omega")] -= curl_rows(grid, G, lead) * inv
 
 
 # ----------------------------------------------------------------------
@@ -535,36 +555,116 @@ def assemble_sources(state: ReformState, params: ModelParams,
     Given ``frozen``, the previous sweep's pair at this node, the pass also
     convects every row of ``state`` by the frozen velocity (as ``convect``
     does, bit for bit) and returns the frozen sources less that convection.
+    This is the one-member group of ``sweep_pass``.
     """
     g = state.grid
-    d = g.dim
     u = state.velocity() if u is None else u
-    out = ReformState.empty(g)
-    n_moved = len(state.block) - 1 - d * d
+    pair = None if frozen is None else (frozen[0].block[None], frozen[1][None])
+    terms, fault, (sources, samples) = sweep_pass(g, params, state.block[None], u.coeff[None],
+                                                  1, pair)
+    if fault:
+        raise StabilityError(fault[1])
+    out = ReformState.of_block(g, sources[0])
+    if frozen is None:
+        return out, samples[0]
+    return out, samples[0], ReformState.of_block(g, terms[0])
+
+
+def sweep_pass(grid: Grid, params: ModelParams, x: np.ndarray, u: np.ndarray | None,
+               sources: int, frozen=None, out=None):
+    """One transform pass for a group of iteration sweeps, their states
+    stacked on a leading member axis: ``x``, shape ``(m, rows) +
+    spectral_shape``, holds the members' blocks in sweep order.
+
+    The first ``sources`` members assemble their sources as
+    ``assemble_sources`` does, at the velocities ``u`` (stacked as ``x``),
+    into ``out``: a stack of source blocks and one of velocity samples,
+    ``(sources, dim) + (n,) * dim`` (new arrays when ``out`` is None).
+    ``frozen``, the pairs the previous sweeps handed on, stacked as ``out``,
+    belongs to the last ``len(frozen[0])`` members: each is convected by
+    its frozen velocity, as ``convect`` does, and its frozen sources less
+    that convection are its frozen terms.  A member computes only what its
+    part asks for, so each member's rows and transforms are those of its own
+    ``assemble_sources`` or ``convect`` call.  Inside the pass every family
+    keeps its component axes first and the member axis before the spatial
+    axes, so each product is the one-state product on a longer array.
+
+    Returns ``(terms, fault, out)``.  ``fault`` is None, or ``(i,
+    message)`` for the first source member whose samples fail the checks of
+    ``PhysicalBundle.fault``; the pass then stops after its inverse
+    transform, and ``terms`` is None.
+    """
+    g, d = grid, grid.dim
+    m, rows = x.shape[:2]
+    s, f = sources, 0 if frozen is None else len(frozen[0])
+    x = x.swapaxes(0, 1)  # rows first, then members: the layout of every family
+    if out is None:
+        out = (np.empty((s, rows) + g.spectral_shape, dtype=np.complex128),
+               np.empty((s, d) + (g.n,) * d))
+    n_moved = rows - 1 - d * d
     split = slice(1, 1 + n_moved)  # the d and Omega rows of a block, between rho and E
+    drive = [(rows, f)] if f else []
     with g.workspace() as ws:
-        ph = PhysicalBundle.of(state, params.visc, ws, u, whole_state=True)
-        rows = [] if frozen is None else [(len(state.block),)]
-        moved, G, rho_E, mass, stretch, *drive = ws.products(
-            (n_moved,), (d,), (d, d), (), (d, d), *rows)
-        grads = ph.grads[:, d:]  # the state's rows, in block order
-        transport(ph.u, grads[:, split], moved)
-        _common_vector(ph, params, G)
-        np.multiply(ph.rho, ph.E, out=rho_E)
-        np.multiply(ph.rho, np.trace(ph.grad_u), out=mass)
-        _stretch(ph.grad_u, ph.E, stretch)
-        if frozen is not None:
-            transport(frozen[1], grads, drive[0])
-        u_phys = ph.u.copy()
-        moved, G, rho_E, mass, stretch, *drive = ws.forward()
-        np.negative(mass.coeff, out=out.rho.coeff)
-        out.block[split] = moved.coeff
-        _subtract_momentum(out, G, rho_E, params.coupling)
-        out.E.coeff[...] = stretch.coeff
-        if frozen is not None:
-            terms = ReformState.of_block(g, frozen[0].block - drive[0].coeff)
-            return out._zero_means(), u_phys, terms
-    return out._zero_means(), u_phys
+        if s:
+            vel = u[:s].swapaxes(0, 1)
+            rho, u_rows, lame, E, grad_u, grads = ws.spectral(
+                (s,), (d, s), (d, s), (d, d, s), (d, d, s), (d, rows, m))
+            rho[...] = x[0, :s]
+            u_rows[...] = vel
+            E[...] = x[-d * d:, :s].reshape(E.shape)
+            lame_rows(g, vel, params.visc, out=lame)
+            derivative_rows(g, [vel], grad_u)
+        else:
+            (grads,) = ws.spectral((d, rows, m))
+        derivative_rows(g, [x], grads)
+        *families, grads = ws.inverse()
+        if s:
+            rho, u_rows, lame, E, grad_u = families
+            ph = PhysicalBundle(ws, rho, grads[:, 0, :s], u_rows, grad_u.swapaxes(0, 1), lame,
+                                E, grads[:, -d * d:, :s].reshape((d,) + E.shape),
+                                grads[:, :, :s])
+            finite = np.isfinite(ws.samples).all()
+            for i in range(s):
+                fault = ph.fault(finite, i)
+                if fault:
+                    return None, (i, fault), out
+            moved, G, rho_E, mass, stretch, *drive = ws.products(
+                (n_moved, s), (d, s), (d, d, s), (s,), (d, d, s), *drive)
+            transport(ph.u, grads[:, split, :s], moved)
+            _common_vector(ph, params, G)
+            np.multiply(ph.rho, ph.E, out=rho_E)
+            np.multiply(ph.rho, np.trace(ph.grad_u), out=mass)
+            _stretch(ph.grad_u, ph.E, stretch)
+            out[1][...] = u_rows.swapaxes(0, 1)
+        else:
+            drive = ws.products(*drive)
+        if f:
+            transport(frozen[1].swapaxes(0, 1), grads[:, :, m - f:], drive[0])
+        coeffs = ws.forward()
+        if s:
+            moved, G, rho_E, mass, stretch = coeffs[:5]
+            block = out[0].swapaxes(0, 1)
+            np.negative(mass.coeff, out=block[0])
+            block[split] = moved.coeff
+            _subtract_momentum(g, block, G.coeff, rho_E.coeff, params.coupling)
+            block[-d * d:] = stretch.coeff.reshape((d * d,) + stretch.coeff.shape[2:])
+            out[0][(Ellipsis,) + (0,) * d] = 0.0  # zero means
+        terms = frozen[0] - coeffs[-1].coeff.swapaxes(0, 1) if f else None
+    return terms, None, out
+
+
+def sweep_pass_bytes(grid: Grid) -> int:
+    """Bytes of the three workspace slabs that one member of ``sweep_pass``
+    fills at most: a source member with frozen terms, whose spectral and
+    sample rows are rho, u, A u, E, grad u and the block's derivative rows,
+    and whose product rows are the moved rows, G, rho E, the mass source,
+    the stretch and the frozen convection."""
+    d = grid.dim
+    rows = ReformState.block_shape(grid)[0]
+    spectral = 1 + 2 * d + 2 * d * d + d * rows
+    products = (rows - 1 - d * d) + d + 2 * d * d + 1 + rows
+    points = grid.n ** d
+    return spectral * (16 * math.prod(grid.spectral_shape) + 8 * points) + products * 8 * points
 
 
 def deformation_identity_gap(prim: PrimitiveState) -> SpectralField:

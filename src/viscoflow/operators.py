@@ -32,17 +32,29 @@ from .errors import ConfigurationError, InputError
 from .grid import Grid, SpectralField, dealias_physical
 
 
+def _nabla(grid: Grid, lead: int) -> np.ndarray:
+    """The symbol stack shaped to multiply coefficients whose last component
+    axis is followed by ``lead`` more axes before the spectral ones: member
+    axes of a group of states, or component axes the map passes over."""
+    return grid.nabla.reshape((grid.dim,) + (1,) * lead + grid.spectral_shape)
+
+
 def gradient(f: SpectralField) -> SpectralField:
     """Partial derivatives stacked on a new leading axis: scalar -> vector,
     and for any rank out[l] = d_l f."""
     g = f.grid
-    nabla = g.nabla.reshape((g.dim,) + (1,) * (f.coeff.ndim - g.dim) + g.spectral_shape)
-    return SpectralField(g, f.coeff * nabla)
+    return SpectralField(g, f.coeff * _nabla(g, f.coeff.ndim - g.dim))
 
 
 def jacobian(u: SpectralField, out=None) -> SpectralField:
     """Vector -> matrix J_{ij} = d_j u_i, written into ``out`` when given."""
-    return SpectralField(u.grid, np.multiply(u.coeff[:, None], u.grid.nabla, out=out))
+    return SpectralField(u.grid, jacobian_rows(u.grid, u.coeff, out))
+
+
+def jacobian_rows(grid: Grid, u: np.ndarray, out=None) -> np.ndarray:
+    """``jacobian`` on coefficients of shape ``(dim,) + lead +
+    spectral_shape``, ``lead`` the member axes of a group of states."""
+    return np.multiply(u[:, None], _nabla(grid, u.ndim - 1 - grid.dim), out=out)
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -51,7 +63,13 @@ def divergence(f: SpectralField) -> SpectralField:
     g = f.grid
     if f.coeff.ndim == g.dim:
         raise InputError("divergence needs a vector or matrix field")
-    return SpectralField(g, np.add.reduce(f.coeff * g.nabla, axis=f.coeff.ndim - g.dim - 1))
+    return SpectralField(g, divergence_rows(g, f.coeff))
+
+
+def divergence_rows(grid: Grid, c: np.ndarray, lead: int = 0) -> np.ndarray:
+    """``divergence`` on coefficients whose component axes are followed by
+    ``lead`` member axes."""
+    return np.add.reduce(c * _nabla(grid, lead), axis=c.ndim - lead - grid.dim - 1)
 
 
 def _pairs(dim: int):
@@ -81,17 +99,31 @@ def skew_field(grid: Grid, upper) -> SpectralField:
 def curl_matrix(u: SpectralField) -> SpectralField:
     """Vector -> antisymmetric matrix C_{ij} = d_j u_i - d_i u_j, the
     antisymmetric part J - J^T of the Jacobian: ``gradient(u)`` is J^T."""
-    return transpose_gap(gradient(u))
+    g = u.grid
+    return SpectralField(g, curl_rows(g, u.coeff).reshape(SKEW_SHAPE[g.dim] + g.spectral_shape))
 
 
-def curl_vector(om: SpectralField) -> SpectralField:
-    """Antisymmetric matrix -> vector v_i = d_j Om_{ji}."""
-    g = om.grid
-    out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
-    for row, (i, j) in zip(pair_rows(om), _pairs(g.dim)):
-        out[i] -= row * g.nabla[j]  # Om_{ji} = -Om_{ij}
-        out[j] += row * g.nabla[i]
-    return SpectralField(g, out)
+def curl_rows(grid: Grid, u: np.ndarray, lead: int = 0) -> np.ndarray:
+    """``curl_matrix`` on vector coefficients followed by ``lead`` member
+    axes, one row per pair: ``transpose_gap`` of the gradient's rows."""
+    d = grid.dim
+    rows = (u * _nabla(grid, 1 + lead)).reshape((d * d,) + u.shape[1:])
+    lower, upper = _gap_rows(d)
+    return rows.take(lower, axis=0) - rows.take(upper, axis=0)
+
+
+def curl_vector(grid: Grid, om: np.ndarray) -> np.ndarray:
+    """Antisymmetric matrix -> vector v_i = d_j Om_{ji}, from the pair rows
+    ``om`` (``pair_rows`` of a field, or a state block's Omega rows), shape
+    ``lead + (pairs,) + spectral_shape``, into a new ``lead + (dim,) +
+    spectral_shape`` array; ``lead`` is empty or one member axis."""
+    ax = -grid.dim - 1  # the component axis of a row stack
+    out = np.zeros(om.shape[:ax] + (grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    components = out.swapaxes(0, out.ndim + ax)
+    for row, (i, j) in zip(om.swapaxes(0, om.ndim + ax), _pairs(grid.dim)):
+        components[i] -= row * grid.nabla[j]  # Om_{ji} = -Om_{ij}
+        components[j] += row * grid.nabla[i]
+    return out
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -139,16 +171,20 @@ def helmholtz_reconstruct(d: SpectralField, om: SpectralField) -> SpectralField:
     return SpectralField(d.grid, helmholtz_velocity(d.grid, d.coeff, pair_rows(om)))
 
 
-def helmholtz_velocity(grid: Grid, d: np.ndarray, om: np.ndarray) -> np.ndarray:
-    """The coefficients of ``helmholtz_reconstruct`` from coefficient rows:
-    ``d`` of the compressible scalar, ``om`` of Omega's i < j entries (a
-    state block's rows).  The gradient part is one operation per step on
-    all rows; the curl part is ``curl_vector``'s accumulation, in the
-    operand order of the field-by-field definition."""
-    u = np.multiply(d, grid.nabla)
+def helmholtz_velocity(grid: Grid, d: np.ndarray, om: np.ndarray, out=None) -> np.ndarray:
+    """The coefficients of ``helmholtz_reconstruct`` from coefficient rows,
+    written into ``out`` when it is given: ``d`` of the compressible scalar,
+    shape ``lead + spectral_shape``, and ``om`` of Omega's i < j entries,
+    shape ``lead + (pairs,) + spectral_shape`` (a state block's rows, or
+    those of a stack of blocks, ``lead`` its member axis).  The result has
+    shape ``lead + (dim,) + spectral_shape``.  The gradient part is one
+    operation per step on all rows; the curl part is ``curl_vector``'s
+    accumulation, in the operand order of the field-by-field definition."""
+    ax = -grid.dim - 1  # the component axis of a row stack
+    u = np.multiply(np.expand_dims(d, ax), grid.nabla, out=out)
     u *= grid.inv_xi
     np.negative(u, out=u)
-    curl = curl_vector(SpectralField(grid, om)).coeff
+    curl = curl_vector(grid, om)
     curl *= grid.inv_xi
     u += curl
     return u
@@ -196,10 +232,15 @@ class SplitViscosity:
 def lame_operator(u: SpectralField, visc: Viscosity, out=None) -> SpectralField:
     """Elliptic viscosity operator mu*Lap + (lambda+mu)*grad div on vectors;
     the coefficients are written into ``out`` when it is given."""
-    g = u.grid
-    return SpectralField(g, np.add(-visc.mu * g.xi_sq * u.coeff,
-                                   (visc.lam + visc.mu) * g.nabla * divergence(u).coeff,
-                                   out=out))
+    return SpectralField(u.grid, lame_rows(u.grid, u.coeff, visc, out))
+
+
+def lame_rows(grid: Grid, u: np.ndarray, visc: Viscosity, out=None) -> np.ndarray:
+    """``lame_operator`` on velocity coefficients of shape ``(dim,) + lead +
+    spectral_shape`` (``lead`` the member axes of a group of states)."""
+    nabla = _nabla(grid, u.ndim - 1 - grid.dim)
+    div = np.add.reduce(u * nabla, axis=0)
+    return np.add(-visc.mu * grid.xi_sq * u, (visc.lam + visc.mu) * nabla * div, out=out)
 
 
 def _contract_dd(g: Grid, c: np.ndarray) -> np.ndarray:
@@ -257,13 +298,17 @@ def transport(u_phys: np.ndarray, grad_phys, out=None) -> np.ndarray:
 
 def derivative_rows(grid: Grid, coeffs, out: np.ndarray):
     """Write out[l, r] = d_l c_r into a pass's derivative rows, shape
-    ``(dim, count) + grid.spectral_shape``, c_r running over the stored
-    components of the coefficient arrays ``coeffs`` in order (a field's
-    ``coeff``, a state's ``block``; an antisymmetric field's i < j entries)."""
+    ``(dim, count) + trailing``, c_r running over the stored components of
+    the coefficient arrays ``coeffs`` in order (a field's ``coeff``, a
+    state's ``block``; an antisymmetric field's i < j entries).  ``trailing``
+    is ``grid.spectral_shape``, or a member axis and it for the rows of a
+    group of states (each array then shaped ``comp + trailing``)."""
+    trailing = out.shape[2:]
+    nabla = _nabla(grid, 1 + len(trailing) - grid.dim)
     start = 0
     for c in coeffs:
-        c = c.reshape((-1,) + grid.spectral_shape)
-        np.multiply(c, grid.nabla[:, None], out=out[:, start:start + len(c)])
+        c = c.reshape((-1,) + trailing)
+        np.multiply(c, nabla, out=out[:, start:start + len(c)])
         start += len(c)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from viscoflow import Grid, SpectralField, load_field, random_field, save_field
 from viscoflow import cli
+from viscoflow.constraints import constraint_residuals
 from viscoflow.cli import main
 from viscoflow.errors import InputError, StabilityError
 from viscoflow.snapshots import MAGIC
@@ -334,6 +335,38 @@ class TestCli:
         assert summary["l1_total"] == sum(columns[f"acc_{k}"][-1] for k in ("rho", "u", "E"))
         assert summary["sup_instant"] == sum(max(columns[f"inst_{k}"]) for k in ("rho", "u", "E"))
         assert summary["l1_total"] > 0.0
+
+    def test_simulate_residuals_and_snapshot_are_the_final_state(self, tmp_path, monkeypatch):
+        # consistency: final_div_residual and final_curl_residual are
+        # constraint_residuals of the final state of a direct_solve of the
+        # same config, made again in process, and the saved rho is its rho
+        calls = []
+        solve = cli.direct_solve
+
+        def spy(prim0, config):
+            calls.append((prim0.copy(), config))
+            return solve(prim0, config)
+        monkeypatch.setattr(cli, "direct_solve", spy)
+        cfg = _write_config(
+            tmp_path / "c.ini",
+            "[run]\nseed = 5\n\n[grid]\nn = 16\nlength = 4.0\n"
+            "\n[physics]\nalpha = 2.0\n\n[simulate]\ndt = 0.05\nt_final = 0.5\n"
+            "amplitude = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        (prim0, config), = calls
+        final = solve(prim0, config).final
+        grid = final.grid
+        rho_hat, F = final.rho.copy(), final.E.copy()
+        rho_hat.coeff[(0,) * grid.dim] += 1.0
+        for i in range(grid.dim):
+            F.coeff[(i, i) + (0,) * grid.dim] += 1.0
+        div, curl, *_ = constraint_residuals(rho_hat, F)
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["final_div_residual"], summary["final_curl_residual"]) == (div, curl)
+        assert div > 0.0 and curl > 0.0
+        saved = load_field(out / "final_state_rho.vfs")
+        assert saved.coeff.tobytes() == final.rho.coeff.tobytes()
 
     def test_iterate_mode_quick(self, tmp_path):
         cfg = _write_config(

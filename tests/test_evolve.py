@@ -16,10 +16,10 @@ from viscoflow import (DyadicFamily, Grid, ModelParams,
 from viscoflow.errors import InputError, StabilityError
 from viscoflow.dyadic import besov_norm, hybrid_norm
 import viscoflow.evolve as evolve
-from viscoflow.evolve import IFStepper, NormSeries, _Sweep, direct_rhs, initial_bnorm
+from viscoflow.evolve import IFStepper, NormSeries, _Sweeps, direct_rhs, initial_bnorm
 from viscoflow.grid import cosine_mode
 from viscoflow.linear import evolve_pair_exact
-from viscoflow.model import FieldTuple, ReformState, reformulated_rhs
+from viscoflow.model import FieldTuple, ReformState, assemble_sources, reformulated_rhs, sweep_pass
 from viscoflow.operators import SplitViscosity, Viscosity, laplacian
 
 
@@ -266,22 +266,33 @@ class TestManufacturedSolution:
         """Relative error of the last sweep's final block against X(t_final),
         every sweep starting from X(0) (no mollified data)."""
         params, data, exact, force = cls._problem(grid, 1e-2, dt, rotation_correction=False)
-        sweeps = []
+        runs = []
 
-        class Forced(_Sweep):
+        class Forced(_Sweeps):
+            # sweep s is at node tau - s at stage 1 of tick tau, and one
+            # node on at stage 2; each member of a group gets its own forcing
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                sweeps.append(self)
+                runs.append(self)
 
-            def __call__(self, state, node, u=None):
-                out = super().__call__(state, node, u)
-                out.block += force(node)
-                return out
-        monkeypatch.setattr(evolve, "_Sweep", Forced)
+            def _stage1(self, sweeps, tau):
+                k1, sweeps = super()._stage1(sweeps, tau)
+                for member, s in zip(k1 if sweeps else (), sweeps):
+                    member += force(tau - s)
+                return k1, sweeps
+
+            def _stage2(self, sweeps, tau, pred):
+                k2 = super()._stage2(sweeps, tau, pred)
+                for member, s in zip(k2, sweeps):
+                    member += force(tau - s + 1)
+                return k2
+        monkeypatch.setattr(evolve, "_Sweeps", Forced)
         cfg = RunConfig(params, dt, t_final, picard_iterations=4, init_mollified=False)
-        picard_solve(data, cfg)
-        assert len(sweeps) == 4
-        return cls._relative_error(sweeps[-1].kept[cfg.n_steps][0], exact, t_final)
+        res = picard_solve(data, cfg)
+        assert len(runs) == 1 and len(res.final_states) == 4
+        # sweep 4 records its last node at tick n + 3, in that tick's slot
+        final = ReformState.of_block(grid, runs[0].x[(cfg.n_steps + 3) % 2, 3])
+        return cls._relative_error(final, exact, t_final)
 
     @pytest.mark.parametrize("dim, t_final, dts, bound", [
         (2, 1.0, (0.04, 0.02, 0.01), 5e-3),   # 2-D n=32: 4.24e-3, ratios 3.71 and 3.85
@@ -391,18 +402,26 @@ class TestBlockStepper:
         direct_solve(_small_state(grid2d, 1e-2, rng), cfg)
         assert len(calls) == (cfg.n_steps + 1) + cfg.n_steps
 
-    def test_sweep_rhs_given_the_velocity_is_unchanged(self, grid2d, rng):
-        # given the run loop's velocity, a middle sweep's stage-1 call is also
-        # its source pass for the next sweep, and its result keeps every bit
-        first = _Sweep(1, grid2d, _params(), hands_on=True)
-        frozen = ReformState.from_primitive(_random_prim(grid2d, rng))
-        first(frozen, 0, frozen.velocity())
-        rhs = _Sweep(2, grid2d, _params(), first, hands_on=True)
+    def test_hand_on_leaves_the_frozen_terms_unchanged(self, grid2d, rng):
+        # given the run loop's velocity, a middle sweep's stage-1 pass is also
+        # its source pass for the next sweep; its frozen terms keep every bit
+        # of the pass that only convects, and it writes the plain sources
+        params = _params()
+        sources, samples = assemble_sources(ReformState.from_primitive(_random_prim(grid2d, rng)),
+                                            params)
+        frozen = (sources.block[None], samples[None])
         state = ReformState.from_primitive(_random_prim(grid2d, rng))
-        plain = rhs(state, 0)
-        assert rhs.window == {}
-        assert rhs(state, 0, state.velocity()).block.tobytes() == plain.block.tobytes()
-        assert list(rhs.window) == [0]
+        plain, fault, (none, _) = sweep_pass(grid2d, params, state.block[None], None, 0, frozen)
+        assert fault is None and len(none) == 0
+        out = (np.full((1,) + state.block.shape, np.nan + 0j),
+               np.full((1, 2) + (grid2d.n,) * 2, np.nan))
+        terms, fault, _ = sweep_pass(grid2d, params, state.block[None],
+                                     state.velocity().coeff[None], 1, frozen, out)
+        assert fault is None
+        assert terms.tobytes() == plain.tobytes()
+        want, want_samples = assemble_sources(state, params)
+        assert out[0][0].tobytes() == want.block.tobytes()
+        assert out[1][0].tobytes() == want_samples.tobytes()
 
 
 class TestDirectRun:
@@ -482,23 +501,27 @@ class TestPicard:
         res = picard_solve(prim, cfg)
         assert res.differences[0] == res.iterate_norms[0].bnorm() > 0.0
 
-    def test_recorded_states_are_never_written(self, rng, monkeypatch):
-        # the sweeps keep the run loop's own states and velocities, not
-        # copies: set each node's arrays read-only as the loop yields them, so
-        # any later in-place write raises, and the run is unchanged
+    def test_a_tick_reads_one_slot_and_writes_the_other(self, rng, monkeypatch):
+        # the sweeps keep each node once, in two-slot rings, with no copy: a
+        # tick leaves every byte of the slot it reads (the previous tick's
+        # nodes, velocities and handed-on pairs) as it was, and the data are
+        # never written
         grid = Grid(2, 16, length=2.0)
         prim = _small_state(grid, 1e-2, rng)
         cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=3)
         want = picard_solve(prim, cfg)
-        march = evolve._march
+        tick, ticks = _Sweeps.tick, []
 
-        def frozen(*args):
-            for t, state, u in march(*args):
-                state.block.setflags(write=False)
-                u.coeff.setflags(write=False)
-                yield t, state, u
-        monkeypatch.setattr(evolve, "_march", frozen)
+        def guarded(self, tau):
+            read = [ring[(tau - 1) % 2] for ring in (self.x, self.u, self.sources, self.samples)]
+            before = [a.tobytes() for a in read]
+            tick(self, tau)
+            assert [a.tobytes() for a in read] == before
+            ticks.append(tau)
+        monkeypatch.setattr(_Sweeps, "tick", guarded)
+        prim.block.setflags(write=False)
         got = picard_solve(prim, cfg)
+        assert ticks == list(range(cfg.n_steps + 3 + 1))
         assert got.differences == want.differences and len(got.differences) == 3
         for a, b in zip(got.final_states, want.final_states, strict=True):
             assert a.block.tobytes() == b.block.tobytes()
@@ -693,30 +716,139 @@ class TestStreamedSweeps:
     def test_lowest_failing_sweep_is_reported(self, rng, monkeypatch):
         # sweep 3 fails first in wall time, at its stage 1 of step 2; sweep 2
         # fails later, in its final source pass, while sweep 1 runs to its end
-        # and sweep 4 stops with sweep 3
+        # and sweep 4 stops with sweep 3.  At n = 16 the four sweeps make one
+        # group, so each NaN sits in one member of a group's pass
         events = []
-        call, hand_on = _Sweep.__call__, _Sweep._hand_on
+        group, finish = _Sweeps._group, _Sweeps._finish
 
-        def failing_call(self, state, node, u=None):
-            events.append((self.number, node))
-            if self.number == 3 and node == 1 and u is not None:
+        def failing_group(self, sweeps, tau):
+            events.append(("group", tau, tuple(sweeps)))
+            if 3 in sweeps and tau - 3 == 1:  # sweep 3 at node 1
+                self.x[(tau - 1) % 2, 2, 0, 1, 1] = np.nan
                 events.append("sweep 3 failed")
-                raise StabilityError("early failure")
-            return call(self, state, node, u)
+            return group(self, sweeps, tau)
 
-        def failing_hand_on(self, node, sources, u_phys):
-            if node == 5:  # the final source pass
-                events.append(("final", self.number))
-                if self.number == 2:
-                    raise StabilityError("late failure")
-            return hand_on(self, node, sources, u_phys)
-        monkeypatch.setattr(_Sweep, "__call__", failing_call)
-        monkeypatch.setattr(_Sweep, "_hand_on", failing_hand_on)
+        def failing_finish(self, s, tau):
+            events.append(("final", s))
+            if s == 2:  # its last node, after the divergence check read the ledger
+                self.x[(tau - 1) % 2, 1, 0, 1, 1] = np.nan
+            return finish(self, s, tau)
+        monkeypatch.setattr(_Sweeps, "_group", failing_group)
+        monkeypatch.setattr(_Sweeps, "_finish", failing_finish)
         grid = Grid(2, 16, length=2.0)
         cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=4)
-        with pytest.raises(StabilityError, match=r"^sweep 2: step 5: late failure$"):
+        with pytest.raises(StabilityError,
+                           match=r"^sweep 2: step 5: non-finite samples in field rho$") as err:
             picard_solve(_small_state(grid, 1e-2, rng), cfg)
+        assert str(err.value.__cause__) == "step 5: non-finite samples in field rho"
         failed = events.index("sweep 3 failed")
+        assert events[failed - 1] == ("group", 4, (1, 2, 3, 4))
         assert ("final", 1) in events[failed:]
         assert events[-1] == ("final", 2)
-        assert not any(e[0] in (3, 4) for e in events[failed + 1:])
+        assert not any(e[0] == "group" and ({3, 4} & set(e[2])) for e in events[failed + 1:])
+        # sweeps 1 and 2 stepped on after sweep 3 failed in their group
+        assert ("group", 5, (1, 2)) in events[failed:]
+
+    @pytest.mark.parametrize("member, message", [
+        (1, "step 3: non-finite samples in field u"),
+        (2, "step 3: non-finite samples in field u"),
+        (3, "step 3: non-finite samples in field u"),
+        # the last sweep's stage 1 only convects and scans nothing, as before
+        # the sweeps were grouped: its divergence check stops it
+        (4, "iterate norm nan exceeds 10.0 x data norm; small-data hypothesis violated"),
+    ])
+    def test_nan_in_one_member_names_that_sweep(self, rng, monkeypatch, member, message):
+        # a NaN in one member's velocity, at its stage-1 pass of step 3, in
+        # the one group of four sweeps: the error names that member
+        group = _Sweeps._group
+
+        def poisoned(self, sweeps, tau):
+            if member in sweeps and tau - member == 2:
+                self.u[(tau - 1) % 2, member - 1, 0, 1, 1] = np.nan
+            return group(self, sweeps, tau)
+        monkeypatch.setattr(_Sweeps, "_group", poisoned)
+        grid = Grid(2, 16, length=2.0)
+        cfg = RunConfig(_params(), dt=0.02, t_final=0.1, picard_iterations=4)
+        with pytest.raises(StabilityError) as err:
+            picard_solve(_small_state(grid, 1e-2, rng), cfg)
+        assert str(err.value) == f"sweep {member}: {message}"
+
+
+class TestLockStepSweeps:
+    """The sweeps advance in lock step, and sweep s reads only the sweeps
+    before it, so neither the later sweeps nor the grouping of the sweeps
+    into batched passes may change a bit of its results."""
+
+    @staticmethod
+    def _case(dim):
+        """Data and the config of a k-sweep run, in 2-D n=32 (13 steps, so
+        the CFL check runs twice) or 3-D n=16 (4 steps)."""
+        if dim == 2:
+            grid = Grid(2, 32, length=8.0)
+            prim = _small_state(grid, 1e-2, np.random.default_rng(9))
+            params, dt, steps = _params(), 0.01, 13
+        else:
+            grid = Grid(3, 16, length=2.0)
+            rng = np.random.default_rng(5)
+            prim = PrimitiveState(*(random_field(grid, rank, rng, band=(0.9, 2.1),
+                                                 amplitude=1e-3)
+                                    for rank in ("scalar", "vector", "matrix")))
+            params = ModelParams(Viscosity(1.0, 1.0, 3), 2.0, PressureLaw.quadratic())
+            dt, steps = 0.005, 4
+        return prim, lambda sweeps: RunConfig(params, dt, dt * steps, picard_iterations=sweeps)
+
+    @staticmethod
+    def _assert_prefix(part, full):
+        k = len(part.iterate_norms)
+        assert [ns.table for ns in part.iterate_norms] == \
+            [ns.table for ns in full.iterate_norms[:k]]
+        assert part.differences == full.differences[:k]
+        assert part.ratios == full.ratios[:k - 1]
+        for a, b in zip(part.final_states, full.final_states[:k], strict=True):
+            assert np.array_equal(a.block, b.block)
+            assert a.block.tobytes() == b.block.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_first_sweeps_are_a_shorter_run(self, dim):
+        # the last sweep of a k-sweep run hands nothing on and convects on
+        # its own; in a longer run it also assembles its successor's sources
+        prim, config = self._case(dim)
+        full = picard_solve(prim, config(6))
+        assert len(full.iterate_norms) == 6
+        for k in (1, 2, 5):
+            self._assert_prefix(picard_solve(prim, config(k)), full)
+
+    @pytest.mark.parametrize("dim, width", [(2, 3), (3, 1)])
+    def test_group_width_moves_no_bit(self, dim, width, monkeypatch):
+        # one sweep per group, and all six in one group, against the default
+        # budget: 3 sweeps a group at 2-D n=32 and 1 at 3-D n=16
+        prim, config = self._case(dim)
+        built = []
+        init = _Sweeps.__init__
+
+        def counted(self, *args):
+            init(self, *args)
+            built.append(self.width)
+        monkeypatch.setattr(_Sweeps, "__init__", counted)
+        want = picard_solve(prim, config(6))
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(evolve, "GROUP_BYTES", budget)
+            self._assert_prefix(picard_solve(prim, config(6)), want)
+        assert built[:2] == [width, 1] and built[2] >= 6
+
+    def test_transforms_per_run(self, rng):
+        # 2-D n=16, 4 sweeps, 12 steps: the grouping moves no transform, and
+        # the budget puts every sweep in one group, so a tick makes one
+        # stage-1 pass (15 ticks step a sweep) and one stage-2 pass (14 ticks
+        # step a sweep with frozen terms), each an inverse and a forward
+        grid = Grid(2, 16, length=2.0)
+        cfg = RunConfig(_params(), dt=0.01, t_final=0.12, picard_iterations=4)
+        prim = _small_state(grid, 1e-2, rng)
+        before = grid.transforms, grid.transform_passes
+        picard_solve(prim, cfg)
+        # per step: sweep 1 40 (its sources), sweeps 2 and 3 47 + 21 (sources
+        # with the frozen convection, and the stage-2 convection), sweep 4
+        # 21 + 21; the 3 final source passes 40 each, and 8 CFL checks 2
+        assert grid.transforms - before[0] == 12 * (40 + 2 * 68 + 42) + 3 * 40 + 8 * 2 == 2752
+        # one pass per sweep and stage made 2 * (48 + 36 + 3) + 8 = 182
+        assert grid.transform_passes - before[1] == 2 * (15 + 14 + 3) + 8 == 72

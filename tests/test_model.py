@@ -2,6 +2,7 @@
 and split evolution paths on admissible data."""
 
 import copy
+import math
 import pickle
 import re
 import sys
@@ -20,11 +21,12 @@ from viscoflow import (Grid, ModelParams, PressureLaw,
                        reformulated_rhs, shear_map)
 from viscoflow.constraints import transport_rhs, transport_simulate
 from viscoflow.errors import InputError, StabilityError
-from viscoflow.evolve import RunConfig, _Sweep, direct_rhs
+from viscoflow.evolve import RunConfig, _Sweeps, direct_rhs
 from viscoflow.grid import cosine_mode, dealias_physical, fine_grid_product, refine_field
 from viscoflow.linear import linear_rhs
 from viscoflow.model import (FieldTuple, HelmholtzState, PhysicalBundle, ReformState,
-                             rotation_correction, rotation_from_products, split_state)
+                             rotation_correction, rotation_from_products, split_state,
+                             sweep_pass_bytes)
 from viscoflow.operators import (SplitViscosity, Viscosity, convect,
                                  divergence, gradient, inverse_mag_times,
                                  jacobian, lame_operator, laplacian, helmholtz_split,
@@ -43,11 +45,15 @@ def _params(dim=2, mu=1.0, lam=1.0, alpha=1.0, law=None):
 
 
 def _sweep_after(params, state):
-    """The right-hand side of a sweep whose previous sweep reached ``state``
-    at node 0: that sweep's stage-1 call there hands on its sources."""
-    prev = _Sweep(1, state.grid, params, hands_on=True)
-    prev(state, 0, state.velocity())
-    return _Sweep(2, state.grid, params, prev)
+    """Sweep 2's stage-2 right-hand side (``_Sweeps._stage2``, a group of
+    one at tick 2), with the pair sweep 1 hands on assembled at ``state``:
+    a function of the predictor."""
+    grid = state.grid
+    run = _Sweeps(grid, PrimitiveState.zeros(grid), RunConfig(params, 0.01, 0.01,
+                                                              picard_iterations=2), 1.0)
+    sources, samples = assemble_sources(state, params)
+    run.sources[0, 0], run.samples[0, 0] = sources.block, samples  # the slot of tick 2
+    return lambda pred: ReformState.of_block(grid, run._stage2(range(2, 3), 2, pred.block[None])[0])
 
 
 def _admissible(grid, eps, u_amp=0.0, rng=None):
@@ -311,7 +317,7 @@ class TestSources:
             state.omega = SpectralField(grid, state.omega.coeff
                                         + skew_field(grid, [w.coeff[2], -w.coeff[1], w.coeff[0]]).coeff)
             assert (state.velocity() - u).l2() <= 1e-15 * u.l2()
-        got = _sweep_after(params, state)(state, 0).project_mean_zero()
+        got = _sweep_after(params, state)(state).project_mean_zero()
         config = RunConfig(params, 0.01, 0.01, rotation_correction=False)
         want = direct_rhs(config)(state, 0)
         for g, w in zip(got, want, strict=True):
@@ -417,17 +423,23 @@ class TestDualPath:
 class TestPhysicalBundle:
     @pytest.mark.parametrize("whole_state", [False, True])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_samples_equal_per_family_transforms(self, rng, dim, whole_state):
+    def test_samples_equal_per_family_transforms(self, rng, dim, whole_state, monkeypatch):
         # one inverse transform of the whole stack changes no bit, also when
-        # the d and Omega rows of a convected state sit between grad rho and grad E
+        # the d and Omega rows of a convected state sit between grad rho and
+        # grad E: the bundle of a source pass (``sweep_pass``, here a group of one)
         grid = Grid(dim, 32 if dim == 2 else 16, 4.0)
         prim, visc = _random_state(grid, rng), Viscosity(1.0, 1.0, dim)
         families = {"rho": prim.rho, "grad_rho": gradient(prim.rho), "u": prim.u,
                     "grad_u": jacobian(prim.u), "lame": lame_operator(prim.u, visc),
                     "E": prim.E, "grad_E": gradient(prim.E)}
-        state = ReformState.from_primitive(prim) if whole_state else prim
+        if whole_state:
+            ph = _source_pass_bundle(ReformState.from_primitive(prim), _params(dim), prim.u,
+                                     monkeypatch)
+            for name, f in families.items():
+                assert getattr(ph, name).tobytes() == f.to_physical().tobytes(), name
+            return
         with grid.workspace() as ws:
-            ph = PhysicalBundle.of(state, visc, ws, prim.u, whole_state)
+            ph = PhysicalBundle.of(prim, visc, ws)
             for name, f in families.items():
                 assert getattr(ph, name).tobytes() == f.to_physical().tobytes(), name
 
@@ -497,11 +509,10 @@ class TestPhysicalBundle:
             inverse(g, coeff, out)
             slabs.append(out)
         monkeypatch.setattr(grid_module, "_inverse", recording)
-        with grid.workspace() as ws:
-            ph = PhysicalBundle.of(state, params.visc, ws, state.velocity(), whole_state=True)
-            target = ph.grads[:, dim + 1] if family == "grads" else getattr(ph, family)
-            at = ((target.__array_interface__["data"][0]
-                   - slabs[0].__array_interface__["data"][0]) // target.itemsize)
+        ph = _source_pass_bundle(state, params, state.velocity(), monkeypatch)
+        target = ph.grads[:, 1] if family == "grads" else getattr(ph, family)
+        at = ((target.__array_interface__["data"][0]
+               - slabs[0].__array_interface__["data"][0]) // target.itemsize)
 
         def planting(g, coeff, out):
             inverse(g, coeff, out)
@@ -509,6 +520,24 @@ class TestPhysicalBundle:
         monkeypatch.setattr(grid_module, "_inverse", planting)
         with pytest.raises(StabilityError, match=rf"field {family}$"):
             assemble_sources(state, params)
+
+
+def _source_pass_bundle(state, params, u, monkeypatch) -> PhysicalBundle:
+    """The samples ``assemble_sources(state, params, u)`` builds in its pass
+    (its member axis of length one included); they are views of the grid's
+    samples slab, read before the grid's next pass."""
+    import viscoflow.model as model
+    bundles = []
+
+    class Recording(PhysicalBundle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bundles.append(self)
+    monkeypatch.setattr(model, "PhysicalBundle", Recording)
+    assemble_sources(state, params, u)
+    monkeypatch.setattr(model, "PhysicalBundle", PhysicalBundle)
+    (ph,) = bundles
+    return ph
 
 
 def transform_count(fn, *args):
@@ -542,7 +571,7 @@ def _counted_calls(grid, rng) -> dict:
         "`assemble_sources`": (assemble_sources, state, params),
         "`assemble_sources` with a frozen pair": (assemble_sources, state, params,
                                                    state.velocity(), frozen),
-        "iteration sweep right-hand side, stage 2": (_sweep_after(params, state), state, 0),
+        "iteration sweep right-hand side, stage 2": (_sweep_after(params, state), state),
         "`linear_rhs` with a velocity": (linear_rhs, split_state(prim),
                                          SplitViscosity(1.0, 1.0), prim.u),
         "`transport_rhs` (u and grad u sampled)": (transport_rhs, rho, F, u.to_physical(),
@@ -697,7 +726,8 @@ class TestFixedCost:
     parent of the block maps (views on demand, the velocity and coupling
     maps on block rows, one finiteness scan) the counts were 161, 103, 139
     and 78, and with the workspace's two-stack push/pop machine 141, 99,
-    114 and 54."""
+    114 and 54.  Before the sweeps' lock step they were 115, 71, and 86 +
+    44 for a sweep's two stages."""
 
     @pytest.fixture(params=[2, 3])
     def setup(self, request, grid2d, grid3d, rng):
@@ -709,7 +739,7 @@ class TestFixedCost:
         grid, params, new_state = setup
         state = new_state()
         reformulated_rhs(state, params)  # the per-grid multipliers and caches
-        assert _calls_into_src(reformulated_rhs, state, params) <= 115
+        assert _calls_into_src(reformulated_rhs, state, params) <= 111
 
     def test_assemble_sources_with_a_frozen_pair(self, setup):
         grid, params, new_state = setup
@@ -717,22 +747,29 @@ class TestFixedCost:
         state = new_state()
         u = state.velocity()
         assemble_sources(state, params, u, frozen)
-        assert _calls_into_src(assemble_sources, state, params, u, frozen) <= 71
+        assert _calls_into_src(assemble_sources, state, params, u, frozen) <= 53
 
     def test_sweep_stages(self, setup):
+        # stage 1 and stage 2 of a group of middle sweeps at one tick: the
+        # couplings and one pass of the sources they hand on with their
+        # frozen convection, the predictor, and the couplings and one
+        # convection pass at stage 2.  A sweep that was its own right-hand
+        # side made 86 + 44 calls; a group of three makes fewer than three
+        # times the calls of a group of one
         grid, params, new_state = setup
-        prev = _Sweep(1, grid, params, hands_on=True)
-        start = new_state()
-        prev(start, 0, start.velocity())
-        rhs = _Sweep(2, grid, params, prev, hands_on=True)
-        state = new_state()
-        u = state.velocity()
-        rhs(state, 0, u)
-        rhs(state, 0)
-        # stage 1: the couplings and the pass of its own sources and the
-        # frozen convection; stage 2: the predictor's couplings and convection
-        assert _calls_into_src(rhs, state, 0, u) <= 86
-        assert _calls_into_src(rhs, state, 0) <= 44
+        cfg = RunConfig(params, 0.01, 0.1, picard_iterations=5)
+        run = _Sweeps(grid, new_state().to_primitive(), cfg, math.inf)
+        for tau in range(5):
+            run.tick(tau)
+
+        def stages(sweeps):  # at tick 5, sweep s at node 5 - s
+            k1, sweeps = run._stage1(sweeps, 5)
+            run._stage2(sweeps, 5, run.stepper.predict(run.x[0, sweeps.start - 1:sweeps.stop - 1], k1))
+        stages(range(2, 5))  # the slabs at the size of a group of three
+        one = _calls_into_src(stages, range(3, 4))
+        three = _calls_into_src(stages, range(2, 5))
+        assert one <= 100
+        assert three <= 102 < 3 * one
 
 
 @pytest.mark.parametrize("dim, n", [(3, 16), (2, 64)])
@@ -770,6 +807,8 @@ def test_slabs_hold_the_rows_of_the_largest_pass(dim, n, spec, samples, products
     convect(grid, frozen[1], state.block)
     assert {k: len(v) for k, v in grid._stacks.items()} == \
         {"spec": spec, "samples": samples, "products": products}
+    # the group budget of the lock-step sweeps counts these slabs' bytes
+    assert sweep_pass_bytes(grid) == sum(v.nbytes for v in grid._stacks.values())
 
 
 class TestWorkspaceAliasing:
@@ -822,8 +861,8 @@ class TestWorkspaceAliasing:
 
     def test_sweep_right_hand_side(self, grid2d, rng):
         rhs = _sweep_after(_params(), ReformState.from_primitive(_random_state(grid2d, rng)))
-        self._check(grid2d, rhs, (ReformState.from_primitive(_random_state(grid2d, rng)), 0),
-                    (ReformState.from_primitive(_random_state(grid2d, rng)), 0))
+        self._check(grid2d, rhs, (ReformState.from_primitive(_random_state(grid2d, rng)),),
+                    (ReformState.from_primitive(_random_state(grid2d, rng)),))
 
     def test_convect(self, grid2d, rng):
         u = random_field(grid2d, "vector", rng).to_physical()
